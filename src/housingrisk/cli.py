@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -44,7 +46,13 @@ from .correlations import (
     return_pair_correlations,
 )
 from .errors import ConfigError, HousingRiskError, InsufficientHistoryError
-from .integration import beta_average, cohort_average, integrate_panel, integration_summary
+from .integration import (
+    CHARACTERISTICS,
+    beta_average,
+    cohort_average,
+    integrate_panel,
+    integration_summary,
+)
 from .io import (
     load_factor_table,
     load_hpi_panel,
@@ -54,8 +62,8 @@ from .io import (
     write_hpi_csv,
     write_json_atomic,
 )
-from .jumps import jump_incidence, lm_series
-from .portfolio import diversification_series, series_correlation
+from .jumps import MIN_BIPOWER_WINDOW, jump_incidence, lm_series
+from .portfolio import diversification_series, portfolio_returns, series_correlation
 from .synth import generate_panel, ground_truth_report, scenario_from_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS", "ENV_PREFIX"]
@@ -146,10 +154,19 @@ class RunConfig:
             ("thresholds.big", self.big_threshold),
             ("thresholds.pair_sig_t", self.pair_sig_t),
         ):
-            if not value > 0:
-                problems.append(f"{label} must be positive, got {value}")
-        if self.window < 3:
-            problems.append(f"window must be at least 3, got {self.window}")
+            if not _is_number(value, numbers.Real) or not value > 0:
+                problems.append(f"{label} must be a positive number, got {value!r}")
+        for label, value, least in (
+            ("window", self.window, 3),
+            ("bipower_window", self.bipower_window, MIN_BIPOWER_WINDOW),
+            ("pairs.min_overlap", self.min_overlap, None),
+            ("pairs.jump_floor", self.jump_pair_floor, None),
+            ("seed", 0 if self.seed is None else self.seed, None),
+        ):
+            if not _is_number(value, numbers.Integral):
+                problems.append(f"{label} must be an integer, got {value!r}")
+            elif least is not None and value < least:
+                problems.append(f"{label} must be at least {least}, got {value}")
         if self.serial not in SERIAL_POLICIES:
             problems.append(f"serial must be one of {SERIAL_POLICIES}, got {self.serial!r}")
         if self.interaction_residual not in INTERACTION_SOURCES:
@@ -164,6 +181,11 @@ class RunConfig:
         d = dataclasses.asdict(self)
         d["version"] = __version__
         return d
+
+
+def _is_number(value, kind) -> bool:
+    """True for a number of ``kind``; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _apply_config_file(cfg: RunConfig, path: str) -> None:
@@ -265,20 +287,36 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _memoised(fn):
+    """Compute ``fn(runner, *args)`` once per argument tuple and keep it on the runner."""
+
+    @functools.wraps(fn)
+    def once(r, *args):
+        key = (fn.__qualname__, *args)
+        if key not in r.results:
+            r.results[key] = fn(r, *args)
+        return r.results[key]
+
+    return once
+
+
 class _Runner:
-    """Holds loaded inputs and collects artifact/output bookkeeping."""
+    """Holds loaded inputs, the results computed from them and the output bookkeeping.
+
+    Every analysis result is ``_memoised``: the first artifact that needs it
+    computes it, and every other artifact is a view of the same result.
+    """
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.out = Path(cfg.out)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self._panel = None
-        self._factors = None
-        self._returns = None
-        self._integration = None
-        self._jumps = None
-        self._contagion = None
+        self.results: dict[tuple, object] = {}
+        self.panel = None
+        self.factors = None
+        self.returns: ReturnPanel | None = None
+        self.ground_truth: dict | None = None  # set only by this run's synth step
 
     # -- input plumbing ---------------------------------------------------
 
@@ -305,7 +343,8 @@ class _Runner:
             self.out / "transforms_synth.json",
             {f: "log_level" for f in table.factor_ids},
         )
-        write_json_atomic(self.out / "ground_truth.json", ground_truth_report(truth))
+        self.ground_truth = ground_truth_report(truth)
+        write_json_atomic(self.out / "ground_truth.json", self.ground_truth)
         self.outputs += [
             "hpi_synth.csv",
             "factors_synth.csv",
@@ -327,7 +366,7 @@ class _Runner:
         if cfg.factors is None:
             raise ConfigError("inputs.factors is required alongside inputs.hpi")
         hpi_path, fac_path = Path(cfg.hpi), Path(cfg.factors)
-        self._panel = load_hpi_panel(hpi_path)
+        self.panel = load_hpi_panel(hpi_path)
         self.inputs[str(hpi_path)] = _sha256(hpi_path)
         if isinstance(cfg.transforms, dict):
             transforms = dict(cfg.transforms)
@@ -336,50 +375,56 @@ class _Runner:
             self.inputs[cfg.transforms] = _sha256(Path(cfg.transforms))
         else:
             transforms = default_factor_transforms(cfg.income_as_level)
-        self._factors = load_factor_table(fac_path, transforms)
+        self.factors = load_factor_table(fac_path, transforms)
         self.inputs[str(fac_path)] = _sha256(fac_path)
-        self._returns = compute_returns(self._panel)
+        self.returns = compute_returns(self.panel)
 
-    @property
-    def panel(self):
-        return self._panel
+    # -- results ----------------------------------------------------------
 
-    @property
-    def returns(self) -> ReturnPanel:
-        return self._returns
-
-    @property
-    def factors(self):
-        return self._factors
-
+    @_memoised
     def integration(self):
-        if self._integration is None:
-            self._integration = integrate_panel(
-                self.returns, self.factors, self.cfg.window, self.cfg.prewhiten
-            )
-        return self._integration
+        return integrate_panel(
+            self.returns, self.factors, self.cfg.window, self.cfg.prewhiten
+        )
 
+    @_memoised
+    def summary(self):
+        return integration_summary(self.integration().series, self.returns)
+
+    @_memoised
     def jump_series_all(self):
-        if self._jumps is None:
-            series = []
-            skipped = []
-            for msa_id in self.returns.msa_ids():
-                start, values = self.returns.series(msa_id)
-                try:
-                    series.append(
-                        lm_series(
-                            values,
-                            self.cfg.bipower_window,
-                            msa_id=msa_id,
-                            start_code=start.code,
-                            jump_threshold=self.cfg.jump_threshold,
-                            big_threshold=self.cfg.big_threshold,
-                        )
+        """(series, skipped) over every MSA with enough history."""
+        series = []
+        skipped = []
+        for msa_id in self.returns.msa_ids():
+            start, values = self.returns.series(msa_id)
+            try:
+                series.append(
+                    lm_series(
+                        values,
+                        self.cfg.bipower_window,
+                        msa_id=msa_id,
+                        start_code=start.code,
+                        jump_threshold=self.cfg.jump_threshold,
+                        big_threshold=self.cfg.big_threshold,
                     )
-                except InsufficientHistoryError as exc:
-                    skipped.append((msa_id, str(exc)))
-            self._jumps = (series, skipped)
-        return self._jumps
+                )
+            except InsufficientHistoryError as exc:
+                skipped.append((msa_id, str(exc)))
+        return series, skipped
+
+    @_memoised
+    def pair_sets(self):
+        """Return pairs then jump pairs, each contemporaneous then lead."""
+        sets = []
+        for timing in ("contemporaneous", "lead"):
+            pairs, _ = return_pair_correlations(self.returns, timing, self.cfg.min_overlap)
+            sets.append(pairs)
+        series, _ = self.jump_series_all()
+        for timing in ("contemporaneous", "lead"):
+            pairs, _ = jump_pair_correlations(series, timing, self.cfg.jump_pair_floor)
+            sets.append(pairs)
+        return sets
 
     # -- cohort helpers ---------------------------------------------------
 
@@ -430,6 +475,84 @@ class _Runner:
         write_json_atomic(self.out / "run_manifest.json", manifest)
 
 
+# -- derived tables ------------------------------------------------------
+#
+# Row builders shared by a command's artifact and its report view.
+
+SUMMARY_HEADER = ["kind", "timing", "threshold", "n", "mean", "sigma", "t_stat", "max", "min"]
+DIVISION_HEADER = ["division", "kind", "timing", "n", "n_significant", "pct_significant", "mean_r"]
+FIG_HEADER = ["series", "quarter", "value"]
+MSA_HEADER = ["msa_id"] + list(CHARACTERISTICS) + [f"rank_{c}" for c in CHARACTERISTICS]
+
+
+def _long(named_series) -> list[list]:
+    """[name, quarter, value] rows from (name, quarter codes, values) triples."""
+    return [
+        [name, QuarterIndex.from_code(int(c)), v]
+        for name, codes, values in named_series
+        for c, v in zip(codes, values)
+    ]
+
+
+def _msa_rows(summary) -> list[list]:
+    """MSA_HEADER rows: table1 and the msa rows of integration_summary."""
+    return [
+        [m.msa_id]
+        + [m.value(c) for c in CHARACTERISTICS]
+        + [summary.ranks[c][m.msa_id] for c in CHARACTERISTICS]
+        for m in summary.rows
+    ]
+
+
+@_memoised
+def _cohort_rows(r: _Runner) -> list[list]:
+    """(cohort, quarter, average R²): cohort_averages.csv and fig2.csv."""
+    series = r.integration().series
+    return _long(
+        (name, *cohort_average(series, members, start))
+        for name, members, start in _cohort_plan(r, series)
+    )
+
+
+@_memoised
+def _incidence_rows(r: _Runner) -> list[list]:
+    """(cohort, quarter, pct, n_flagged, n_testable): jump_incidence.csv; fig4 is its pct."""
+    series, _ = r.jump_series_all()
+    by_id = {s.msa_id: s for s in series}
+    rows = []
+    for cohort, members in r.ca_cohorts().items():
+        chosen = [by_id[m] for m in members if m in by_id]
+        if not chosen:
+            continue
+        codes, pct, flagged, testable = jump_incidence(chosen, flag="big")
+        rows += [
+            [cohort, QuarterIndex.from_code(int(c)), v, int(f), int(t)]
+            for c, v, f, t in zip(codes, pct, flagged, testable)
+        ]
+    return rows
+
+
+@_memoised
+def _correlation_tables(r: _Runner) -> tuple[list[list], list[list]]:
+    """(summary rows, division rows) over the four pair sets."""
+    sets = r.pair_sets()
+    summary_rows = [
+        ["none" if v is None else v for v in dataclasses.astuple(s)]
+        for pairs in sets
+        if pairs
+        for s in correlation_summary(pairs)
+    ]
+    states = {m.msa_id: m.state for m in r.panel.msas if m.state}
+    division_rows = []
+    if states:
+        all_pairs = [p for pairs in sets for p in pairs if p.msa_i in states and p.msa_j in states]
+        division_rows = [
+            list(dataclasses.astuple(row))
+            for row in cohort_correlation_report(all_pairs, states, r.cfg.pair_sig_t)
+        ]
+    return summary_rows, division_rows
+
+
 # -- command implementations ---------------------------------------------
 
 
@@ -462,23 +585,9 @@ def _cmd_integrate(r: _Runner) -> None:
             )
     r.write_csv("integration_series.csv", header, rows)
 
-    summary = integration_summary(result.series, r.returns)
-    from .integration import CHARACTERISTICS
-
-    sum_header = (
-        ["row_type", "key"]
-        + list(CHARACTERISTICS)
-        + [f"rank_{c}" for c in CHARACTERISTICS]
-        + ["note"]
-    )
-    sum_rows = []
-    for m in summary.rows:
-        sum_rows.append(
-            ["msa", m.msa_id]
-            + [m.value(c) for c in CHARACTERISTICS]
-            + [summary.ranks[c][m.msa_id] for c in CHARACTERISTICS]
-            + [""]
-        )
+    summary = r.summary()
+    sum_header = ["row_type", "key"] + MSA_HEADER[1:] + ["note"]
+    sum_rows = [["msa"] + row + [""] for row in _msa_rows(summary)]
     for stat in ("mean", "sd", "min", "max"):
         sum_rows.append(
             ["cross", stat]
@@ -504,18 +613,13 @@ def _cmd_integrate(r: _Runner) -> None:
     r.write_csv("integration_summary.csv", sum_header, sum_rows)
 
     # Cohort averages: entry-time cohorts plus the CA coastal/inland split.
-    rows = []
-    for name, members, start in _cohort_plan(r, result):
-        codes, avg = cohort_average(result.series, members, start)
-        for c, v in zip(codes, avg):
-            rows.append([name, QuarterIndex.from_code(int(c)), v])
-    r.write_csv("cohort_averages.csv", ["cohort", "quarter", "avg_r_square"], rows)
+    r.write_csv("cohort_averages.csv", ["cohort", "quarter", "avg_r_square"], _cohort_rows(r))
 
 
-def _cohort_plan(r: _Runner, result):
+def _cohort_plan(r: _Runner, series):
     """(name, members, start) triples for every non-empty cohort."""
     plan = []
-    have = {s.msa_id: int(s.window_ends[0]) for s in result.series}
+    have = {s.msa_id: int(s.window_ends[0]) for s in series}
     if have:
         plan.append(("us", sorted(have), None))
     starts = sorted(
@@ -541,7 +645,7 @@ def _cohort_plan(r: _Runner, result):
 
 
 def _cmd_jumps(r: _Runner) -> None:
-    series, skipped = r.jump_series_all()
+    series, _ = r.jump_series_all()
     rows = []
     for s in series:
         for i in range(s.n_quarters):
@@ -561,47 +665,16 @@ def _cmd_jumps(r: _Runner) -> None:
         ["msa_id", "quarter", "L", "L_scaled", "jump_flag", "big_flag", "testable"],
         rows,
     )
-
-    by_id = {s.msa_id: s for s in series}
-    rows = []
-    for cohort, members in r.ca_cohorts().items():
-        chosen = [by_id[m] for m in members if m in by_id]
-        if not chosen:
-            continue
-        codes, pct, flagged, testable = jump_incidence(chosen, flag="big")
-        for i in range(codes.size):
-            rows.append(
-                [
-                    cohort,
-                    QuarterIndex.from_code(int(codes[i])),
-                    pct[i],
-                    int(flagged[i]),
-                    int(testable[i]),
-                ]
-            )
     r.write_csv(
         "jump_incidence.csv",
         ["cohort", "quarter", "pct", "n_flagged", "n_testable"],
-        rows,
+        _incidence_rows(r),
     )
 
 
-def _pair_sets(r: _Runner):
-    sets = []
-    for timing in ("contemporaneous", "lead"):
-        pairs, _ = return_pair_correlations(r.returns, timing, r.cfg.min_overlap)
-        sets.append(pairs)
-    series, _ = r.jump_series_all()
-    for timing in ("contemporaneous", "lead"):
-        pairs, _ = jump_pair_correlations(series, timing, r.cfg.jump_pair_floor)
-        sets.append(pairs)
-    return sets
-
-
 def _cmd_correlate(r: _Runner) -> None:
-    sets = _pair_sets(r)
     rows = []
-    for pairs in sets:
+    for pairs in r.pair_sets():
         for p in pairs:
             rows.append([p.msa_i, p.msa_j, p.kind, p.timing, p.r, p.n_effective, p.t_stat])
     r.write_csv(
@@ -609,143 +682,92 @@ def _cmd_correlate(r: _Runner) -> None:
         ["msa_i", "msa_j", "kind", "timing", "r", "n", "t"],
         rows,
     )
-
-    rows = []
-    for pairs in sets:
-        if not pairs:
-            continue
-        for s in correlation_summary(pairs):
-            rows.append(
-                [
-                    s.kind,
-                    s.timing,
-                    "none" if s.threshold is None else s.threshold,
-                    s.n,
-                    s.mean,
-                    s.sigma,
-                    s.t_stat,
-                    s.max,
-                    s.min,
-                ]
-            )
-    r.write_csv(
-        "correlation_summary.csv",
-        ["kind", "timing", "threshold", "n", "mean", "sigma", "t_stat", "max", "min"],
-        rows,
-    )
-
-    states = {m.msa_id: m.state for m in r.panel.msas if m.state}
-    rows = []
-    if states:
-        all_pairs = [p for pairs in sets for p in pairs if p.msa_i in states and p.msa_j in states]
-        for row in cohort_correlation_report(all_pairs, states, r.cfg.pair_sig_t):
-            rows.append(
-                [
-                    row.division,
-                    row.kind,
-                    row.timing,
-                    row.n,
-                    row.n_significant,
-                    row.pct_significant,
-                    row.mean_r,
-                ]
-            )
-    r.write_csv(
-        "division_report.csv",
-        ["division", "kind", "timing", "n", "n_significant", "pct_significant", "mean_r"],
-        rows,
-    )
+    summary_rows, division_rows = _correlation_tables(r)
+    r.write_csv("correlation_summary.csv", SUMMARY_HEADER, summary_rows)
+    r.write_csv("division_report.csv", DIVISION_HEADER, division_rows)
 
 
 def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
     """(source id, target id) pairs for the contagion command.
 
     Priority: explicit config (ids or name fragments) > default city menu
-    matched against MSA names > pairs planted by a synthetic scenario's
-    ground truth > a first-vs-next fallback so the artifact always exists.
+    matched against MSA names > pairs planted by this run's synthetic
+    scenario > a first-vs-next fallback so the artifact always exists.
     """
-    ids = set(self_ids := r.panel.msa_ids())
+    ids = set(r.panel.msa_ids())
 
     def resolve_one(ref):
         if ref in ids:
             return [ref]
         return r.match_names([ref])
 
-    pairs = []
-    menu = r.cfg.contagion_menu
-    if menu is not None:
+    def expand(menu, strict):
+        pairs = []
         for src_ref, targets in menu.items():
             srcs = resolve_one(src_ref)
-            if not srcs:
+            if strict and not srcs:
                 raise ConfigError(f"contagion source {src_ref!r} matches no MSA")
             for tgt_ref in targets:
                 tgts = resolve_one(tgt_ref)
-                if not tgts:
+                if strict and not tgts:
                     raise ConfigError(f"contagion target {tgt_ref!r} matches no MSA")
-                for s in srcs:
-                    for t in tgts:
-                        if s != t:
-                            pairs.append((s, t))
+                pairs += [(s, t) for s in srcs for t in tgts if s != t]
         return pairs
 
-    for src_ref, targets in PRIMARY_CITY_MENU.items():
-        srcs = resolve_one(src_ref)
-        for tgt_ref in targets:
-            for s in srcs:
-                for t in resolve_one(tgt_ref):
-                    if s != t:
-                        pairs.append((s, t))
+    if r.cfg.contagion_menu is not None:
+        return expand(r.cfg.contagion_menu, strict=True)
+    pairs = expand(PRIMARY_CITY_MENU, strict=False)
     if pairs:
         return pairs
 
-    gt_path = r.out / "ground_truth.json"
-    if gt_path.is_file():
-        truth = json.loads(gt_path.read_text(encoding="utf-8"))
-        for entry in truth.get("contagion", []):
+    if r.ground_truth is not None:
+        for entry in r.ground_truth.get("contagion", []):
             pairs.append((entry["source"], entry["target"]))
     if pairs:
         return pairs
 
-    ordered = sorted(self_ids)
+    ordered = sorted(ids)
     return [(ordered[0], t) for t in ordered[1 : min(4, len(ordered))]]
 
 
-def _interaction_residual(r: _Runner, source_id: str):
-    """(quarter codes, residual values) per the configured residual source."""
-    if r.cfg.interaction_residual == "coastal":
-        first, levels = r.panel.series(source_id)
+@_memoised
+def _interaction_residual(r: _Runner, source_id: str | None):
+    """(quarter codes, residual values) per the configured residual source.
+
+    ``source_id`` is None for the ca-equal-weighted residual, which is the
+    same for every source. Too short a history gives empty arrays.
+    """
+    try:
+        if source_id is not None:
+            first, levels = r.panel.series(source_id)
+            return np.arange(first.code, first.code + levels.size), boombust_residual(levels)
+        members = r.state_members("CA")
+        if not members:
+            raise ConfigError(
+                "interaction_residual=ca-equal-weighted needs MSAs with state CA"
+            )
+        codes, rets, _ = portfolio_returns(r.returns, members)
+        levels = np.empty(rets.size + 1)
+        levels[0] = 100.0
+        levels[1:] = 100.0 * np.exp(np.cumsum(rets) / 100.0)
         resid = boombust_residual(levels)
-        codes = np.arange(first.code, first.code + levels.size)
-        return codes, resid
-    members = r.state_members("CA")
-    if not members:
-        raise ConfigError(
-            "interaction_residual=ca-equal-weighted needs MSAs with state CA"
-        )
-    from .portfolio import portfolio_returns
-
-    codes, rets, _ = portfolio_returns(r.returns, members)
-    levels = np.empty(rets.size + 1)
-    levels[0] = 100.0
-    levels[1:] = 100.0 * np.exp(np.cumsum(rets) / 100.0)
-    resid = boombust_residual(levels)
-    return np.concatenate([[codes[0] - 1], codes]), resid
+        return np.concatenate([[codes[0] - 1], codes]), resid
+    except InsufficientHistoryError:
+        return np.empty(0, dtype=int), np.empty(0)
 
 
+@_memoised
 def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
-    """Fit every configured source→target pair once; cached on the runner."""
-    if r._contagion is not None:
-        return r._contagion
+    """Fit every configured source→target pair once: contagion_fits.csv; table5/6 are its views."""
     n_lags = 3
     header = ["target", "source", "variant", "n", "method", "rho", "r_square", "dw", "const", "const_t"]
     for l in range(n_lags + 1):
         header += [f"lag{l}", f"lag{l}_t"]
     for l in range(n_lags + 1):
         header += [f"ix_lag{l}", f"ix_lag{l}_t"]
+    per_source = r.cfg.interaction_residual == "coastal"
     rows = []
-    for source_id, target_id in sorted(
-        (s, t) for s, t in _resolve_contagion_menu(r)
-    ):
+    for source_id, target_id in sorted(_resolve_contagion_menu(r)):
         t_start, t_vals = r.returns.series(target_id)
         s_start, s_vals = r.returns.series(source_id)
         t_codes = np.arange(t_start.code, t_start.code + t_vals.size)
@@ -763,22 +785,13 @@ def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
             tv, sv, n_lags, r.cfg.serial, target_id=target_id, source_id=source_id
         )
         fits = [base]
-        try:
-            res_codes, res_vals = _interaction_residual(r, source_id)
-        except InsufficientHistoryError:
-            res_codes = np.empty(0, dtype=int)
-            res_vals = np.empty(0)
-        sel = np.searchsorted(res_codes, common) if res_codes.size else np.array([], dtype=int)
-        usable = (
-            (sel < res_codes.size)
-            & (res_codes[np.minimum(sel, max(res_codes.size - 1, 0))] == common)
-        ) if res_codes.size else np.zeros(common.size, dtype=bool)
-        if usable.size and usable.all():
+        res_codes, res_vals = _interaction_residual(r, source_id if per_source else None)
+        if np.isin(common, res_codes).all():
             fits.append(
                 contagion_fit_interacted(
                     tv,
                     sv,
-                    res_vals[sel],
+                    res_vals[np.searchsorted(res_codes, common)],
                     n_lags,
                     r.cfg.serial,
                     target_id=target_id,
@@ -806,7 +819,6 @@ def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
                 else:
                     row += ["", ""]
             rows.append(row)
-    r._contagion = (header, rows)
     return header, rows
 
 
@@ -829,18 +841,33 @@ def _portfolio_members(r: _Runner, spec: dict) -> list[str]:
     return sorted(members)
 
 
-def _cmd_portfolio(r: _Runner) -> None:
-    result = r.integration()
-    rows = []
-    corr_rows = []
+@_memoised
+def _portfolios(r: _Runner) -> list[tuple]:
+    """(name, diversification series, member-average R² path or None) per portfolio."""
+    series = r.integration().series
+    have = {s.msa_id for s in series}
+    out = []
     for name, spec in sorted(r.cfg.portfolios.items()):
         members = _portfolio_members(r, spec)
-        if len(members) == 0:
+        if not members:
             continue
         try:
             ps = diversification_series(r.returns, members, r.cfg.window)
         except (InsufficientHistoryError, ValueError):
             continue
+        int_members = [m for m in members if m in have]
+        out.append((name, ps, cohort_average(series, int_members) if int_members else None))
+    return out
+
+
+def _cmd_portfolio(r: _Runner) -> None:
+    rows = []
+    corr_rows = []
+    ranges = [("full", None, None)] + [
+        (rng_name, parse_quarter(lo), parse_quarter(hi))
+        for rng_name, (lo, hi) in sorted(r.cfg.sub_ranges.items())
+    ]
+    for name, ps, avg_r2 in _portfolios(r):
         sigma_at = {int(c): i for i, c in enumerate(ps.sigma_codes)}
         for i, code in enumerate(ps.return_codes):
             code = int(code)
@@ -855,16 +882,8 @@ def _cmd_portfolio(r: _Runner) -> None:
                     ps.diversification[j] if j is not None else "",
                 ]
             )
-        have = {s.msa_id for s in result.series}
-        int_members = [m for m in members if m in have]
-        if not int_members:
+        if avg_r2 is None:
             continue
-        codes, avg_r2 = cohort_average(result.series, int_members)
-        ranges: list[tuple[str, QuarterIndex | None, QuarterIndex | None]] = [
-            ("full", None, None)
-        ]
-        for rng_name, (lo, hi) in sorted(r.cfg.sub_ranges.items()):
-            ranges.append((rng_name, parse_quarter(lo), parse_quarter(hi)))
         for rng_name, lo, hi in ranges:
             for series_b, vals_b in (
                 ("port_sigma", ps.portfolio_sigma),
@@ -872,7 +891,7 @@ def _cmd_portfolio(r: _Runner) -> None:
             ):
                 try:
                     rho, n = series_correlation(
-                        codes, avg_r2, ps.sigma_codes, vals_b, lo, hi
+                        *avg_r2, ps.sigma_codes, vals_b, lo, hi
                     )
                 except InsufficientHistoryError:
                     continue
@@ -896,116 +915,35 @@ def _cmd_synth(r: _Runner) -> None:
 
 
 def _cmd_report(r: _Runner) -> None:
-    result = r.integration()
-    summary = integration_summary(result.series, r.returns)
-    from .integration import CHARACTERISTICS
-
-    rows = []
-    for m in summary.rows:
-        rows.append(
-            [m.msa_id]
-            + [m.value(c) for c in CHARACTERISTICS]
-            + [summary.ranks[c][m.msa_id] for c in CHARACTERISTICS]
-        )
-    r.write_csv(
-        "table1.csv",
-        ["msa_id"] + list(CHARACTERISTICS) + [f"rank_{c}" for c in CHARACTERISTICS],
-        rows,
-    )
+    """The paper's tables and figure data, each a view of a computed result."""
+    r.write_csv("table1.csv", MSA_HEADER, _msa_rows(r.summary()))
+    ranks = r.summary().ranks["trend_t_stat"]
     rows = [
-        [m.msa_id, m.trend_t_stat, summary.ranks["trend_t_stat"][m.msa_id]]
-        for m in sorted(summary.rows, key=lambda m: summary.ranks["trend_t_stat"][m.msa_id])
+        [m.msa_id, m.trend_t_stat, ranks[m.msa_id]]
+        for m in sorted(r.summary().rows, key=lambda m: ranks[m.msa_id])
     ]
     r.write_csv("table2.csv", ["msa_id", "trend_t_stat", "rank"], rows)
 
-    sets = _pair_sets(r)
-    rows = []
-    for pairs in sets:
-        if not pairs:
-            continue
-        for s in correlation_summary(pairs):
-            rows.append(
-                [
-                    s.kind,
-                    s.timing,
-                    "none" if s.threshold is None else s.threshold,
-                    s.n,
-                    s.mean,
-                    s.sigma,
-                    s.t_stat,
-                    s.max,
-                    s.min,
-                ]
-            )
+    summary_rows, division_rows = _correlation_tables(r)
+    r.write_csv("table3.csv", SUMMARY_HEADER, summary_rows)
+    r.write_csv("table4.csv", DIVISION_HEADER, division_rows)
+
+    r.write_csv("fig2.csv", FIG_HEADER, _cohort_rows(r))
+    series = r.integration().series
+    factors = series[0].names if series else ()
     r.write_csv(
-        "table3.csv",
-        ["kind", "timing", "threshold", "n", "mean", "sigma", "t_stat", "max", "min"],
-        rows,
+        "fig3.csv",
+        FIG_HEADER,
+        _long((f, *beta_average(series, f)) for f in factors if f != "const"),
     )
-    states = {m.msa_id: m.state for m in r.panel.msas if m.state}
-    rows = []
-    if states:
-        all_pairs = [p for pairs in sets for p in pairs if p.msa_i in states and p.msa_j in states]
-        for row in cohort_correlation_report(all_pairs, states, r.cfg.pair_sig_t):
-            rows.append(
-                [row.division, row.kind, row.timing, row.n, row.n_significant, row.pct_significant, row.mean_r]
-            )
-    r.write_csv(
-        "table4.csv",
-        ["division", "kind", "timing", "n", "n_significant", "pct_significant", "mean_r"],
-        rows,
-    )
-
-    # Figure-shaped long-format data.
-    rows = []
-    for name, members, start in _cohort_plan(r, result):
-        codes, avg = cohort_average(result.series, members, start)
-        for c, v in zip(codes, avg):
-            rows.append([name, QuarterIndex.from_code(int(c)), v])
-    r.write_csv("fig2.csv", ["series", "quarter", "value"], rows)
-
-    rows = []
-    if result.series:
-        for factor_id in result.series[0].names:
-            if factor_id == "const":
-                continue
-            codes, avg = beta_average(result.series, factor_id)
-            for c, v in zip(codes, avg):
-                rows.append([factor_id, QuarterIndex.from_code(int(c)), v])
-    r.write_csv("fig3.csv", ["series", "quarter", "value"], rows)
-
-    series, _ = r.jump_series_all()
-    by_id = {s.msa_id: s for s in series}
-    rows = []
-    for cohort, members in r.ca_cohorts().items():
-        chosen = [by_id[m] for m in members if m in by_id]
-        if not chosen:
-            continue
-        codes, pct, _, _ = jump_incidence(chosen, flag="big")
-        for c, v in zip(codes, pct):
-            rows.append([cohort, QuarterIndex.from_code(int(c)), v])
-    r.write_csv("fig4.csv", ["series", "quarter", "value"], rows)
-
-    rows = []
-    have = {s.msa_id for s in result.series}
-    for name, spec in sorted(r.cfg.portfolios.items()):
-        members = _portfolio_members(r, spec)
-        if not members:
-            continue
-        try:
-            ps = diversification_series(r.returns, members, r.cfg.window)
-        except (InsufficientHistoryError, ValueError):
-            continue
-        for c, v in zip(ps.sigma_codes, ps.portfolio_sigma):
-            rows.append([f"{name}_sigma", QuarterIndex.from_code(int(c)), v])
-        for c, v in zip(ps.sigma_codes, ps.diversification):
-            rows.append([f"{name}_diversification", QuarterIndex.from_code(int(c)), v])
-        int_members = [m for m in members if m in have]
-        if int_members:
-            codes, avg_r2 = cohort_average(result.series, int_members)
-            for c, v in zip(codes, avg_r2):
-                rows.append([f"{name}_integration", QuarterIndex.from_code(int(c)), v])
-    r.write_csv("fig5.csv", ["series", "quarter", "value"], rows)
+    r.write_csv("fig4.csv", FIG_HEADER, [row[:3] for row in _incidence_rows(r)])
+    triples = []
+    for name, ps, avg_r2 in _portfolios(r):
+        triples.append((f"{name}_sigma", ps.sigma_codes, ps.portfolio_sigma))
+        triples.append((f"{name}_diversification", ps.sigma_codes, ps.diversification))
+        if avg_r2 is not None:
+            triples.append((f"{name}_integration", *avg_r2))
+    r.write_csv("fig5.csv", FIG_HEADER, _long(triples))
 
     header, all_rows = _contagion_rows(r)
     keep = [i for i, name in enumerate(header) if name != "variant" and not name.startswith("ix_")]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import FactorTable, IndexPanel, LOG_LEVEL, MsaInfo, QuarterIndex, parse_quarter
 from .errors import ConfigError
@@ -231,10 +230,9 @@ def generate_panel(config: ScenarioConfig) -> tuple[IndexPanel, FactorTable, Gro
             idio[:, i] = innov
         else:
             # AR(1) started from its stationary distribution.
-            e_pre = stat_sd[i] * pre[i]
-            idio[:, i] = lfilter(
-                [1.0], [1.0, -phi[i]], innov, zi=np.array([phi[i] * e_pre])
-            )[0]
+            prev = stat_sd[i] * pre[i]
+            for t in range(n_q):
+                prev = idio[t, i] = innov[t] + phi[i] * prev
 
     if L.ndim == 3:
         common = np.einsum("tif,tf->ti", L, F, optimize=False)

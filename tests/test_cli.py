@@ -238,3 +238,104 @@ def test_corrupt_config_json(tmp_path, capsys):
     rc = main(["integrate", "--config", str(p)])
     assert rc == 2
     assert "housingrisk: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"window": "20"}, id="window-string"),
+    pytest.param({"window": 20.0}, id="window-float"),
+    pytest.param({"bipower_window": 5}, id="bipower-window-below-8"),
+    pytest.param({"bipower_window": "20"}, id="bipower-window-string"),
+    pytest.param({"pairs": {"min_overlap": 8.5}}, id="min-overlap-float"),
+    pytest.param({"pairs": {"jump_floor": True}}, id="jump-floor-bool"),
+    pytest.param({"seed": "3"}, id="seed-string"),
+    pytest.param({"seed": True}, id="seed-bool"),
+    pytest.param({"thresholds": {"jump": "1.65"}}, id="jump-threshold-string"),
+    pytest.param({"thresholds": {"big": True}}, id="big-threshold-bool"),
+    pytest.param({"thresholds": {"pair_sig_t": None}}, id="pair-sig-t-null"),
+])
+def test_bad_config_fails_before_any_write(tmp_path, capsys, overrides):
+    rpath, out = write_scenario(tmp_path)
+    rpath.write_text(json.dumps(dict(json.loads(rpath.read_text()), **overrides)))
+    assert main(["all", "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("housingrisk: error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_contagion_menu_ignores_stale_ground_truth(tmp_path):
+    # A CSV-input run takes planted pairs only from its own synth step, so a
+    # ground_truth.json left in out/ by an earlier run does not pick pairs.
+    rpath, synth_out = write_scenario(tmp_path)
+    main(["synth", "--config", str(rpath)])
+    out = tmp_path / "out2"
+    out.mkdir()
+    (out / "ground_truth.json").write_text(json.dumps(
+        {"contagion": [{"source": "S005", "target": "S006", "weights": [0.5]}]}))
+    cfg = tmp_path / "run2.json"
+    cfg.write_text(json.dumps({
+        "inputs": {
+            "hpi": str(synth_out / "hpi_synth.csv"),
+            "factors": str(synth_out / "factors_synth.csv"),
+            "transforms": str(synth_out / "transforms_synth.json"),
+        },
+        "out": str(out),
+    }))
+    assert main(["contagion", "--config", str(cfg)]) == 0
+    lines = (out / "contagion_fits.csv").read_text().splitlines()[1:]
+    fitted = {tuple(line.split(",")[:2]) for line in lines}
+    assert fitted == {("S002", "S001"), ("S003", "S001"), ("S004", "S001")}
+
+
+def test_all_computes_each_result_once(tmp_path, monkeypatch):
+    import housingrisk.cli as cli
+
+    calls = {}
+    sources = set()
+
+    def count(name):
+        fn = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "contagion_fit":
+                sources.add(kwargs["source_id"])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    for name in ("return_pair_correlations", "jump_pair_correlations",
+                 "integration_summary", "diversification_series",
+                 "boombust_residual", "contagion_fit"):
+        count(name)
+    rpath, _ = write_scenario(tmp_path)
+    assert main(["all", "--config", str(rpath)]) == 0
+    assert calls["return_pair_correlations"] == 2
+    assert calls["jump_pair_correlations"] == 2
+    assert calls["integration_summary"] == 1
+    assert calls["diversification_series"] == len(RunConfig().portfolios)
+    assert sources and calls["boombust_residual"] == len(sources)
+
+
+def test_report_alone_writes_the_same_views_as_all(tmp_path):
+    rpath_all, out_all = write_scenario(tmp_path, out_name="all")
+    rpath_rep, out_rep = write_scenario(tmp_path, out_name="report")
+    assert main(["all", "--config", str(rpath_all)]) == 0
+    assert main(["report", "--config", str(rpath_rep)]) == 0
+    views = [f"table{i}.csv" for i in range(1, 7)] + [f"fig{i}.csv" for i in range(2, 6)]
+    for name in views:
+        assert (out_rep / name).read_bytes() == (out_all / name).read_bytes(), name
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    import os
+    import subprocess
+    import sys
+
+    import housingrisk
+
+    src = str(Path(housingrisk.__file__).resolve().parent.parent)
+    code = "import sys, housingrisk.cli; sys.exit('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

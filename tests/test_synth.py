@@ -246,3 +246,30 @@ def test_states_cycle_for_synthetic_msas():
     states = [panel.info(m).state for m in panel.msa_ids()]
     assert states[0] == "CA" and states[10] == "CA"
     assert len(set(states)) == 10
+
+
+def test_ar1_noise_matches_lfilter_reference():
+    # The AR(1) recursion y[0] = x[0] + phi*e0, y[t] = x[t] + phi*y[t-1]
+    # must reproduce scipy.signal.lfilter with the stationary start as its
+    # initial state, bit for bit.
+    from scipy.signal import lfilter
+
+    phi = np.array([0.0, 0.3, -0.6, 0.95, 0.7])
+    sigma = np.array([1.0, 0.5, 2.0, 1.5, 0.8])
+    cfg = small_config(n_msas=5, n_quarters=200, loadings=0.0, mu=0.0,
+                       phi=phi.tolist(), idio_sigma=sigma.tolist(), seed=13)
+    panel, _, _ = generate_panel(cfg)
+
+    rng = np.random.default_rng(13)
+    rng.standard_normal((200, 2))  # factors
+    pre = rng.standard_normal(5)
+    eta = rng.standard_normal((200, 5))
+    idio = np.empty((200, 5))
+    for i in range(5):
+        e0 = sigma[i] / np.sqrt(1.0 - phi[i] ** 2) * pre[i]
+        idio[:, i] = lfilter([1.0], [1.0, -phi[i]], sigma[i] * eta[:, i],
+                             zi=np.array([phi[i] * e0]))[0]
+    levels = np.empty((201, 5))
+    levels[0] = 100.0
+    levels[1:] = 100.0 * np.exp(np.cumsum(idio, axis=0) / 100.0)
+    assert_array_equal(panel.values, levels)
