@@ -238,12 +238,20 @@ def _apply_env(cfg: RunConfig, env) -> None:
     def get(name):
         return env.get(ENV_PREFIX + name)
 
+    def get_int(name):
+        try:
+            return int(get(name))
+        except ValueError:
+            raise ConfigError(
+                f"{ENV_PREFIX}{name} must be an integer, got {get(name)!r}"
+            ) from None
+
     if get("OUT"):
         cfg.out = get("OUT")
     if get("WINDOW"):
-        cfg.window = int(get("WINDOW"))
+        cfg.window = get_int("WINDOW")
     if get("BIPOWER_WINDOW"):
-        cfg.bipower_window = int(get("BIPOWER_WINDOW"))
+        cfg.bipower_window = get_int("BIPOWER_WINDOW")
     if get("NO_PREWHITEN"):
         cfg.prewhiten = get("NO_PREWHITEN") in ("0", "false", "no")
     if get("SERIAL"):
@@ -251,7 +259,7 @@ def _apply_env(cfg: RunConfig, env) -> None:
     if get("INTERACTION_RESIDUAL"):
         cfg.interaction_residual = get("INTERACTION_RESIDUAL")
     if get("SEED"):
-        cfg.seed = int(get("SEED"))
+        cfg.seed = get_int("SEED")
 
 
 def build_config(args, env=None) -> RunConfig:

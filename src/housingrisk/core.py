@@ -390,22 +390,16 @@ def align(
     y = y[in_range]
     F = factors.values[codes - f_start, :]
 
-    keep = np.ones(codes.size, dtype=bool)
-    dropped: list[tuple[QuarterIndex, str]] = []
     y_missing = np.isnan(y)
     f_missing = np.isnan(F)
-    for i in range(codes.size):
-        reasons = []
-        if y_missing[i]:
-            reasons.append("missing return")
+    keep = ~(y_missing | f_missing.any(axis=1))
+    dropped: list[tuple[QuarterIndex, str]] = []
+    for i in np.flatnonzero(~keep):
+        reasons = ["missing return"] if y_missing[i] else []
         if f_missing[i].any():
-            missing_ids = [
-                factors.factor_ids[j] for j in np.flatnonzero(f_missing[i])
-            ]
+            missing_ids = [factors.factor_ids[j] for j in np.flatnonzero(f_missing[i])]
             reasons.append("missing factor " + ",".join(missing_ids))
-        if reasons:
-            keep[i] = False
-            dropped.append((QuarterIndex.from_code(int(codes[i])), "; ".join(reasons)))
+        dropped.append((QuarterIndex.from_code(int(codes[i])), "; ".join(reasons)))
     if not keep.any():
         raise AlignmentError(
             f"all {codes.size} overlapping quarters of {msa_id} are incomplete"

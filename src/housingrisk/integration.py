@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlignedDataset, FactorTable, QuarterIndex, ReturnPanel, align
 from .errors import AlignmentError, ConfigError
-from .regress import PrewhitenResult, _r_square, _solve_ls, ar1_prewhiten, trend_fit
+from .regress import PrewhitenResult, _solve_ls, ar1_prewhiten, trend_fit
 
 __all__ = [
     "IntegrationSeries",
@@ -41,6 +42,12 @@ CHARACTERISTICS = (
 
 MIN_PREWHITEN_OBS = 10
 MIN_SUMMARY_WINDOWS = 3
+#: Windows at or above this Frobenius condition number of R are refitted by
+#: pivoted QR (see ``rolling_factor_model``). Far below the ~2e14 at which
+#: pivoted QR finds a rank deficiency, it also keeps the pivoted-QR beta of
+#: badly conditioned but full-rank windows, where the two differ by about
+#: cond * eps.
+RANK_SCREEN_COND = 1e8
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,16 @@ def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> Integrati
     """Fit the factor model over every ``window``-row span of an aligned MSA.
 
     Windows slide one row at a time; each fit's R-square and coefficient
-    vector are stamped at the quarter of the window's last row.
+    vector are stamped at the quarter of the window's last row. All windows
+    are fitted in one stacked Householder QR of ``[X | y]``, whose last
+    column holds Q'y (Golub & Van Loan, *Matrix Computations*, §5.3).
+
+    A window whose R has ``cond_F(R) >= RANK_SCREEN_COND`` (or a NaN
+    condition number) is refitted by ``_solve_ls``, in window order, so a
+    rank-deficient window raises the same ``SingularDesignError`` as a
+    per-window pivoted QR. The screen catches every window pivoted QR calls
+    rank deficient: that needs ``cond_2(X) >= 1 / (max(W, k) * eps)``,
+    about 2e14, and ``cond_F(R) >= cond_2(R) = cond_2(X)``.
     """
     k = len(dataset.factor_ids) + 1
     if window < k + 2:
@@ -92,17 +108,29 @@ def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> Integrati
             f"{dataset.msa_id}: {n} aligned rows < window of {window}"
         )
     names = ("const",) + tuple(dataset.factor_ids)
-    X = np.column_stack([np.ones(n), dataset.X])
-    y = dataset.y
-    n_windows = n - window + 1
-    r2 = np.empty(n_windows)
-    betas = np.empty((n_windows, k))
-    for s in range(n_windows):
-        Xw = X[s : s + window]
-        yw = y[s : s + window]
-        beta, resid, _ = _solve_ls(Xw, yw, names)
-        betas[s] = beta
-        r2[s] = _r_square(yw, resid)
+    Xy = np.column_stack([np.ones(n), dataset.X, dataset.y])
+    windows = sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1)
+    Xw, yw = windows[:, :, :k], windows[:, :, k]
+    Ra = np.linalg.qr(windows, mode="r")
+    R = Ra[:, :k, :k]
+    # Back-substitute R [beta | R^-1] = [Q'y | I] for every window at once.
+    rhs = np.concatenate([Ra[:, :k, k:], np.broadcast_to(np.eye(k), R.shape)], axis=2)
+    sol = np.empty_like(rhs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(k - 1, -1, -1):
+            done = np.einsum("wj,wjc->wc", R[:, i, i + 1 :], sol[:, i + 1 :])
+            sol[:, i] = (rhs[:, i] - done) / R[:, i, i, None]
+        r_inv = sol[:, :, 1:]
+        cond = np.sqrt(np.einsum("wij,wij->w", R, R) * np.einsum("wij,wij->w", r_inv, r_inv))
+    betas = np.ascontiguousarray(sol[:, :, 0])
+    for s in np.flatnonzero(~(cond < RANK_SCREEN_COND)):
+        betas[s] = _solve_ls(Xw[s], yw[s], names)[0]
+    resid = yw - np.einsum("wtj,wj->wt", Xw, betas)
+    ssr = np.sum(resid**2, axis=1)
+    sst = np.sum((yw - yw.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A constant response (SST = 0) has R-square 0.
+        r2 = np.where(sst == 0.0, 0.0, 1.0 - ssr / sst)
     ends = dataset.quarter_codes[window - 1 :].copy()
     return IntegrationSeries(
         msa_id=dataset.msa_id,

@@ -263,6 +263,16 @@ def test_bad_config_fails_before_any_write(tmp_path, capsys, overrides):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("name", ["WINDOW", "BIPOWER_WINDOW", "SEED"])
+def test_non_integer_env_fails_before_any_write(tmp_path, capsys, monkeypatch, name):
+    rpath, out = write_scenario(tmp_path)
+    monkeypatch.setenv("HOUSINGRISK_" + name, "abc")
+    assert main(["all", "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"housingrisk: error: HOUSINGRISK_{name} must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
 def test_contagion_menu_ignores_stale_ground_truth(tmp_path):
     # A CSV-input run takes planted pairs only from its own synth step, so a
     # ground_truth.json left in out/ by an earlier run does not pick pairs.

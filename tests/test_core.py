@@ -189,6 +189,22 @@ def test_align_drops_missing_factor_rows_with_reasons():
     assert "F0" in reason
 
 
+def test_align_dropped_reasons_in_quarter_order():
+    F = np.arange(1.0, 17.0).reshape(8, 2)
+    F[2, 1] = np.nan
+    F[5, :] = np.nan
+    y = np.arange(8.0)
+    y[4] = y[5] = np.nan
+    ds = align("A", [Q0 + k for k in range(8)], y, factor_table(F, start=Q0))
+    assert ds.dropped == (
+        (Q0 + 2, "missing factor F1"),
+        (Q0 + 4, "missing return"),
+        (Q0 + 5, "missing return; missing factor F0,F1"),
+    )
+    assert_array_equal(ds.quarter_codes, [(Q0 + k).code for k in (0, 1, 3, 6, 7)])
+    assert_array_equal(ds.y, [0.0, 1.0, 3.0, 6.0, 7.0])
+
+
 def test_align_no_overlap_raises():
     table = factor_table(np.arange(1.0, 5.0), start=Q0 + 50)
     with pytest.raises(AlignmentError):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from housingrisk import (
     AlignmentError,
     ConfigError,
     IntegrationSeries,
+    SingularDesignError,
     align,
     beta_average,
     cohort_average,
@@ -18,6 +20,7 @@ from housingrisk import (
     rolling_factor_model,
 )
 from housingrisk.integration import CHARACTERISTICS
+from housingrisk.regress import _solve_ls, add_intercept, ols_fit
 from .conftest import Q0, factor_table, panel_from_returns
 
 
@@ -75,6 +78,67 @@ def test_betas_recorded_per_window(rng):
     assert series.names == ("const", "F0", "F1")
     assert_allclose(series.beta_series("F1"), -1.0, atol=0.02)
     assert series.betas.shape == (series.n_windows, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_factors=st.integers(1, 6),
+    extra_rows=st.integers(0, 6),
+    extra_windows=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_window_equals_a_single_ols_fit(n_factors, extra_rows, extra_windows, seed):
+    w = n_factors + 3 + extra_rows  # window >= k + 2 with the intercept
+    n = w + extra_windows
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(n, n_factors))
+    y = F @ rng.normal(size=n_factors) + rng.normal(size=n)
+    series = rolling_factor_model(aligned(y, F), window=w)
+    assert series.n_windows == n - w + 1
+    for s in range(series.n_windows):
+        fit = ols_fit(add_intercept(F[s : s + w]), y[s : s + w])
+        assert_allclose(series.betas[s], fit.coefficients, rtol=1e-10)
+        assert_allclose(series.r_squares[s], fit.r_square, rtol=1e-10, atol=1e-12)
+
+
+def first_solve_ls_error(ds, window):
+    names = ("const",) + ds.factor_ids
+    X = add_intercept(ds.X)
+    for s in range(ds.n_rows - window + 1):
+        try:
+            _solve_ls(X[s : s + window], ds.y[s : s + window], names)
+        except SingularDesignError as exc:
+            return exc
+    raise AssertionError("no window is rank deficient")
+
+
+def test_rank_deficient_window_raises_as_pivoted_qr(rng):
+    n, w = 80, 20
+    F = rng.normal(size=(n, 3))
+    # Constant over 25 quarters: windows 17..22 are singular. A later stretch
+    # names another column, so raising on a later window would show.
+    F[17:42, 1] = 0.75
+    F[50:75, 2] = 3.0
+    ds = aligned(rng.normal(size=n), F)
+    expected = first_solve_ls_error(ds, w)
+    assert expected.columns == ("F1",)
+    with pytest.raises(SingularDesignError) as caught:
+        rolling_factor_model(ds, window=w)
+    assert str(caught.value) == str(expected)
+    assert caught.value.columns == expected.columns
+
+
+def test_near_collinear_window_keeps_pivoted_qr_beta(rng):
+    n, w = 30, 20
+    F = rng.normal(size=(n, 2))
+    F[:, 1] = F[:, 0] + 1e-9 * rng.normal(size=n)  # full rank, badly conditioned
+    y = F[:, 0] + rng.normal(size=n)
+    ds = aligned(y, F)
+    series = rolling_factor_model(ds, window=w)
+    X = add_intercept(F)
+    for s in range(series.n_windows):
+        beta, _, _ = _solve_ls(X[s : s + w], y[s : s + w], series.names)
+        assert_array_equal(series.betas[s], beta)
 
 
 def test_window_shorter_than_params_rejected(rng):
