@@ -60,7 +60,7 @@ from .jumps import (
     lm_statistic,
 )
 from .correlations import (
-    PairCorrelation,
+    PairSet,
     cohort_correlation_report,
     correlation_summary,
     division_for_state,

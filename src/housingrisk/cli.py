@@ -188,6 +188,40 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+# (section or None for the top level, key, RunConfig field, conversion):
+# every key a config file may hold, used both to read it and to reject
+# keys it does not know.
+_CONFIG_KEYS = (
+    ("inputs", "hpi", "hpi", None),
+    ("inputs", "factors", "factors", None),
+    ("inputs", "transforms", "transforms", None),
+    *(
+        (None, key, key, None)
+        for key in (
+            "out",
+            "window",
+            "bipower_window",
+            "prewhiten",
+            "serial",
+            "interaction_residual",
+            "seed",
+            "income_as_level",
+            "synth_scenario",
+        )
+    ),
+    ("thresholds", "jump", "jump_threshold", None),
+    ("thresholds", "big", "big_threshold", None),
+    ("thresholds", "pair_sig_t", "pair_sig_t", None),
+    ("pairs", "min_overlap", "min_overlap", None),
+    ("pairs", "jump_floor", "jump_pair_floor", None),
+    ("cohorts", "time", "time_cohorts", dict),
+    ("cohorts", "ca_coastal", "ca_coastal", tuple),
+    (None, "contagion", "contagion_menu", lambda m: {k: list(v) for k, v in m.items()}),
+    (None, "portfolios", "portfolios", lambda m: {k: dict(v) for k, v in m.items()}),
+    (None, "sub_ranges", "sub_ranges", lambda m: {k: tuple(v) for k, v in m.items()}),
+)
+
+
 def _apply_config_file(cfg: RunConfig, path: str) -> None:
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -197,41 +231,23 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    inputs = obj.get("inputs", {})
-    cfg.hpi = inputs.get("hpi", cfg.hpi)
-    cfg.factors = inputs.get("factors", cfg.factors)
-    cfg.transforms = inputs.get("transforms", cfg.transforms)
-    for key in (
-        "out",
-        "window",
-        "bipower_window",
-        "prewhiten",
-        "serial",
-        "interaction_residual",
-        "seed",
-        "income_as_level",
-        "synth_scenario",
-    ):
-        if key in obj:
-            setattr(cfg, key, obj[key])
-    thresholds = obj.get("thresholds", {})
-    cfg.jump_threshold = thresholds.get("jump", cfg.jump_threshold)
-    cfg.big_threshold = thresholds.get("big", cfg.big_threshold)
-    cfg.pair_sig_t = thresholds.get("pair_sig_t", cfg.pair_sig_t)
-    pairs = obj.get("pairs", {})
-    cfg.min_overlap = pairs.get("min_overlap", cfg.min_overlap)
-    cfg.jump_pair_floor = pairs.get("jump_floor", cfg.jump_pair_floor)
-    cohorts = obj.get("cohorts", {})
-    if "time" in cohorts:
-        cfg.time_cohorts = dict(cohorts["time"])
-    if "ca_coastal" in cohorts:
-        cfg.ca_coastal = tuple(cohorts["ca_coastal"])
-    if "contagion" in obj:
-        cfg.contagion_menu = {k: list(v) for k, v in obj["contagion"].items()}
-    if "portfolios" in obj:
-        cfg.portfolios = {k: dict(v) for k, v in obj["portfolios"].items()}
-    if "sub_ranges" in obj:
-        cfg.sub_ranges = {k: tuple(v) for k, v in obj["sub_ranges"].items()}
+    known = {(section, key) for section, key, _, _ in _CONFIG_KEYS}
+    sections = {section for section, _ in known if section}
+    unknown = []
+    for key, value in obj.items():
+        if key not in sections:
+            if (None, key) not in known:
+                unknown.append(key)
+        elif isinstance(value, dict):
+            unknown += [f"{key}.{sub}" for sub in value if (key, sub) not in known]
+        else:
+            raise ConfigError(f"config file {path}: {key} must be a JSON object")
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown key {', '.join(map(repr, unknown))}")
+    for section, key, attr, convert in _CONFIG_KEYS:
+        values = obj.get(section, {}) if section else obj
+        if key in values:
+            setattr(cfg, attr, convert(values[key]) if convert else values[key])
 
 
 def _apply_env(cfg: RunConfig, env) -> None:
@@ -391,9 +407,13 @@ class _Runner:
 
     @_memoised
     def integration(self):
-        return integrate_panel(
+        result = integrate_panel(
             self.returns, self.factors, self.cfg.window, self.cfg.prewhiten
         )
+        if not result.series:
+            msa_id, reason = result.skipped[0]
+            raise HousingRiskError(f"no MSA could be integrated; first skip: {msa_id}: {reason}")
+        return result
 
     @_memoised
     def summary(self):
@@ -551,13 +571,10 @@ def _correlation_tables(r: _Runner) -> tuple[list[list], list[list]]:
         for s in correlation_summary(pairs)
     ]
     states = {m.msa_id: m.state for m in r.panel.msas if m.state}
-    division_rows = []
-    if states:
-        all_pairs = [p for pairs in sets for p in pairs if p.msa_i in states and p.msa_j in states]
-        division_rows = [
-            list(dataclasses.astuple(row))
-            for row in cohort_correlation_report(all_pairs, states, r.cfg.pair_sig_t)
-        ]
+    division_rows = [
+        list(dataclasses.astuple(row))
+        for row in cohort_correlation_report(sets, states, r.cfg.pair_sig_t)
+    ]
     return summary_rows, division_rows
 
 
@@ -581,9 +598,7 @@ def _cmd_ingest(r: _Runner) -> None:
 
 def _cmd_integrate(r: _Runner) -> None:
     result = r.integration()
-    header = ["msa_id", "quarter", "r_square"]
-    if result.series:
-        header += [f"beta_{n}" for n in result.series[0].names]
+    header = ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in result.series[0].names]
     rows = []
     for s in result.series:
         for w in range(s.n_windows):
@@ -626,10 +641,8 @@ def _cmd_integrate(r: _Runner) -> None:
 
 def _cohort_plan(r: _Runner, series):
     """(name, members, start) triples for every non-empty cohort."""
-    plan = []
     have = {s.msa_id: int(s.window_ends[0]) for s in series}
-    if have:
-        plan.append(("us", sorted(have), None))
+    plan = [("us", sorted(have), None)]
     starts = sorted(
         ((name, parse_quarter(q)) for name, q in r.cfg.time_cohorts.items()),
         key=lambda kv: kv[1].code,
@@ -682,9 +695,11 @@ def _cmd_jumps(r: _Runner) -> None:
 
 def _cmd_correlate(r: _Runner) -> None:
     rows = []
-    for pairs in r.pair_sets():
-        for p in pairs:
-            rows.append([p.msa_i, p.msa_j, p.kind, p.timing, p.r, p.n_effective, p.t_stat])
+    for p in r.pair_sets():
+        rows += [
+            [p.ids[a], p.ids[b], p.kind, p.timing, rv, nv, tv]
+            for a, b, rv, nv, tv in zip(*(c.tolist() for c in (p.i, p.j, p.r, p.n, p.t)))
+        ]
     r.write_csv(
         "pair_correlations.csv",
         ["msa_i", "msa_j", "kind", "timing", "r", "n", "t"],
@@ -938,11 +953,10 @@ def _cmd_report(r: _Runner) -> None:
 
     r.write_csv("fig2.csv", FIG_HEADER, _cohort_rows(r))
     series = r.integration().series
-    factors = series[0].names if series else ()
     r.write_csv(
         "fig3.csv",
         FIG_HEADER,
-        _long((f, *beta_average(series, f)) for f in factors if f != "const"),
+        _long((f, *beta_average(series, f)) for f in series[0].names if f != "const"),
     )
     r.write_csv("fig4.csv", FIG_HEADER, [row[:3] for row in _incidence_rows(r)])
     triples = []
@@ -979,6 +993,8 @@ def run(command: str, cfg: RunConfig) -> int:
         runner.write_manifest(command)
         return 0
     runner.load()
+    if command == "all":
+        runner.integration()  # a panel with no usable MSA fails before ingest writes
     steps = {
         "ingest": (_cmd_ingest,),
         "integrate": (_cmd_integrate,),

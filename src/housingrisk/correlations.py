@@ -11,7 +11,7 @@ products, so full 384-MSA panels take well under a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .jumps import JumpSeries
 
 __all__ = [
-    "PairCorrelation",
+    "PairSet",
     "CorrelationSummary",
     "DivisionRow",
     "DIVISION_STATES",
@@ -60,15 +60,26 @@ def division_for_state(state: str) -> str:
         raise ConfigError(f"state {state!r} is not in the census-division map") from None
 
 
-@dataclass(frozen=True)
-class PairCorrelation:
-    msa_i: str
-    msa_j: str
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """The kept pairs of one kind and timing, held as columns.
+
+    Pair k correlates ``ids[i[k]]`` with ``ids[j[k]]``: ``r`` is clipped to
+    [-1, 1], ``n`` is the number of quarters it is measured over and ``t``
+    its t statistic. ``len()`` is the number of pairs.
+    """
+
     kind: str  # return | jump
     timing: str  # contemporaneous | lead
-    r: float
-    n_effective: int
-    t_stat: float
+    ids: tuple[str, ...]
+    i: np.ndarray
+    j: np.ndarray
+    r: np.ndarray
+    n: np.ndarray
+    t: np.ndarray
+
+    def __len__(self) -> int:
+        return self.r.size
 
 
 @dataclass(frozen=True)
@@ -138,11 +149,37 @@ def _pearson_grids(Za, Ma, Zb, Mb):
     return N, r, var_a, var_b
 
 
+def _pair_set(kind, timing, ids, N, r, ok, floor, short_reason, bad_reason):
+    """Split a pair grid into the kept pairs and the omitted ones.
+
+    Contemporaneous pairs are i < j; lead pairs are every ordered pair.
+    Both are enumerated in row-major order. A pair is kept when its count
+    ``N`` reaches ``floor`` and ``ok`` holds; an omitted pair gets
+    ``short_reason`` (formatted with ``n`` and ``floor``) when it is short,
+    else ``bad_reason``.
+    """
+    m = len(ids)
+    if timing == "contemporaneous":
+        i, j = np.triu_indices(m, 1)
+    else:
+        i, j = np.divmod(np.arange(m * m), m)
+    n = N[i, j].astype(int)
+    short = n < floor
+    keep = ~short & ok[i, j]
+    omitted = []
+    for k in np.flatnonzero(~keep).tolist():
+        reason = short_reason.format(n=n[k], floor=floor) if short[k] else bad_reason
+        omitted.append((ids[i[k]], ids[j[k]], reason))
+    r, n = r[i, j][keep], n[keep]
+    pairs = PairSet(kind, timing, tuple(ids), i[keep], j[keep], np.clip(r, -1.0, 1.0), n, _pair_t(r, n))
+    return pairs, omitted
+
+
 def return_pair_correlations(
     panel: ReturnPanel,
     timing: str = "contemporaneous",
     min_overlap: int = 8,
-) -> tuple[list[PairCorrelation], list[tuple[str, str, str]]]:
+) -> tuple[PairSet, list[tuple[str, str, str]]]:
     """Pearson correlations for every MSA pair; returns (pairs, omitted).
 
     Pairs whose overlap is below ``min_overlap`` or degenerate (zero
@@ -150,41 +187,20 @@ def return_pair_correlations(
     """
     if timing not in ("contemporaneous", "lead"):
         raise ValueError(f"unknown timing {timing!r}")
-    ids = panel.msa_ids()
     V = panel.values
     M = np.isfinite(V)
     Z = np.where(M, V, 0.0)
     Mf = M.astype(float)
     if timing == "contemporaneous":
         N, r, var_a, var_b = _pearson_grids(Z, Mf, Z, Mf)
-        index_pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
     else:
         N, r, var_a, var_b = _pearson_grids(Z[:-1], Mf[:-1], Z[1:], Mf[1:])
-        index_pairs = [(i, j) for i in range(len(ids)) for j in range(len(ids))]
-    t = _pair_t(r, N)
-
-    pairs: list[PairCorrelation] = []
-    omitted: list[tuple[str, str, str]] = []
-    for i, j in index_pairs:
-        n = int(N[i, j])
-        if n < min_overlap:
-            omitted.append((ids[i], ids[j], f"overlap {n} < {min_overlap}"))
-            continue
-        if var_a[i, j] <= 0.0 or var_b[i, j] <= 0.0:
-            omitted.append((ids[i], ids[j], "zero variance over overlap"))
-            continue
-        pairs.append(
-            PairCorrelation(
-                msa_i=ids[i],
-                msa_j=ids[j],
-                kind="return",
-                timing=timing,
-                r=float(np.clip(r[i, j], -1.0, 1.0)),
-                n_effective=n,
-                t_stat=float(t[i, j]),
-            )
-        )
-    return pairs, omitted
+    # Written as "not <= 0" so that a NaN variance keeps its pair.
+    ok = ~((var_a <= 0.0) | (var_b <= 0.0))
+    return _pair_set(
+        "return", timing, panel.msa_ids(), N, r, ok, min_overlap,
+        "overlap {n} < {floor}", "zero variance over overlap",
+    )
 
 
 def _jump_grid(series: list[JumpSeries]):
@@ -204,31 +220,25 @@ def jump_pair_correlations(
     series: list[JumpSeries] | tuple[JumpSeries, ...],
     timing: str = "contemporaneous",
     min_quarters: int = 4,
-    centered: bool = False,
-) -> tuple[list[PairCorrelation], list[tuple[str, str, str]]]:
+) -> tuple[PairSet, list[tuple[str, str, str]]]:
     """Correlations of jump-masked L statistics; returns (pairs, omitted).
 
     The masked series is L where the big flag is set, else 0. A pair is
     measured over quarters where both MSAs are testable, counting only
     quarters where at least one masked value is nonzero; it needs at least
     ``min_quarters`` such quarters and a positive norm on both sides.
-    ``centered`` swaps the cosine for a Pearson correlation over the same
-    restricted set (sensitivity variant).
     """
     if timing not in ("contemporaneous", "lead"):
         raise ValueError(f"unknown timing {timing!r}")
     series = list(series)
-    ids = [s.msa_id for s in series]
     J, T = _jump_grid(series)
     A = (J != 0.0).astype(float)
     if timing == "contemporaneous":
         JA, TA, AA = J, T, A
         JB, TB, AB = J, T, A
-        index_pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
     else:
         JA, TA, AA = J[:-1], T[:-1], A[:-1]
         JB, TB, AB = J[1:], T[1:], A[1:]
-        index_pairs = [(i, j) for i in range(len(ids)) for j in range(len(ids))]
 
     # Sums over the restricted set equal sums over the common testable
     # range, because excluded quarters contribute only zeros.
@@ -237,61 +247,27 @@ def jump_pair_correlations(
     Qa = _mm(JA * JA, TB)
     Qb = _mm(TA, JB * JB)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if centered:
-            Sa = _mm(JA, TB)
-            Sb = _mm(TA, JB)
-            cov = P - Sa * Sb / n_eff
-            var_a = Qa - Sa**2 / n_eff
-            var_b = Qb - Sb**2 / n_eff
-            r = cov / np.sqrt(var_a * var_b)
-            norm_a, norm_b = var_a, var_b
-        else:
-            r = P / np.sqrt(Qa * Qb)
-            norm_a, norm_b = Qa, Qb
-    t = _pair_t(r, n_eff)
-
-    pairs: list[PairCorrelation] = []
-    omitted: list[tuple[str, str, str]] = []
-    for i, j in index_pairs:
-        n = int(n_eff[i, j])
-        if n < min_quarters:
-            omitted.append((ids[i], ids[j], f"{n} usable quarters < {min_quarters}"))
-            continue
-        if not (norm_a[i, j] > 0.0 and norm_b[i, j] > 0.0):
-            omitted.append((ids[i], ids[j], "degenerate masked series"))
-            continue
-        pairs.append(
-            PairCorrelation(
-                msa_i=ids[i],
-                msa_j=ids[j],
-                kind="jump",
-                timing=timing,
-                r=float(np.clip(r[i, j], -1.0, 1.0)),
-                n_effective=n,
-                t_stat=float(t[i, j]),
-            )
-        )
-    return pairs, omitted
+        r = P / np.sqrt(Qa * Qb)
+    return _pair_set(
+        "jump", timing, [s.msa_id for s in series], n_eff, r, (Qa > 0.0) & (Qb > 0.0),
+        min_quarters, "{n} usable quarters < {floor}", "degenerate masked series",
+    )
 
 
 def correlation_summary(
-    pairs: list[PairCorrelation],
+    pairs: PairSet,
     thresholds=(None, 2.0, 3.0),
 ) -> list[CorrelationSummary]:
     """Cross-pair moment summaries, one per t-stat threshold filter."""
-    if not pairs:
+    if not len(pairs):
         raise ValueError("no pairs to summarise")
-    kind = pairs[0].kind
-    timing = pairs[0].timing
-    rs = np.array([p.r for p in pairs])
-    ts = np.array([p.t_stat for p in pairs])
     out = []
     for thr in thresholds:
-        sel = rs if thr is None else rs[ts > thr]
+        sel = pairs.r if thr is None else pairs.r[pairs.t > thr]
         n = sel.size
         if n == 0:
             out.append(
-                CorrelationSummary(kind, timing, thr, 0, *(float("nan"),) * 5)
+                CorrelationSummary(pairs.kind, pairs.timing, thr, 0, *(float("nan"),) * 5)
             )
             continue
         mean = float(sel.mean())
@@ -299,8 +275,8 @@ def correlation_summary(
         t = mean / (sigma / np.sqrt(n)) if sigma > 0 else float("nan")
         out.append(
             CorrelationSummary(
-                kind=kind,
-                timing=timing,
+                kind=pairs.kind,
+                timing=pairs.timing,
                 threshold=thr,
                 n=n,
                 mean=mean,
@@ -314,39 +290,42 @@ def correlation_summary(
 
 
 def cohort_correlation_report(
-    pairs: list[PairCorrelation],
+    sets: Sequence[PairSet],
     states: Mapping[str, str],
     sig_t: float = 5.0,
 ) -> list[DivisionRow]:
     """Within-division pair counts, significance shares, and mean r.
 
-    ``states`` maps every MSA id to its state; a pair contributes only to
-    the division holding both members, so no pair is double-counted.
+    ``states`` maps MSA ids to their states. A pair counts only in the
+    division holding both members, so no pair is double-counted, and a
+    pair with a member missing from ``states`` counts nowhere. Each set
+    is one kind and timing; it gets rows when at least one of its pairs
+    has both members in ``states``.
     """
-    divisions = {m: division_for_state(s) for m, s in states.items()}
-    buckets: dict[tuple[str, str, str], list[PairCorrelation]] = {}
-    combos = set()
-    for p in pairs:
-        combos.add((p.kind, p.timing))
-        di = divisions[p.msa_i]
-        if di == divisions[p.msa_j]:
-            buckets.setdefault((di, p.kind, p.timing), []).append(p)
-    present = sorted({d for d in divisions.values()}, key=DIVISIONS.index)
+    code = {m: DIVISIONS.index(division_for_state(s)) for m, s in states.items()}
+    by_combo = {}  # (kind, timing) -> (division code of each pair or -1, r, t)
+    for pairs in sets:
+        if (pairs.kind, pairs.timing) in by_combo:
+            raise ValueError(f"two pair sets for {pairs.kind}/{pairs.timing}")
+        div = np.array([code.get(m, -1) for m in pairs.ids], dtype=int)
+        di, dj = div[pairs.i], div[pairs.j]
+        if np.any((di >= 0) & (dj >= 0)):
+            by_combo[(pairs.kind, pairs.timing)] = (np.where(di == dj, di, -1), pairs.r, pairs.t)
     rows = []
-    for div in present:
-        for kind, timing in sorted(combos):
-            members = buckets.get((div, kind, timing), [])
-            n = len(members)
-            n_sig = sum(1 for p in members if p.t_stat > sig_t)
+    for d in sorted(set(code.values())):
+        for (kind, timing), (pair_div, r, t) in sorted(by_combo.items()):
+            sel = pair_div == d
+            n = int(sel.sum())
+            n_sig = int((t[sel] > sig_t).sum())
             rows.append(
                 DivisionRow(
-                    division=div,
+                    division=DIVISIONS[d],
                     kind=kind,
                     timing=timing,
                     n=n,
                     n_significant=n_sig,
                     pct_significant=100.0 * n_sig / n if n else float("nan"),
-                    mean_r=float(np.mean([p.r for p in members])) if n else float("nan"),
+                    mean_r=float(np.mean(r[sel])) if n else float("nan"),
                 )
             )
     return rows

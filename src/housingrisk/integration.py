@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlignedDataset, FactorTable, QuarterIndex, ReturnPanel, align
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, SingularDesignError
 from .regress import PrewhitenResult, _solve_ls, ar1_prewhiten, trend_fit
 
 __all__ = [
@@ -167,8 +167,9 @@ def integrate_panel(
 
     Pre-whitening (AR(1) residuals, per-MSA, applied before alignment)
     consumes one leading observation when lag 1 is selected. MSAs that are
-    too short to pre-whiten, align, or fill a single window are skipped
-    with a logged reason rather than failing the panel.
+    too short to pre-whiten, align, or fill a single window, and MSAs with a
+    rank-deficient window, are skipped with a logged reason rather than
+    failing the panel.
     """
     series = []
     skipped = []
@@ -188,15 +189,14 @@ def integrate_panel(
         quarters = np.arange(start.code, start.code + values.size)
         try:
             dataset = align(msa_id, quarters, values, factors)
-        except AlignmentError as exc:
+            if dataset.n_rows < window:
+                skipped.append(
+                    (msa_id, f"{dataset.n_rows} aligned rows < window of {window}")
+                )
+                continue
+            series.append(rolling_factor_model(dataset, window))
+        except (AlignmentError, SingularDesignError) as exc:
             skipped.append((msa_id, str(exc)))
-            continue
-        if dataset.n_rows < window:
-            skipped.append(
-                (msa_id, f"{dataset.n_rows} aligned rows < window of {window}")
-            )
-            continue
-        series.append(rolling_factor_model(dataset, window))
     return PanelIntegration(tuple(series), tuple(skipped), pw_info)
 
 

@@ -5,7 +5,8 @@ Input schemas:
 * HPI CSV: header ``msa_id,msa_name,state,quarter,index``, one row per
   (MSA, quarter), quarter as ``YYYY:Qn``.
 * Factor CSV: header ``quarter,<factor_id>,...`` wide format, empty cell =
-  missing raw observation; a companion config maps factor_id -> transform.
+  missing raw observation, non-finite cells (``inf``, ``nan``) rejected; a
+  companion config maps factor_id -> transform.
 
 All emitted files are UTF-8 with LF line endings, '.' decimal separator,
 and no thousands separators.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -141,11 +143,16 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
                     vals.append(np.nan)
                     continue
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise IngestionError(
                         f"{path}:{lineno}: bad value {cell!r} in column {factor_ids[j]}"
                     ) from None
+                if not math.isfinite(value):
+                    raise IngestionError(
+                        f"{path}:{lineno}: non-finite value {cell!r} in column {factor_ids[j]}"
+                    )
+                vals.append(value)
             rows[q.code] = vals
     if not rows:
         raise IngestionError(f"{path}: no data rows")

@@ -92,15 +92,12 @@ def lm_series(
     start_code: int = 0,
     jump_threshold: float = JUMP_THRESHOLD,
     big_threshold: float = BIG_THRESHOLD,
-    demean: bool = False,
-    use_scaled: bool = True,
 ) -> JumpSeries:
     """Rolling jump test over a full return series.
 
     Each quarter from index ``bipower_window`` on is tested against the
-    ``bipower_window`` returns before it; flags compare |scaled L| (or |L|
-    with ``use_scaled=False``) to the thresholds. ``demean`` subtracts the
-    trailing-window mean from both the window and the tested return.
+    ``bipower_window`` returns before it; flags compare |scaled L| to the
+    thresholds.
     """
     if bipower_window < MIN_BIPOWER_WINDOW:
         raise ConfigError(
@@ -118,27 +115,18 @@ def lm_series(
     L = np.full(n, np.nan)
     testable = np.zeros(n, dtype=bool)
 
-    if demean:
-        for t in range(W, n):
-            window = r[t - W : t]
-            m = window.mean()
-            b = bipower_variation(window - m)
-            if b > 0.0:
-                testable[t] = True
-                L[t] = (r[t] - m) / np.sqrt(b)
-    else:
-        a = np.abs(r)
-        prods = a[1:] * a[:-1]
-        csum = np.concatenate([[0.0], np.cumsum(prods)])
-        # Trailing window r[t-W : t] holds products prods[t-W : t-1].
-        t = np.arange(W, n)
-        b = (csum[t - 1] - csum[t - W]) / (W - 1)
-        ok = b > 0.0
-        testable[t[ok]] = True
-        L[t[ok]] = r[t[ok]] / np.sqrt(b[ok])
+    a = np.abs(r)
+    prods = a[1:] * a[:-1]
+    csum = np.concatenate([[0.0], np.cumsum(prods)])
+    # Trailing window r[t-W : t] holds products prods[t-W : t-1].
+    t = np.arange(W, n)
+    b = (csum[t - 1] - csum[t - W]) / (W - 1)
+    ok = b > 0.0
+    testable[t[ok]] = True
+    L[t[ok]] = r[t[ok]] / np.sqrt(b[ok])
 
     L_scaled = L * SCALE
-    basis = np.abs(L_scaled if use_scaled else L)
+    basis = np.abs(L_scaled)
     with np.errstate(invalid="ignore"):
         jump = testable & (basis > jump_threshold)
         big = testable & (basis > big_threshold)

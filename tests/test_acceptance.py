@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from housingrisk import (
-    PairCorrelation,
+    PairSet,
     QuarterIndex,
     ScenarioConfig,
     cohort_average,
@@ -117,10 +117,8 @@ def test_criterion_2_summary_t_formula():
         rs = np.empty(n)
         rs[: n // 2] = 0.201 + 0.182
         rs[n // 2 :] = 0.201 - 0.182
-        pairs = [
-            PairCorrelation("A", "B", "return", "contemporaneous", float(r), 100, 5.0)
-            for r in rs
-        ]
+        pairs = PairSet("return", "contemporaneous", ("A", "B"), np.zeros(n, dtype=int),
+                        np.ones(n, dtype=int), rs, np.full(n, 100), np.full(n, 5.0))
         summary = correlation_summary(pairs, thresholds=(None,))[0]
         c.expect(summary.n == n, f"N {summary.n} != {n}")
         c.expect(abs(summary.mean - 0.201) < 1e-12, f"mean {summary.mean}")

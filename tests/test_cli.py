@@ -50,6 +50,20 @@ def write_scenario(tmp_path, out_name="out", **overrides):
     return rpath, tmp_path / out_name
 
 
+def csv_config(tmp_path, synth_out, out):
+    """A run config reading the CSV inputs a synth run wrote to ``synth_out``."""
+    cfg = tmp_path / f"run_{Path(out).name}.json"
+    cfg.write_text(json.dumps({
+        "inputs": {
+            "hpi": str(synth_out / "hpi_synth.csv"),
+            "factors": str(synth_out / "factors_synth.csv"),
+            "transforms": str(synth_out / "transforms_synth.json"),
+        },
+        "out": str(out),
+    }))
+    return cfg
+
+
 def parse(argv):
     return _build_parser().parse_args(argv)
 
@@ -170,15 +184,7 @@ def test_single_command_on_real_csv_inputs(tmp_path):
     # materialize synthetic inputs, then run a command against them as files
     rpath, out = write_scenario(tmp_path)
     main(["synth", "--config", str(rpath)])
-    cfg2 = tmp_path / "run2.json"
-    cfg2.write_text(json.dumps({
-        "inputs": {
-            "hpi": str(out / "hpi_synth.csv"),
-            "factors": str(out / "factors_synth.csv"),
-            "transforms": str(out / "transforms_synth.json"),
-        },
-        "out": str(tmp_path / "out2"),
-    }))
+    cfg2 = csv_config(tmp_path, out, tmp_path / "out2")
     assert main(["integrate", "--config", str(cfg2)]) == 0
     names = {p.name for p in (tmp_path / "out2").iterdir()}
     assert "integration_series.csv" in names
@@ -252,6 +258,12 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"thresholds": {"jump": "1.65"}}, id="jump-threshold-string"),
     pytest.param({"thresholds": {"big": True}}, id="big-threshold-bool"),
     pytest.param({"thresholds": {"pair_sig_t": None}}, id="pair-sig-t-null"),
+    pytest.param({"windw": 5}, id="unknown-top-level-key"),
+    pytest.param({"inputs": {"hpi_csv": "hpi.csv"}}, id="unknown-inputs-key"),
+    pytest.param({"thresholds": {"jmp": 1.65}}, id="unknown-thresholds-key"),
+    pytest.param({"pairs": {"min_overlp": 8}}, id="unknown-pairs-key"),
+    pytest.param({"cohorts": {"tim": {}}}, id="unknown-cohorts-key"),
+    pytest.param({"pairs": 8}, id="pairs-not-an-object"),
 ])
 def test_bad_config_fails_before_any_write(tmp_path, capsys, overrides):
     rpath, out = write_scenario(tmp_path)
@@ -261,6 +273,57 @@ def test_bad_config_fails_before_any_write(tmp_path, capsys, overrides):
     assert err.startswith("housingrisk: error:")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("obj,key", [
+    ({"windw": 5}, "'windw'"),
+    ({"thresholds": {"jump": 1.0, "bigg": 2.0}}, "'thresholds.bigg'"),
+    ({"pairs": {"floor": 4}, "windw": 5}, "'pairs.floor', 'windw'"),
+])
+def test_unknown_config_key_is_named(tmp_path, obj, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ConfigError) as exc:
+        build_config(parse(["integrate", "--config", str(p)]), env={})
+    assert str(exc.value) == f"config file {p}: unknown key {key}"
+
+
+def rewrite_factor_cells(path, rows, column, value):
+    """Set ``column`` of the given data rows (0 = first) of a factor CSV to ``value``."""
+    lines = path.read_text().splitlines()
+    for row in rows:
+        cells = lines[row + 1].split(",")
+        cells[column] = value
+        lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_non_finite_factor_cell_fails_before_any_write(tmp_path, capsys):
+    rpath, synth_out = write_scenario(tmp_path)
+    main(["synth", "--config", str(rpath)])
+    rewrite_factor_cells(synth_out / "factors_synth.csv", [4], 1, "inf")
+    out = tmp_path / "out2"
+    capsys.readouterr()
+    assert main(["integrate", "--config", str(csv_config(tmp_path, synth_out, out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("housingrisk: error:") and err.count("\n") == 1
+    assert "factors_synth.csv:6: non-finite value 'inf' in column F01" in err
+    assert not out.exists()
+
+
+def test_panel_with_no_usable_msa_fails_before_any_write(tmp_path, capsys):
+    # One factor held constant over 40 quarters makes a window of every MSA
+    # rank deficient, so every MSA is skipped.
+    rpath, synth_out = write_scenario(tmp_path)
+    main(["synth", "--config", str(rpath)])
+    rewrite_factor_cells(synth_out / "factors_synth.csv", range(1, 41), 1, "2.5")
+    out = tmp_path / "out2"
+    capsys.readouterr()
+    assert main(["all", "--config", str(csv_config(tmp_path, synth_out, out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("housingrisk: error: no MSA could be integrated; first skip: S001: ")
+    assert "rank deficient" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["WINDOW", "BIPOWER_WINDOW", "SEED"])
@@ -282,15 +345,7 @@ def test_contagion_menu_ignores_stale_ground_truth(tmp_path):
     out.mkdir()
     (out / "ground_truth.json").write_text(json.dumps(
         {"contagion": [{"source": "S005", "target": "S006", "weights": [0.5]}]}))
-    cfg = tmp_path / "run2.json"
-    cfg.write_text(json.dumps({
-        "inputs": {
-            "hpi": str(synth_out / "hpi_synth.csv"),
-            "factors": str(synth_out / "factors_synth.csv"),
-            "transforms": str(synth_out / "transforms_synth.json"),
-        },
-        "out": str(out),
-    }))
+    cfg = csv_config(tmp_path, synth_out, out)
     assert main(["contagion", "--config", str(cfg)]) == 0
     lines = (out / "contagion_fits.csv").read_text().splitlines()[1:]
     fitted = {tuple(line.split(",")[:2]) for line in lines}

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from housingrisk import (
     ConfigError,
-    PairCorrelation,
+    PairSet,
     cohort_correlation_report,
     correlation_summary,
     division_for_state,
@@ -42,6 +43,14 @@ def test_divisions_cover_states_once():
 
 # --- return pair correlations -----------------------------------------------
 
+def index_of(pairs):
+    """{(msa_i, msa_j): position of that pair in the set's columns}."""
+    return {
+        (pairs.ids[a], pairs.ids[b]): k
+        for k, (a, b) in enumerate(zip(pairs.i.tolist(), pairs.j.tolist()))
+    }
+
+
 def test_pair_count_contemporaneous(rng):
     n_msas = 10
     panel = panel_from_returns(
@@ -50,8 +59,8 @@ def test_pair_count_contemporaneous(rng):
     pairs, omitted = return_pair_correlations(panel)
     assert len(pairs) == n_msas * (n_msas - 1) // 2  # 45
     assert not omitted
-    assert all(p.msa_i < p.msa_j for p in pairs)
-    assert all(p.kind == "return" and p.timing == "contemporaneous" for p in pairs)
+    assert (pairs.i < pairs.j).all()
+    assert pairs.kind == "return" and pairs.timing == "contemporaneous"
 
 
 def test_pair_count_lead_includes_self(rng):
@@ -61,7 +70,7 @@ def test_pair_count_lead_includes_self(rng):
     )
     pairs, _ = return_pair_correlations(panel, timing="lead")
     assert len(pairs) == n_msas * n_msas  # ordered, self-pairs included
-    assert any(p.msa_i == p.msa_j for p in pairs)
+    assert (pairs.i == pairs.j).any()
 
 
 def test_correlation_values_match_corrcoef(rng):
@@ -71,14 +80,14 @@ def test_correlation_values_match_corrcoef(rng):
         "C": rng.normal(size=25),  # late starter
     })
     pairs, _ = return_pair_correlations(panel)
-    by_key = {(p.msa_i, p.msa_j): p for p in pairs}
+    at = index_of(pairs)
     _, a = panel.series("A")
     _, b = panel.series("B")
     _, c = panel.series("C")
-    assert by_key[("A", "B")].r == pytest.approx(np.corrcoef(a, b)[0, 1], rel=1e-10)
+    assert pairs.r[at["A", "B"]] == pytest.approx(np.corrcoef(a, b)[0, 1], rel=1e-10)
     # A/C overlap only on C's range (the last 25 quarters)
-    assert by_key[("A", "C")].r == pytest.approx(np.corrcoef(a[-25:], c)[0, 1], rel=1e-10)
-    assert by_key[("A", "C")].n_effective == 25
+    assert pairs.r[at["A", "C"]] == pytest.approx(np.corrcoef(a[-25:], c)[0, 1], rel=1e-10)
+    assert pairs.n[at["A", "C"]] == 25
 
 
 def test_lead_correlation_definition(rng):
@@ -88,16 +97,17 @@ def test_lead_correlation_definition(rng):
     follower[0] = rng.normal()
     panel = panel_from_returns({"LEADER": x, "FOLLOW": follower})
     pairs, _ = return_pair_correlations(panel, timing="lead")
-    by_key = {(p.msa_i, p.msa_j): p for p in pairs}
-    assert by_key[("LEADER", "FOLLOW")].r == pytest.approx(1.0)
-    assert abs(by_key[("FOLLOW", "LEADER")].r) < 0.5
+    at = index_of(pairs)
+    assert pairs.r[at["LEADER", "FOLLOW"]] == pytest.approx(1.0)
+    assert abs(pairs.r[at["FOLLOW", "LEADER"]]) < 0.5
 
 
 def test_pair_t_stat_formula(rng):
     panel = panel_from_returns({"A": rng.normal(size=30), "B": rng.normal(size=30)})
-    (p,), _ = return_pair_correlations(panel)
-    expect = p.r * np.sqrt((p.n_effective - 2) / (1.0 - p.r**2))
-    assert p.t_stat == pytest.approx(expect, rel=1e-12)
+    pairs, _ = return_pair_correlations(panel)
+    assert len(pairs) == 1
+    r, n = pairs.r[0], pairs.n[0]
+    assert pairs.t[0] == pytest.approx(r * np.sqrt((n - 2) / (1.0 - r**2)), rel=1e-12)
 
 
 def test_min_overlap_omits_short_pairs(rng):
@@ -110,9 +120,10 @@ def test_min_overlap_omits_short_pairs(rng):
 def test_perfect_correlation_infinite_t(rng):
     x = rng.normal(size=20)
     panel = panel_from_returns({"A": x, "B": 2.0 * x})
-    (p,), _ = return_pair_correlations(panel)
-    assert p.r == pytest.approx(1.0)
-    assert np.isinf(p.t_stat)
+    pairs, _ = return_pair_correlations(panel)
+    assert len(pairs) == 1
+    assert pairs.r[0] == pytest.approx(1.0)
+    assert np.isinf(pairs.t[0])
 
 
 # --- jump correlations ------------------------------------------------------
@@ -128,12 +139,12 @@ def make_jump_series(rng, n_msas=6, n_quarters=160, jump_every=0):
     return out
 
 
-def jump_corr_oracle(sa, sb, lead=False, centered=False):
+def jump_corr_oracle(sa, sb, lead=False):
     """Direct per-pair recompute from the flag series (independent loop).
 
     A quarter counts when one side's masked value is nonzero while the
-    other side is testable; norms, means, and n are all taken over exactly
-    that restricted set.
+    other side is testable; norms and n are both taken over exactly that
+    restricted set.
     """
     codes = np.intersect1d(sa.quarter_codes, sb.quarter_codes)
     ia = np.searchsorted(sa.quarter_codes, codes)
@@ -150,9 +161,6 @@ def jump_corr_oracle(sa, sb, lead=False, centered=False):
     if n_eff == 0:
         return None, 0
     ja, jb = ja[mask], jb[mask]
-    if centered:
-        ja = ja - ja.mean()
-        jb = jb - jb.mean()
     na, nb = np.sqrt(ja @ ja), np.sqrt(jb @ jb)
     if na == 0 or nb == 0:
         return None, n_eff
@@ -162,18 +170,18 @@ def jump_corr_oracle(sa, sb, lead=False, centered=False):
 def test_jump_correlations_match_loop_oracle(rng):
     series = make_jump_series(rng, jump_every=37)
     pairs, _ = jump_pair_correlations(series)
-    assert all(p.kind == "jump" for p in pairs)
+    assert pairs.kind == "jump"
     checked = 0
-    by_key = {(p.msa_i, p.msa_j): p for p in pairs}
+    at = index_of(pairs)
     for i in range(len(series)):
         for j in range(i + 1, len(series)):
             want, n_eff = jump_corr_oracle(series[i], series[j])
             key = (series[i].msa_id, series[j].msa_id)
             if want is None or n_eff < 4:
-                assert key not in by_key
+                assert key not in at
                 continue
-            assert by_key[key].r == pytest.approx(want, rel=1e-10)
-            assert by_key[key].n_effective == n_eff
+            assert pairs.r[at[key]] == pytest.approx(want, rel=1e-10)
+            assert pairs.n[at[key]] == n_eff
             checked += 1
     assert checked >= 10
 
@@ -181,31 +189,19 @@ def test_jump_correlations_match_loop_oracle(rng):
 def test_jump_lead_correlations_match_loop_oracle(rng):
     series = make_jump_series(rng, jump_every=23)
     pairs, _ = jump_pair_correlations(series, timing="lead")
-    by_key = {(p.msa_i, p.msa_j): p for p in pairs}
+    at = index_of(pairs)
     checked = 0
     for sa in series:
         for sb in series:
             want, n_eff = jump_corr_oracle(sa, sb, lead=True)
             key = (sa.msa_id, sb.msa_id)
             if want is None or n_eff < 4:
-                assert key not in by_key
+                assert key not in at
                 continue
-            assert by_key[key].r == pytest.approx(want, rel=1e-10)
-            assert by_key[key].n_effective == n_eff
+            assert pairs.r[at[key]] == pytest.approx(want, rel=1e-10)
+            assert pairs.n[at[key]] == n_eff
             checked += 1
     assert checked >= 10
-
-
-def test_jump_correlations_centered_variant(rng):
-    series = make_jump_series(rng, jump_every=31)
-    pairs, _ = jump_pair_correlations(series, centered=True)
-    by_key = {(p.msa_i, p.msa_j): p for p in pairs}
-    for i in range(len(series)):
-        for j in range(i + 1, len(series)):
-            want, _ = jump_corr_oracle(series[i], series[j], centered=True)
-            key = (series[i].msa_id, series[j].msa_id)
-            if want is not None and key in by_key:
-                assert by_key[key].r == pytest.approx(want, rel=1e-9)
 
 
 def test_jump_identical_series_correlate_one(rng):
@@ -215,7 +211,7 @@ def test_jump_identical_series_correlate_one(rng):
     twin = dataclasses.replace(series[0], msa_id="TWIN")
     pairs, _ = jump_pair_correlations([series[0], twin])
     assert len(pairs) == 1
-    assert pairs[0].r == pytest.approx(1.0)
+    assert pairs.r[0] == pytest.approx(1.0)
 
 
 def test_jump_no_flags_omitted(rng):
@@ -238,13 +234,18 @@ def test_jump_min_quarter_floor(rng):
 
 # --- summaries --------------------------------------------------------------
 
-def mk_pair(r, n=50, i="A", j="B"):
-    t = r * np.sqrt((n - 2) / (1 - r * r)) if abs(r) < 1 else np.inf
-    return PairCorrelation(i, j, "return", "contemporaneous", r, n, t)
+def mk_set(rs, n=50, kind="return", timing="contemporaneous", ts=None):
+    """A set of pairs (M0, M1), (M1, M2), ... with the given r; t from r and n."""
+    rs = np.asarray(rs, dtype=float)
+    if ts is None:
+        ts = rs * np.sqrt((n - 2) / (1 - rs * rs))
+    k = np.arange(rs.size)
+    ids = tuple(f"M{m}" for m in range(rs.size + 1))
+    return PairSet(kind, timing, ids, k, k + 1, rs, np.full(rs.size, n), np.asarray(ts, dtype=float))
 
 
 def test_summary_single_pair_sigma_zero():
-    (s,) = [x for x in correlation_summary([mk_pair(0.4)], thresholds=(None,))]
+    (s,) = [x for x in correlation_summary(mk_set([0.4]), thresholds=(None,))]
     assert s.n == 1
     assert s.mean == pytest.approx(0.4)
     assert s.sigma == 0.0          # population convention
@@ -253,8 +254,7 @@ def test_summary_single_pair_sigma_zero():
 
 
 def test_summary_two_pairs_hand_values():
-    pairs = [mk_pair(0.5), mk_pair(0.1, i="C", j="D")]
-    (s,) = correlation_summary(pairs, thresholds=(None,))
+    (s,) = correlation_summary(mk_set([0.5, 0.1]), thresholds=(None,))
     assert s.mean == pytest.approx(0.3)
     assert s.sigma == pytest.approx(0.2)  # population sd of {0.5, 0.1}
     # T = mean / (sigma / sqrt(N))
@@ -262,8 +262,7 @@ def test_summary_two_pairs_hand_values():
 
 
 def test_summary_threshold_filters_are_signed():
-    pairs = [mk_pair(0.8), mk_pair(-0.8, i="C", j="D"), mk_pair(0.05, i="E", j="F")]
-    rows = correlation_summary(pairs, thresholds=(None, 2.0))
+    rows = correlation_summary(mk_set([0.8, -0.8, 0.05]), thresholds=(None, 2.0))
     all_row = next(r for r in rows if r.threshold is None)
     sig_row = next(r for r in rows if r.threshold == 2.0)
     assert all_row.n == 3
@@ -273,15 +272,14 @@ def test_summary_threshold_filters_are_signed():
 
 
 def test_summary_empty_threshold_bucket():
-    rows = correlation_summary([mk_pair(0.01)], thresholds=(3.0,))
+    rows = correlation_summary(mk_set([0.01]), thresholds=(3.0,))
     assert rows[0].n == 0
     assert np.isnan(rows[0].mean) and np.isnan(rows[0].t_stat)
 
 
 def test_summary_labels_follow_the_input_set():
     # one homogeneous set in, its kind/timing labels out
-    pairs = [PairCorrelation("A", "B", "jump", "lead", 0.2, 30, 1.1),
-             PairCorrelation("A", "C", "jump", "lead", 0.4, 30, 2.6)]
+    pairs = mk_set([0.2, 0.4], n=30, kind="jump", timing="lead", ts=[1.1, 2.6])
     rows = correlation_summary(pairs, thresholds=(None, 2.0))
     assert all(r.kind == "jump" and r.timing == "lead" for r in rows)
     assert [r.threshold for r in rows] == [None, 2.0]
@@ -289,7 +287,7 @@ def test_summary_labels_follow_the_input_set():
 
 def test_summary_empty_input_rejected():
     with pytest.raises(ValueError):
-        correlation_summary([])
+        correlation_summary(mk_set([]))
 
 
 # --- division report --------------------------------------------------------
@@ -300,7 +298,7 @@ def test_division_report_within_division_only(rng):
         {m: rng.normal(size=40) for m in states}, states=states
     )
     pairs, _ = return_pair_correlations(panel)
-    rows = cohort_correlation_report(pairs, states, sig_t=5.0)
+    rows = cohort_correlation_report([pairs], states, sig_t=5.0)
     by_div = {r.division: r for r in rows}
     assert by_div["CA"].n == 1      # only (A,B)
     assert by_div["D4"].n == 1      # only (C,D)
@@ -310,16 +308,78 @@ def test_division_report_within_division_only(rng):
 
 
 def test_division_report_significance_count():
-    x = np.arange(40, dtype=float)
-    pairs = [
-        PairCorrelation("A", "B", "return", "contemporaneous", 0.9, 40, 12.7),
-        PairCorrelation("A", "C", "return", "contemporaneous", 0.1, 40, 0.6),
-        PairCorrelation("B", "C", "return", "contemporaneous", 0.5, 40, 3.6),
-    ]
+    pairs = PairSet(
+        "return", "contemporaneous", ("A", "B", "C"),
+        np.array([0, 0, 1]), np.array([1, 2, 2]),
+        np.array([0.9, 0.1, 0.5]), np.full(3, 40), np.array([12.7, 0.6, 3.6]),
+    )
     states = {"A": "CA", "B": "CA", "C": "CA"}
-    rows = cohort_correlation_report(pairs, states, sig_t=2.0)
+    rows = cohort_correlation_report([pairs], states, sig_t=2.0)
     (row,) = rows
     assert row.n == 3
     assert row.n_significant == 2
     assert row.pct_significant == pytest.approx(100 * 2 / 3)
     assert row.mean_r == pytest.approx(np.mean([0.9, 0.1, 0.5]))
+
+
+def test_division_report_counts_a_pair_only_with_both_states(rng):
+    panel = panel_from_returns({m: rng.normal(size=40) for m in "ABCD"})
+    contemp, _ = return_pair_correlations(panel)
+    lead, _ = return_pair_correlations(panel, timing="lead")
+    # every jump pair touches D, which has no state: no jump rows at all
+    jump = PairSet("jump", "lead", ("A", "D"), np.array([0]), np.array([1]),
+                   np.array([0.5]), np.array([30]), np.array([3.0]))
+    states = {"A": "CA", "B": "CA", "C": "TX"}
+    rows = cohort_correlation_report([contemp, lead, jump], states)
+    assert {(r.division, r.kind, r.timing): r.n for r in rows} == {
+        ("CA", "return", "contemporaneous"): 1,   # (A,B)
+        ("CA", "return", "lead"): 4,              # AA, AB, BA, BB
+        ("D4", "return", "contemporaneous"): 0,
+        ("D4", "return", "lead"): 1,              # CC
+    }
+    with pytest.raises(ValueError):
+        cohort_correlation_report([contemp, contemp], states)
+
+
+# --- pair set invariants ------------------------------------------------------
+
+def check_pair_set(pairs, omitted, n_ids, timing, floor):
+    r, n, t = pairs.r, pairs.n, pairs.t
+    assert pairs.timing == timing
+    assert (np.abs(r) <= 1.0).all()
+    assert (n >= floor).all()
+    inner = np.abs(r) < 1.0
+    assert_allclose(t[inner], r[inner] * np.sqrt(n[inner] - 2.0) / np.sqrt(1.0 - r[inner] ** 2),
+                    rtol=1e-12)
+    assert (t[~inner] == np.sign(r[~inner]) * np.inf).all()
+    if timing == "contemporaneous":
+        assert len(pairs) + len(omitted) == n_ids * (n_ids - 1) // 2
+        assert (pairs.i < pairs.j).all()
+    else:
+        assert len(pairs) + len(omitted) == n_ids * n_ids
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(10, 40), min_size=2, max_size=8),
+    twin=st.one_of(st.none(), st.floats(0.1, 10.0)),
+    floor=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_sets_hold_the_t_formula_and_counts(lengths, twin, floor, seed):
+    rng = np.random.default_rng(seed)
+    returns = {f"M{k}": rng.normal(size=m) for k, m in enumerate(lengths)}
+    for v in returns.values():
+        v[rng.random(v.size) < 0.1] += 8.0  # spikes, so some quarters are big jumps
+    if twin is not None:  # a scaled copy: r = 1 and infinite t, or |r| just below 1
+        returns["M1"] = returns["M0"][-lengths[1]:] * twin
+    panel = panel_from_returns(returns)
+    series = []
+    for msa_id in panel.msa_ids():
+        first, values = panel.series(msa_id)
+        series.append(lm_series(values, bipower_window=8, msa_id=msa_id, start_code=first.code))
+    for timing in ("contemporaneous", "lead"):
+        pairs, omitted = return_pair_correlations(panel, timing, min_overlap=floor)
+        check_pair_set(pairs, omitted, len(lengths), timing, floor)
+        pairs, omitted = jump_pair_correlations(series, timing, min_quarters=floor)
+        check_pair_set(pairs, omitted, len(lengths), timing, floor)

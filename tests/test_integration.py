@@ -189,6 +189,22 @@ def test_integrate_panel_skips_short_series(rng):
     assert [m for m, _ in result.skipped] == ["TINY"]
 
 
+def test_integrate_panel_skips_a_rank_deficient_msa(rng):
+    n = 80
+    F = rng.normal(size=(n, 2))
+    F[:25, 1] = 0.75  # constant over the first 25 quarters
+    panel = panel_from_returns({
+        "EARLY": rng.normal(size=n),
+        "LATE": rng.normal(size=n - 30),  # starts after the constant stretch
+    })
+    table = factor_table(F, start=Q0)
+    result = integrate_panel(panel, table, window=20, prewhiten=False)
+    assert [s.msa_id for s in result.series] == ["LATE"]
+    with pytest.raises(SingularDesignError) as caught:
+        rolling_factor_model(aligned(panel.series("EARLY")[1], F), window=20)
+    assert result.skipped == (("EARLY", str(caught.value)),)
+
+
 def test_integrate_panel_prewhiten_toggle(rng):
     panel = panel_from_returns({"A": rng.normal(size=40)})
     table = factor_table(rng.normal(size=(40, 2)), start=Q0)

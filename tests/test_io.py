@@ -124,6 +124,15 @@ def test_factor_unconfigured_column_rejected(tmp_path):
     assert "SP500" in str(exc.value)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+def test_factor_non_finite_cell_rejected(tmp_path, cell):
+    path = tmp_path / "factors.csv"
+    path.write_text(FACTOR_TEXT.replace("358.0", cell))
+    with pytest.raises(IngestionError) as exc:
+        load_factor_table(path, {"FEDFUNDS": "log_level", "SP500": "log_level"})
+    assert f"factors.csv:3: non-finite value {cell!r} in column SP500" in str(exc.value)
+
+
 def test_factor_missing_quarter_row_rejected(tmp_path):
     path = tmp_path / "factors.csv"
     path.write_text("quarter,GS10\n1990:Q1,8.0\n1990:Q3,7.5\n")
