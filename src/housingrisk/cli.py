@@ -2,10 +2,17 @@
 
 Commands: ingest, integrate, jumps, correlate, contagion, portfolio, synth,
 report, all. Settings merge in precedence order defaults < config file <
-environment (HOUSINGRISK_*) < flags. Every command validates its inputs
-before writing anything, writes each artifact atomically, and finishes
-with a run_manifest.json recording the resolved-config hash and the
-SHA-256 of every input and output — no timestamps, so identical runs are
+environment (HOUSINGRISK_*) < flags. One table, ``_SETTINGS``, names every
+setting with its RunConfig field and its valid values; the config-file
+reader, the environment reader, the flags and ``RunConfig.validate`` all
+read it.
+
+A run validates its config before it reads any input. It writes every
+artifact into a private stage directory beside the output directory and
+moves them into the output directory only after every step has returned,
+run_manifest.json last, so a run that fails leaves the output directory as
+it was. The manifest records the resolved-config hash and the SHA-256 of
+every input and output, with no timestamps, so identical runs are
 byte-identical.
 """
 
@@ -18,9 +25,12 @@ import hashlib
 import json
 import numbers
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +55,7 @@ from .correlations import (
     jump_pair_correlations,
     return_pair_correlations,
 )
-from .errors import ConfigError, HousingRiskError, InsufficientHistoryError
+from .errors import ConfigError, HousingRiskError, InsufficientHistoryError, QuarterParseError
 from .integration import (
     CHARACTERISTICS,
     beta_average,
@@ -113,7 +123,7 @@ DEFAULT_SUB_RANGES = {"2000s": ("2000:Q1", "2009:Q4")}
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one run; see the README for the file format."""
+    """Resolved settings for one run; ``_SETTINGS`` says what each field may hold."""
 
     hpi: str | None = None
     factors: str | None = None
@@ -139,41 +149,11 @@ class RunConfig:
     synth_scenario: str | None = None
 
     def validate(self) -> None:
-        problems = []
-        for label, path in (
-            ("inputs.hpi", self.hpi),
-            ("inputs.factors", self.factors),
-            ("synth_scenario", self.synth_scenario),
-        ):
-            if path is not None and not Path(path).is_file():
-                problems.append(f"{label}: no such file: {path}")
-        if isinstance(self.transforms, str) and not Path(self.transforms).is_file():
-            problems.append(f"inputs.transforms: no such file: {self.transforms}")
-        for label, value in (
-            ("thresholds.jump", self.jump_threshold),
-            ("thresholds.big", self.big_threshold),
-            ("thresholds.pair_sig_t", self.pair_sig_t),
-        ):
-            if not _is_number(value, numbers.Real) or not value > 0:
-                problems.append(f"{label} must be a positive number, got {value!r}")
-        for label, value, least in (
-            ("window", self.window, 3),
-            ("bipower_window", self.bipower_window, MIN_BIPOWER_WINDOW),
-            ("pairs.min_overlap", self.min_overlap, None),
-            ("pairs.jump_floor", self.jump_pair_floor, None),
-            ("seed", 0 if self.seed is None else self.seed, None),
-        ):
-            if not _is_number(value, numbers.Integral):
-                problems.append(f"{label} must be an integer, got {value!r}")
-            elif least is not None and value < least:
-                problems.append(f"{label} must be at least {least}, got {value}")
-        if self.serial not in SERIAL_POLICIES:
-            problems.append(f"serial must be one of {SERIAL_POLICIES}, got {self.serial!r}")
-        if self.interaction_residual not in INTERACTION_SOURCES:
-            problems.append(
-                f"interaction_residual must be one of {INTERACTION_SOURCES}, "
-                f"got {self.interaction_residual!r}"
-            )
+        problems = [
+            f"{s.key} must be {s.what}, got {getattr(self, s.field)!r}"
+            for s in _SETTINGS
+            if not s.ok(getattr(self, s.field))
+        ]
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -188,38 +168,131 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-# (section or None for the top level, key, RunConfig field, conversion):
-# every key a config file may hold, used both to read it and to reject
-# keys it does not know.
-_CONFIG_KEYS = (
-    ("inputs", "hpi", "hpi", None),
-    ("inputs", "factors", "factors", None),
-    ("inputs", "transforms", "transforms", None),
-    *(
-        (None, key, key, None)
-        for key in (
-            "out",
-            "window",
-            "bipower_window",
-            "prewhiten",
-            "serial",
-            "interaction_residual",
-            "seed",
-            "income_as_level",
-            "synth_scenario",
-        )
-    ),
-    ("thresholds", "jump", "jump_threshold", None),
-    ("thresholds", "big", "big_threshold", None),
-    ("thresholds", "pair_sig_t", "pair_sig_t", None),
-    ("pairs", "min_overlap", "min_overlap", None),
-    ("pairs", "jump_floor", "jump_pair_floor", None),
-    ("cohorts", "time", "time_cohorts", dict),
-    ("cohorts", "ca_coastal", "ca_coastal", tuple),
-    (None, "contagion", "contagion_menu", lambda m: {k: list(v) for k, v in m.items()}),
-    (None, "portfolios", "portfolios", lambda m: {k: dict(v) for k, v in m.items()}),
-    (None, "sub_ranges", "sub_ranges", lambda m: {k: tuple(v) for k, v in m.items()}),
+# -- the settings table ----------------------------------------------------
+#
+# Each test takes a value as JSON gives it and says whether it is valid.
+
+
+def _is(kind):
+    return lambda v: isinstance(v, kind)
+
+
+def _optional(ok):
+    return lambda v: v is None or ok(v)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and all(ok(x) for x in v)
+
+
+def _object_of(ok):
+    return lambda v: isinstance(v, dict) and all(ok(x) for x in v.values())
+
+
+def _integer(least=None):
+    return lambda v: _is_number(v, numbers.Integral) and (least is None or v >= least)
+
+
+def _positive(v) -> bool:
+    return _is_number(v, numbers.Real) and v > 0
+
+
+def _path(v) -> bool:
+    return isinstance(v, str) and v != "" and "\0" not in v
+
+
+def _file(v) -> bool:
+    return isinstance(v, str) and Path(v).is_file()
+
+
+def _quarter(v) -> bool:
+    try:
+        return isinstance(v, str) and parse_quarter(v) is not None
+    except QuarterParseError:
+        return False
+
+
+_PORTFOLIO_KEYS = {"members": _list_of(_is(str)), "state": _is(str), "available_from": _quarter}
+
+
+def _portfolio(v) -> bool:
+    return isinstance(v, dict) and all(k in _PORTFOLIO_KEYS and _PORTFOLIO_KEYS[k](x) for k, x in v.items())
+
+
+class _Setting(NamedTuple):
+    """One run setting: its config-file key, its RunConfig field and its valid values.
+
+    ``flag`` holds the argparse keywords of a setting that ``--<name>`` and
+    ``HOUSINGRISK_<NAME>`` can also set; ``option_name`` gives the name.
+    """
+
+    key: str  # "section.key" for a key inside a section of the config file
+    field: str
+    what: str  # the error message says "<key> must be <what>"
+    ok: Callable[[object], bool]
+    flag: dict | None = None
+
+    @property
+    def option_name(self) -> str:
+        """The field, or ``no_<field>`` for a flag that turns a default off."""
+        return ("no_" if self.flag.get("action") == "store_false" else "") + self.field
+
+    def from_env(self, text: str):
+        """The value that ``HOUSINGRISK_<NAME>=text`` sets."""
+        name = ENV_PREFIX + self.option_name.upper()
+        if self.flag.get("action") == "store_false":
+            if text.lower() in ("1", "true", "yes"):
+                return False
+            if text.lower() in ("0", "false", "no"):
+                return True
+            raise ConfigError(f"{name} must be one of 1/0, true/false, yes/no, got {text!r}")
+        if self.flag.get("type") is int:
+            try:
+                return int(text)
+            except ValueError:
+                raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+        return text
+
+
+_SETTINGS = (
+    _Setting("inputs.hpi", "hpi", "null or an existing file", _optional(_file)),
+    _Setting("inputs.factors", "factors", "null or an existing file", _optional(_file)),
+    _Setting("inputs.transforms", "transforms", "null, an existing file or an object of strings",
+             _optional(lambda v: _file(v) or _object_of(_is(str))(v))),
+    _Setting("out", "out", "a non-empty path", _path, {"help": "output directory"}),
+    _Setting("window", "window", "an integer at least 3", _integer(3),
+             {"type": int, "help": "rolling regression window (quarters)"}),
+    _Setting("bipower_window", "bipower_window", f"an integer at least {MIN_BIPOWER_WINDOW}",
+             _integer(MIN_BIPOWER_WINDOW), {"type": int, "help": "trailing window for bipower variation"}),
+    _Setting("prewhiten", "prewhiten", "true or false", _is(bool),
+             {"action": "store_false",
+              "help": "feed raw returns to the factor model instead of AR(1) residuals"}),
+    _Setting("serial", "serial", f"one of {SERIAL_POLICIES}", lambda v: v in SERIAL_POLICIES,
+             {"choices": SERIAL_POLICIES, "help": "serial-correlation policy"}),
+    _Setting("interaction_residual", "interaction_residual", f"one of {INTERACTION_SOURCES}",
+             lambda v: v in INTERACTION_SOURCES,
+             {"choices": INTERACTION_SOURCES,
+              "help": "boom/bust residual source for interacted contagion fits"}),
+    _Setting("seed", "seed", "null or an integer at least 0", _optional(_integer(0)),
+             {"type": int, "help": "override the scenario seed"}),
+    _Setting("income_as_level", "income_as_level", "true or false", _is(bool)),
+    _Setting("synth_scenario", "synth_scenario", "null or an existing file", _optional(_file)),
+    _Setting("thresholds.jump", "jump_threshold", "a positive number", _positive),
+    _Setting("thresholds.big", "big_threshold", "a positive number", _positive),
+    _Setting("thresholds.pair_sig_t", "pair_sig_t", "a positive number", _positive),
+    _Setting("pairs.min_overlap", "min_overlap", "an integer", _integer()),
+    _Setting("pairs.jump_floor", "jump_pair_floor", "an integer", _integer()),
+    _Setting("cohorts.time", "time_cohorts", "an object of quarters", _object_of(_quarter)),
+    _Setting("cohorts.ca_coastal", "ca_coastal", "a list of strings", _list_of(_is(str))),
+    _Setting("contagion", "contagion_menu", "null or an object of string lists",
+             _optional(_object_of(_list_of(_is(str))))),
+    _Setting("portfolios", "portfolios", "an object of objects with only members (strings), "
+             "state and available_from", _object_of(_portfolio)),
+    _Setting("sub_ranges", "sub_ranges", "an object of [first quarter, last quarter] pairs",
+             _object_of(lambda v: _list_of(_quarter)(v) and len(v) == 2)),
 )
+
+_OPTIONS = tuple(s for s in _SETTINGS if s.flag is not None)
 
 
 def _apply_config_file(cfg: RunConfig, path: str) -> None:
@@ -231,51 +304,24 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = {(section, key) for section, key, _, _ in _CONFIG_KEYS}
-    sections = {section for section, _ in known if section}
+    known = {s.key for s in _SETTINGS}
+    sections = {key.partition(".")[0] for key in known if "." in key}
     unknown = []
     for key, value in obj.items():
         if key not in sections:
-            if (None, key) not in known:
+            if key not in known:
                 unknown.append(key)
         elif isinstance(value, dict):
-            unknown += [f"{key}.{sub}" for sub in value if (key, sub) not in known]
+            unknown += [f"{key}.{sub}" for sub in value if f"{key}.{sub}" not in known]
         else:
             raise ConfigError(f"config file {path}: {key} must be a JSON object")
     if unknown:
         raise ConfigError(f"config file {path}: unknown key {', '.join(map(repr, unknown))}")
-    for section, key, attr, convert in _CONFIG_KEYS:
+    for s in _SETTINGS:
+        section, _, key = s.key.rpartition(".")
         values = obj.get(section, {}) if section else obj
         if key in values:
-            setattr(cfg, attr, convert(values[key]) if convert else values[key])
-
-
-def _apply_env(cfg: RunConfig, env) -> None:
-    def get(name):
-        return env.get(ENV_PREFIX + name)
-
-    def get_int(name):
-        try:
-            return int(get(name))
-        except ValueError:
-            raise ConfigError(
-                f"{ENV_PREFIX}{name} must be an integer, got {get(name)!r}"
-            ) from None
-
-    if get("OUT"):
-        cfg.out = get("OUT")
-    if get("WINDOW"):
-        cfg.window = get_int("WINDOW")
-    if get("BIPOWER_WINDOW"):
-        cfg.bipower_window = get_int("BIPOWER_WINDOW")
-    if get("NO_PREWHITEN"):
-        cfg.prewhiten = get("NO_PREWHITEN") in ("0", "false", "no")
-    if get("SERIAL"):
-        cfg.serial = get("SERIAL")
-    if get("INTERACTION_RESIDUAL"):
-        cfg.interaction_residual = get("INTERACTION_RESIDUAL")
-    if get("SEED"):
-        cfg.seed = get_int("SEED")
+            setattr(cfg, s.field, values[key])
 
 
 def build_config(args, env=None) -> RunConfig:
@@ -285,21 +331,12 @@ def build_config(args, env=None) -> RunConfig:
     config_path = args.config or env.get(ENV_PREFIX + "CONFIG")
     if config_path:
         _apply_config_file(cfg, config_path)
-    _apply_env(cfg, env)
-    if args.out is not None:
-        cfg.out = args.out
-    if args.window is not None:
-        cfg.window = args.window
-    if args.bipower_window is not None:
-        cfg.bipower_window = args.bipower_window
-    if args.no_prewhiten:
-        cfg.prewhiten = False
-    if args.serial is not None:
-        cfg.serial = args.serial
-    if args.interaction_residual is not None:
-        cfg.interaction_residual = args.interaction_residual
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for s in _OPTIONS:
+        text = env.get(ENV_PREFIX + s.option_name.upper())
+        if text:
+            setattr(cfg, s.field, s.from_env(text))
+        if getattr(args, s.field) is not None:
+            setattr(cfg, s.field, getattr(args, s.field))
     return cfg
 
 
@@ -331,9 +368,10 @@ class _Runner:
     computes it, and every other artifact is a view of the same result.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, stage: Path):
         self.cfg = cfg
         self.out = Path(cfg.out)
+        self.stage = stage  # every artifact is written here; run() moves them to out
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.results: dict[tuple, object] = {}
@@ -344,40 +382,12 @@ class _Runner:
 
     # -- input plumbing ---------------------------------------------------
 
-    def _materialize_synth(self) -> None:
-        """Emit synthetic artifacts and point the inputs at them."""
-        cfg = self.cfg
-        scenario = json.loads(Path(cfg.synth_scenario).read_text(encoding="utf-8"))
-        self.inputs[cfg.synth_scenario] = _sha256(Path(cfg.synth_scenario))
-        sc = scenario_from_json(scenario)
-        if cfg.seed is not None:
-            sc = dataclasses.replace(sc, seed=cfg.seed)
-        panel, table, truth = generate_panel(sc)
-        self.out.mkdir(parents=True, exist_ok=True)
-        write_hpi_csv(self.out / "hpi_synth.csv", panel)
-        # Raw factor levels exp(f) under an all-log_level transform map load
-        # back to exactly the generated factors.
-        write_factor_csv(
-            self.out / "factors_synth.csv",
-            table.factor_ids,
-            table.start,
-            np.exp(table.values),
-        )
-        write_json_atomic(
-            self.out / "transforms_synth.json",
-            {f: "log_level" for f in table.factor_ids},
-        )
-        self.ground_truth = ground_truth_report(truth)
-        write_json_atomic(self.out / "ground_truth.json", self.ground_truth)
-        self.outputs += [
-            "hpi_synth.csv",
-            "factors_synth.csv",
-            "transforms_synth.json",
-            "ground_truth.json",
-        ]
-        cfg.hpi = str(self.out / "hpi_synth.csv")
-        cfg.factors = str(self.out / "factors_synth.csv")
-        cfg.transforms = str(self.out / "transforms_synth.json")
+    def source(self, path: str) -> Path:
+        """The file to read for input ``path``: a file this run generated is still staged."""
+        name = Path(path).name
+        if path == str(self.out / name) and name in self.outputs:
+            return self.stage / name
+        return Path(path)
 
     def load(self) -> None:
         cfg = self.cfg
@@ -386,21 +396,22 @@ class _Runner:
                 raise ConfigError(
                     "no inputs: set inputs.hpi/inputs.factors or synth_scenario"
                 )
-            self._materialize_synth()
+            _cmd_synth(self)
         if cfg.factors is None:
             raise ConfigError("inputs.factors is required alongside inputs.hpi")
-        hpi_path, fac_path = Path(cfg.hpi), Path(cfg.factors)
+        hpi_path, fac_path = self.source(cfg.hpi), self.source(cfg.factors)
         self.panel = load_hpi_panel(hpi_path)
-        self.inputs[str(hpi_path)] = _sha256(hpi_path)
+        self.inputs[cfg.hpi] = _sha256(hpi_path)
         if isinstance(cfg.transforms, dict):
             transforms = dict(cfg.transforms)
         elif isinstance(cfg.transforms, str):
-            transforms = load_transform_config(Path(cfg.transforms))
-            self.inputs[cfg.transforms] = _sha256(Path(cfg.transforms))
+            transforms_path = self.source(cfg.transforms)
+            transforms = load_transform_config(transforms_path)
+            self.inputs[cfg.transforms] = _sha256(transforms_path)
         else:
             transforms = default_factor_transforms(cfg.income_as_level)
         self.factors = load_factor_table(fac_path, transforms)
-        self.inputs[str(fac_path)] = _sha256(fac_path)
+        self.inputs[cfg.factors] = _sha256(fac_path)
         self.returns = compute_returns(self.panel)
 
     # -- results ----------------------------------------------------------
@@ -439,6 +450,8 @@ class _Runner:
                 )
             except InsufficientHistoryError as exc:
                 skipped.append((msa_id, str(exc)))
+        if not series:
+            raise HousingRiskError(f"no MSA could take the jump test; first skip: {skipped[0][1]}")
         return series, skipped
 
     @_memoised
@@ -483,12 +496,14 @@ class _Runner:
         return out
 
     def write_csv(self, name: str, header, rows) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
-        write_csv_atomic(self.out / name, header, rows)
+        write_csv_atomic(self.stage / name, header, rows)
+        self.outputs.append(name)
+
+    def write_json(self, name: str, obj) -> None:
+        write_json_atomic(self.stage / name, obj)
         self.outputs.append(name)
 
     def write_manifest(self, command: str) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
         resolved = json.dumps(self.cfg.resolved_dict(), sort_keys=True)
         manifest = {
             "tool": "housingrisk",
@@ -497,10 +512,10 @@ class _Runner:
             "config_sha256": hashlib.sha256(resolved.encode()).hexdigest(),
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": {
-                name: _sha256(self.out / name) for name in sorted(set(self.outputs))
+                name: _sha256(self.stage / name) for name in sorted(set(self.outputs))
             },
         }
-        write_json_atomic(self.out / "run_manifest.json", manifest)
+        write_json_atomic(self.stage / "run_manifest.json", manifest)
 
 
 # -- derived tables ------------------------------------------------------
@@ -850,8 +865,11 @@ def _cmd_contagion(r: _Runner) -> None:
     r.write_csv("contagion_fits.csv", header, rows)
 
 
-def _portfolio_members(r: _Runner, spec: dict) -> list[str]:
+def _portfolio_members(r: _Runner, name: str, spec: dict) -> list[str]:
     if "members" in spec:
+        unknown = sorted(set(spec["members"]) - set(r.returns.msa_ids()))
+        if unknown:
+            raise ConfigError(f"portfolio {name!r} member {unknown[0]!r} matches no MSA")
         return sorted(spec["members"])
     members = r.returns.msa_ids()
     if "state" in spec:
@@ -871,7 +889,7 @@ def _portfolios(r: _Runner) -> list[tuple]:
     have = {s.msa_id for s in series}
     out = []
     for name, spec in sorted(r.cfg.portfolios.items()):
-        members = _portfolio_members(r, spec)
+        members = _portfolio_members(r, name, spec)
         if not members:
             continue
         try:
@@ -932,9 +950,29 @@ def _cmd_portfolio(r: _Runner) -> None:
 
 
 def _cmd_synth(r: _Runner) -> None:
-    if r.cfg.synth_scenario is None:
+    """Generate the scenario's inputs and point the run's inputs at them."""
+    cfg = r.cfg
+    if cfg.synth_scenario is None:
         raise ConfigError("synth needs a synth_scenario in the config")
-    r._materialize_synth()
+    scenario = json.loads(Path(cfg.synth_scenario).read_text(encoding="utf-8"))
+    r.inputs[cfg.synth_scenario] = _sha256(Path(cfg.synth_scenario))
+    sc = scenario_from_json(scenario)
+    if cfg.seed is not None:
+        sc = dataclasses.replace(sc, seed=cfg.seed)
+    panel, table, truth = generate_panel(sc)
+    write_hpi_csv(r.stage / "hpi_synth.csv", panel)
+    # Raw factor levels exp(f) under an all-log_level transform map load
+    # back to exactly the generated factors.
+    write_factor_csv(r.stage / "factors_synth.csv", table.factor_ids, table.start, np.exp(table.values))
+    r.outputs += ["hpi_synth.csv", "factors_synth.csv"]
+    r.write_json("transforms_synth.json", {f: "log_level" for f in table.factor_ids})
+    r.ground_truth = ground_truth_report(truth)
+    r.write_json("ground_truth.json", r.ground_truth)
+    # The inputs are named by their final paths, so the config hash and the
+    # manifest never name the stage; load() reads them through source().
+    cfg.hpi = str(r.out / "hpi_synth.csv")
+    cfg.factors = str(r.out / "factors_synth.csv")
+    cfg.transforms = str(r.out / "transforms_synth.json")
 
 
 def _cmd_report(r: _Runner) -> None:
@@ -983,39 +1021,44 @@ def _cmd_report(r: _Runner) -> None:
 
 
 def run(command: str, cfg: RunConfig) -> int:
-    """Execute one command; returns the exit status (artifacts in cfg.out)."""
+    """Execute one command; returns the exit status (artifacts in cfg.out).
+
+    Every step writes into a private stage beside cfg.out. Only after every
+    step has returned are the artifacts moved into cfg.out, run_manifest.json
+    last; if anything fails, the stage is removed and cfg.out is left as it was.
+    """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     cfg.validate()
-    runner = _Runner(cfg)
-    if command == "synth":
-        _cmd_synth(runner)
-        runner.write_manifest(command)
-        return 0
-    runner.load()
-    if command == "all":
-        runner.integration()  # a panel with no usable MSA fails before ingest writes
+    load = _Runner.load
     steps = {
-        "ingest": (_cmd_ingest,),
-        "integrate": (_cmd_integrate,),
-        "jumps": (_cmd_jumps,),
-        "correlate": (_cmd_correlate,),
-        "contagion": (_cmd_contagion,),
-        "portfolio": (_cmd_portfolio,),
-        "report": (_cmd_report,),
-        "all": (
-            _cmd_ingest,
-            _cmd_integrate,
-            _cmd_jumps,
-            _cmd_correlate,
-            _cmd_contagion,
-            _cmd_portfolio,
-            _cmd_report,
-        ),
+        "synth": (_cmd_synth,),
+        "ingest": (load, _cmd_ingest),
+        "integrate": (load, _cmd_integrate),
+        "jumps": (load, _cmd_jumps),
+        "correlate": (load, _cmd_correlate),
+        "contagion": (load, _cmd_contagion),
+        "portfolio": (load, _cmd_portfolio),
+        "report": (load, _cmd_report),
+        "all": (load, _cmd_ingest, _cmd_integrate, _cmd_jumps, _cmd_correlate,
+                _cmd_contagion, _cmd_portfolio, _cmd_report),
     }[command]
-    for step in steps:
-        step(runner)
-    runner.write_manifest(command)
+    out = Path(cfg.out)
+    made = [p for p in out.parents if not p.exists()]  # deepest first
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        runner = _Runner(cfg, stage)
+        for step in steps:
+            step(runner)
+        runner.write_manifest(command)
+        out.mkdir(exist_ok=True)
+        for name in [*sorted(set(runner.outputs)), "run_manifest.json"]:
+            os.replace(stage / name, out / name)
+    except BaseException:
+        shutil.rmtree(made[-1] if made else stage, ignore_errors=True)
+        raise
+    stage.rmdir()
     return 0
 
 
@@ -1028,23 +1071,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run-config path")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--window", type=int, help="rolling regression window (quarters)")
-    common.add_argument(
-        "--bipower-window", type=int, help="trailing window for bipower variation"
-    )
-    common.add_argument(
-        "--no-prewhiten",
-        action="store_true",
-        help="feed raw returns to the factor model instead of AR(1) residuals",
-    )
-    common.add_argument("--serial", choices=SERIAL_POLICIES, help="serial-correlation policy")
-    common.add_argument(
-        "--interaction-residual",
-        choices=INTERACTION_SOURCES,
-        help="boom/bust residual source for interacted contagion fits",
-    )
-    common.add_argument("--seed", type=int, help="override the scenario seed")
+    for s in _OPTIONS:
+        flag = "--" + s.option_name.replace("_", "-")
+        common.add_argument(flag, dest=s.field, default=None, **s.flag)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -1056,10 +1085,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return run(args.command, cfg)
-    except HousingRiskError as exc:
-        print(f"housingrisk: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HousingRiskError, OSError) as exc:
         print(f"housingrisk: error: {exc}", file=sys.stderr)
         return 2
 

@@ -197,7 +197,7 @@ def load_transform_config(path: str | Path) -> dict[str, str]:
 
 
 def format_value(x) -> str:
-    """Canonical cell rendering: shortest round-trippable float, blank NaN."""
+    """Canonical cell rendering: floats as ``%.10g`` (10 significant digits), blank NaN."""
     if isinstance(x, (float, np.floating)):
         if np.isnan(x):
             return ""
@@ -207,38 +207,36 @@ def format_value(x) -> str:
     return str(x)
 
 
-def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV via temp-file-then-rename so readers never see partials."""
+def _write_atomic(path: str | Path, newline: str, write) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([format_value(c) for c in row])
+        with os.fdopen(fd, "w", newline=newline, encoding="utf-8") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV via temp-file-then-rename so readers never see partials."""
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_value(c) for c in row])
+
+    _write_atomic(path, "", write)
 
 
 def write_json_atomic(path: str | Path, obj) -> None:
     """Write canonical JSON (sorted keys, LF) via temp-then-rename."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "\n", lambda fh: fh.write(text))
 
 
 def write_hpi_csv(path: str | Path, panel: IndexPanel) -> None:

@@ -85,8 +85,10 @@ def diversification_series(
     """Portfolio sigma vs average member sigma per window-end quarter.
 
     All sigmas are computed over the quarters where every member reports,
-    so member and portfolio windows line up exactly. Diversification is
-    NaN only if every member is constant within a window.
+    so member and portfolio windows line up exactly. Diversification lies in
+    [0, 1]. It is exactly 0 where the members are equal over the window, and
+    NaN where every member is constant over it, unless the portfolio sigma is
+    0 as well (then 0).
     """
     members, V = _member_matrix(panel, members)
     codes, port, dropped = portfolio_returns(panel, members)
@@ -103,8 +105,13 @@ def diversification_series(
         diversification = np.where(
             avg_sigma > 0, (avg_sigma - port_sigma) / avg_sigma, np.nan
         )
-        # Identical members give avg == port exactly; make the zero exact.
-        diversification = np.where(avg_sigma == port_sigma, 0.0, diversification)
+        # Members equal over a whole window give avg == port in exact arithmetic,
+        # but the mean of three or more equal values can round; make the zero exact.
+        same = sliding_window_view((common == common[:, :1]).all(axis=1), window).all(axis=1)
+        diversification = np.where(same | (avg_sigma == port_sigma), 0.0, diversification)
+    # Pooling never adds risk, so the ratio lies in [0, 1]; rounding can push it
+    # outside when the member sigmas are as small as the rounding of the mean.
+    diversification = np.clip(diversification, 0.0, 1.0)
     return PortfolioSeries(
         members=members,
         return_codes=codes,

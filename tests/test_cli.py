@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from housingrisk import ConfigError
-from housingrisk.cli import RunConfig, _build_parser, build_config, main, run
+from housingrisk.cli import _SETTINGS, RunConfig, _build_parser, build_config, main, run
 
 SCENARIO = {
     "n_msas": 8,
@@ -108,10 +111,23 @@ def test_env_config_path(tmp_path):
     assert cfg.window == 33
 
 
-def test_no_prewhiten_flag_and_env():
+def test_no_prewhiten_flag_and_env(tmp_path, capsys, monkeypatch):
     assert build_config(parse(["integrate", "--no-prewhiten"]), env={}).prewhiten is False
-    assert build_config(parse(["integrate"]), env={"HOUSINGRISK_NO_PREWHITEN": "1"}).prewhiten is False
-    assert build_config(parse(["integrate"]), env={"HOUSINGRISK_NO_PREWHITEN": "0"}).prewhiten is True
+    for text, prewhiten in [("1", False), ("true", False), ("TRUE", False), ("Yes", False),
+                            ("0", True), ("false", True), ("False", True), ("NO", True)]:
+        env = {"HOUSINGRISK_NO_PREWHITEN": text}
+        assert build_config(parse(["integrate"]), env=env).prewhiten is prewhiten, text
+    for text in ["off", "on", "2", "y"]:
+        with pytest.raises(ConfigError) as exc:
+            build_config(parse(["integrate"]), env={"HOUSINGRISK_NO_PREWHITEN": text})
+        assert str(exc.value) == (
+            f"HOUSINGRISK_NO_PREWHITEN must be one of 1/0, true/false, yes/no, got {text!r}")
+    rpath, out = write_scenario(tmp_path)
+    monkeypatch.setenv("HOUSINGRISK_NO_PREWHITEN", "off")
+    assert main(["all", "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("housingrisk: error: HOUSINGRISK_NO_PREWHITEN") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_validate_rejects_bad_values(tmp_path):
@@ -264,15 +280,39 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"pairs": {"min_overlp": 8}}, id="unknown-pairs-key"),
     pytest.param({"cohorts": {"tim": {}}}, id="unknown-cohorts-key"),
     pytest.param({"pairs": 8}, id="pairs-not-an-object"),
+    pytest.param({"sub_ranges": {"x": ["2000:Q5", "2001:Q1"]}}, id="sub-range-bad-quarter"),
+    pytest.param({"sub_ranges": {"x": ["2000:Q1"]}}, id="sub-range-one-quarter"),
+    pytest.param({"cohorts": {"time": {"c1": "1990:Q9"}}}, id="time-cohort-bad-quarter"),
+    pytest.param({"cohorts": {"time": ["1990:Q1"]}}, id="time-cohorts-list"),
+    pytest.param({"cohorts": {"ca_coastal": "Los Angeles"}}, id="ca-coastal-string"),
+    pytest.param({"cohorts": {"ca_coastal": [1]}}, id="ca-coastal-number"),
+    pytest.param({"portfolios": {"p": {"available_from": "bad"}}}, id="portfolio-bad-quarter"),
+    pytest.param({"portfolios": {"p": ["x"]}}, id="portfolio-list"),
+    pytest.param({"portfolios": {"p": {"members": [1, 2]}}}, id="portfolio-member-numbers"),
+    pytest.param({"portfolios": {"p": {"members": ["S001", "NOPE"]}}}, id="portfolio-unknown-member"),
+    pytest.param({"portfolios": {"p": {"member": ["S001"]}}}, id="portfolio-unknown-key"),
+    pytest.param({"contagion": {"Nowhere": ["S002"]}}, id="contagion-unknown-source"),
+    pytest.param({"contagion": {"S001": [2]}}, id="contagion-target-number"),
+    pytest.param({"contagion": ["Los Angeles"]}, id="contagion-list"),
+    pytest.param({"prewhiten": "no"}, id="prewhiten-string"),
+    pytest.param({"income_as_level": 1}, id="income-as-level-number"),
+    pytest.param({"seed": -1}, id="seed-negative"),
+    pytest.param({"out": 5}, id="out-number"),
+    pytest.param({"out": ""}, id="out-empty"),
+    pytest.param({"inputs": {"transforms": 3}}, id="transforms-number"),
+    pytest.param({"window": 1000}, id="window-beyond-history"),
+    pytest.param({"bipower_window": 1000}, id="bipower-window-beyond-history"),
 ])
-def test_bad_config_fails_before_any_write(tmp_path, capsys, overrides):
+def test_bad_config_fails_before_any_write(tmp_path, capsys, monkeypatch, overrides):
+    monkeypatch.chdir(tmp_path)
     rpath, out = write_scenario(tmp_path)
     rpath.write_text(json.dumps(dict(json.loads(rpath.read_text()), **overrides)))
+    before = sorted(tmp_path.iterdir())
     assert main(["all", "--config", str(rpath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("housingrisk: error:")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists() or not any(out.iterdir())
+    assert sorted(tmp_path.iterdir()) == before  # no out/, no stage left behind
 
 
 @pytest.mark.parametrize("obj,key", [
@@ -334,6 +374,51 @@ def test_non_integer_env_fails_before_any_write(tmp_path, capsys, monkeypatch, n
     err = capsys.readouterr().err
     assert err == f"housingrisk: error: HOUSINGRISK_{name} must be an integer, got 'abc'\n"
     assert not out.exists()
+
+
+def test_no_msa_can_take_the_jump_test_fails_before_any_write(tmp_path, capsys):
+    rpath, out = write_scenario(tmp_path)
+    assert main(["jumps", "--config", str(rpath), "--bipower-window", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("housingrisk: error: no MSA could take the jump test; first skip: "
+                   "S001: need more than 1000 returns, got 120\n")
+    assert not out.exists()
+
+
+def test_cohorts_with_no_common_quarter_fail_before_any_write(tmp_path, capsys):
+    # With 22 quarters and a 20-quarter window, the cohorts' members share no
+    # window-end quarter; integrate fails after two of its artifacts are staged.
+    rpath, out = write_scenario(tmp_path, n_msas=4, n_quarters=22, jumps=[], contagion=[])
+    assert main(["integrate", "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == "housingrisk: error: cohort members share no common window-end quarters\n"
+    assert not out.exists()
+    assert not list(tmp_path.glob(".out.*"))
+
+
+def test_failed_run_leaves_existing_out_as_it_was(tmp_path, capsys):
+    rpath, out = write_scenario(tmp_path)
+    out.mkdir()
+    (out / "old.csv").write_bytes(b"kept,as,it,was\n")
+    # jumps fails after ingest and integrate have staged their artifacts
+    assert main(["all", "--config", str(rpath), "--bipower-window", "1000"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["old.csv"]
+    assert (out / "old.csv").read_bytes() == b"kept,as,it,was\n"
+    assert not list(tmp_path.glob(".out.*"))
+    # A run that succeeds adds its artifacts beside the old file and leaves no stage.
+    assert main(["all", "--config", str(rpath)]) == 0
+    assert {p.name for p in out.iterdir()} == EXPECTED_ALL | {"old.csv"}
+    assert not list(tmp_path.glob(".out.*"))
+
+
+def test_failed_run_removes_the_parents_it_made(tmp_path):
+    rpath, _ = write_scenario(tmp_path)
+    out = tmp_path / "new" / "dir" / "out"
+    assert main(["all", "--config", str(rpath), "--out", str(out), "--window", "1000"]) == 2
+    assert not (tmp_path / "new").exists()
+    assert main(["synth", "--config", str(rpath), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
 
 
 def test_contagion_menu_ignores_stale_ground_truth(tmp_path):
@@ -404,3 +489,49 @@ def test_cli_import_leaves_scipy_signal_out():
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- any config value --------------------------------------------------------
+
+FUZZ_SCENARIO = dict(SCENARIO, n_msas=4, n_quarters=60, n_factors=1, jumps=[],
+                     contagion=[{"source": 0, "target": 1, "weights": [0.5]}])
+KNOWN_KEYS = [tuple(s.key.rpartition(".")[::2]) for s in _SETTINGS]  # (section or "", key)
+SECTIONS = {section for section, _ in KNOWN_KEYS if section}
+PATH_KEYS = {("", "out"), ("inputs", "hpi"), ("inputs", "factors"),
+             ("inputs", "transforms"), ("", "synth_scenario")}
+# Small numbers, ids, quarters and choices the pipeline knows let some
+# values get past validation and reach the analyses.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.integers(-2, 40) | st.floats(0, 8)
+    | st.sampled_from(["S001", "S002", "1979:Q4", "1995:Q3", "CA", "auto", "members"])
+)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=8) | st.sampled_from(["S001", "members", "state", "available_from"]),
+        inner, max_size=3),
+    max_leaves=8,
+)
+# A path-valued key gets a non-string or a plain name, so a run stays in its directory.
+LOCAL_NAMES = st.text(min_size=1, max_size=8).filter(lambda t: "/" not in t and not t.startswith("."))
+PATH_VALUES = JSON_VALUES.filter(lambda v: not isinstance(v, str)) | LOCAL_NAMES
+UNKNOWN_KEYS = st.tuples(st.sampled_from(["", *sorted(SECTIONS)]), st.text(max_size=8)).filter(
+    lambda k: k not in KNOWN_KEYS and k[1] not in SECTIONS)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(KNOWN_KEYS) | UNKNOWN_KEYS, data=st.data())
+def test_any_config_value_exits_0_or_2_and_a_failure_writes_nothing(tmp_path, monkeypatch, key, data):
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    value = data.draw(PATH_VALUES if key in PATH_KEYS else JSON_VALUES)
+    Path("scenario.json").write_text(json.dumps(FUZZ_SCENARIO))
+    config = {"synth_scenario": "scenario.json"}
+    section, name = key
+    (config.setdefault(section, {}) if section else config)[name] = value
+    Path("run.json").write_text(json.dumps(config))
+    before = sorted(os.listdir())
+    status = main(["all", "--config", "run.json"])
+    assert status in (0, 2)
+    if status == 2:
+        assert sorted(os.listdir()) == before

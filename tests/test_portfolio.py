@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from housingrisk import (
@@ -137,3 +139,18 @@ def test_series_correlation_constant_is_nan(rng):
     codes = np.arange(20)
     r, n = series_correlation(codes, np.ones(20), codes, rng.normal(size=20))
     assert np.isnan(r) and n == 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), n=st.integers(8, 40), identical=st.booleans())
+def test_diversification_lies_in_unit_interval(data, k, n, identical):
+    window = data.draw(st.integers(2, n))
+    columns = data.draw(st.lists(arrays(float, n, elements=st.floats(-50, 50)), min_size=k, max_size=k))
+    if identical:
+        columns = [columns[0]] * k
+    ids = [f"M{i}" for i in range(k)]
+    ps = diversification_series(panel_from_returns(dict(zip(ids, columns))), ids, window)
+    d = ps.diversification[~np.isnan(ps.diversification)]
+    assert np.all(d >= -1e-12) and np.all(d <= 1.0 + 1e-12), d
+    if identical:
+        assert np.all(d == 0.0), d
