@@ -69,9 +69,11 @@ from .correlations import (
 )
 from .contagion import (
     ContagionFit,
+    ContagionFits,
     boombust_residual,
     contagion_fit,
     contagion_fit_interacted,
+    contagion_fits,
     dw_bounds,
 )
 from .portfolio import (

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -39,9 +40,11 @@ from .contagion import (
     PRIMARY_CITY_MENU,
     SERIAL_POLICIES,
     boombust_residual,
-    contagion_fit,
-    contagion_fit_interacted,
+    contagion_fits,
 )
+# Not called here since the fits are grouped; perfbench/tracing.py still
+# wraps these names in this module, so they stay importable from it.
+from .contagion import contagion_fit, contagion_fit_interacted  # noqa: F401
 from .core import (
     QuarterIndex,
     ReturnPanel,
@@ -796,7 +799,13 @@ def _interaction_residual(r: _Runner, source_id: str | None):
 
 @_memoised
 def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
-    """Fit every configured source→target pair once: contagion_fits.csv; table5/6 are its views."""
+    """Fit every configured source→target pair once: contagion_fits.csv; table5/6 are its views.
+
+    The pairs that share a source and an overlap share one design, so each
+    such group is fitted by one ``contagion_fits`` call per variant. Rows
+    stay in sorted pair order; a variant whose fit fails is a ``skipped``
+    row naming the variant and the error.
+    """
     n_lags = 3
     header = ["target", "source", "variant", "n", "method", "rho", "r_square", "dw", "const", "const_t"]
     for l in range(n_lags + 1):
@@ -804,59 +813,55 @@ def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
     for l in range(n_lags + 1):
         header += [f"ix_lag{l}", f"ix_lag{l}_t"]
     per_source = r.cfg.interaction_residual == "coastal"
-    rows = []
-    for source_id, target_id in sorted(_resolve_contagion_menu(r)):
-        t_start, t_vals = r.returns.series(target_id)
-        s_start, s_vals = r.returns.series(source_id)
-        t_codes = np.arange(t_start.code, t_start.code + t_vals.size)
-        s_codes = np.arange(s_start.code, s_start.code + s_vals.size)
-        common = np.intersect1d(t_codes, s_codes)
+
+    def skip(target_id, source_id, n, reason):
+        return [target_id, source_id, "skipped", n, reason] + [""] * (len(header) - 5)
+
+    pairs = sorted(_resolve_contagion_menu(r))
+    overlap = []
+    groups: dict[tuple[str, int, int], list[int]] = {}
+    for at, (source_id, target_id) in enumerate(pairs):
+        t_first, t_vals = r.returns.series(target_id)
+        s_first, s_vals = r.returns.series(source_id)
+        first = max(t_first.code, s_first.code)
+        last = min(t_first.code + t_vals.size, s_first.code + s_vals.size) - 1
+        overlap.append(max(0, last + 1 - first))
+        groups.setdefault((source_id, first, last), []).append(at)
+
+    fitted = {}  # pair position -> [(variant, ContagionFits, row)]
+    for (source_id, first, last), members in groups.items():
+        common = np.arange(first, last + 1)
         if common.size < n_lags + 8:
-            rows.append(
-                [target_id, source_id, "skipped", common.size, "insufficient overlap"]
-                + [""] * (len(header) - 5)
-            )
             continue
-        tv = t_vals[np.searchsorted(t_codes, common)]
-        sv = s_vals[np.searchsorted(s_codes, common)]
-        base = contagion_fit(
-            tv, sv, n_lags, r.cfg.serial, target_id=target_id, source_id=source_id
-        )
-        fits = [base]
+        s_first, s_vals = r.returns.series(source_id)
+        sv = s_vals[first - s_first.code : last + 1 - s_first.code]
+        block = np.empty((len(members), common.size))
+        for row, at in enumerate(members):
+            t_first, t_vals = r.returns.series(pairs[at][1])
+            block[row] = t_vals[first - t_first.code : last + 1 - t_first.code]
+        variants = [("base", contagion_fits(block, sv, None, n_lags, r.cfg.serial))]
         res_codes, res_vals = _interaction_residual(r, source_id if per_source else None)
         if np.isin(common, res_codes).all():
-            fits.append(
-                contagion_fit_interacted(
-                    tv,
-                    sv,
-                    res_vals[np.searchsorted(res_codes, common)],
-                    n_lags,
-                    r.cfg.serial,
-                    target_id=target_id,
-                    source_id=source_id,
-                )
-            )
-        for fit in fits:
-            row = [
-                fit.target,
-                fit.source,
-                "interacted" if fit.interacted else "base",
-                fit.n_obs,
-                fit.method,
-                fit.rho if fit.rho is not None else "",
-                fit.r_square,
-                fit.durbin_watson,
-                fit.coefficient("const"),
-                fit.t_stat("const"),
-            ]
-            for l in range(n_lags + 1):
-                row += [fit.coefficient(f"lag{l}"), fit.t_stat(f"lag{l}")]
-            for l in range(n_lags + 1):
-                if fit.interacted:
-                    row += [fit.coefficient(f"ix_lag{l}"), fit.t_stat(f"ix_lag{l}")]
-                else:
-                    row += ["", ""]
-            rows.append(row)
+            rv = res_vals[np.searchsorted(res_codes, common)]
+            variants.append(("interacted", contagion_fits(block, sv, rv, n_lags, r.cfg.serial)))
+        for row, at in enumerate(members):
+            fitted[at] = [(variant, fits, row) for variant, fits in variants]
+
+    rows = []
+    for at, (source_id, target_id) in enumerate(pairs):
+        if at not in fitted:
+            rows.append(skip(target_id, source_id, overlap[at], "insufficient overlap"))
+            continue
+        for variant, fits, i in fitted[at]:
+            if fits.errors[i] is not None:
+                rows.append(skip(target_id, source_id, overlap[at], f"{variant}: {fits.errors[i]}"))
+                continue
+            rho = fits.rho[i] if fits.methods[i] == "cochrane_orcutt" else ""
+            cells = np.column_stack([fits.coefficients[i], fits.t_stats[i]]).ravel().tolist()
+            if not fits.interacted:
+                cells += [""] * 2 * (n_lags + 1)
+            rows.append([target_id, source_id, variant, int(fits.n_obs[i]), fits.methods[i], rho,
+                         fits.r_square[i], fits.durbin_watson[i], *cells])
     return header, rows
 
 
@@ -1053,7 +1058,13 @@ def run(command: str, cfg: RunConfig) -> int:
             step(runner)
         runner.write_manifest(command)
         out.mkdir(exist_ok=True)
-        for name in [*sorted(set(runner.outputs)), "run_manifest.json"]:
+        names = [*sorted(set(runner.outputs)), "run_manifest.json"]
+        # os.replace cannot put a file over a directory: check them all
+        # before the first move, so the commit moves every file or none.
+        for name in names:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+        for name in names:
             os.replace(stage / name, out / name)
     except BaseException:
         shutil.rmtree(made[-1] if made else stage, ignore_errors=True)

@@ -17,16 +17,30 @@ from .errors import (
     AlignmentError,
     ConfigError,
     DomainError,
+    HousingRiskError,
     InsufficientHistoryError,
 )
-from .regress import RegressionFit, cochrane_orcutt, ols_fit, trend_fit
+from .regress import (
+    _StackFit,
+    _cochrane_orcutt_stack,
+    _fit_stack,
+    _t_stats,
+    _too_few_for_cochrane_orcutt,
+    _too_few_for_ols,
+    trend_fit,
+)
+# Unused here since the fits are stacked; perfbench/tracing.py still wraps
+# these names in this module, so they stay importable from it.
+from .regress import cochrane_orcutt, ols_fit  # noqa: F401
 
 __all__ = [
     "ContagionFit",
+    "ContagionFits",
     "SERIAL_POLICIES",
     "PRIMARY_CITY_MENU",
     "dw_bounds",
     "dw_rejects",
+    "contagion_fits",
     "contagion_fit",
     "contagion_fit_interacted",
     "boombust_residual",
@@ -108,17 +122,18 @@ def dw_bounds(n: int, k_slopes: int) -> tuple[float, float]:
     return dl, du
 
 
-def dw_rejects(dw: float, n: int, k_slopes: int) -> bool:
+def dw_rejects(dw, n: int, k_slopes: int):
     """True when no-serial-correlation is rejected (or inconclusive) at 5%.
 
     Both tails are checked by folding: min(DW, 4-DW) below dU means the
     test rejects or is inconclusive; treating inconclusive as rejection is
-    the conservative choice (it triggers the Cochrane-Orcutt re-fit).
+    the conservative choice (it triggers the Cochrane-Orcutt re-fit). A NaN
+    statistic never rejects. ``dw`` may be an array of statistics that
+    share n and k_slopes.
     """
-    if np.isnan(dw):
-        return False
+    dw = np.asarray(dw, dtype=float)
     _, du = dw_bounds(n, k_slopes)
-    return min(dw, 4.0 - dw) < du
+    return np.minimum(dw, 4.0 - dw) < du
 
 
 @dataclass(frozen=True)
@@ -169,60 +184,151 @@ class ContagionFit:
         )
 
 
-def _lag_design(target, source, n_lags):
-    target = np.asarray(target, dtype=float)
-    source = np.asarray(source, dtype=float)
-    if target.shape != source.shape or target.ndim != 1:
-        raise ValueError("target and source must be equal-length 1-d arrays")
-    n = target.size
-    if n < n_lags + 8:
-        raise InsufficientHistoryError(
-            f"need at least {n_lags + 8} aligned quarters, got {n}"
+@dataclass(frozen=True)
+class ContagionFits:
+    """Fits of m targets on one source over one overlap, held in columns.
+
+    Row i of every array belongs to target i; ``names`` is as in
+    ``ContagionFit``. A target whose fit failed has its exception in
+    ``errors[i]``, method "" and NaN in every numeric column.
+    """
+
+    names: tuple[str, ...]
+    coefficients: np.ndarray  # (m, len(names))
+    standard_errors: np.ndarray
+    t_stats: np.ndarray
+    r_square: np.ndarray  # (m,)
+    durbin_watson: np.ndarray
+    n_obs: np.ndarray
+    rho: np.ndarray  # NaN where method is "ols"
+    methods: tuple[str, ...]
+    errors: tuple[HousingRiskError | None, ...]
+    n_lags: int
+    interacted: bool
+    dropped_columns: tuple[str, ...]
+
+    def fit(self, i: int, target: str = "", source: str = "") -> ContagionFit:
+        """Target i's record; raises its exception if its fit failed."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        method = self.methods[i]
+        return ContagionFit(
+            target=target,
+            source=source,
+            names=self.names,
+            coefficients=self.coefficients[i].copy(),
+            standard_errors=self.standard_errors[i].copy(),
+            t_stats=self.t_stats[i].copy(),
+            r_square=float(self.r_square[i]),
+            durbin_watson=float(self.durbin_watson[i]),
+            n_obs=int(self.n_obs[i]),
+            n_lags=self.n_lags,
+            method=method,
+            rho=float(self.rho[i]) if method == "cochrane_orcutt" else None,
+            interacted=self.interacted,
+            dropped_columns=self.dropped_columns,
         )
-    y = target[n_lags:]
-    cols = [np.ones(n - n_lags)]
-    names = ["const"]
-    for l in range(n_lags + 1):
-        cols.append(source[n_lags - l : n - l])
-        names.append(f"lag{l}")
-    return y, np.column_stack(cols), tuple(names)
 
 
-def _fit_with_policy(X, y, names, serial: str) -> RegressionFit:
+def contagion_fits(
+    targets,
+    source,
+    residual=None,
+    n_lags: int = 3,
+    serial: str = "auto",
+) -> ContagionFits:
+    """Regress every target on source lags 0..n_lags, all in stacked solves.
+
+    ``targets`` is (m, T), each row aligned with the (T,) ``source``. With
+    a ``residual`` (T,) the fits are interacted: each source lag times the
+    contemporaneous boom/bust residual joins the design, and interaction
+    columns that are identically zero (e.g. a zero residual series) are
+    dropped for every target, reported with coefficient 0.
+
+    All targets share one design, so one stacked QR fits them all by OLS
+    and Durbin-Watson is one array reduction. Under ``auto`` the targets
+    whose Durbin-Watson statistic rejects (``dw_rejects``), and under
+    ``always`` all targets, are re-fitted by Cochrane-Orcutt in lockstep
+    (``regress._cochrane_orcutt_stack``). A target whose fit fails keeps
+    its exception in ``errors`` while the others still fit.
+    """
     if serial not in SERIAL_POLICIES:
         raise ConfigError(f"serial policy must be one of {SERIAL_POLICIES}, got {serial!r}")
-    if serial == "always":
-        return cochrane_orcutt(X, y, names=names)
-    fit = ols_fit(X, y, names=names)
-    if serial == "auto" and dw_rejects(fit.durbin_watson, fit.n_obs, len(names) - 1):
-        return cochrane_orcutt(X, y, names=names)
-    return fit
+    targets = np.asarray(targets, dtype=float)
+    source = np.asarray(source, dtype=float)
+    if targets.ndim != 2 or source.ndim != 1 or targets.shape[1] != source.size:
+        raise ValueError("target and source must be equal-length 1-d arrays")
+    T = source.size
+    if T < n_lags + 8:
+        raise InsufficientHistoryError(
+            f"need at least {n_lags + 8} aligned quarters, got {T}"
+        )
+    m, n = len(targets), T - n_lags
+    X = np.column_stack([np.ones(n)] + [source[n_lags - l : T - l] for l in range(n_lags + 1)])
+    names = ("const",) + tuple(f"lag{l}" for l in range(n_lags + 1))
+    all_names, dropped = names, ()
+    if residual is not None:
+        residual = np.asarray(residual, dtype=float)
+        if residual.shape != source.shape:
+            raise AlignmentError("residual series must align with the target returns")
+        ix_cols = X[:, 1:] * residual[n_lags:, None]
+        keep = np.any(ix_cols != 0.0, axis=0)
+        ix_names = tuple(f"ix_lag{l}" for l in range(n_lags + 1))
+        all_names = names + ix_names
+        dropped = tuple(name for name, kept in zip(ix_names, keep) if not kept)
+        X = np.column_stack([X, ix_cols[:, keep]])
+        names = names + tuple(name for name, kept in zip(ix_names, keep) if kept)
+    k = len(names)
 
+    Xy = np.concatenate([np.broadcast_to(X, (m, n, k)), targets[:, n_lags:, None]], axis=2)
+    short = (_too_few_for_cochrane_orcutt if serial == "always" and n < k + 3
+             else _too_few_for_ols if n < k + 2 else None)
+    if short is None:
+        fit = _fit_stack(Xy, names)
+    else:
+        fit = _StackFit(*(np.full(shape, np.nan) for shape in ((m, k), (m, k), m, m)),
+                       {i: short(n, k) for i in range(m)})
+    failed = dict(fit.failed)
+    methods = np.full(m, "ols", dtype=object)
+    rho = np.full(m, np.nan)
+    n_obs = np.full(m, n)
+    redo = dw_rejects(fit.durbin_watson, n, k - 1) if serial == "auto" else np.full(m, serial == "always")
+    redo[list(failed)] = False
+    at = np.flatnonzero(redo)
+    if at.size and n < k + 3:
+        failed.update((int(i), _too_few_for_cochrane_orcutt(n, k)) for i in at)
+    elif at.size:
+        start = _StackFit(*(a[at] for a in fit[:4]), {})
+        co, rho[at], n_obs[at] = _cochrane_orcutt_stack(Xy[at], names, start)
+        for a, b in zip(fit[:4], co[:4]):
+            a[at] = b
+        failed.update((int(at[j]), exc) for j, exc in co.failed.items())
+        methods[at] = "cochrane_orcutt"
 
-def _as_contagion_fit(fit, target, source, names, n_lags, interacted, dropped):
-    coef = np.zeros(len(names))
-    se = np.full(len(names), np.nan)
-    t = np.full(len(names), np.nan)
-    for pos, name in enumerate(names):
-        if name in fit.names:
-            at = fit.names.index(name)
-            coef[pos] = fit.coefficients[at]
-            se[pos] = fit.standard_errors[at]
-            t[pos] = fit.t_stats[at]
-    return ContagionFit(
-        target=target,
-        source=source,
-        names=names,
+    cols = [all_names.index(name) for name in names]
+    coef = np.zeros((m, len(all_names)))
+    se = np.full((m, len(all_names)), np.nan)
+    t = np.full((m, len(all_names)), np.nan)
+    coef[:, cols] = fit.beta
+    se[:, cols] = fit.se
+    t[:, cols] = _t_stats(fit.beta, fit.se)
+    rows = list(failed)
+    for a in (coef, se, t, fit.r_square, fit.durbin_watson, rho):
+        a[rows] = np.nan
+    methods[rows] = ""
+    return ContagionFits(
+        names=all_names,
         coefficients=coef,
         standard_errors=se,
         t_stats=t,
         r_square=fit.r_square,
         durbin_watson=fit.durbin_watson,
-        n_obs=fit.n_obs,
+        n_obs=n_obs,
+        rho=rho,
+        methods=tuple(methods),
+        errors=tuple(failed.get(i) for i in range(m)),
         n_lags=n_lags,
-        method=fit.method,
-        rho=fit.rho,
-        interacted=interacted,
+        interacted=residual is not None,
         dropped_columns=dropped,
     )
 
@@ -236,9 +342,8 @@ def contagion_fit(
     source_id: str = "",
 ) -> ContagionFit:
     """Regress aligned target returns on source lags 0..n_lags."""
-    y, X, names = _lag_design(target, source, n_lags)
-    fit = _fit_with_policy(X, y, names, serial)
-    return _as_contagion_fit(fit, target_id, source_id, names, n_lags, False, ())
+    batch = contagion_fits(np.asarray(target, dtype=float)[None], source, None, n_lags, serial)
+    return batch.fit(0, target_id, source_id)
 
 
 def boombust_residual(index_levels) -> np.ndarray:
@@ -273,16 +378,5 @@ def contagion_fit_interacted(
     before fitting and reported with coefficient 0, leaving the base
     coefficients identical to the plain fit's.
     """
-    residual = np.asarray(residual, dtype=float)
-    y, X, names = _lag_design(target, source, n_lags)
-    if residual.shape != np.asarray(target, dtype=float).shape:
-        raise AlignmentError("residual series must align with the target returns")
-    res_now = residual[n_lags:]
-    ix_cols = X[:, 1:] * res_now[:, None]
-    all_names = names + tuple(f"ix_lag{l}" for l in range(n_lags + 1))
-    keep = [c for c in range(ix_cols.shape[1]) if np.any(ix_cols[:, c] != 0.0)]
-    dropped = tuple(f"ix_lag{c}" for c in range(ix_cols.shape[1]) if c not in keep)
-    X_full = np.column_stack([X, ix_cols[:, keep]]) if keep else X
-    fit_names = names + tuple(f"ix_lag{c}" for c in keep)
-    fit = _fit_with_policy(X_full, y, fit_names, serial)
-    return _as_contagion_fit(fit, target_id, source_id, all_names, n_lags, True, dropped)
+    batch = contagion_fits(np.asarray(target, dtype=float)[None], source, residual, n_lags, serial)
+    return batch.fit(0, target_id, source_id)

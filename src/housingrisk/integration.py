@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlignedDataset, FactorTable, QuarterIndex, ReturnPanel, align
 from .errors import AlignmentError, ConfigError, SingularDesignError
-from .regress import PrewhitenResult, _solve_ls, ar1_prewhiten, trend_fit
+from .regress import PrewhitenResult, _fit_stack, ar1_prewhiten, trend_fit
 
 __all__ = [
     "IntegrationSeries",
@@ -42,12 +42,6 @@ CHARACTERISTICS = (
 
 MIN_PREWHITEN_OBS = 10
 MIN_SUMMARY_WINDOWS = 3
-#: Windows at or above this Frobenius condition number of R are refitted by
-#: pivoted QR (see ``rolling_factor_model``). Far below the ~2e14 at which
-#: pivoted QR finds a rank deficiency, it also keeps the pivoted-QR beta of
-#: badly conditioned but full-rank windows, where the two differ by about
-#: cond * eps.
-RANK_SCREEN_COND = 1e8
 
 
 @dataclass(frozen=True)
@@ -86,15 +80,10 @@ def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> Integrati
 
     Windows slide one row at a time; each fit's R-square and coefficient
     vector are stamped at the quarter of the window's last row. All windows
-    are fitted in one stacked Householder QR of ``[X | y]``, whose last
-    column holds Q'y (Golub & Van Loan, *Matrix Computations*, §5.3).
-
-    A window whose R has ``cond_F(R) >= RANK_SCREEN_COND`` (or a NaN
-    condition number) is refitted by ``_solve_ls``, in window order, so a
-    rank-deficient window raises the same ``SingularDesignError`` as a
-    per-window pivoted QR. The screen catches every window pivoted QR calls
-    rank deficient: that needs ``cond_2(X) >= 1 / (max(W, k) * eps)``,
-    about 2e14, and ``cond_F(R) >= cond_2(R) = cond_2(X)``.
+    are fitted in one stacked Householder QR of ``[X | y]``
+    (``regress._fit_stack``). A badly conditioned window is refitted by
+    pivoted QR, so the first rank-deficient window raises the same
+    ``SingularDesignError`` as a per-window pivoted QR.
     """
     k = len(dataset.factor_ids) + 1
     if window < k + 2:
@@ -109,34 +98,15 @@ def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> Integrati
         )
     names = ("const",) + tuple(dataset.factor_ids)
     Xy = np.column_stack([np.ones(n), dataset.X, dataset.y])
-    windows = sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1)
-    Xw, yw = windows[:, :, :k], windows[:, :, k]
-    Ra = np.linalg.qr(windows, mode="r")
-    R = Ra[:, :k, :k]
-    # Back-substitute R [beta | R^-1] = [Q'y | I] for every window at once.
-    rhs = np.concatenate([Ra[:, :k, k:], np.broadcast_to(np.eye(k), R.shape)], axis=2)
-    sol = np.empty_like(rhs)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(k - 1, -1, -1):
-            done = np.einsum("wj,wjc->wc", R[:, i, i + 1 :], sol[:, i + 1 :])
-            sol[:, i] = (rhs[:, i] - done) / R[:, i, i, None]
-        r_inv = sol[:, :, 1:]
-        cond = np.sqrt(np.einsum("wij,wij->w", R, R) * np.einsum("wij,wij->w", r_inv, r_inv))
-    betas = np.ascontiguousarray(sol[:, :, 0])
-    for s in np.flatnonzero(~(cond < RANK_SCREEN_COND)):
-        betas[s] = _solve_ls(Xw[s], yw[s], names)[0]
-    resid = yw - np.einsum("wtj,wj->wt", Xw, betas)
-    ssr = np.sum(resid**2, axis=1)
-    sst = np.sum((yw - yw.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # A constant response (SST = 0) has R-square 0.
-        r2 = np.where(sst == 0.0, 0.0, 1.0 - ssr / sst)
+    fit = _fit_stack(sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1), names)
+    if fit.failed:
+        raise fit.failed[min(fit.failed)]
     ends = dataset.quarter_codes[window - 1 :].copy()
     return IntegrationSeries(
         msa_id=dataset.msa_id,
         window_ends=ends,
-        r_squares=r2,
-        betas=betas,
+        r_squares=fit.r_square,
+        betas=fit.beta,
         names=names,
         window=window,
     )

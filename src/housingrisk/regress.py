@@ -8,14 +8,15 @@ fits are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     ConvergenceError,
     DegreesOfFreedomError,
+    HousingRiskError,
     InsufficientHistoryError,
     NonStationaryError,
     SingularDesignError,
@@ -33,6 +34,14 @@ __all__ = [
     "trend_fit",
     "add_intercept",
 ]
+
+
+#: Stacked solves whose R has at least this Frobenius condition number are
+#: redone by pivoted QR (see ``_solve_stacked``). Far below the ~2e14 at
+#: which pivoted QR finds a rank deficiency, it also keeps the pivoted-QR
+#: beta of badly conditioned but full-rank problems, where the two differ by
+#: about cond * eps.
+RANK_SCREEN_COND = 1e8
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:
@@ -101,6 +110,8 @@ def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     Returns (beta, residuals, diag of (X'X)^-1). Raises SingularDesignError
     naming the pivoted-out columns when X is rank deficient.
     """
+    from scipy import linalg as sla  # only this fallback needs scipy
+
     n, k = X.shape
     Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
@@ -122,6 +133,74 @@ def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     xtx_inv_diag = np.empty(k)
     xtx_inv_diag[piv] = xtx_inv_diag_p
     return beta, resid, xtx_inv_diag
+
+
+def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
+    """Least squares for a stack of problems ``Xy = [X | y]``, shape (s, n, k + 1).
+
+    One Householder QR factors the whole stack; the last column of each R
+    is Q'y, so Q is never formed (Golub & Van Loan, *Matrix Computations*,
+    §5.3). One back-substitution over the k columns then solves
+    ``R [beta | R^-1] = [Q'y | I]`` for every problem at once.
+
+    A problem whose R has ``cond_F(R) >= RANK_SCREEN_COND`` (or a NaN
+    condition number) is redone by ``_solve_ls``, in stack order. The
+    screen catches every problem pivoted QR calls rank deficient: that
+    needs ``cond_2(X) >= 1 / (max(n, k) * eps)``, about 2e14, and
+    ``cond_F(R) >= cond_2(R) = cond_2(X)``.
+
+    Returns (beta, diag of (X'X)^-1, failed): two (s, k) arrays and a dict
+    from stack position to the ``SingularDesignError`` of each
+    rank-deficient problem, whose rows hold NaN.
+    """
+    k = Xy.shape[2] - 1
+    Ra = np.linalg.qr(Xy, mode="r")
+    R = Ra[:, :k, :k]
+    rhs = np.concatenate([Ra[:, :k, k:], np.broadcast_to(np.eye(k), R.shape)], axis=2)
+    sol = np.empty_like(rhs)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(k - 1, -1, -1):
+            done = np.einsum("wj,wjc->wc", R[:, i, i + 1 :], sol[:, i + 1 :])
+            sol[:, i] = (rhs[:, i] - done) / R[:, i, i, None]
+        r_inv = sol[:, :, 1:]
+        cond = np.sqrt(np.einsum("wij,wij->w", R, R) * np.einsum("wij,wij->w", r_inv, r_inv))
+        diag = np.einsum("wij,wij->wi", r_inv, r_inv)
+    beta = np.ascontiguousarray(sol[:, :, 0])
+    failed = {}
+    for s in np.flatnonzero(~(cond < RANK_SCREEN_COND)):
+        try:
+            beta[s], _, diag[s] = _solve_ls(Xy[s, :, :k], Xy[s, :, k], names)
+        except SingularDesignError as exc:
+            beta[s] = diag[s] = np.nan
+            failed[int(s)] = exc
+    return beta, diag, failed
+
+
+class _StackFit(NamedTuple):
+    """OLS fits of a stack of problems, one row each; see ``_fit_stack``."""
+
+    beta: np.ndarray  # (s, k)
+    se: np.ndarray  # (s, k)
+    r_square: np.ndarray  # (s,)
+    durbin_watson: np.ndarray  # (s,); NaN for an exact fit
+    failed: dict[int, HousingRiskError]  # stack position -> error; its rows hold NaN
+
+
+def _fit_stack(Xy: np.ndarray, names: tuple[str, ...]) -> _StackFit:
+    """``_fit_core``'s estimates and diagnostics for every problem of a stack
+    ``[X | y]`` of shape (s, n, k + 1), from one ``_solve_stacked``."""
+    n, k = Xy.shape[1], Xy.shape[2] - 1
+    X, y = Xy[:, :, :k], Xy[:, :, k]
+    beta, diag, failed = _solve_stacked(Xy, names)
+    resid = y - np.einsum("wtj,wj->wt", X, beta)
+    ssr = np.sum(resid**2, axis=1)
+    sst = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se = np.sqrt(np.maximum((ssr / (n - k))[:, None] * diag, 0.0))
+        # A constant response (SST = 0) has R-square 0.
+        r2 = np.where(sst == 0.0, 0.0, 1.0 - ssr / sst)
+        dw = np.where(ssr > 0, np.sum(np.diff(resid, axis=1) ** 2, axis=1) / ssr, np.nan)
+    return _StackFit(beta, se, r2, dw, failed)
 
 
 def _r_square(y: np.ndarray, resid: np.ndarray) -> float:
@@ -183,9 +262,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
         raise ValueError("X must be (n, k) and y (n,)")
     n, k = X.shape
     if n < k + 2:
-        raise DegreesOfFreedomError(
-            f"need at least {k + 2} observations for {k} regressors, got {n}"
-        )
+        raise _too_few_for_ols(n, k)
     if names is None:
         names = tuple(f"x{j}" for j in range(k))
     else:
@@ -264,10 +341,7 @@ def cochrane_orcutt(
     y = np.asarray(y, dtype=float)
     n, k = X.shape
     if n < k + 3:
-        raise DegreesOfFreedomError(
-            f"need at least {k + 3} observations for Cochrane-Orcutt with "
-            f"{k} regressors, got {n}"
-        )
+        raise _too_few_for_cochrane_orcutt(n, k)
     if names is None:
         names = tuple(f"x{j}" for j in range(k))
     else:
@@ -285,9 +359,7 @@ def cochrane_orcutt(
         resid_orig = y - X @ fit.coefficients
         rho_new = _rho_estimate(resid_orig)
         if abs(rho_new) >= 1.0:
-            raise NonStationaryError(
-                f"serial-correlation estimate left the unit interval: {rho_new:.4f}"
-            )
+            raise _rho_left_unit_interval(rho_new)
         last_rho = rho_new
         if abs(rho_new - rho_prev) < tol:
             return RegressionFit(
@@ -304,11 +376,99 @@ def cochrane_orcutt(
             )
         fit = _quasi_difference_fit(X, y, rho_new, names)
         rho_prev = rho_new
-    raise ConvergenceError(
+    raise _rho_did_not_converge(max_iter, last_rho, fit)
+
+
+def _too_few_for_ols(n: int, k: int) -> DegreesOfFreedomError:
+    return DegreesOfFreedomError(
+        f"need at least {k + 2} observations for {k} regressors, got {n}"
+    )
+
+
+def _too_few_for_cochrane_orcutt(n: int, k: int) -> DegreesOfFreedomError:
+    return DegreesOfFreedomError(
+        f"need at least {k + 3} observations for Cochrane-Orcutt with "
+        f"{k} regressors, got {n}"
+    )
+
+
+def _rho_left_unit_interval(rho: float) -> NonStationaryError:
+    return NonStationaryError(f"serial-correlation estimate left the unit interval: {rho:.4f}")
+
+
+def _rho_did_not_converge(max_iter: int, last_rho: float, last_fit=None) -> ConvergenceError:
+    return ConvergenceError(
         f"rho did not converge within {max_iter} iterations (last {last_rho:.6f})",
-        last_fit=fit,
+        last_fit=last_fit,
         last_rho=last_rho,
     )
+
+
+def _cochrane_orcutt_stack(
+    Xy: np.ndarray,
+    names: tuple[str, ...],
+    start: _StackFit,
+    tol: float = 1e-6,
+    max_iter: int = 50,
+) -> tuple[_StackFit, np.ndarray, np.ndarray]:
+    """``cochrane_orcutt`` for a stack of problems ``[X | y]``, in lockstep.
+
+    ``start`` is the stack's OLS fit (``_fit_stack(Xy, names)``), which is
+    also the first iterate, as in ``cochrane_orcutt``. Each round takes the
+    rho estimate of every problem still iterating and fits all their
+    quasi-differenced problems in one stacked solve. A problem leaves the
+    round when its rho converges (|delta rho| < tol), when rho leaves the
+    unit interval, when its quasi-differenced design is rank deficient, or
+    after ``max_iter`` rounds; the last three fail with the same exception
+    message as ``cochrane_orcutt``. As there, the first column of X is the
+    intercept; the caller checks n >= k + 3.
+
+    Returns (fit, rho, n_obs) with one row per problem.
+    """
+    n, k = Xy.shape[1], Xy.shape[2] - 1
+    X, y = Xy[:, :, :k], Xy[:, :, k]
+    beta, se, r2, dw = (a.copy() for a in start[:4])
+    failed = dict(start.failed)
+    rho = np.zeros(len(Xy))
+    rho_prev = np.zeros(len(Xy))
+    n_obs = np.full(len(Xy), n)
+    live = np.ones(len(Xy), dtype=bool)
+    live[list(failed)] = False
+    for _ in range(max_iter):
+        at = np.flatnonzero(live)
+        if not at.size:
+            break
+        resid = y[at] - np.einsum("wtj,wj->wt", X[at], beta[at])
+        denom = np.sum(resid[:, :-1] ** 2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho_new = np.where(denom == 0.0, 0.0, np.sum(resid[:, 1:] * resid[:, :-1], axis=1) / denom)
+        rho[at] = rho_new
+        live[at] = False
+        for i in at[np.abs(rho_new) >= 1.0]:
+            failed[int(i)] = _rho_left_unit_interval(rho[i])
+        go = at[(np.abs(rho_new) < 1.0) & ~(np.abs(rho_new - rho_prev[at]) < tol)]
+        if not go.size:
+            continue
+        r = rho[go]
+        Xys = Xy[go, 1:, :] - r[:, None, None] * Xy[go, :-1, :]
+        Xys[:, :, 0] = 1.0
+        fit = _fit_stack(Xys, names)
+        scale = 1.0 / (1.0 - r)
+        fit.beta[:, 0] *= scale
+        fit.se[:, 0] *= np.abs(scale)
+        beta[go], se[go], r2[go], dw[go] = fit.beta, fit.se, fit.r_square, fit.durbin_watson
+        n_obs[go] = n - 1
+        rho_prev[go] = r
+        live[go] = True
+        for j, exc in fit.failed.items():
+            failed[int(go[j])] = exc
+            live[go[j]] = False
+    for i in np.flatnonzero(live):
+        failed[int(i)] = _rho_did_not_converge(max_iter, float(rho[i]))
+    rows = list(failed)
+    for a in (beta, se, r2, dw, rho):
+        a[rows] = np.nan
+    return _StackFit(beta, se, r2, dw, failed), rho, n_obs
 
 
 @dataclass(frozen=True)

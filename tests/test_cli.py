@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -412,6 +414,17 @@ def test_failed_run_leaves_existing_out_as_it_was(tmp_path, capsys):
     assert not list(tmp_path.glob(".out.*"))
 
 
+def test_directory_in_the_way_of_an_artifact_leaves_out_as_it_was(tmp_path, capsys):
+    rpath, out = write_scenario(tmp_path)
+    (out / "table1.csv").mkdir(parents=True)
+    assert main(["all", "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out / "table1.csv") in err
+    assert [p.name for p in out.iterdir()] == ["table1.csv"]
+    assert not list((out / "table1.csv").iterdir())
+    assert not list(tmp_path.glob(".out.*"))
+
+
 def test_failed_run_removes_the_parents_it_made(tmp_path):
     rpath, _ = write_scenario(tmp_path)
     out = tmp_path / "new" / "dir" / "out"
@@ -437,6 +450,65 @@ def test_contagion_menu_ignores_stale_ground_truth(tmp_path):
     assert fitted == {("S002", "S001"), ("S003", "S001"), ("S004", "S001")}
 
 
+SKIP_MENU = {"S001": ["S002", "S003"], "S004": ["S002"]}
+
+
+def contagion_csv_rows(tmp_path, capsys, edit=None):
+    """contagion_fits.csv rows of a `contagion` run on the CLI-test panel,
+    with its HPI rows passed through ``edit`` first."""
+    rpath, synth_out = write_scenario(tmp_path)
+    if not synth_out.exists():
+        main(["synth", "--config", str(rpath)])
+    hpi = synth_out / "hpi_synth.csv"
+    source = hpi
+    if edit is not None:
+        with open(hpi, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        source = tmp_path / "hpi_edited.csv"
+        with open(source, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *edit(rows)])
+    out = tmp_path / ("edited" if edit else "plain")
+    cfg = json.loads(csv_config(tmp_path, synth_out, out).read_text())
+    cfg["inputs"]["hpi"] = str(source)
+    cfg["contagion"] = SKIP_MENU
+    cpath = tmp_path / "contagion.json"
+    cpath.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["contagion", "--config", str(cpath)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "contagion_fits.csv", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_flat_source_skips_only_its_pairs(tmp_path, capsys):
+    plain = contagion_csv_rows(tmp_path, capsys)
+    rows = contagion_csv_rows(tmp_path, capsys, lambda rows: [
+        r[:4] + ["100"] if r[0] == "S001" else r for r in rows])
+    reason = "design matrix is rank deficient (rank 1 of 5); dependent columns: lag0, lag1, lag2, lag3"
+    assert [r[:5] for r in rows[:4]] == [
+        [t, "S001", "skipped", "120", f"{v}: {reason}"]
+        for t in ("S002", "S003") for v in ("base", "interacted")]
+    assert all(cell == "" for r in rows[:4] for cell in r[5:])
+    assert len(rows) == len(plain) == 6
+    assert rows[4:] == plain[4:]  # S004's fits do not see S001
+
+
+def test_short_overlap_skips_only_the_failing_variants(tmp_path, capsys):
+    plain = contagion_csv_rows(tmp_path, capsys)
+    # S002 keeps its last 13 levels: 12 quarters of returns overlap each source.
+    rows = contagion_csv_rows(tmp_path, capsys, lambda rows: [
+        r for r in rows if r[0] != "S002"] + [r for r in rows if r[0] == "S002"][-13:])
+    too_few = "interacted: need at least 11 observations for 9 regressors, got 9"
+    assert [r[:5] for r in rows] == [
+        ["S002", "S001", "skipped", "12", "base: rho did not converge within 50 iterations (last 0.880877)"],
+        ["S002", "S001", "skipped", "12", too_few],
+        plain[2][:5], plain[3][:5],
+        ["S002", "S004", "skipped", "12", "base: serial-correlation estimate left the unit interval: -1.1003"],
+        ["S002", "S004", "skipped", "12", too_few],
+    ]
+    assert rows[2:4] == plain[2:4]
+
+
 def test_all_computes_each_result_once(tmp_path, monkeypatch):
     import housingrisk.cli as cli
 
@@ -448,15 +520,15 @@ def test_all_computes_each_result_once(tmp_path, monkeypatch):
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            if name == "contagion_fit":
-                sources.add(kwargs["source_id"])
+            if name == "contagion_fits":  # (targets, source, ...): one source per call
+                sources.add(np.asarray(args[1]).tobytes())
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
 
     for name in ("return_pair_correlations", "jump_pair_correlations",
                  "integration_summary", "diversification_series",
-                 "boombust_residual", "contagion_fit"):
+                 "boombust_residual", "contagion_fits"):
         count(name)
     rpath, _ = write_scenario(tmp_path)
     assert main(["all", "--config", str(rpath)]) == 0
@@ -485,7 +557,8 @@ def test_cli_import_leaves_scipy_signal_out():
     import housingrisk
 
     src = str(Path(housingrisk.__file__).resolve().parent.parent)
-    code = "import sys, housingrisk.cli; sys.exit('scipy.signal' in sys.modules)"
+    code = ("import sys, housingrisk.cli; "
+            "sys.exit(any(m in sys.modules for m in ('scipy.signal', 'scipy.linalg')))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

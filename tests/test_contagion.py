@@ -4,16 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from housingrisk import (
     ConfigError,
+    HousingRiskError,
     InsufficientHistoryError,
+    NonStationaryError,
+    SingularDesignError,
     boombust_residual,
     contagion_fit,
     contagion_fit_interacted,
 )
-from housingrisk.contagion import PRIMARY_CITY_MENU, dw_bounds, dw_rejects
+from housingrisk.contagion import (
+    PRIMARY_CITY_MENU,
+    SERIAL_POLICIES,
+    contagion_fits,
+    dw_bounds,
+    dw_rejects,
+)
+from housingrisk.regress import cochrane_orcutt, ols_fit
 
 
 def ar1(rng, n, rho, sigma=1.0):
@@ -213,3 +224,114 @@ def test_primary_city_menu_shape():
     assert "Oxnard" in PRIMARY_CITY_MENU["Los Angeles"]
     assert "Sacramento" in PRIMARY_CITY_MENU["San Francisco"]
     assert PRIMARY_CITY_MENU["Santa Barbara"] == ("Oxnard", "San Luis Obispo")
+
+
+# --- the stacked batch kernel ------------------------------------------------
+
+def scalar_fit(target, source, residual, n_lags, serial):
+    """The per-target fit the batch kernel stands for, built from the scalar
+    regress functions: (RegressionFit, None) or (None, exception)."""
+    T = source.size
+    y = target[n_lags:]
+    X = np.column_stack([np.ones(T - n_lags)] + [source[n_lags - l : T - l] for l in range(n_lags + 1)])
+    names = ("const",) + tuple(f"lag{l}" for l in range(n_lags + 1))
+    if residual is not None:
+        ix = X[:, 1:] * residual[n_lags:, None]
+        for l in range(n_lags + 1):
+            if np.any(ix[:, l] != 0.0):
+                X = np.column_stack([X, ix[:, l]])
+                names += (f"ix_lag{l}",)
+    try:
+        if serial == "always":
+            return cochrane_orcutt(X, y, names=names), None
+        fit = ols_fit(X, y, names=names)
+        if serial == "auto" and dw_rejects(fit.durbin_watson, fit.n_obs, len(names) - 1):
+            return cochrane_orcutt(X, y, names=names), None
+        return fit, None
+    except HousingRiskError as exc:
+        return None, exc
+
+
+def assert_batch_matches_scalar(targets, source, residual, serial, n_lags=3):
+    batch = contagion_fits(targets, source, residual, n_lags, serial)
+    fitted = 0
+    for i, target in enumerate(targets):
+        ref, exc = scalar_fit(target, source, residual, n_lags, serial)
+        if exc is not None:
+            assert type(batch.errors[i]) is type(exc)
+            assert str(batch.errors[i]) == str(exc)
+            assert batch.methods[i] == ""
+            assert np.isnan(batch.coefficients[i]).all()
+            continue
+        fitted += 1
+        assert batch.errors[i] is None
+        assert batch.methods[i] == ref.method
+        assert batch.n_obs[i] == ref.n_obs
+        at = [batch.names.index(name) for name in ref.names]
+        assert_allclose(batch.coefficients[i, at], ref.coefficients, rtol=1e-9)
+        assert_allclose(batch.standard_errors[i, at], ref.standard_errors, rtol=1e-9)
+        assert_allclose(batch.t_stats[i, at], ref.t_stats, rtol=1e-9)
+        assert_allclose(batch.r_square[i], ref.r_square, rtol=1e-9)
+        assert_allclose(batch.durbin_watson[i], ref.durbin_watson, rtol=1e-9)
+        if ref.rho is None:
+            assert np.isnan(batch.rho[i])
+        else:
+            assert_allclose(batch.rho[i], ref.rho, rtol=1e-9)
+        dropped = [c for c in range(len(batch.names)) if c not in at]
+        assert (batch.coefficients[i, dropped] == 0.0).all()
+        assert np.isnan(batch.standard_errors[i, dropped]).all()
+    return batch, fitted
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    T=st.integers(15, 60),
+    serial=st.sampled_from(SERIAL_POLICIES),
+    variant=st.sampled_from(["base", "interacted", "zero-residual"]),
+    flat_source=st.sampled_from([False] * 9 + [True]),
+)
+def test_batch_equals_scalar_fits(seed, m, T, serial, variant, flat_source):
+    rng = np.random.default_rng(seed)
+    source = np.zeros(T) if flat_source else rng.normal(size=T)
+    phis = rng.choice([0.0, 0.3, 0.6, 0.9, 0.99, -0.6], size=m)
+    targets = np.array([0.5 * source + 0.3 * np.roll(source, 1) + ar1(rng, T, phi) for phi in phis])
+    residual = {"base": None, "interacted": rng.normal(size=T), "zero-residual": np.zeros(T)}[variant]
+    assert_batch_matches_scalar(targets, source, residual, serial)
+
+
+def test_batch_failing_target_leaves_its_group_mates_fitted(rng):
+    T = 30
+    source = rng.normal(size=T)
+    explosive = 1.3 ** np.arange(T)           # OLS residuals grow: rho-hat > 1
+    targets = np.array([0.5 * source + rng.normal(size=T), explosive, 0.4 * source + ar1(rng, T, 0.6)])
+    batch, fitted = assert_batch_matches_scalar(targets, source, None, "always")
+    assert fitted == 2
+    assert isinstance(batch.errors[1], NonStationaryError)
+    with pytest.raises(NonStationaryError, match="left the unit interval"):
+        batch.fit(1)
+
+
+def test_batch_flat_source_skips_every_target(rng):
+    source = np.zeros(40)
+    targets = rng.normal(size=(3, 40))
+    batch, fitted = assert_batch_matches_scalar(targets, source, rng.normal(size=40), "auto")
+    assert fitted == 0
+    assert all(isinstance(e, SingularDesignError) for e in batch.errors)
+    assert str(batch.errors[0]).startswith("design matrix is rank deficient (rank 1 of 5)")
+
+
+def test_batch_too_short_a_design_skips_with_the_scalar_message(rng):
+    # The interacted design has k = 9 columns: 11 quarters leave 8 rows, too
+    # few for OLS (k + 2); 14 leave 11, enough for OLS but not for
+    # Cochrane-Orcutt (k + 3).
+    source = rng.normal(size=14)
+    targets = rng.normal(size=(2, 14))
+    residual = rng.normal(size=14)
+    batch, fitted = assert_batch_matches_scalar(targets[:, 3:], source[3:], residual[3:], "never")
+    assert fitted == 0 and str(batch.errors[0]) == "need at least 11 observations for 9 regressors, got 8"
+    batch, fitted = assert_batch_matches_scalar(targets, source, residual, "always")
+    assert fitted == 0 and "Cochrane-Orcutt with 9 regressors, got 11" in str(batch.errors[1])
+    batch, fitted = assert_batch_matches_scalar(targets, source, residual, "never")
+    assert fitted == 2
