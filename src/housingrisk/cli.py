@@ -46,13 +46,14 @@ from .contagion import (
 # wraps these names in this module, so they stay importable from it.
 from .contagion import contagion_fit, contagion_fit_interacted  # noqa: F401
 from .core import (
-    QuarterIndex,
     ReturnPanel,
     compute_returns,
     default_factor_transforms,
     parse_quarter,
 )
 from .correlations import (
+    CorrelationSummary,
+    DivisionRow,
     cohort_correlation_report,
     correlation_summary,
     jump_pair_correlations,
@@ -67,9 +68,11 @@ from .integration import (
     integration_summary,
 )
 from .io import (
+    Labels,
     load_factor_table,
     load_hpi_panel,
     load_transform_config,
+    quarter_labels,
     write_csv_atomic,
     write_factor_csv,
     write_hpi_csv,
@@ -498,8 +501,8 @@ class _Runner:
                     out["ca_inland"] = inland
         return out
 
-    def write_csv(self, name: str, header, rows) -> None:
-        write_csv_atomic(self.stage / name, header, rows)
+    def write_csv(self, name: str, header, columns: list) -> None:
+        write_csv_atomic(self.stage / name, header, columns)
         self.outputs.append(name)
 
     def write_json(self, name: str, obj) -> None:
@@ -523,7 +526,8 @@ class _Runner:
 
 # -- derived tables ------------------------------------------------------
 #
-# Row builders shared by a command's artifact and its report view.
+# Column builders shared by a command's artifact and its report view. A
+# table is a list of columns (see io.write_csv_atomic).
 
 SUMMARY_HEADER = ["kind", "timing", "threshold", "n", "mean", "sigma", "t_stat", "max", "min"]
 DIVISION_HEADER = ["division", "kind", "timing", "n", "n_significant", "pct_significant", "mean_r"]
@@ -531,130 +535,128 @@ FIG_HEADER = ["series", "quarter", "value"]
 MSA_HEADER = ["msa_id"] + list(CHARACTERISTICS) + [f"rank_{c}" for c in CHARACTERISTICS]
 
 
-def _long(named_series) -> list[list]:
-    """[name, quarter, value] rows from (name, quarter codes, values) triples."""
+def _concat(arrays, dtype) -> np.ndarray:
+    return np.concatenate([np.asarray(a, dtype=dtype) for a in arrays] or [np.empty(0, dtype)])
+
+
+def _long(named_series) -> list:
+    """[name, quarter, value] columns from (name, quarter codes, values) triples."""
+    triples = list(named_series)
+    names, codes, values = zip(*triples) if triples else ((), (), ())
     return [
-        [name, QuarterIndex.from_code(int(c)), v]
-        for name, codes, values in named_series
-        for c, v in zip(codes, values)
+        Labels.repeat(names, [len(c) for c in codes]),
+        quarter_labels(_concat(codes, int)),
+        _concat(values, float),
     ]
 
 
-def _msa_rows(summary) -> list[list]:
-    """MSA_HEADER rows: table1 and the msa rows of integration_summary."""
-    return [
-        [m.msa_id]
-        + [m.value(c) for c in CHARACTERISTICS]
-        + [summary.ranks[c][m.msa_id] for c in CHARACTERISTICS]
-        for m in summary.rows
-    ]
+def _fields(records, cls) -> list[list]:
+    """One column per field of dataclass ``cls`` over ``records``."""
+    return [[getattr(rec, f.name) for rec in records] for f in dataclasses.fields(cls)]
 
 
-@_memoised
-def _cohort_rows(r: _Runner) -> list[list]:
-    """(cohort, quarter, average R²): cohort_averages.csv and fig2.csv."""
-    series = r.integration().series
-    return _long(
-        (name, *cohort_average(series, members, start))
-        for name, members, start in _cohort_plan(r, series)
+def _msa_columns(summary) -> list[list]:
+    """MSA_HEADER columns: table1 and the msa rows of integration_summary."""
+    ids = [m.msa_id for m in summary.rows]
+    return (
+        [ids]
+        + [[m.value(c) for m in summary.rows] for c in CHARACTERISTICS]
+        + [[summary.ranks[c][i] for i in ids] for c in CHARACTERISTICS]
     )
 
 
 @_memoised
-def _incidence_rows(r: _Runner) -> list[list]:
-    """(cohort, quarter, pct, n_flagged, n_testable): jump_incidence.csv; fig4 is its pct."""
-    series, _ = r.jump_series_all()
-    by_id = {s.msa_id: s for s in series}
-    rows = []
-    for cohort, members in r.ca_cohorts().items():
-        chosen = [by_id[m] for m in members if m in by_id]
-        if not chosen:
-            continue
-        codes, pct, flagged, testable = jump_incidence(chosen, flag="big")
-        rows += [
-            [cohort, QuarterIndex.from_code(int(c)), v, int(f), int(t)]
-            for c, v, f, t in zip(codes, pct, flagged, testable)
-        ]
-    return rows
+def _cohort_columns(r: _Runner) -> list:
+    """(cohort, quarter, average R²): cohort_averages.csv and fig2.csv."""
+    series = r.integration().series
+    return _long([
+        (name, *cohort_average(series, members, start))
+        for name, members, start in _cohort_plan(r, series)
+    ])
 
 
 @_memoised
-def _correlation_tables(r: _Runner) -> tuple[list[list], list[list]]:
-    """(summary rows, division rows) over the four pair sets."""
+def _incidence_columns(r: _Runner) -> list:
+    """(cohort, quarter, pct, n_flagged, n_testable): jump_incidence.csv; fig4 is the first three."""
+    series, _ = r.jump_series_all()
+    by_id = {s.msa_id: s for s in series}
+    parts = []
+    for cohort, members in r.ca_cohorts().items():
+        chosen = [by_id[m] for m in members if m in by_id]
+        if chosen:
+            parts.append((cohort, *jump_incidence(chosen, flag="big")))
+    names, codes, pct, flagged, testable = zip(*parts)  # every run has the us cohort
+    return _long(zip(names, codes, pct)) + [_concat(flagged, int), _concat(testable, int)]
+
+
+@_memoised
+def _correlation_tables(r: _Runner) -> tuple[list, list]:
+    """(summary columns, division columns) over the four pair sets."""
     sets = r.pair_sets()
-    summary_rows = [
-        ["none" if v is None else v for v in dataclasses.astuple(s)]
-        for pairs in sets
-        if pairs
-        for s in correlation_summary(pairs)
-    ]
+    summaries = [s for pairs in sets if pairs for s in correlation_summary(pairs)]
+    summary_columns = [["none" if v is None else v for v in column]
+                       for column in _fields(summaries, CorrelationSummary)]
     states = {m.msa_id: m.state for m in r.panel.msas if m.state}
-    division_rows = [
-        list(dataclasses.astuple(row))
-        for row in cohort_correlation_report(sets, states, r.cfg.pair_sig_t)
-    ]
-    return summary_rows, division_rows
+    divisions = cohort_correlation_report(sets, states, r.cfg.pair_sig_t)
+    return summary_columns, _fields(divisions, DivisionRow)
 
 
 # -- command implementations ---------------------------------------------
 
 
 def _cmd_ingest(r: _Runner) -> None:
-    rows = []
-    for info in r.panel.msas:
-        first = r.panel.first_quarter(info.msa_id)
-        _, values = r.panel.series(info.msa_id)
-        rows.append(
-            [info.msa_id, info.name, info.state, first, r.panel.end, values.size]
-        )
+    p = r.panel
     r.write_csv(
         "panel_summary.csv",
         ["msa_id", "msa_name", "state", "first_quarter", "last_quarter", "n_obs"],
-        rows,
+        [
+            p.msa_ids(),
+            [m.name for m in p.msas],
+            [m.state for m in p.msas],
+            quarter_labels(p.start.code + p.first_offsets),
+            quarter_labels(np.full(p.n_msas, p.end.code)),
+            p.n_quarters - p.first_offsets,
+        ],
     )
 
 
 def _cmd_integrate(r: _Runner) -> None:
     result = r.integration()
-    header = ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in result.series[0].names]
-    rows = []
-    for s in result.series:
-        for w in range(s.n_windows):
-            rows.append(
-                [s.msa_id, QuarterIndex.from_code(int(s.window_ends[w])), s.r_squares[w]]
-                + list(s.betas[w])
-            )
-    r.write_csv("integration_series.csv", header, rows)
+    series = result.series
+    r.write_csv(
+        "integration_series.csv",
+        ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in series[0].names],
+        [
+            Labels.repeat([s.msa_id for s in series], [s.n_windows for s in series]),
+            quarter_labels(_concat([s.window_ends for s in series], int)),
+            _concat([s.r_squares for s in series], float),
+            *np.concatenate([s.betas for s in series]).T,
+        ],
+    )
 
     summary = r.summary()
-    sum_header = ["row_type", "key"] + MSA_HEADER[1:] + ["note"]
-    sum_rows = [["msa"] + row + [""] for row in _msa_rows(summary)]
-    for stat in ("mean", "sd", "min", "max"):
-        sum_rows.append(
-            ["cross", stat]
-            + [summary.cross[c][stat] for c in CHARACTERISTICS]
-            + [""] * len(CHARACTERISTICS)
-            + [""]
-        )
-    for q in range(5):
-        sum_rows.append(
-            ["quintile_min", f"q{q + 1}"]
-            + [summary.quintile_minima[c][q] for c in CHARACTERISTICS]
-            + [""] * len(CHARACTERISTICS)
-            + [""]
-        )
-    for msa_id, reason in summary.excluded:
-        sum_rows.append(
-            ["excluded", msa_id] + [""] * (2 * len(CHARACTERISTICS)) + [reason]
-        )
-    for msa_id, reason in result.skipped:
-        sum_rows.append(
-            ["skipped", msa_id] + [""] * (2 * len(CHARACTERISTICS)) + [reason]
-        )
-    r.write_csv("integration_summary.csv", sum_header, sum_rows)
+    stats = ("mean", "sd", "min", "max")
+    quintiles = range(5)
+    notes = summary.excluded + result.skipped
+    msa = _msa_columns(summary)
+    n_chars = len(CHARACTERISTICS)
+    other = len(stats) + len(quintiles) + len(notes)  # rows after the msa rows
+    columns = [
+        ["msa"] * summary.n + ["cross"] * len(stats) + ["quintile_min"] * len(quintiles)
+        + ["excluded"] * len(summary.excluded) + ["skipped"] * len(result.skipped),
+        msa[0] + list(stats) + [f"q{q + 1}" for q in quintiles] + [msa_id for msa_id, _ in notes],
+    ]
+    columns += [
+        values + [summary.cross[c][stat] for stat in stats]
+        + [summary.quintile_minima[c][q] for q in quintiles] + [""] * len(notes)
+        for c, values in zip(CHARACTERISTICS, msa[1 : 1 + n_chars])
+    ]
+    columns += [ranks + [""] * other for ranks in msa[1 + n_chars :]]
+    columns.append([""] * (summary.n + other - len(notes)) + [reason for _, reason in notes])
+    r.write_csv("integration_summary.csv", ["row_type", "key"] + MSA_HEADER[1:] + ["note"], columns)
 
     # Cohort averages: entry-time cohorts plus the CA coastal/inland split.
-    r.write_csv("cohort_averages.csv", ["cohort", "quarter", "avg_r_square"], _cohort_rows(r))
+    r.write_csv("cohort_averages.csv", ["cohort", "quarter", "avg_r_square"], _cohort_columns(r))
 
 
 def _cohort_plan(r: _Runner, series):
@@ -685,47 +687,47 @@ def _cohort_plan(r: _Runner, series):
 
 def _cmd_jumps(r: _Runner) -> None:
     series, _ = r.jump_series_all()
-    rows = []
-    for s in series:
-        for i in range(s.n_quarters):
-            rows.append(
-                [
-                    s.msa_id,
-                    QuarterIndex.from_code(int(s.quarter_codes[i])),
-                    s.L[i],
-                    s.L_scaled[i],
-                    bool(s.jump_flag[i]),
-                    bool(s.big_flag[i]),
-                    bool(s.testable[i]),
-                ]
-            )
     r.write_csv(
         "jump_series.csv",
         ["msa_id", "quarter", "L", "L_scaled", "jump_flag", "big_flag", "testable"],
-        rows,
+        [
+            Labels.repeat([s.msa_id for s in series], [s.n_quarters for s in series]),
+            quarter_labels(_concat([s.quarter_codes for s in series], int)),
+            _concat([s.L for s in series], float),
+            _concat([s.L_scaled for s in series], float),
+            _concat([s.jump_flag for s in series], bool),
+            _concat([s.big_flag for s in series], bool),
+            _concat([s.testable for s in series], bool),
+        ],
     )
     r.write_csv(
         "jump_incidence.csv",
         ["cohort", "quarter", "pct", "n_flagged", "n_testable"],
-        _incidence_rows(r),
+        _incidence_columns(r),
     )
 
 
 def _cmd_correlate(r: _Runner) -> None:
-    rows = []
-    for p in r.pair_sets():
-        rows += [
-            [p.ids[a], p.ids[b], p.kind, p.timing, rv, nv, tv]
-            for a, b, rv, nv, tv in zip(*(c.tolist() for c in (p.i, p.j, p.r, p.n, p.t)))
-        ]
+    sets = r.pair_sets()
+    ids = [msa_id for p in sets for msa_id in p.ids]  # each set's ids, one after another
+    offsets = np.cumsum([0] + [len(p.ids) for p in sets[:-1]])
+    counts = [len(p) for p in sets]
     r.write_csv(
         "pair_correlations.csv",
         ["msa_i", "msa_j", "kind", "timing", "r", "n", "t"],
-        rows,
+        [
+            Labels(_concat([p.i + off for p, off in zip(sets, offsets)], int), ids),
+            Labels(_concat([p.j + off for p, off in zip(sets, offsets)], int), ids),
+            Labels.repeat([p.kind for p in sets], counts),
+            Labels.repeat([p.timing for p in sets], counts),
+            _concat([p.r for p in sets], float),
+            _concat([p.n for p in sets], int),
+            _concat([p.t for p in sets], float),
+        ],
     )
-    summary_rows, division_rows = _correlation_tables(r)
-    r.write_csv("correlation_summary.csv", SUMMARY_HEADER, summary_rows)
-    r.write_csv("division_report.csv", DIVISION_HEADER, division_rows)
+    summary_columns, division_columns = _correlation_tables(r)
+    r.write_csv("correlation_summary.csv", SUMMARY_HEADER, summary_columns)
+    r.write_csv("division_report.csv", DIVISION_HEADER, division_columns)
 
 
 def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
@@ -798,7 +800,7 @@ def _interaction_residual(r: _Runner, source_id: str | None):
 
 
 @_memoised
-def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
+def _contagion_columns(r: _Runner) -> tuple[list[str], list]:
     """Fit every configured source→target pair once: contagion_fits.csv; table5/6 are its views.
 
     The pairs that share a source and an overlap share one design, so each
@@ -813,9 +815,6 @@ def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
     for l in range(n_lags + 1):
         header += [f"ix_lag{l}", f"ix_lag{l}_t"]
     per_source = r.cfg.interaction_residual == "coastal"
-
-    def skip(target_id, source_id, n, reason):
-        return [target_id, source_id, "skipped", n, reason] + [""] * (len(header) - 5)
 
     pairs = sorted(_resolve_contagion_menu(r))
     overlap = []
@@ -847,27 +846,38 @@ def _contagion_rows(r: _Runner) -> tuple[list[str], list[list]]:
         for row, at in enumerate(members):
             fitted[at] = [(variant, fits, row) for variant, fits in variants]
 
+    # (pair position, variant, n, method, numbers) per row; the numbers are
+    # rho, R², DW and the (coefficient, t) pairs, NaN where the cell is blank.
     rows = []
-    for at, (source_id, target_id) in enumerate(pairs):
+    blank = [np.nan] * (len(header) - 5)
+    for at in range(len(pairs)):
         if at not in fitted:
-            rows.append(skip(target_id, source_id, overlap[at], "insufficient overlap"))
+            rows.append((at, "skipped", overlap[at], "insufficient overlap", blank))
             continue
         for variant, fits, i in fitted[at]:
             if fits.errors[i] is not None:
-                rows.append(skip(target_id, source_id, overlap[at], f"{variant}: {fits.errors[i]}"))
+                rows.append((at, "skipped", overlap[at], f"{variant}: {fits.errors[i]}", blank))
                 continue
-            rho = fits.rho[i] if fits.methods[i] == "cochrane_orcutt" else ""
+            rho = fits.rho[i] if fits.methods[i] == "cochrane_orcutt" else np.nan
             cells = np.column_stack([fits.coefficients[i], fits.t_stats[i]]).ravel().tolist()
             if not fits.interacted:
-                cells += [""] * 2 * (n_lags + 1)
-            rows.append([target_id, source_id, variant, int(fits.n_obs[i]), fits.methods[i], rho,
-                         fits.r_square[i], fits.durbin_watson[i], *cells])
-    return header, rows
+                cells += [np.nan] * 2 * (n_lags + 1)
+            rows.append((at, variant, int(fits.n_obs[i]), fits.methods[i],
+                         [rho, fits.r_square[i], fits.durbin_watson[i], *cells]))
+    pair_at, variants, n, methods, numbers = zip(*rows) if rows else ((),) * 5
+    pair_at = np.array(pair_at, dtype=int)
+    return header, [
+        Labels(pair_at, [target_id for _, target_id in pairs]),
+        Labels(pair_at, [source_id for source_id, _ in pairs]),
+        np.array(variants, dtype=object),
+        np.array(n, dtype=int),
+        np.array(methods, dtype=object),
+        *np.array(numbers, dtype=float).reshape(len(rows), len(blank)).T,
+    ]
 
 
 def _cmd_contagion(r: _Runner) -> None:
-    header, rows = _contagion_rows(r)
-    r.write_csv("contagion_fits.csv", header, rows)
+    r.write_csv("contagion_fits.csv", *_contagion_columns(r))
 
 
 def _portfolio_members(r: _Runner, name: str, spec: dict) -> list[str]:
@@ -907,27 +917,32 @@ def _portfolios(r: _Runner) -> list[tuple]:
 
 
 def _cmd_portfolio(r: _Runner) -> None:
-    rows = []
-    corr_rows = []
     ranges = [("full", None, None)] + [
         (rng_name, parse_quarter(lo), parse_quarter(hi))
         for rng_name, (lo, hi) in sorted(r.cfg.sub_ranges.items())
     ]
-    for name, ps, avg_r2 in _portfolios(r):
-        sigma_at = {int(c): i for i, c in enumerate(ps.sigma_codes)}
-        for i, code in enumerate(ps.return_codes):
-            code = int(code)
-            j = sigma_at.get(code)
-            rows.append(
-                [
-                    name,
-                    QuarterIndex.from_code(code),
-                    ps.returns[i],
-                    ps.portfolio_sigma[j] if j is not None else "",
-                    ps.avg_member_sigma[j] if j is not None else "",
-                    ps.diversification[j] if j is not None else "",
-                ]
-            )
+    portfolios = _portfolios(r)
+
+    def on_return_quarters(column):
+        """The per-window values of every portfolio, blank before each one's first window."""
+        return _concat([np.concatenate([np.full(ps.returns.size - ps.sigma_codes.size, np.nan),
+                                        getattr(ps, column)]) for _, ps, _ in portfolios], float)
+
+    r.write_csv(
+        "portfolio_series.csv",
+        ["portfolio", "quarter", "port_return", "port_sigma", "avg_member_sigma", "diversification"],
+        [
+            Labels.repeat([name for name, _, _ in portfolios], [ps.returns.size for _, ps, _ in portfolios]),
+            quarter_labels(_concat([ps.return_codes for _, ps, _ in portfolios], int)),
+            _concat([ps.returns for _, ps, _ in portfolios], float),
+            on_return_quarters("portfolio_sigma"),
+            on_return_quarters("avg_member_sigma"),
+            on_return_quarters("diversification"),
+        ],
+    )
+
+    correlations = [[] for _ in range(6)]
+    for name, ps, avg_r2 in portfolios:
         if avg_r2 is None:
             continue
         for rng_name, lo, hi in ranges:
@@ -941,16 +956,12 @@ def _cmd_portfolio(r: _Runner) -> None:
                     )
                 except InsufficientHistoryError:
                     continue
-                corr_rows.append([name, "integration", series_b, rng_name, rho, n])
-    r.write_csv(
-        "portfolio_series.csv",
-        ["portfolio", "quarter", "port_return", "port_sigma", "avg_member_sigma", "diversification"],
-        rows,
-    )
+                for column, value in zip(correlations, (name, "integration", series_b, rng_name, rho, n)):
+                    column.append(value)
     r.write_csv(
         "series_correlations.csv",
         ["portfolio", "series_a", "series_b", "range", "r", "n"],
-        corr_rows,
+        correlations,
     )
 
 
@@ -982,26 +993,28 @@ def _cmd_synth(r: _Runner) -> None:
 
 def _cmd_report(r: _Runner) -> None:
     """The paper's tables and figure data, each a view of a computed result."""
-    r.write_csv("table1.csv", MSA_HEADER, _msa_rows(r.summary()))
-    ranks = r.summary().ranks["trend_t_stat"]
-    rows = [
-        [m.msa_id, m.trend_t_stat, ranks[m.msa_id]]
-        for m in sorted(r.summary().rows, key=lambda m: ranks[m.msa_id])
-    ]
-    r.write_csv("table2.csv", ["msa_id", "trend_t_stat", "rank"], rows)
+    summary = r.summary()
+    r.write_csv("table1.csv", MSA_HEADER, _msa_columns(summary))
+    ranks = summary.ranks["trend_t_stat"]
+    by_rank = sorted(summary.rows, key=lambda m: ranks[m.msa_id])
+    r.write_csv(
+        "table2.csv",
+        ["msa_id", "trend_t_stat", "rank"],
+        [[m.msa_id for m in by_rank], [m.trend_t_stat for m in by_rank], [ranks[m.msa_id] for m in by_rank]],
+    )
 
-    summary_rows, division_rows = _correlation_tables(r)
-    r.write_csv("table3.csv", SUMMARY_HEADER, summary_rows)
-    r.write_csv("table4.csv", DIVISION_HEADER, division_rows)
+    summary_columns, division_columns = _correlation_tables(r)
+    r.write_csv("table3.csv", SUMMARY_HEADER, summary_columns)
+    r.write_csv("table4.csv", DIVISION_HEADER, division_columns)
 
-    r.write_csv("fig2.csv", FIG_HEADER, _cohort_rows(r))
+    r.write_csv("fig2.csv", FIG_HEADER, _cohort_columns(r))
     series = r.integration().series
     r.write_csv(
         "fig3.csv",
         FIG_HEADER,
         _long((f, *beta_average(series, f)) for f in series[0].names if f != "const"),
     )
-    r.write_csv("fig4.csv", FIG_HEADER, [row[:3] for row in _incidence_rows(r)])
+    r.write_csv("fig4.csv", FIG_HEADER, _incidence_columns(r)[:3])
     triples = []
     for name, ps, avg_r2 in _portfolios(r):
         triples.append((f"{name}_sigma", ps.sigma_codes, ps.portfolio_sigma))
@@ -1010,19 +1023,14 @@ def _cmd_report(r: _Runner) -> None:
             triples.append((f"{name}_integration", *avg_r2))
     r.write_csv("fig5.csv", FIG_HEADER, _long(triples))
 
-    header, all_rows = _contagion_rows(r)
-    keep = [i for i, name in enumerate(header) if name != "variant" and not name.startswith("ix_")]
-    r.write_csv(
-        "table5.csv",
-        [header[i] for i in keep],
-        [[row[i] for i in keep] for row in all_rows if row[2] == "base"],
-    )
-    keep = [i for i, name in enumerate(header) if name != "variant"]
-    r.write_csv(
-        "table6.csv",
-        [header[i] for i in keep],
-        [[row[i] for i in keep] for row in all_rows if row[2] == "interacted"],
-    )
+    header, columns = _contagion_columns(r)
+    for name, variant, shown in (
+        ("table5.csv", "base", lambda h: h != "variant" and not h.startswith("ix_")),
+        ("table6.csv", "interacted", lambda h: h != "variant"),
+    ):
+        rows = np.flatnonzero(columns[2] == variant)
+        keep = [k for k, h in enumerate(header) if shown(h)]
+        r.write_csv(name, [header[k] for k in keep], [columns[k][rows] for k in keep])
 
 
 def run(command: str, cfg: RunConfig) -> int:

@@ -190,9 +190,6 @@ class _Panel:
     def end(self) -> QuarterIndex:
         return self.start + (self.n_quarters - 1)
 
-    def quarters(self) -> list[QuarterIndex]:
-        return quarter_range(self.start, self.end)
-
     def msa_ids(self) -> list[str]:
         return [m.msa_id for m in self.msas]
 
@@ -328,9 +325,6 @@ class FactorTable:
     def end(self) -> QuarterIndex:
         return self.start + (self.n_quarters - 1)
 
-    def quarters(self) -> list[QuarterIndex]:
-        return quarter_range(self.start, self.end)
-
     def column(self, factor_id: str) -> int:
         try:
             return self._col[factor_id]
@@ -356,9 +350,6 @@ class AlignedDataset:
     @property
     def n_rows(self) -> int:
         return self.y.shape[0]
-
-    def quarters(self) -> list[QuarterIndex]:
-        return [QuarterIndex.from_code(int(c)) for c in self.quarter_codes]
 
 
 def align(

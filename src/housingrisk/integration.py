@@ -64,9 +64,6 @@ class IntegrationSeries:
     def n_windows(self) -> int:
         return len(self.window_ends)
 
-    def quarters(self) -> list[QuarterIndex]:
-        return [QuarterIndex.from_code(int(c)) for c in self.window_ends]
-
     def beta_series(self, name: str) -> np.ndarray:
         return self.betas[:, self.names.index(name)]
 

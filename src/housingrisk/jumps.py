@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QuarterIndex
 from .errors import ConfigError, InsufficientHistoryError, UndefinedStatisticError
 
 __all__ = [
@@ -56,9 +55,6 @@ class JumpSeries:
     @property
     def n_quarters(self) -> int:
         return len(self.quarter_codes)
-
-    def quarters(self) -> list[QuarterIndex]:
-        return [QuarterIndex.from_code(int(c)) for c in self.quarter_codes]
 
 
 def bipower_variation(returns: np.ndarray) -> float:

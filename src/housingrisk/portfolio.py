@@ -38,9 +38,6 @@ class PortfolioSeries:
     diversification: np.ndarray
     dropped_quarters: tuple[int, ...]
 
-    def quarters(self) -> list[QuarterIndex]:
-        return [QuarterIndex.from_code(int(c)) for c in self.sigma_codes]
-
 
 def _member_matrix(panel: ReturnPanel, members):
     members = tuple(sorted(members))

@@ -531,17 +531,37 @@ def ar1_prewhiten(series: np.ndarray) -> PrewhitenResult:
 
 
 def trend_fit(series: np.ndarray) -> TrendFit:
-    """OLS of a series on (1, t), t = 0..n-1, with the slope t-statistic."""
+    """OLS of a series on (1, t), t = 0..n-1, with the slope t-statistic.
+
+    ``[1, t]`` has full rank for n >= 3, so no pivoting is needed. The QR of
+    ``[t | 1]`` and the order of every operation below are those of the
+    pivoted QR in ``_solve_ls``, which takes t first, so the results are the
+    same to the bit without loading scipy.
+    """
     y = np.asarray(series, dtype=float)
     n = y.size
     if n < 3:
         raise DegreesOfFreedomError(f"need at least 3 observations, got {n}")
+    if not np.isfinite(y).all():
+        raise ValueError("array must not contain infs or NaNs")
     t = np.arange(n, dtype=float)
     X = np.column_stack([np.ones(n), t])
-    fit = _fit_core(X, y, ("const", "t"), "ols", None)
+    Q, R = np.linalg.qr(X[:, ::-1])
+    qty = np.asfortranarray(Q).T @ y  # a C-order Q would sum in another order
+    intercept = qty[1] / R[1, 1]
+    slope = (qty[0] - R[0, 1] * intercept) / R[0, 0]
+    beta = np.array([intercept, slope])
+    resid = y - X @ beta
+    # diag of (X'X)^-1 from R^-1 = [[i00, i01], [0, i11]] of [t | 1]
+    i11 = 1.0 / R[1, 1]
+    i00 = 1.0 / R[0, 0]
+    i01 = (0.0 - R[0, 1] * i11) * i00
+    xtx_inv_diag = np.array([i11 * i11, i00 * i00 + i01 * i01])
+    sigma2 = float(np.sum(resid**2)) / (n - 2)
+    se = np.sqrt(np.maximum(sigma2 * xtx_inv_diag, 0.0))
     return TrendFit(
-        intercept=float(fit.coefficients[0]),
-        slope=float(fit.coefficients[1]),
-        slope_t_stat=float(fit.t_stats[1]),
-        residuals=fit.residuals,
+        intercept=float(intercept),
+        slope=float(slope),
+        slope_t_stat=float(_t_stats(beta, se)[1]),
+        residuals=resid,
     )

@@ -564,6 +564,23 @@ def test_cli_import_leaves_scipy_signal_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_all_leaves_scipy_linalg_unloaded(tmp_path):
+    import subprocess
+    import sys
+
+    import housingrisk
+
+    rpath, out = write_scenario(tmp_path)
+    src = str(Path(housingrisk.__file__).resolve().parent.parent)
+    code = ("import sys; from housingrisk.cli import main; status = main(['all', '--config', sys.argv[1]]); "
+            "sys.exit(status or 3 * ('scipy.linalg' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, str(rpath)], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 3, "housingrisk all imported scipy.linalg"
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "run_manifest.json").is_file()
+
+
 # --- any config value --------------------------------------------------------
 
 FUZZ_SCENARIO = dict(SCENARIO, n_msas=4, n_quarters=60, n_factors=1, jumps=[],

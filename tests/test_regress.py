@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from housingrisk import (
@@ -25,6 +26,7 @@ from housingrisk import (
     ols_fit,
     trend_fit,
 )
+from housingrisk.regress import _fit_core
 
 
 def normal_equations(X, y):
@@ -293,3 +295,27 @@ def test_trend_t_stat_sign(rng):
 def test_trend_needs_three_points():
     with pytest.raises(DegreesOfFreedomError):
         trend_fit(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trend_rejects_a_non_finite_series(bad):
+    with pytest.raises(ValueError):
+        trend_fit(np.array([1.0, bad, 2.0]))
+
+
+SERIES = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=80),
+    st.tuples(st.floats(-1e3, 1e3), st.integers(3, 80)).map(lambda c: [c[0]] * c[1]),  # constant
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=SERIES)
+def test_trend_equals_the_pivoted_qr_fit_bit_for_bit(values):
+    y = np.array(values)
+    X = np.column_stack([np.ones(y.size), np.arange(y.size, dtype=float)])
+    ref = _fit_core(X, y, ("const", "t"), "ols", None)
+    fit = trend_fit(y)
+    assert (fit.intercept, fit.slope) == tuple(ref.coefficients)
+    assert fit.slope_t_stat == ref.t_stats[1] or (np.isnan(fit.slope_t_stat) and np.isnan(ref.t_stats[1]))
+    assert_array_equal(fit.residuals, ref.residuals)
