@@ -285,9 +285,10 @@ def _common_average(
     if missing:
         raise KeyError(f"no integration series for cohort members: {', '.join(missing)}")
     chosen = [by_id[m] for m in sorted(members)]
-    common = chosen[0].window_ends
-    for s in chosen[1:]:
-        common = np.intersect1d(common, s.window_ends)
+    # Each member's window ends are distinct, so a code every member reports
+    # appears once per member.
+    codes, counts = np.unique(np.concatenate([s.window_ends for s in chosen]), return_counts=True)
+    common = codes[counts == len(chosen)]
     if start is not None:
         for s in chosen:
             if int(s.window_ends[0]) > start.code:

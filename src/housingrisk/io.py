@@ -22,7 +22,6 @@ import tempfile
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -305,12 +304,16 @@ _QUOTED_CHARS = frozenset(',"\r\n')  # a field with none of these is written as 
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as csv.writer writes it in a row of more than one field."""
+    """``text`` as one field of a csv row of more than one field.
+
+    A field holding a comma, quote, CR or LF is quoted, its quotes doubled,
+    as ``csv.writer`` does on Python 3.12+. (On 3.11 ``csv.writer`` with an
+    LF line end leaves a lone CR unquoted, and ``csv.reader`` then ends the
+    record there.)
+    """
     if _QUOTED_CHARS.isdisjoint(text):
         return text
-    line = []
-    csv.writer(SimpleNamespace(write=line.append), lineterminator="\n").writerow([text, ""])
-    return line[0][:-2]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
@@ -358,7 +361,8 @@ def write_csv_atomic(path: str | Path, header: Sequence[str], columns: Sequence)
     ``str``, a bool array as 1/0, a :class:`Labels` column through one
     formatted text per distinct value, and any other sequence through
     ``format_value`` cell by cell. The bytes are those of ``csv.writer``
-    (LF line ends) over ``format_value`` cells.
+    (LF line ends) over ``format_value`` cells, with a field that holds a
+    CR quoted as on Python 3.12+ (see ``_csv_field``).
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
@@ -367,14 +371,17 @@ def write_csv_atomic(path: str | Path, header: Sequence[str], columns: Sequence)
         raise ValueError("columns differ in length")
     cells = [_cell_formatter(column) for column in columns]
 
+    def text(records) -> str:
+        lines = [",".join(fields) for fields in records]
+        if len(cells) == 1:  # a lone empty field is quoted
+            lines = [line or '""' for line in lines]
+        return "\n".join(lines) + "\n"
+
     def write(fh):
-        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(text([[_csv_field(str(name)) for name in header]]))
         for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
             rows = slice(lo, lo + WRITE_BLOCK_ROWS)
-            lines = [",".join(fields) for fields in zip(*(f(rows) for f in cells))]
-            if len(cells) == 1:  # csv.writer quotes a lone empty field
-                lines = [line or '""' for line in lines]
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text(zip(*(f(rows) for f in cells))))
 
     _write_atomic(path, "", write)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -453,9 +454,26 @@ def test_contagion_menu_ignores_stale_ground_truth(tmp_path):
 SKIP_MENU = {"S001": ["S002", "S003"], "S004": ["S002"]}
 
 
+def flat_s001(rows):
+    """HPI rows with S001's index held at 100: a flat source."""
+    return [r[:4] + ["100"] if r[0] == "S001" else r for r in rows]
+
+
+def short_s002(rows):
+    """HPI rows with S002's last 13 levels only: 12 quarters of returns overlap each source."""
+    return [r for r in rows if r[0] != "S002"] + [r for r in rows if r[0] == "S002"][-13:]
+
+
 def contagion_csv_rows(tmp_path, capsys, edit=None):
     """contagion_fits.csv rows of a `contagion` run on the CLI-test panel,
     with its HPI rows passed through ``edit`` first."""
+    text = contagion_csv_bytes(tmp_path, capsys, edit).decode("utf-8")
+    return list(csv.reader(io.StringIO(text, newline="")))[1:]
+
+
+def contagion_config(tmp_path, edit=None, menu=SKIP_MENU):
+    """(config path, out dir) of a `contagion` run with ``menu`` on the
+    CLI-test panel, with its HPI rows passed through ``edit`` first."""
     rpath, synth_out = write_scenario(tmp_path)
     if not synth_out.exists():
         main(["synth", "--config", str(rpath)])
@@ -470,20 +488,24 @@ def contagion_csv_rows(tmp_path, capsys, edit=None):
     out = tmp_path / ("edited" if edit else "plain")
     cfg = json.loads(csv_config(tmp_path, synth_out, out).read_text())
     cfg["inputs"]["hpi"] = str(source)
-    cfg["contagion"] = SKIP_MENU
+    cfg["contagion"] = menu
     cpath = tmp_path / "contagion.json"
     cpath.write_text(json.dumps(cfg))
+    return cpath, out
+
+
+def contagion_csv_bytes(tmp_path, capsys, edit=None, menu=SKIP_MENU):
+    """contagion_fits.csv of a successful `contagion_config` run."""
+    cpath, out = contagion_config(tmp_path, edit, menu)
     capsys.readouterr()
     assert main(["contagion", "--config", str(cpath)]) == 0
     assert capsys.readouterr().err == ""
-    with open(out / "contagion_fits.csv", newline="") as fh:
-        return list(csv.reader(fh))[1:]
+    return (out / "contagion_fits.csv").read_bytes()
 
 
 def test_flat_source_skips_only_its_pairs(tmp_path, capsys):
     plain = contagion_csv_rows(tmp_path, capsys)
-    rows = contagion_csv_rows(tmp_path, capsys, lambda rows: [
-        r[:4] + ["100"] if r[0] == "S001" else r for r in rows])
+    rows = contagion_csv_rows(tmp_path, capsys, flat_s001)
     reason = "design matrix is rank deficient (rank 1 of 5); dependent columns: lag0, lag1, lag2, lag3"
     assert [r[:5] for r in rows[:4]] == [
         [t, "S001", "skipped", "120", f"{v}: {reason}"]
@@ -495,9 +517,7 @@ def test_flat_source_skips_only_its_pairs(tmp_path, capsys):
 
 def test_short_overlap_skips_only_the_failing_variants(tmp_path, capsys):
     plain = contagion_csv_rows(tmp_path, capsys)
-    # S002 keeps its last 13 levels: 12 quarters of returns overlap each source.
-    rows = contagion_csv_rows(tmp_path, capsys, lambda rows: [
-        r for r in rows if r[0] != "S002"] + [r for r in rows if r[0] == "S002"][-13:])
+    rows = contagion_csv_rows(tmp_path, capsys, short_s002)
     too_few = "interacted: need at least 11 observations for 9 regressors, got 9"
     assert [r[:5] for r in rows] == [
         ["S002", "S001", "skipped", "12", "base: rho did not converge within 50 iterations (last 0.880877)"],
@@ -507,6 +527,110 @@ def test_short_overlap_skips_only_the_failing_variants(tmp_path, capsys):
         ["S002", "S004", "skipped", "12", too_few],
     ]
     assert rows[2:4] == plain[2:4]
+
+
+# Four source groups of 2, 1, 3 and 4 targets, including the pairs that
+# the two tests above skip.
+FORK_MENU = dict(SKIP_MENU, S005=["S002", "S006", "S007"], S008=["S001", "S002", "S003", "S006"])
+
+
+def force_workers(monkeypatch, n):
+    """Let ``n`` fit workers share any menu; returns the list of forked runs' sizes."""
+    import housingrisk.cli as cli
+    import housingrisk.forkmap as forkmap
+
+    started = []
+    start = forkmap._start
+
+    def counted(fn, chunk, children):
+        started.append(len(chunk))
+        start(fn, chunk, children)
+
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: n)
+    monkeypatch.setattr(cli, "CONTAGION_TARGETS_PER_WORKER", 1)
+    monkeypatch.setattr(forkmap, "_start", counted)
+    return started
+
+
+@pytest.mark.parametrize("edit", [None, flat_s001, short_s002], ids=["plain", "flat-source", "short-overlap"])
+def test_fit_workers_write_the_same_bytes(tmp_path, capsys, monkeypatch, edit):
+    serial = contagion_csv_bytes(tmp_path, capsys, edit, FORK_MENU)
+    assert (b",skipped," in serial) == (edit is not None)
+    for n in (2, 3):
+        with monkeypatch.context() as mp:
+            started = force_workers(mp, n)
+            assert contagion_csv_bytes(tmp_path, capsys, edit, FORK_MENU) == serial, n
+        assert len(started) == n - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failing_worker_fails_the_run_like_the_serial_path(tmp_path, capsys, monkeypatch):
+    import housingrisk.cli as cli
+    from housingrisk import HousingRiskError
+
+    fits = cli.contagion_fits
+
+    def failing(targets, *args):
+        if len(targets) == 4:  # only S008's group has four targets
+            raise HousingRiskError("no fit for the four-target group")
+        return fits(targets, *args)
+
+    monkeypatch.setattr(cli, "contagion_fits", failing)
+    cpath, out = contagion_config(tmp_path, menu=FORK_MENU)
+    out.mkdir()
+    (out / "old.csv").write_bytes(b"kept\n")
+    errors = []
+    for n in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            started = force_workers(mp, n)
+            capsys.readouterr()
+            assert main(["contagion", "--config", str(cpath)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert len(started) == n - 1
+        assert [p.name for p in out.iterdir()] == ["old.csv"]
+        assert not list(tmp_path.glob(".plain.*"))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errors == ["housingrisk: error: no fit for the four-target group\n"] * 3
+
+
+def test_fit_workers_are_fork_safe_with_and_without_blas_threads(tmp_path):
+    # A menu large enough to fork, run once with the BLAS thread pool at its
+    # default size and once pinned to one thread: a fork taken while a pool
+    # is live must neither hang, nor warn, nor change a byte.
+    import subprocess
+    import sys
+
+    import housingrisk
+    from housingrisk.cli import CONTAGION_TARGETS_PER_WORKER
+    from housingrisk.forkmap import usable_cpus
+
+    ids = [f"S{i:03d}" for i in range(1, 25)]
+    menu = {s: [t for t in ids if t != s] for s in ids}
+    n_targets = len(ids) * (len(ids) - 1)
+    assert n_targets >= 2 * CONTAGION_TARGETS_PER_WORKER
+    rpath, _ = write_scenario(tmp_path, n_msas=len(ids), n_quarters=60)
+    cfg = json.loads(rpath.read_text())
+    rpath.write_text(json.dumps(dict(cfg, contagion=menu)))
+    src = str(Path(housingrisk.__file__).resolve().parent.parent)
+    code = ("import sys, housingrisk.forkmap as fm; started = []; start = fm._start; "
+            "fm._start = lambda *args: (started.append(1), start(*args)); "
+            "from housingrisk.cli import main; status = main(sys.argv[1:]); "
+            "print(len(started)); sys.exit(status)")
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = src
+    outputs = []
+    for name, extra in (("default", {}), ("pinned", dict.fromkeys(blas, "1"))):
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-c", code, "contagion", "--config", str(rpath), "--out", str(out)],
+                              env=dict(env, **extra), capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        assert int(proc.stdout) == min(usable_cpus(), n_targets // CONTAGION_TARGETS_PER_WORKER) - 1
+        outputs.append((out / "contagion_fits.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1 + 2 * n_targets
 
 
 def test_all_computes_each_result_once(tmp_path, monkeypatch):

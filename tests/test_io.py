@@ -147,9 +147,8 @@ def test_hpi_keeps_the_first_name_and_state(tmp_path):
     assert load_hpi_panel(path).info("A") == MsaInfo("A", "first", "CA")
 
 
-# Text that csv must quote (no carriage return: csv.writer leaves a lone one
-# unquoted, and csv.reader ends the record there), kept as it is by strip().
-FIELD = st.text(st.sampled_from(list('ab ,"\'\né')), max_size=6).filter(lambda t: t == t.strip())
+# Text that csv must quote, kept as it is by strip().
+FIELD = st.text(st.sampled_from(list('ab ,"\'\n\ré')), max_size=6).filter(lambda t: t == t.strip())
 LEVEL = st.floats(1e-6, 1e9).map(lambda x: float(f"{x:.10g}"))  # what %.10g writes back exactly
 
 
@@ -350,19 +349,45 @@ def tables(draw):
     return header, [c for c, _ in cols], [cells for _, cells in cols]
 
 
+def csv_writer_text(rows) -> str:
+    """csv.writer's text for ``rows`` with LF line ends, quoting a field that
+    holds a CR as Python 3.12+ does: each row is written with a CRLF line end,
+    which makes any Python quote CR and LF, and the CRLF is then cut to LF."""
+    lines = []
+    for row in rows:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        lines.append(line.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
+def test_csv_writer_text_quotes_cr():
+    assert csv_writer_text([["North\rEast", "a,b", 'q"'], [""]]) == '"North\rEast","a,b","q"""\n""\n'
+
+
 @settings(max_examples=300, deadline=None)
 @given(table=tables(), block_rows=st.integers(1, 5))
 def test_write_csv_atomic_matches_csv_writer(table, block_rows):
     header, cols, cells = table
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*cells))
+    expected = csv_writer_text([header, *zip(*cells)])
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(hio, "WRITE_BLOCK_ROWS", block_rows)
         path = Path(tmp) / "x.csv"
         write_csv_atomic(path, header, cols)
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_name_with_a_carriage_return_loads_back(tmp_path):
+    panel = IndexPanel.from_series(
+        {"A": (Q0, [100.0, 101.0]), "B": (Q0, [50.0, 51.0])},
+        {"A": MsaInfo("A", "North\rEast", "CA"), "B": MsaInfo("B", "South", "OH")},
+    )
+    path = tmp_path / "hpi.csv"
+    write_hpi_csv(path, panel)
+    assert b'"North\rEast"' in path.read_bytes()
+    back = load_hpi_panel(path)
+    assert back.msas == panel.msas
+    assert np.array_equal(back.values, panel.values)
 
 
 def test_write_csv_atomic_zero_rows(tmp_path):
