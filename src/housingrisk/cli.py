@@ -49,6 +49,7 @@ from .core import (
     ReturnPanel,
     compute_returns,
     default_factor_transforms,
+    is_quarter,
     parse_quarter,
 )
 from .correlations import (
@@ -59,10 +60,11 @@ from .correlations import (
     jump_pair_correlations,
     return_pair_correlations,
 )
-from .errors import ConfigError, HousingRiskError, InsufficientHistoryError, QuarterParseError
+from .errors import ConfigError, HousingRiskError, InsufficientHistoryError
 from .forkmap import fork_map
 from .integration import (
     CHARACTERISTICS,
+    CROSS_STATS,
     beta_average,
     cohort_average,
     integrate_panel,
@@ -212,14 +214,7 @@ def _file(v) -> bool:
     return isinstance(v, str) and Path(v).is_file()
 
 
-def _quarter(v) -> bool:
-    try:
-        return isinstance(v, str) and parse_quarter(v) is not None
-    except QuarterParseError:
-        return False
-
-
-_PORTFOLIO_KEYS = {"members": _list_of(_is(str)), "state": _is(str), "available_from": _quarter}
+_PORTFOLIO_KEYS = {"members": _list_of(_is(str)), "state": _is(str), "available_from": is_quarter}
 
 
 def _portfolio(v) -> bool:
@@ -289,14 +284,14 @@ _SETTINGS = (
     _Setting("thresholds.pair_sig_t", "pair_sig_t", "a positive number", _positive),
     _Setting("pairs.min_overlap", "min_overlap", "an integer", _integer()),
     _Setting("pairs.jump_floor", "jump_pair_floor", "an integer", _integer()),
-    _Setting("cohorts.time", "time_cohorts", "an object of quarters", _object_of(_quarter)),
+    _Setting("cohorts.time", "time_cohorts", "an object of quarters", _object_of(is_quarter)),
     _Setting("cohorts.ca_coastal", "ca_coastal", "a list of strings", _list_of(_is(str))),
     _Setting("contagion", "contagion_menu", "null or an object of string lists",
              _optional(_object_of(_list_of(_is(str))))),
     _Setting("portfolios", "portfolios", "an object of objects with only members (strings), "
              "state and available_from", _object_of(_portfolio)),
     _Setting("sub_ranges", "sub_ranges", "an object of [first quarter, last quarter] pairs",
-             _object_of(lambda v: _list_of(_quarter)(v) and len(v) == 2)),
+             _object_of(lambda v: _list_of(is_quarter)(v) and len(v) == 2)),
 )
 
 _OPTIONS = tuple(s for s in _SETTINGS if s.flag is not None)
@@ -307,8 +302,8 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     known = {s.key for s in _SETTINGS}
@@ -556,16 +551,6 @@ def _fields(records, cls) -> list[list]:
     return [[getattr(rec, f.name) for rec in records] for f in dataclasses.fields(cls)]
 
 
-def _msa_columns(summary) -> list[list]:
-    """MSA_HEADER columns: table1 and the msa rows of integration_summary."""
-    ids = [m.msa_id for m in summary.rows]
-    return (
-        [ids]
-        + [[m.value(c) for m in summary.rows] for c in CHARACTERISTICS]
-        + [[summary.ranks[c][i] for i in ids] for c in CHARACTERISTICS]
-    )
-
-
 @_memoised
 def _cohort_columns(r: _Runner) -> list:
     """(cohort, quarter, average R²): cohort_averages.csv and fig2.csv."""
@@ -636,25 +621,25 @@ def _cmd_integrate(r: _Runner) -> None:
     )
 
     summary = r.summary()
-    stats = ("mean", "sd", "min", "max")
-    quintiles = range(5)
     notes = summary.excluded + result.skipped
-    msa = _msa_columns(summary)
-    n_chars = len(CHARACTERISTICS)
-    other = len(stats) + len(quintiles) + len(notes)  # rows after the msa rows
-    columns = [
-        ["msa"] * summary.n + ["cross"] * len(stats) + ["quintile_min"] * len(quintiles)
-        + ["excluded"] * len(summary.excluded) + ["skipped"] * len(result.skipped),
-        msa[0] + list(stats) + [f"q{q + 1}" for q in quintiles] + [msa_id for msa_id, _ in notes],
-    ]
-    columns += [
-        values + [summary.cross[c][stat] for stat in stats]
-        + [summary.quintile_minima[c][q] for q in quintiles] + [""] * len(notes)
-        for c, values in zip(CHARACTERISTICS, msa[1 : 1 + n_chars])
-    ]
-    columns += [ranks + [""] * other for ranks in msa[1 + n_chars :]]
-    columns.append([""] * (summary.n + other - len(notes)) + [reason for _, reason in notes])
-    r.write_csv("integration_summary.csv", ["row_type", "key"] + MSA_HEADER[1:] + ["note"], columns)
+
+    def blank(n_rows):
+        return np.full((n_rows, len(CHARACTERISTICS)), np.nan)
+
+    # A row per MSA, cross moment, quintile and excluded or skipped MSA; NaN is written blank.
+    numbers = np.block([
+        [summary.values, summary.ranks],
+        [summary.cross, blank(len(CROSS_STATS))],
+        [summary.quintile_minima, blank(5)],
+        [blank(len(notes)), blank(len(notes))],
+    ])
+    r.write_csv("integration_summary.csv", ["row_type", "key"] + MSA_HEADER[1:] + ["note"], [
+        Labels.repeat(["msa", "cross", "quintile_min", "excluded", "skipped"],
+                      [summary.n, len(CROSS_STATS), 5, len(summary.excluded), len(result.skipped)]),
+        [*summary.ids, *CROSS_STATS, "q1", "q2", "q3", "q4", "q5", *(msa_id for msa_id, _ in notes)],
+        *numbers.T,
+        [""] * (len(numbers) - len(notes)) + [reason for _, reason in notes],
+    ])
 
     # Cohort averages: entry-time cohorts plus the CA coastal/inland split.
     r.write_csv("cohort_averages.csv", ["cohort", "quarter", "avg_r_square"], _cohort_columns(r))
@@ -990,12 +975,19 @@ def _cmd_synth(r: _Runner) -> None:
     cfg = r.cfg
     if cfg.synth_scenario is None:
         raise ConfigError("synth needs a synth_scenario in the config")
-    scenario = json.loads(Path(cfg.synth_scenario).read_text(encoding="utf-8"))
-    r.inputs[cfg.synth_scenario] = _sha256(Path(cfg.synth_scenario))
-    sc = scenario_from_json(scenario)
-    if cfg.seed is not None:
-        sc = dataclasses.replace(sc, seed=cfg.seed)
-    panel, table, truth = generate_panel(sc)
+    path = cfg.synth_scenario
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"scenario file {path} is not UTF-8 JSON: {exc}") from None
+    try:
+        sc = scenario_from_json(obj)
+        if cfg.seed is not None:
+            sc = dataclasses.replace(sc, seed=cfg.seed)
+        panel, table, truth = generate_panel(sc)
+    except ConfigError as exc:
+        raise ConfigError(f"scenario file {path}: {exc}") from None
+    r.inputs[path] = _sha256(Path(path))
     write_hpi_csv(r.stage / "hpi_synth.csv", panel)
     # Raw factor levels exp(f) under an all-log_level transform map load
     # back to exactly the generated factors.
@@ -1014,14 +1006,14 @@ def _cmd_synth(r: _Runner) -> None:
 def _cmd_report(r: _Runner) -> None:
     """The paper's tables and figure data, each a view of a computed result."""
     summary = r.summary()
-    r.write_csv("table1.csv", MSA_HEADER, _msa_columns(summary))
-    ranks = summary.ranks["trend_t_stat"]
-    by_rank = sorted(summary.rows, key=lambda m: ranks[m.msa_id])
-    r.write_csv(
-        "table2.csv",
-        ["msa_id", "trend_t_stat", "rank"],
-        [[m.msa_id for m in by_rank], [m.trend_t_stat for m in by_rank], [ranks[m.msa_id] for m in by_rank]],
-    )
+    r.write_csv("table1.csv", MSA_HEADER, [summary.ids, *summary.values.T, *summary.ranks.T])
+    trend = CHARACTERISTICS.index("trend_t_stat")
+    by_rank = np.argsort(summary.ranks[:, trend])
+    r.write_csv("table2.csv", ["msa_id", "trend_t_stat", "rank"], [
+        Labels(by_rank, summary.ids),
+        summary.values[by_rank, trend],
+        summary.ranks[by_rank, trend],
+    ])
 
     summary_columns, division_columns = _correlation_tables(r)
     r.write_csv("table3.csv", SUMMARY_HEADER, summary_columns)
@@ -1125,7 +1117,9 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         return run(args.command, cfg)
     except (HousingRiskError, OSError) as exc:
-        print(f"housingrisk: error: {exc}", file=sys.stderr)
+        # A message can quote input text; escaping its line ends keeps it one line.
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"housingrisk: error: {message}", file=sys.stderr)
         return 2
 
 

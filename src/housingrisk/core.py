@@ -21,12 +21,14 @@ import numpy as np
 from .errors import (
     AlignmentError,
     DomainError,
+    InsufficientHistoryError,
     QuarterParseError,
 )
 
 __all__ = [
     "QuarterIndex",
     "parse_quarter",
+    "is_quarter",
     "quarter_range",
     "MsaInfo",
     "IndexPanel",
@@ -122,6 +124,14 @@ def parse_quarter(text: str) -> QuarterIndex:
     if not 1 <= q <= 4:
         raise QuarterParseError(f"quarter out of range 1..4 in {text!r}")
     return QuarterIndex(year, q)
+
+
+def is_quarter(value) -> bool:
+    """True for a string that ``parse_quarter`` accepts."""
+    try:
+        return isinstance(value, str) and parse_quarter(value) is not None
+    except QuarterParseError:
+        return False
 
 
 def quarter_range(start: QuarterIndex, end: QuarterIndex) -> list[QuarterIndex]:
@@ -261,8 +271,14 @@ def compute_returns(panel: IndexPanel) -> ReturnPanel:
     """Per-MSA log quarterly returns in percent.
 
     ``return_t = 100 * ln(level_t / level_{t-1})`` for each consecutive pair
-    within an MSA's available range, stamped at quarter ``t``.
+    within an MSA's available range, stamped at quarter ``t``. An MSA with a
+    single level has no return and raises InsufficientHistoryError.
     """
+    single = np.flatnonzero(panel.first_offsets == panel.n_quarters - 1)
+    if single.size:
+        raise InsufficientHistoryError(
+            f"MSA {panel.msas[single[0]].msa_id} has a single index level ({panel.end}), so no return"
+        )
     levels = panel.values
     with np.errstate(invalid="ignore", divide="ignore"):
         rets = 100.0 * np.log(levels[1:] / levels[:-1])

@@ -20,10 +20,10 @@ from .regress import PrewhitenResult, _fit_stack, ar1_prewhiten, trend_fit
 
 __all__ = [
     "IntegrationSeries",
-    "MsaSummary",
     "IntegrationSummary",
     "PanelIntegration",
     "CHARACTERISTICS",
+    "CROSS_STATS",
     "rolling_factor_model",
     "integrate_panel",
     "integration_summary",
@@ -39,6 +39,9 @@ CHARACTERISTICS = (
     "change_r_square",
     "trend_t_stat",
 )
+
+#: The rows of ``IntegrationSummary.cross``, in order.
+CROSS_STATS = ("mean", "sd", "min", "max")
 
 MIN_PREWHITEN_OBS = 10
 MIN_SUMMARY_WINDOWS = 3
@@ -168,38 +171,28 @@ def integrate_panel(
 
 
 @dataclass(frozen=True)
-class MsaSummary:
-    msa_id: str
-    mean_return: float
-    sigma: float
-    final_r_square: float
-    change_r_square: float
-    trend_t_stat: float
-
-    def value(self, characteristic: str) -> float:
-        return getattr(self, characteristic)
-
-
-@dataclass(frozen=True)
 class IntegrationSummary:
-    """Per-MSA characteristics with cross-MSA ranks, moments, and quintiles.
+    """Per-MSA characteristics with cross-MSA ranks, moments and quintiles.
 
-    ``ranks[c][msa_id]`` runs 1..N lowest-to-highest with ties broken by
-    MSA id. ``quintile_minima[c]`` is the minimum of each rank-quintile
-    bucket (bucket sizes ceil(N/5) with the remainder in the last; an empty
-    trailing bucket inherits the previous minimum so the five values are
-    always defined and non-decreasing).
+    Row k of ``values`` and ``ranks`` is MSA ``ids[k]`` (ids sorted) and
+    column c is ``CHARACTERISTICS[c]``. A rank runs 1..N lowest to highest
+    within its column, ties broken by MSA id. ``cross`` has one row per
+    ``CROSS_STATS`` entry. Row q of ``quintile_minima`` is the minimum of
+    rank-quintile bucket q + 1 (bucket sizes ceil(N/5) with the remainder in
+    the last; an empty trailing bucket inherits the previous minimum, so the
+    five values are always defined and non-decreasing).
     """
 
-    rows: tuple[MsaSummary, ...]
-    ranks: dict[str, dict[str, int]]
-    cross: dict[str, dict[str, float]]
-    quintile_minima: dict[str, tuple[float, ...]]
+    ids: tuple[str, ...]
+    values: np.ndarray  # (N, 5)
+    ranks: np.ndarray  # (N, 5) int
+    cross: np.ndarray  # (4, 5)
+    quintile_minima: np.ndarray  # (5, 5)
     excluded: tuple[tuple[str, str], ...]
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.ids)
 
 
 def _quintile_minima(sorted_values: np.ndarray) -> tuple[float, ...]:
@@ -226,8 +219,7 @@ def integration_summary(
     MSAs with fewer than 3 windows are excluded (a trend fit needs 3
     points); exclusions are logged on the result.
     """
-    rows = []
-    excluded = []
+    ids, rows, excluded = [], [], []
     for s in sorted(series, key=lambda s: s.msa_id):
         if s.n_windows < MIN_SUMMARY_WINDOWS:
             excluded.append(
@@ -235,41 +227,28 @@ def integration_summary(
             )
             continue
         _, r = returns.series(s.msa_id)
-        tf = trend_fit(s.r_squares)
-        rows.append(
-            MsaSummary(
-                msa_id=s.msa_id,
-                mean_return=float(r.mean()),
-                sigma=float(r.std(ddof=1)) if r.size > 1 else 0.0,
-                final_r_square=float(s.r_squares[-1]),
-                change_r_square=s.change_r_square,
-                trend_t_stat=tf.slope_t_stat,
-            )
-        )
+        ids.append(s.msa_id)
+        rows.append((
+            float(r.mean()),
+            float(r.std(ddof=1)) if r.size > 1 else 0.0,
+            float(s.r_squares[-1]),
+            s.change_r_square,
+            trend_fit(s.r_squares).slope_t_stat,
+        ))
     if not rows:
         raise ValueError("no MSA has enough windows to summarise")
 
-    ranks: dict[str, dict[str, int]] = {}
-    cross: dict[str, dict[str, float]] = {}
-    quintiles: dict[str, tuple[float, ...]] = {}
-    for c in CHARACTERISTICS:
-        order = sorted(rows, key=lambda m: (m.value(c), m.msa_id))
-        ranks[c] = {m.msa_id: i + 1 for i, m in enumerate(order)}
-        vals = np.array([m.value(c) for m in order])
-        cross[c] = {
-            "mean": float(vals.mean()),
-            "sd": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-            "min": float(vals.min()),
-            "max": float(vals.max()),
-        }
-        quintiles[c] = _quintile_minima(vals)
-    return IntegrationSummary(
-        rows=tuple(rows),
-        ranks=ranks,
-        cross=cross,
-        quintile_minima=quintiles,
-        excluded=tuple(excluded),
-    )
+    values = np.array(rows)
+    # Stable over rows in id order, so a tie is broken by MSA id.
+    order = np.argsort(values, axis=0, kind="stable")
+    ranks = order.argsort(axis=0) + 1  # the inverse permutations
+    # Each column sorted as a contiguous 1-D array: a reduction along axis 0
+    # of ``values`` would sum in another order. min() and max() rather than
+    # the end elements, which differ from them in sign on a 0.0/-0.0 tie.
+    ranked = [values[order[:, c], c] for c in range(len(CHARACTERISTICS))]
+    cross = np.array([(v.mean(), v.std(ddof=1) if v.size > 1 else 0.0, v.min(), v.max()) for v in ranked]).T
+    quintiles = np.array([_quintile_minima(v) for v in ranked]).T
+    return IntegrationSummary(tuple(ids), values, ranks, cross, quintiles, tuple(excluded))
 
 
 def _common_average(
@@ -322,18 +301,14 @@ def cohort_average(
 def beta_average(
     series: list[IntegrationSeries] | tuple[IntegrationSeries, ...],
     factor_id: str,
-    members=None,
-    start: QuarterIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average one factor's rolling coefficient across MSAs (all by default)."""
+    """Average one factor's rolling coefficient across all MSAs, over quarters they all report."""
     if not factor_id:
         raise ValueError("factor id is empty")
     series = list(series)
-    if members is None:
-        members = [s.msa_id for s in series]
     for s in series:
         if factor_id not in s.names:
             raise KeyError(f"{s.msa_id} has no factor {factor_id!r}")
     return _common_average(
-        series, list(members), start, lambda s: s.beta_series(factor_id)
+        series, [s.msa_id for s in series], None, lambda s: s.beta_series(factor_id)
     )

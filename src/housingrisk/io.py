@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from itertools import compress
@@ -40,6 +41,30 @@ HPI_HEADER = ["msa_id", "msa_name", "state", "quarter", "index"]
 
 
 READ_BLOCK_ROWS = 4096  # records parsed together by load_hpi_panel
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
+
+
+def _open_csv(path: Path):
+    """``path`` opened for ``_csv_records``: a byte that is not UTF-8 reads as a lone surrogate."""
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _csv_records(fh, path: Path):
+    """The csv records of ``fh`` (see ``_open_csv``), header first.
+
+    A record holding a byte that is not UTF-8, or one that csv cannot read
+    (a field over the field size limit), raises an IngestionError naming the
+    path and the record number.
+    """
+    number = 0
+    try:
+        for number, row in enumerate(csv.reader(fh), start=1):
+            text = "".join(row)
+            if not text.isascii() and _NOT_UTF8.search(text):
+                raise IngestionError(f"{path}:{number}: not valid UTF-8")
+            yield row
+    except csv.Error as exc:
+        raise IngestionError(f"{path}:{number + 1}: {exc}") from None
 
 
 def _record_blocks(reader, size: int):
@@ -55,7 +80,7 @@ def _record_blocks(reader, size: int):
             if len(block) == size:
                 yield block
                 block = []
-    except (csv.Error, ValueError):  # ValueError covers UnicodeDecodeError
+    except IngestionError:
         yield block
         raise
     if block:
@@ -79,8 +104,8 @@ def load_hpi_panel(path: str | Path) -> IndexPanel:
     quarter_of: dict[str, int | QuarterParseError] = {}  # quarter cell -> code
     seen: set[tuple[str, int]] = set()
     msa_ids, codes, levels = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as fh:
+        reader = _csv_records(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != HPI_HEADER:
             raise IngestionError(
@@ -175,8 +200,8 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
     its first available observation).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _open_csv(path) as fh:
+        reader = _csv_records(fh, path)
         header = next(reader, None)
         if not header or header[0].strip() != "quarter" or len(header) < 2:
             raise IngestionError(f"{path}: expected header 'quarter,<factor_id>...'")
@@ -253,8 +278,11 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
 
 def load_transform_config(path: str | Path) -> dict[str, str]:
     """Read a JSON factor_id -> transform mapping."""
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IngestionError(f"{path}: not UTF-8 JSON: {exc}") from None
     if not isinstance(cfg, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in cfg.items()
     ):

@@ -11,11 +11,13 @@ oracle for the integration estimator.
 
 from __future__ import annotations
 
+import reprlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FactorTable, IndexPanel, LOG_LEVEL, MsaInfo, QuarterIndex, parse_quarter
+from .core import FactorTable, IndexPanel, LOG_LEVEL, MsaInfo, QuarterIndex, is_quarter, parse_quarter
 from .errors import ConfigError
 
 __all__ = [
@@ -100,8 +102,19 @@ def loading_for_signal_share(
     return float(np.sqrt(share / (1.0 - share) * idio_var / n_factors))
 
 
+def _as_array(value, name: str, problems: list[str]) -> np.ndarray | None:
+    """``value`` as a float array, or None (and a problem) for a ragged list."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        problems.append(f"{name} must be a number or a regular nested list of numbers")
+        return None
+
+
 def _per_msa(value, n: int, name: str, problems: list[str]) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, name, problems)
+    if arr is None:
+        return np.zeros(n)
     if arr.ndim == 0:
         return np.full(n, float(arr))
     if arr.shape != (n,):
@@ -132,14 +145,18 @@ def _normalize(config: ScenarioConfig):
         problems.append("n_quarters must be >= 2")
     if config.n_factors < 0:
         problems.append("n_factors must be >= 0")
+    if config.seed < 0:
+        problems.append("seed must be >= 0")
     if problems:
         raise ConfigError("invalid scenario: " + "; ".join(problems))
 
     n_m, n_q, n_f = config.n_msas, config.n_quarters, config.n_factors
     ids = config.msa_ids()
 
-    L = np.asarray(config.loadings, dtype=float)
-    if L.ndim == 0:
+    L = _as_array(config.loadings, "loadings", problems)
+    if L is None:
+        L = np.zeros((n_m, n_f))
+    elif L.ndim == 0:
         L = np.full((n_m, n_f), float(L))
     elif L.ndim == 1 and L.shape == (n_f,):
         L = np.tile(L, (n_m, 1))
@@ -205,6 +222,7 @@ def _signal_share(L: np.ndarray, sigma: np.ndarray, phi: np.ndarray) -> np.ndarr
     return share
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def generate_panel(config: ScenarioConfig) -> tuple[IndexPanel, FactorTable, GroundTruth]:
     """Build (IndexPanel, FactorTable, GroundTruth) from a scenario.
 
@@ -252,6 +270,11 @@ def generate_panel(config: ScenarioConfig) -> tuple[IndexPanel, FactorTable, Gro
     levels = np.empty((n_q + 1, n_m))
     levels[0] = 100.0
     levels[1:] = 100.0 * np.exp(np.cumsum(returns, axis=0) / 100.0)
+    if not (np.isfinite(levels) & (levels > 0)).all():
+        raise ConfigError(
+            "invalid scenario: index levels leave the floating-point range; "
+            "lower mu, loadings, idio_sigma, jump magnitudes or contagion weights"
+        )
 
     infos = tuple(MsaInfo(ids[i], ids[i], states[i]) for i in range(n_m))
     panel = IndexPanel(infos, config.start, levels)
@@ -296,41 +319,106 @@ def ground_truth_report(truth: GroundTruth) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int_at_least(least: int):
+    return lambda v: _is_int(v) and v >= least
+
+
+def _is_number(v) -> bool:
+    """A finite number; JSON reads NaN, Infinity and 1e999 as floats too."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_numbers(v) -> bool:
+    """A number or a list of numbers, nested to any depth."""
+    return _is_number(v) or isinstance(v, list) and all(map(_is_numbers, v))
+
+
+def _is_ref(v) -> bool:
+    """An MSA given by 0-based index or by id."""
+    return _is_int(v) or isinstance(v, str)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# key: (what its value must be, test); entries of "jumps", "contagion" and a
+# ramp "loadings" are objects whose keys are all required.
+_SCENARIO_KEYS = {
+    "n_msas": ("an integer at least 1", _int_at_least(1)),
+    "n_quarters": ("an integer at least 2", _int_at_least(2)),
+    "n_factors": ("an integer at least 0", _int_at_least(0)),
+    "seed": ("an integer at least 0", _int_at_least(0)),
+    "start": ("a quarter", is_quarter),
+    "loadings": ("a number, a list of numbers or a ramp object",
+                 lambda v: _is_numbers(v) or isinstance(v, dict)),
+    "idio_sigma": ("a number or a list of numbers", _is_numbers),
+    "phi": ("a number or a list of numbers", _is_numbers),
+    "mu": ("a number or a list of numbers", _is_numbers),
+    "states": ("a list of printable strings", _list_of(lambda v: isinstance(v, str) and v.isprintable())),
+    "jumps": ("a list of objects", _list_of(lambda v: isinstance(v, dict))),
+    "contagion": ("a list of objects", _list_of(lambda v: isinstance(v, dict))),
+}
+_RAMP_KEYS = {
+    "kind": ('"ramp"', lambda v: v == "ramp"),
+    "start": ("a number", _is_number),
+    "end": ("a number", _is_number),
+}
+_JUMP_KEYS = {
+    "quarter": ("an integer or a quarter", lambda v: _is_int(v) or is_quarter(v)),
+    "msas": ("a list of MSA indices or ids", _list_of(_is_ref)),
+    "magnitude": ("a number", _is_number),
+}
+_CONTAGION_KEYS = {
+    "source": ("an MSA index or id", _is_ref),
+    "target": ("an MSA index or id", _is_ref),
+    "weights": ("a list of numbers", _list_of(_is_number)),
+}
+
+
+def _key_problems(obj: dict, keys: dict, where: str, required) -> list[str]:
+    """A problem for each key of ``required`` that ``obj`` lacks and each value ``keys`` rejects."""
+    problems = [f"{where}{key} is missing" for key in required if key not in obj]
+    for key, (what, ok) in keys.items():
+        if key in obj and not ok(obj[key]):
+            problems.append(f"{where}{key} must be {what}, got {reprlib.repr(obj[key])}")
+    return problems
+
+
 def scenario_from_json(obj: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON scenario file.
 
     ``loadings`` may be a number, a nested list, or {"kind": "ramp",
     "start": a, "end": b} for a loading that rises linearly over the sample
-    (the rising-integration emulation).
+    (the rising-integration emulation). A missing key or a value of the
+    wrong type raises one ConfigError naming every such key.
     """
     if not isinstance(obj, dict):
         raise ConfigError("scenario file must hold a JSON object")
-    required = ("n_msas", "n_quarters", "n_factors")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ConfigError(f"scenario is missing: {', '.join(missing)}")
-    n_m = int(obj["n_msas"])
-    n_q = int(obj["n_quarters"])
-    n_f = int(obj["n_factors"])
+    problems = _key_problems(obj, _SCENARIO_KEYS, "", ("n_msas", "n_quarters", "n_factors"))
+    if not problems:
+        if isinstance(obj.get("loadings"), dict):
+            problems += _key_problems(obj["loadings"], _RAMP_KEYS, "loadings.", _RAMP_KEYS)
+        for name, keys in (("jumps", _JUMP_KEYS), ("contagion", _CONTAGION_KEYS)):
+            for k, entry in enumerate(obj.get(name, ())):
+                problems += _key_problems(entry, keys, f"{name}[{k}].", keys)
+    if problems:
+        raise ConfigError("invalid scenario: " + "; ".join(problems))
+    n_m, n_q, n_f = obj["n_msas"], obj["n_quarters"], obj["n_factors"]
 
     loadings = obj.get("loadings", 0.0)
     if isinstance(loadings, dict):
-        if loadings.get("kind") != "ramp":
-            raise ConfigError(f"unknown loadings spec: {loadings!r}")
-        a = float(loadings["start"])
-        b = float(loadings["end"])
-        ramp = a + (b - a) * np.arange(n_q) / max(n_q - 1, 1)
-        loadings = np.broadcast_to(
-            ramp[:, None, None], (n_q, n_m, n_f)
-        ).copy()
+        a, b = loadings["start"], loadings["end"]
+        ramp = a + (b - a) * np.arange(n_q) / (n_q - 1)
+        loadings = np.broadcast_to(ramp[:, None, None], (n_q, n_m, n_f)).copy()
 
     jumps = tuple(
         JumpPlan(
-            quarter=(
-                parse_quarter(j["quarter"])
-                if isinstance(j["quarter"], str)
-                else int(j["quarter"])
-            ),
+            quarter=parse_quarter(j["quarter"]) if isinstance(j["quarter"], str) else j["quarter"],
             msas=tuple(j["msas"]),
             magnitude=float(j["magnitude"]),
         )
@@ -353,11 +441,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         mu=obj.get("mu", 0.0),
         jumps=jumps,
         contagion=contagion,
-        seed=int(obj.get("seed", 0)),
-        start=(
-            parse_quarter(obj["start"])
-            if isinstance(obj.get("start"), str)
-            else QuarterIndex(1980, 1)
-        ),
+        seed=obj.get("seed", 0),
+        start=parse_quarter(obj["start"]) if "start" in obj else QuarterIndex(1980, 1),
         states=tuple(obj["states"]) if "states" in obj else None,
     )

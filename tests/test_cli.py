@@ -318,6 +318,47 @@ def test_bad_config_fails_before_any_write(tmp_path, capsys, monkeypatch, overri
     assert sorted(tmp_path.iterdir()) == before  # no out/, no stage left behind
 
 
+@pytest.mark.parametrize("text", [b'{"window": 20', b'{"window": "\xff"}'], ids=["truncated", "byte"])
+def test_config_file_that_is_not_utf8_json_is_named(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert main(["ingest", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"housingrisk: error: config file {path} is not UTF-8 JSON: ")
+    assert err.count("\n") == 1
+
+
+def scenario_bytes(**overrides) -> bytes:
+    return json.dumps(dict(json.loads(json.dumps(SCENARIO)), **overrides)).encode()
+
+
+@pytest.mark.parametrize("text,named", [
+    pytest.param(scenario_bytes(n_msas="x"), ": invalid scenario: n_msas must be", id="n-msas-string"),
+    pytest.param(scenario_bytes(jumps=[{"quarter": 50, "msas": [1]}]),
+                 ": invalid scenario: jumps[0].magnitude is missing", id="jump-without-magnitude"),
+    pytest.param(scenario_bytes()[:-1], " is not UTF-8 JSON:", id="invalid-json"),
+    pytest.param(scenario_bytes().replace(b'"seed"', b'"s\xffeed"'), " is not UTF-8 JSON:", id="not-utf8"),
+    pytest.param(scenario_bytes(loadings={"kind": "ramp", "end": 1.0}),
+                 ": invalid scenario: loadings.start is missing", id="ramp-without-start"),
+    pytest.param(scenario_bytes(seed=-1), ": invalid scenario: seed must be", id="seed-negative"),
+    pytest.param(scenario_bytes(loadings=[[0.5, 0.5], [0.5]]), ": invalid scenario: loadings must be",
+                 id="ragged-loadings"),
+    pytest.param(scenario_bytes(mu=float("nan")), ": invalid scenario: mu must be", id="mu-nan"),
+    pytest.param(scenario_bytes(mu=1e9), ": invalid scenario: index levels leave", id="levels-overflow"),
+])
+def test_malformed_scenario_fails_before_any_write(tmp_path, capsys, monkeypatch, text, named):
+    monkeypatch.chdir(tmp_path)
+    rpath, _ = write_scenario(tmp_path)
+    spath = tmp_path / "scenario_out.json"
+    spath.write_bytes(text)
+    before = sorted(tmp_path.iterdir())
+    assert main(["synth", "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"housingrisk: error: scenario file {spath}{named}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("obj,key", [
     ({"windw": 5}, "'windw'"),
     ({"thresholds": {"jump": 1.0, "bigg": 2.0}}, "'thresholds.bigg'"),

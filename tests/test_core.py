@@ -13,6 +13,7 @@ from housingrisk import (
     DomainError,
     FactorTable,
     IndexPanel,
+    InsufficientHistoryError,
     MsaInfo,
     QuarterIndex,
     QuarterParseError,
@@ -75,6 +76,13 @@ def test_returns_are_log_percent():
     _, r = rets.series("A")
     assert_allclose(r, [100 * math.log(1.1), 100 * math.log(99 / 110)], rtol=1e-12)
     assert rets.start == Q0 + 1
+
+
+def test_an_msa_with_a_single_level_has_no_return():
+    levels = np.array([[100.0, np.nan], [110.0, np.nan], [99.0, 100.0]])  # B starts in the last quarter
+    panel = IndexPanel([MsaInfo("A", "A", ""), MsaInfo("B", "B", "")], Q0, levels)
+    with pytest.raises(InsufficientHistoryError, match="MSA B has a single index level"):
+        compute_returns(panel)
 
 
 def test_return_symmetry_up_down():

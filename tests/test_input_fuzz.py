@@ -1,0 +1,101 @@
+"""Mutated input files never end a run in a traceback.
+
+Small valid HPI, factor, transforms and scenario files are mutated (byte
+flips, truncation, inserted 0xff, NUL, quotes, CRs and an oversized field)
+and run through ``ingest`` or ``synth`` in-process. The status is 0 or 2; on
+2, stderr is one ``housingrisk: error:`` line and no output directory exists.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from housingrisk.cli import main
+
+HPI = b"""msa_id,msa_name,state,quarter,index
+A1,"Alpha, CA",CA,1990:Q1,100.0
+A1,"Alpha, CA",CA,1990:Q2,101.5
+A1,"Alpha, CA",CA,1990:Q3,99.25
+B2,Beta,TX,1990:Q2,200.0
+B2,Beta,TX,1990:Q3,202.0
+"""
+FACTORS = b"""quarter,F1,F2
+1990:Q1,8.25,330.2
+1990:Q2,8.15,
+1990:Q3,8.0,358.0
+"""
+TRANSFORMS = b'{"F1": "log_level", "F2": "log_pct_change"}'
+SCENARIO = json.dumps({
+    "n_msas": 3, "n_quarters": 12, "n_factors": 1, "seed": 5, "start": "1990:Q1",
+    "loadings": {"kind": "ramp", "start": 0.2, "end": 1.0},
+    "idio_sigma": [1.0, 0.5, 2.0], "phi": 0.3, "mu": 0.1, "states": ["CA", "TX", "NY"],
+    "jumps": [{"quarter": "1991:Q2", "msas": [0, "S003"], "magnitude": 6.0}],
+    "contagion": [{"source": 0, "target": 1, "weights": [0.5]}],
+}).encode()
+
+INSERTS = (b"\xff", b"\x00", b'"', b"\r", b"\r\n", b"x" * (csv.field_size_limit() + 1))
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, max(len(data) - 1, 0)))
+        kind = draw(st.sampled_from(("flip", "truncate", "insert")))
+        if kind == "flip" and data:
+            data = data[:pos] + bytes([data[pos] ^ draw(st.integers(1, 255))]) + data[pos + 1 :]
+        elif kind == "truncate":
+            data = data[:pos]
+        else:
+            data = data[:pos] + draw(st.sampled_from(INSERTS)) + data[pos:]
+    return data
+
+
+def assert_exits_0_or_2_cleanly(command: str, files: dict[str, bytes], config) -> None:
+    """Run ``command`` on ``files`` in a fresh directory; ``config(dir)`` gives the run config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in files.items():
+            (tmp / name).write_bytes(data)
+        (tmp / "run.json").write_text(json.dumps(dict(config(tmp), out=str(tmp / "out"))))
+        err = io.StringIO()
+        # A warning would print a second stderr line, so it fails here too.
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main([command, "--config", str(tmp / "run.json")])
+        err = err.getvalue()
+        assert status in (0, 2), err
+        if status == 2:
+            assert err.startswith("housingrisk: error: "), err
+            assert err.count("\n") == 1 and err.endswith("\n") and "\r" not in err, err
+            assert not (tmp / "out").exists()
+        else:
+            assert err == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("hpi.csv", "factors.csv", "transforms.json")).flatmap(
+    lambda name: st.tuples(st.just(name), mutated({"hpi.csv": HPI, "factors.csv": FACTORS,
+                                                   "transforms.json": TRANSFORMS}[name]))
+))
+def test_ingest_of_a_mutated_input_exits_0_or_2(mutation):
+    name, data = mutation
+    files = {"hpi.csv": HPI, "factors.csv": FACTORS, "transforms.json": TRANSFORMS, name: data}
+    assert_exits_0_or_2_cleanly("ingest", files, lambda tmp: {"inputs": {
+        "hpi": str(tmp / "hpi.csv"), "factors": str(tmp / "factors.csv"),
+        "transforms": str(tmp / "transforms.json"),
+    }})
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutated(SCENARIO))
+def test_synth_of_a_mutated_scenario_exits_0_or_2(data):
+    assert_exits_0_or_2_cleanly("synth", {"scenario.json": data},
+                                lambda tmp: {"synth_scenario": str(tmp / "scenario.json")})

@@ -19,7 +19,7 @@ from housingrisk import (
     integration_summary,
     rolling_factor_model,
 )
-from housingrisk.integration import CHARACTERISTICS
+from housingrisk.integration import CHARACTERISTICS, CROSS_STATS
 from housingrisk.regress import _solve_ls, add_intercept, ols_fit
 from .conftest import Q0, factor_table, panel_from_returns
 
@@ -239,6 +239,10 @@ def series_of(msa_id, r2s, start=Q0):
     return IntegrationSeries(msa_id, ends, r2s, betas, ("const",), window=20)
 
 
+def column(name):
+    return CHARACTERISTICS.index(name)
+
+
 def test_summary_characteristics_and_ranks(rng):
     panel = panel_from_returns({
         "A": np.array([1.0, -1.0, 1.0, -1.0]),
@@ -246,17 +250,18 @@ def test_summary_characteristics_and_ranks(rng):
     })
     series = [series_of("A", [0.1, 0.2, 0.5]), series_of("B", [0.6, 0.55, 0.7])]
     summary = integration_summary(series, panel)
-    by_id = {m.msa_id: m for m in summary.rows}
+    assert summary.ids == ("A", "B")
+    a, b = summary.values
     # sample sd with ddof=1: sd(1,-1,1,-1) = sqrt(4/3)
-    assert by_id["A"].sigma == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-12)
-    assert by_id["A"].mean_return == pytest.approx(0.0)
-    assert by_id["B"].sigma == 0.0
-    assert by_id["B"].mean_return == 2.0
-    assert by_id["A"].final_r_square == 0.5
-    assert by_id["A"].change_r_square == pytest.approx(0.4)
-    assert summary.ranks["final_r_square"] == {"A": 1, "B": 2}
-    assert summary.ranks["mean_return"] == {"A": 1, "B": 2}
-    assert set(summary.ranks) == set(CHARACTERISTICS)
+    assert a[column("sigma")] == pytest.approx(np.sqrt(4.0 / 3.0), rel=1e-12)
+    assert a[column("mean_return")] == pytest.approx(0.0)
+    assert b[column("sigma")] == 0.0
+    assert b[column("mean_return")] == 2.0
+    assert a[column("final_r_square")] == 0.5
+    assert a[column("change_r_square")] == pytest.approx(0.4)
+    assert summary.ranks[:, column("final_r_square")].tolist() == [1, 2]
+    assert summary.ranks[:, column("mean_return")].tolist() == [1, 2]
+    assert summary.values.shape == summary.ranks.shape == (2, len(CHARACTERISTICS))
 
 
 def test_summary_rank_ties_break_by_id():
@@ -265,14 +270,15 @@ def test_summary_rank_ties_break_by_id():
     })
     series = [series_of("Y", [0.5, 0.5, 0.5]), series_of("X", [0.5, 0.5, 0.5])]
     summary = integration_summary(series, panel)
-    assert summary.ranks["final_r_square"] == {"X": 1, "Y": 2}
+    assert summary.ids == ("X", "Y")
+    assert summary.ranks[:, column("final_r_square")].tolist() == [1, 2]
 
 
 def test_summary_excludes_under_three_windows():
     panel = panel_from_returns({"A": np.ones(4), "B": np.ones(4)})
     series = [series_of("A", [0.1, 0.2, 0.3]), series_of("B", [0.9, 0.8])]
     summary = integration_summary(series, panel)
-    assert [m.msa_id for m in summary.rows] == ["A"]
+    assert summary.ids == ("A",)
     assert summary.excluded[0][0] == "B"
     assert "2" in summary.excluded[0][1]
 
@@ -280,7 +286,7 @@ def test_summary_excludes_under_three_windows():
 def test_summary_single_msa_quintiles_collapse():
     panel = panel_from_returns({"A": np.ones(4)})
     summary = integration_summary([series_of("A", [0.2, 0.3, 0.4])], panel)
-    assert summary.quintile_minima["final_r_square"] == (0.4,) * 5
+    assert summary.quintile_minima[:, column("final_r_square")].tolist() == [0.4] * 5
 
 
 def test_summary_quintile_minima_nondecreasing(rng):
@@ -288,10 +294,8 @@ def test_summary_quintile_minima_nondecreasing(rng):
     panel = panel_from_returns({i: rng.normal(size=5) for i in ids})
     series = [series_of(i, rng.uniform(0, 1, size=4)) for i in ids]
     summary = integration_summary(series, panel)
-    for c in CHARACTERISTICS:
-        mins = summary.quintile_minima[c]
-        assert len(mins) == 5
-        assert all(a <= b for a, b in zip(mins, mins[1:]))
+    assert summary.quintile_minima.shape == (5, len(CHARACTERISTICS))
+    assert (np.diff(summary.quintile_minima, axis=0) >= 0).all()
 
 
 def test_summary_cross_moments(rng):
@@ -299,10 +303,37 @@ def test_summary_cross_moments(rng):
     series = [series_of(i, v) for i, v in
               [("A", [0.1, 0.1, 0.2]), ("B", [0.3, 0.3, 0.4]), ("C", [0.5, 0.5, 0.9])]]
     summary = integration_summary(series, panel)
-    cross = summary.cross["final_r_square"]
+    cross = dict(zip(CROSS_STATS, summary.cross[:, column("final_r_square")]))
     assert cross["mean"] == pytest.approx(np.mean([0.2, 0.4, 0.9]))
     assert cross["sd"] == pytest.approx(np.std([0.2, 0.4, 0.9], ddof=1))
     assert cross["min"] == 0.2 and cross["max"] == 0.9
+
+
+# Values with ties and both zeros. An R-square path (a, a, b) gives the
+# final R-square b and the change b - a, which is -0.0 for b = -0.0, a = 0.0.
+SUMMARY_VALUE = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(st.lists(SUMMARY_VALUE, min_size=1, max_size=3), SUMMARY_VALUE, SUMMARY_VALUE),
+    min_size=1, max_size=13,
+))
+def test_summary_ranks_cross_and_quintiles_over_ties(msas):
+    ids = [f"M{k:02d}" for k in range(len(msas))]
+    panel = panel_from_returns({i: np.array(r) for i, (r, _, _) in zip(ids, msas)})
+    series = [series_of(i, [a, a, b]) for i, (_, a, b) in zip(ids, msas)]
+    summary = integration_summary(series[::-1], panel)
+    assert summary.ids == tuple(ids)
+    for c in range(len(CHARACTERISTICS)):
+        values = summary.values[:, c]
+        order = sorted(range(len(ids)), key=lambda k: (values[k], ids[k]))
+        assert [summary.ranks[k, c] for k in order] == list(range(1, len(ids) + 1))
+        # min() and max() of the column in that order; str() tells -0.0 from 0.0.
+        ranked = np.array([values[k] for k in order])
+        cross = dict(zip(CROSS_STATS, summary.cross[:, c]))
+        assert str(cross["min"]) == str(ranked.min()) and str(cross["max"]) == str(ranked.max())
+        assert (np.diff(summary.quintile_minima[:, c]) >= 0).all()
 
 
 # --- cohort and beta averages -----------------------------------------------

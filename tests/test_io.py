@@ -137,8 +137,27 @@ def test_hpi_record_fault_comes_before_a_later_reader_error(tmp_path):
         load_hpi_panel(path)
     assert str(exc.value) == f"{path}:3: bad index value 'x'"
     path.write_text(HEADER + f"A,a,CA,1990:Q1,1\nA,{huge},CA,1990:Q2,1\nA,a,CA,1990:Q3,x\n")
-    with pytest.raises(csv.Error):
+    with pytest.raises(IngestionError) as exc:
         load_hpi_panel(path)
+    assert str(exc.value) == f"{path}:3: field larger than field limit ({csv.field_size_limit()})"
+
+
+MANY_RECORDS = "".join(f"A,a,CA,{1900 + k // 4}:Q{k % 4 + 1},1\n" for k in range(3000)).encode()
+
+
+@pytest.mark.parametrize("records,message", [
+    pytest.param(b"A,a,CA,1990:Q1,1\nA,a\xff,CA,1990:Q2,1\n", "3: not valid UTF-8", id="byte"),
+    pytest.param(b"A,a,CA,1990:Q1,x\nA,\xffa,CA,1990:Q2,1\n", "2: bad index value 'x'", id="fault-first"),
+    pytest.param(b"A,\xffa,CA,1990:Q1,1\nA,a,CA,1990:Q2,x\n", "2: not valid UTF-8", id="byte-first"),
+    # far beyond the first chunk that the decoder reads
+    pytest.param(MANY_RECORDS + b"A,\xe9,CA,2900:Q1,1\n", "3002: not valid UTF-8", id="late-byte"),
+])
+def test_hpi_names_the_record_that_is_not_utf8(tmp_path, records, message):
+    path = tmp_path / "hpi.csv"
+    path.write_bytes(HEADER.encode() + records)
+    with pytest.raises(IngestionError) as exc:
+        load_hpi_panel(path)
+    assert str(exc.value) == f"{path}:{message}"
 
 
 def test_hpi_keeps_the_first_name_and_state(tmp_path):
@@ -269,6 +288,30 @@ def test_transform_config_round_trip(tmp_path):
     with pytest.raises(IngestionError):
         load_transform_config(path)
 
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param(b"quarter,GS10\n1990:Q1,8.0\n1990:Q2,\xff7.5\n", "3: not valid UTF-8", id="cell"),
+    pytest.param(b"quarter,GS1\xb0\n1990:Q1,8.0\n", "1: not valid UTF-8", id="header"),
+    pytest.param(b"quarter,GS10\n1990:Q1," + b"8" * (csv.field_size_limit() + 1) + b"\n",
+                 f"2: field larger than field limit ({csv.field_size_limit()})", id="oversized-field"),
+])
+def test_factor_reader_fault_names_the_record(tmp_path, text, message):
+    path = tmp_path / "factors.csv"
+    path.write_bytes(text)
+    with pytest.raises(IngestionError) as exc:
+        load_factor_table(path, {"GS10": "log_level"})
+    assert str(exc.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("text", [b'{"GS10": "log_level"', b'{"GS10": "log_level\xff"}', b""],
+                         ids=["truncated", "byte", "empty"])
+def test_transform_config_that_is_not_json_names_the_path(tmp_path, text):
+    path = tmp_path / "transforms.json"
+    path.write_bytes(text)
+    with pytest.raises(IngestionError) as exc:
+        load_transform_config(path)
+    assert str(exc.value).startswith(f"{path}: not UTF-8 JSON: ")
 
 # --- output formatting ------------------------------------------------------
 

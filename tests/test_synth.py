@@ -213,6 +213,23 @@ def test_scenario_json_round_trip():
     assert panel.n_msas == 3
 
 
+def test_scenario_json_names_every_bad_key():
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_json({"n_msas": "x", "n_quarters": 10, "phi": [0.1, None]})
+    assert str(exc.value) == (
+        "invalid scenario: n_factors is missing; n_msas must be an integer at least 1, got 'x'; "
+        "phi must be a number or a list of numbers, got [0.1, None]"
+    )
+    obj = {"n_msas": 2, "n_quarters": 10, "n_factors": 1,
+           "jumps": [{"quarter": "1990:Q9", "msas": [0]}], "contagion": [{"source": 0, "weights": []}]}
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_json(obj)
+    assert str(exc.value) == (
+        "invalid scenario: jumps[0].magnitude is missing; jumps[0].quarter must be an integer or a quarter, "
+        "got '1990:Q9'; contagion[0].target is missing"
+    )
+
+
 def test_scenario_json_ramp_loadings():
     obj = {
         "n_msas": 2, "n_quarters": 30, "n_factors": 2, "seed": 1,
