@@ -24,7 +24,6 @@ import errno
 import functools
 import hashlib
 import json
-import numbers
 import os
 import shutil
 import sys
@@ -83,7 +82,7 @@ from .io import (
 )
 from .jumps import MIN_BIPOWER_WINDOW, jump_incidence, lm_series
 from .portfolio import diversification_series, portfolio_returns, series_correlation
-from .synth import generate_panel, ground_truth_report, scenario_from_json
+from .synth import _is_int, _is_number, generate_panel, ground_truth_report, scenario_from_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS", "ENV_PREFIX"]
 
@@ -172,11 +171,6 @@ class RunConfig:
         return d
 
 
-def _is_number(value, kind) -> bool:
-    """True for a number of ``kind``; a bool is not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 # -- the settings table ----------------------------------------------------
 #
 # Each test takes a value as JSON gives it and says whether it is valid.
@@ -199,11 +193,11 @@ def _object_of(ok):
 
 
 def _integer(least=None):
-    return lambda v: _is_number(v, numbers.Integral) and (least is None or v >= least)
+    return lambda v: _is_int(v) and (least is None or v >= least)
 
 
 def _positive(v) -> bool:
-    return _is_number(v, numbers.Real) and v > 0
+    return _is_number(v) and v > 0
 
 
 def _path(v) -> bool:
@@ -433,28 +427,8 @@ class _Runner:
         return integration_summary(self.integration().series, self.returns)
 
     @_memoised
-    def jump_series_all(self):
-        """(series, skipped) over every MSA with enough history."""
-        series = []
-        skipped = []
-        for msa_id in self.returns.msa_ids():
-            start, values = self.returns.series(msa_id)
-            try:
-                series.append(
-                    lm_series(
-                        values,
-                        self.cfg.bipower_window,
-                        msa_id=msa_id,
-                        start_code=start.code,
-                        jump_threshold=self.cfg.jump_threshold,
-                        big_threshold=self.cfg.big_threshold,
-                    )
-                )
-            except InsufficientHistoryError as exc:
-                skipped.append((msa_id, str(exc)))
-        if not series:
-            raise HousingRiskError(f"no MSA could take the jump test; first skip: {skipped[0][1]}")
-        return series, skipped
+    def jumps(self):
+        return lm_series(self.returns, self.cfg.bipower_window, self.cfg.jump_threshold, self.cfg.big_threshold)
 
     @_memoised
     def pair_sets(self):
@@ -463,9 +437,8 @@ class _Runner:
         for timing in ("contemporaneous", "lead"):
             pairs, _ = return_pair_correlations(self.returns, timing, self.cfg.min_overlap)
             sets.append(pairs)
-        series, _ = self.jump_series_all()
         for timing in ("contemporaneous", "lead"):
-            pairs, _ = jump_pair_correlations(series, timing, self.cfg.jump_pair_floor)
+            pairs, _ = jump_pair_correlations(self.jumps(), timing, self.cfg.jump_pair_floor)
             sets.append(pairs)
         return sets
 
@@ -564,13 +537,12 @@ def _cohort_columns(r: _Runner) -> list:
 @_memoised
 def _incidence_columns(r: _Runner) -> list:
     """(cohort, quarter, pct, n_flagged, n_testable): jump_incidence.csv; fig4 is the first three."""
-    series, _ = r.jump_series_all()
-    by_id = {s.msa_id: s for s in series}
+    jumps = r.jumps()
     parts = []
     for cohort, members in r.ca_cohorts().items():
-        chosen = [by_id[m] for m in members if m in by_id]
-        if chosen:
-            parts.append((cohort, *jump_incidence(chosen, flag="big")))
+        columns = np.flatnonzero(np.isin(jumps.ids, members))
+        if columns.size:
+            parts.append((cohort, *jump_incidence(jumps, columns, flag="big")))
     names, codes, pct, flagged, testable = zip(*parts)  # every run has the us cohort
     return _long(zip(names, codes, pct)) + [_concat(flagged, int), _concat(testable, int)]
 
@@ -672,18 +644,18 @@ def _cohort_plan(r: _Runner, series):
 
 
 def _cmd_jumps(r: _Runner) -> None:
-    series, _ = r.jump_series_all()
+    jumps = r.jumps()
+    # Each MSA's quarters from its first return on, MSA by MSA.
+    present = np.arange(len(jumps.L)) >= jumps.first_offsets[:, None]
+    msa, t = np.nonzero(present)
     r.write_csv(
         "jump_series.csv",
         ["msa_id", "quarter", "L", "L_scaled", "jump_flag", "big_flag", "testable"],
         [
-            Labels.repeat([s.msa_id for s in series], [s.n_quarters for s in series]),
-            quarter_labels(_concat([s.quarter_codes for s in series], int)),
-            _concat([s.L for s in series], float),
-            _concat([s.L_scaled for s in series], float),
-            _concat([s.jump_flag for s in series], bool),
-            _concat([s.big_flag for s in series], bool),
-            _concat([s.testable for s in series], bool),
+            Labels(msa, jumps.ids),
+            quarter_labels(jumps.start.code + t),
+            *(a.T[present] for a in (jumps.L, jumps.L_scaled, jumps.jump_flag,
+                                     jumps.big_flag, jumps.testable)),
         ],
     )
     r.write_csv(

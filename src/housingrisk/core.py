@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     AlignmentError,
     DomainError,
+    IngestionError,
     InsufficientHistoryError,
     QuarterParseError,
 )
@@ -272,7 +273,8 @@ def compute_returns(panel: IndexPanel) -> ReturnPanel:
 
     ``return_t = 100 * ln(level_t / level_{t-1})`` for each consecutive pair
     within an MSA's available range, stamped at quarter ``t``. An MSA with a
-    single level has no return and raises InsufficientHistoryError.
+    single level has no return and raises InsufficientHistoryError; a level
+    ratio that overflows or underflows raises IngestionError.
     """
     single = np.flatnonzero(panel.first_offsets == panel.n_quarters - 1)
     if single.size:
@@ -280,8 +282,15 @@ def compute_returns(panel: IndexPanel) -> ReturnPanel:
             f"MSA {panel.msas[single[0]].msa_id} has a single index level ({panel.end}), so no return"
         )
     levels = panel.values
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         rets = 100.0 * np.log(levels[1:] / levels[:-1])
+    bad = np.isinf(rets)
+    if bad.any():
+        t, j = map(int, np.argwhere(bad)[0])
+        raise IngestionError(
+            f"MSA {panel.msas[j].msa_id}: return at {panel.start + t + 1} is out of float range "
+            f"(levels {levels[t, j]} then {levels[t + 1, j]})"
+        )
     return ReturnPanel(panel.msas, panel.start + 1, rets)
 
 
@@ -290,7 +299,8 @@ def transform_factor(raw: Sequence[float], spec: str) -> np.ndarray:
 
     ``log_pct_change`` yields ``100*ln(x_t/x_{t-1})`` (one fewer value);
     ``log_level`` yields ``ln(x_t)``. Missing raw observations (NaN) yield
-    missing transformed observations, never a silent zero.
+    missing transformed observations, never a silent zero. A ratio that
+    overflows or underflows raises DomainError.
     """
     x = np.asarray(raw, dtype=float)
     bad = (x <= 0) & ~np.isnan(x)
@@ -303,8 +313,15 @@ def transform_factor(raw: Sequence[float], spec: str) -> np.ndarray:
     if spec == LOG_PCT_CHANGE:
         if x.size < 2:
             raise DomainError("log_pct_change needs at least 2 observations")
-        with np.errstate(invalid="ignore"):
-            return 100.0 * np.log(x[1:] / x[:-1])
+        with np.errstate(all="ignore"):
+            out = 100.0 * np.log(x[1:] / x[:-1])
+        bad = np.isinf(out)
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise DomainError(
+                f"value {x[i]} at position {i} after {x[i - 1]} is out of float range under {spec}"
+            )
+        return out
     raise ValueError(f"unknown transform spec {spec!r}")
 
 

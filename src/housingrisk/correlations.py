@@ -203,21 +203,8 @@ def return_pair_correlations(
     )
 
 
-def _jump_grid(series: list[JumpSeries]):
-    lo = min(int(s.quarter_codes[0]) for s in series)
-    hi = max(int(s.quarter_codes[-1]) for s in series)
-    n_q = hi - lo + 1
-    J = np.zeros((n_q, len(series)))
-    T = np.zeros((n_q, len(series)))
-    for c, s in enumerate(series):
-        sl = slice(int(s.quarter_codes[0]) - lo, int(s.quarter_codes[0]) - lo + s.n_quarters)
-        T[sl, c] = s.testable
-        J[sl, c] = np.where(s.big_flag, np.nan_to_num(s.L), 0.0)
-    return J, T
-
-
 def jump_pair_correlations(
-    series: list[JumpSeries] | tuple[JumpSeries, ...],
+    series: JumpSeries,
     timing: str = "contemporaneous",
     min_quarters: int = 4,
 ) -> tuple[PairSet, list[tuple[str, str, str]]]:
@@ -230,8 +217,8 @@ def jump_pair_correlations(
     """
     if timing not in ("contemporaneous", "lead"):
         raise ValueError(f"unknown timing {timing!r}")
-    series = list(series)
-    J, T = _jump_grid(series)
+    J = np.where(series.big_flag, np.nan_to_num(series.L), 0.0)
+    T = series.testable.astype(float)
     A = (J != 0.0).astype(float)
     if timing == "contemporaneous":
         JA, TA, AA = J, T, A
@@ -249,7 +236,7 @@ def jump_pair_correlations(
     with np.errstate(divide="ignore", invalid="ignore"):
         r = P / np.sqrt(Qa * Qb)
     return _pair_set(
-        "jump", timing, [s.msa_id for s in series], n_eff, r, (Qa > 0.0) & (Qb > 0.0),
+        "jump", timing, series.ids, n_eff, r, (Qa > 0.0) & (Qb > 0.0),
         min_quarters, "{n} usable quarters < {floor}", "degenerate masked series",
     )
 

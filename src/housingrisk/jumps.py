@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import QuarterIndex, ReturnPanel
 from .errors import ConfigError, InsufficientHistoryError, UndefinedStatisticError
 
 __all__ = [
@@ -34,27 +35,27 @@ BIG_THRESHOLD = 2.0
 MIN_BIPOWER_WINDOW = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpSeries:
-    """Per-quarter L statistics and flags for one MSA.
+    """L statistics and flags of every testable MSA on the return panel's grid.
 
-    Arrays cover the MSA's full return range (``quarter_codes``); the first
-    ``bipower_window`` quarters and any quarter whose trailing bipower
-    variation is zero are untestable (L is NaN there, flags are False).
+    Arrays are (quarters, MSAs): row t is quarter ``start + t`` and column k
+    is MSA ``ids[k]``, whose first return is in row ``first_offsets[k]``.
+    A quarter is untestable (L is NaN, flags are False) when fewer than
+    ``bipower_window`` of its MSA's returns precede it or when their bipower
+    variation is zero. ``skipped`` holds ``(msa_id, reason)`` for each MSA
+    too short to test.
     """
 
-    msa_id: str
-    quarter_codes: np.ndarray
+    ids: tuple[str, ...]
+    start: QuarterIndex
+    first_offsets: np.ndarray
     L: np.ndarray
     L_scaled: np.ndarray
     jump_flag: np.ndarray
     big_flag: np.ndarray
     testable: np.ndarray
-    bipower_window: int
-
-    @property
-    def n_quarters(self) -> int:
-        return len(self.quarter_codes)
+    skipped: tuple[tuple[str, str], ...]
 
 
 def bipower_variation(returns: np.ndarray) -> float:
@@ -82,87 +83,67 @@ def lm_statistic(next_return: float, trailing: np.ndarray) -> tuple[float, float
 
 
 def lm_series(
-    returns: np.ndarray,
+    panel: ReturnPanel,
     bipower_window: int = 20,
-    msa_id: str = "",
-    start_code: int = 0,
     jump_threshold: float = JUMP_THRESHOLD,
     big_threshold: float = BIG_THRESHOLD,
 ) -> JumpSeries:
-    """Rolling jump test over a full return series.
+    """Rolling jump test over every MSA of a return panel at once.
 
-    Each quarter from index ``bipower_window`` on is tested against the
-    ``bipower_window`` returns before it; flags compare |scaled L| to the
-    thresholds.
+    Each quarter from an MSA's return ``bipower_window`` on is tested
+    against the ``bipower_window`` returns before it; flags compare
+    |scaled L| to the thresholds. MSAs with no more than ``bipower_window``
+    returns are skipped; InsufficientHistoryError if every MSA is.
     """
-    if bipower_window < MIN_BIPOWER_WINDOW:
-        raise ConfigError(
-            f"bipower window must be at least {MIN_BIPOWER_WINDOW}, got {bipower_window}"
-        )
-    r = np.asarray(returns, dtype=float)
-    n = r.size
-    if n <= bipower_window:
-        raise InsufficientHistoryError(
-            f"{msa_id or 'series'}: need more than {bipower_window} returns, got {n}"
-        )
-    if not np.all(np.isfinite(r)):
-        raise ValueError("returns must be finite")
     W = bipower_window
-    L = np.full(n, np.nan)
-    testable = np.zeros(n, dtype=bool)
-
+    if W < MIN_BIPOWER_WINDOW:
+        raise ConfigError(f"bipower window must be at least {MIN_BIPOWER_WINDOW}, got {W}")
+    if np.isinf(panel.values).any():
+        raise ValueError("returns must be finite")
+    n_returns = panel.n_quarters - panel.first_offsets
+    keep = n_returns > W
+    skipped = tuple((m.msa_id, f"need more than {W} returns, got {n}")
+                    for m, n in zip(panel.msas, n_returns.tolist()) if n <= W)
+    if not keep.any():
+        msa_id, reason = skipped[0]
+        raise InsufficientHistoryError(f"no MSA could take the jump test; first skip: {msa_id}: {reason}")
+    offsets = panel.first_offsets[keep]
+    r = np.nan_to_num(panel.values[:, keep])
     a = np.abs(r)
-    prods = a[1:] * a[:-1]
-    csum = np.concatenate([[0.0], np.cumsum(prods)])
-    # Trailing window r[t-W : t] holds products prods[t-W : t-1].
-    t = np.arange(W, n)
-    b = (csum[t - 1] - csum[t - W]) / (W - 1)
-    ok = b > 0.0
-    testable[t[ok]] = True
-    L[t[ok]] = r[t[ok]] / np.sqrt(b[ok])
-
+    # Row t of csum sums the products of adjacent returns up to row t. The
+    # zeros before an MSA's first return add exact zeros, so every window
+    # sum has the bits of a cumsum over that MSA's own returns.
+    csum = np.cumsum(np.vstack([np.zeros((1, r.shape[1])), a[1:] * a[:-1]]), axis=0)
+    b = np.zeros(r.shape)
+    b[W:] = (csum[W - 1 : -1] - csum[:-W]) / (W - 1)  # the window r[t-W : t]
+    testable = (np.arange(len(r))[:, None] >= offsets + W) & (b > 0.0)
+    L = np.full(r.shape, np.nan)
+    L[testable] = r[testable] / np.sqrt(b[testable])
     L_scaled = L * SCALE
-    basis = np.abs(L_scaled)
     with np.errstate(invalid="ignore"):
-        jump = testable & (basis > jump_threshold)
-        big = testable & (basis > big_threshold)
-    return JumpSeries(
-        msa_id=msa_id,
-        quarter_codes=np.arange(start_code, start_code + n),
-        L=L,
-        L_scaled=L_scaled,
-        jump_flag=jump,
-        big_flag=big,
-        testable=testable,
-        bipower_window=W,
-    )
+        jump = testable & (np.abs(L_scaled) > jump_threshold)
+        big = testable & (np.abs(L_scaled) > big_threshold)
+    ids = tuple(m.msa_id for m, ok in zip(panel.msas, keep) if ok)
+    return JumpSeries(ids, panel.start, offsets, L, L_scaled, jump, big, testable, skipped)
 
 
 def jump_incidence(
-    series: list[JumpSeries] | tuple[JumpSeries, ...],
+    series: JumpSeries,
+    columns,
     flag: str = "big",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-quarter percentage of testable MSAs carrying the given flag.
 
-    Returns (quarter codes, pct, n flagged, n testable); quarters with no
-    testable MSA are omitted. Pass a filtered series list for cohorts.
+    ``columns`` are the column indices in ``series`` of the MSAs to count,
+    such as a cohort's. Returns (quarter codes, pct, n flagged, n testable);
+    quarters where none of them is testable are omitted.
     """
     if flag not in ("jump", "big"):
         raise ValueError(f"flag must be 'jump' or 'big', not {flag!r}")
-    if not series:
-        raise ValueError("no jump series supplied")
-    lo = min(int(s.quarter_codes[0]) for s in series)
-    hi = max(int(s.quarter_codes[-1]) for s in series)
-    n_q = hi - lo + 1
-    testable = np.zeros(n_q, dtype=int)
-    flagged = np.zeros(n_q, dtype=int)
-    for s in series:
-        offset = int(s.quarter_codes[0]) - lo
-        sl = slice(offset, offset + s.n_quarters)
-        testable[sl] += s.testable
-        flags = s.big_flag if flag == "big" else s.jump_flag
-        flagged[sl] += flags
-    keep = testable > 0
-    codes = np.arange(lo, hi + 1)[keep]
-    pct = 100.0 * flagged[keep] / testable[keep]
-    return codes, pct, flagged[keep], testable[keep]
+    if not len(columns):
+        raise ValueError("no MSA columns supplied")
+    flags = series.big_flag if flag == "big" else series.jump_flag
+    testable = series.testable[:, columns].sum(axis=1)
+    flagged = flags[:, columns].sum(axis=1)
+    keep = np.flatnonzero(testable)
+    return series.start.code + keep, 100.0 * flagged[keep] / testable[keep], flagged[keep], testable[keep]

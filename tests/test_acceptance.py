@@ -138,19 +138,22 @@ def test_criterion_3_jump_detector_size_and_recall():
         n_msas, n_q, n_seeds, W = 50, 2000, 200, 20
         flagged = testable = 0
         hits = planted = 0
+
+        def columns(A):  # one MSA per column, in column order
+            return panel_from_returns({f"M{m:02d}": A[:, m] for m in range(n_msas)})
+
         for _ in range(n_seeds):
             X = rng.standard_normal((n_q, n_msas))
             pos = rng.integers(W, n_q, size=n_msas)
             signs = rng.choice([-1.0, 1.0], size=n_msas)
             Y = X.copy()
             Y[pos, np.arange(n_msas)] += 6.0 * signs
-            for m in range(n_msas):
-                clean = lm_series(X[:, m], bipower_window=W)
-                testable += int(clean.testable.sum())
-                flagged += int(clean.jump_flag.sum())
-                spiked = lm_series(Y[:, m], bipower_window=W)
-                hits += int(spiked.big_flag[pos[m]])
-                planted += 1
+            clean = lm_series(columns(X), bipower_window=W)
+            testable += int(clean.testable.sum())
+            flagged += int(clean.jump_flag.sum())
+            spiked = lm_series(columns(Y), bipower_window=W)
+            hits += int(spiked.big_flag[pos, np.arange(n_msas)].sum())
+            planted += n_msas
         rate = flagged / testable
         recall = hits / planted
         c.expect(0.08 <= rate <= 0.12, f"flag rate {rate:.2%} outside [8%, 12%]")
@@ -382,18 +385,11 @@ def test_criterion_8_real_data_patterns():
 
         # (b) CA jump incidence spikes 2003-2004 and 2007-2008,
         # with the inland cohort spiking harder than the coast in the bust
-        ca_series = []
-        for m in panel.msas:
-            if m.state != "CA":
-                continue
-            first, vals = returns.series(m.msa_id)
-            if vals.size > 20:
-                ca_series.append(
-                    lm_series(vals, bipower_window=20, msa_id=m.msa_id,
-                              start_code=first.code)
-                )
-        c.expect(len(ca_series) >= 10, f"only {len(ca_series)} CA series")
-        codes_j, pct, _, _ = jump_incidence(ca_series, flag="jump")
+        jumps = lm_series(returns, bipower_window=20)
+        state = {m.msa_id: m.state for m in panel.msas}
+        ca = [k for k, m in enumerate(jumps.ids) if state[m] == "CA"]
+        c.expect(len(ca) >= 10, f"only {len(ca)} CA series")
+        codes_j, pct, _, _ = jump_incidence(jumps, ca, flag="jump")
         overall = float(pct.mean())
         boom = _incidence_window_mean(
             codes_j, pct, QuarterIndex(2003, 1), QuarterIndex(2004, 4))
@@ -403,12 +399,12 @@ def test_criterion_8_real_data_patterns():
         c.expect(bust > overall, f"2007-08 incidence {bust:.1f} <= mean {overall:.1f}")
 
         names = {m.msa_id: m.name for m in panel.msas}
-        inland = [s for s in ca_series
-                  if any(frag in names[s.msa_id] for frag in CA_INLAND_NAMES)]
-        coastal = [s for s in ca_series if s not in inland]
+        inland = [k for k in ca
+                  if any(frag in names[jumps.ids[k]] for frag in CA_INLAND_NAMES)]
+        coastal = [k for k in ca if k not in inland]
         if inland and coastal:
-            ci, pi, _, _ = jump_incidence(inland, flag="jump")
-            cc, pc, _, _ = jump_incidence(coastal, flag="jump")
+            ci, pi, _, _ = jump_incidence(jumps, inland, flag="jump")
+            cc, pc, _, _ = jump_incidence(jumps, coastal, flag="jump")
             bust_in = _incidence_window_mean(
                 ci, pi, QuarterIndex(2007, 1), QuarterIndex(2008, 4))
             bust_co = _incidence_window_mean(

@@ -277,6 +277,9 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"thresholds": {"jump": "1.65"}}, id="jump-threshold-string"),
     pytest.param({"thresholds": {"big": True}}, id="big-threshold-bool"),
     pytest.param({"thresholds": {"pair_sig_t": None}}, id="pair-sig-t-null"),
+    pytest.param({"thresholds": {"jump": 1e999}}, id="jump-threshold-infinite"),
+    pytest.param({"thresholds": {"big": 1e999}}, id="big-threshold-infinite"),
+    pytest.param({"thresholds": {"pair_sig_t": 1e999}}, id="pair-sig-t-infinite"),
     pytest.param({"windw": 5}, id="unknown-top-level-key"),
     pytest.param({"inputs": {"hpi_csv": "hpi.csv"}}, id="unknown-inputs-key"),
     pytest.param({"thresholds": {"jmp": 1.65}}, id="unknown-thresholds-key"),
@@ -392,6 +395,32 @@ def test_non_finite_factor_cell_fails_before_any_write(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("housingrisk: error:") and err.count("\n") == 1
     assert "factors_synth.csv:6: non-finite value 'inf' in column F01" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels,raw,named", [
+    pytest.param([1e-300, 1e300, 1.0], [1.0, 2.0, 3.0],
+                 "MSA A: return at 2000:Q2 is out of float range (levels 1e-300 then 1e+300)",
+                 id="hpi-overflow"),
+    pytest.param([1e300, 1e-300, 1.0], [1.0, 2.0, 3.0],
+                 "MSA A: return at 2000:Q2 is out of float range (levels 1e+300 then 1e-300)",
+                 id="hpi-underflow"),
+    pytest.param([1.0, 2.0, 3.0], [1e-300, 1e300, 1.0],
+                 "factors.csv: column SP500: value 1e+300 at position 1 after 1e-300 is out of "
+                 "float range under log_pct_change", id="factor-overflow"),
+])
+def test_level_ratio_out_of_float_range_fails_before_any_write(tmp_path, capsys, levels, raw, named):
+    quarters = ["2000:Q1", "2000:Q2", "2000:Q3"]
+    hpi, factors, out = tmp_path / "hpi.csv", tmp_path / "factors.csv", tmp_path / "out"
+    hpi.write_text("msa_id,msa_name,state,quarter,index\n"
+                   + "".join(f"A,Alpha,CA,{q},{v!r}\n" for q, v in zip(quarters, levels)))
+    factors.write_text("quarter,SP500\n" + "".join(f"{q},{v!r}\n" for q, v in zip(quarters, raw)))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"inputs": {"hpi": str(hpi), "factors": str(factors)}, "out": str(out)}))
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("housingrisk: error:") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()
 
 
@@ -691,12 +720,13 @@ def test_all_computes_each_result_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cli, name, counted)
 
-    for name in ("return_pair_correlations", "jump_pair_correlations",
+    for name in ("lm_series", "return_pair_correlations", "jump_pair_correlations",
                  "integration_summary", "diversification_series",
                  "boombust_residual", "contagion_fits"):
         count(name)
     rpath, _ = write_scenario(tmp_path)
     assert main(["all", "--config", str(rpath)]) == 0
+    assert calls["lm_series"] == 1
     assert calls["return_pair_correlations"] == 2
     assert calls["jump_pair_correlations"] == 2
     assert calls["integration_summary"] == 1

@@ -129,30 +129,26 @@ def test_perfect_correlation_infinite_t(rng):
 # --- jump correlations ------------------------------------------------------
 
 def make_jump_series(rng, n_msas=6, n_quarters=160, jump_every=0):
-    out = []
+    returns = {}
     for i in range(n_msas):
         r = rng.normal(size=n_quarters)
         if jump_every:
             r[30 + i::jump_every] += 9.0
-        out.append(lm_series(r, bipower_window=20, msa_id=f"M{i}",
-                             start_code=Q0.code))
-    return out
+        returns[f"M{i}"] = r
+    return lm_series(panel_from_returns(returns, start=Q0), bipower_window=20)
 
 
-def jump_corr_oracle(sa, sb, lead=False):
-    """Direct per-pair recompute from the flag series (independent loop).
+def jump_corr_oracle(series, a, b, lead=False):
+    """Direct per-pair recompute from the flag columns (independent loop).
 
     A quarter counts when one side's masked value is nonzero while the
     other side is testable; norms and n are both taken over exactly that
     restricted set.
     """
-    codes = np.intersect1d(sa.quarter_codes, sb.quarter_codes)
-    ia = np.searchsorted(sa.quarter_codes, codes)
-    ib = np.searchsorted(sb.quarter_codes, codes)
-    ja = np.where(sa.big_flag[ia], sa.L[ia], 0.0)
-    ta = sa.testable[ia]
-    jb = np.where(sb.big_flag[ib], sb.L[ib], 0.0)
-    tb = sb.testable[ib]
+    ja = np.where(series.big_flag[:, a], series.L[:, a], 0.0)
+    ta = series.testable[:, a]
+    jb = np.where(series.big_flag[:, b], series.L[:, b], 0.0)
+    tb = series.testable[:, b]
     if lead:
         ja, ta = ja[:-1], ta[:-1]
         jb, tb = jb[1:], tb[1:]
@@ -173,10 +169,11 @@ def test_jump_correlations_match_loop_oracle(rng):
     assert pairs.kind == "jump"
     checked = 0
     at = index_of(pairs)
-    for i in range(len(series)):
-        for j in range(i + 1, len(series)):
-            want, n_eff = jump_corr_oracle(series[i], series[j])
-            key = (series[i].msa_id, series[j].msa_id)
+    ids = series.ids
+    for i in range(len(ids)):
+        for j in range(i + 1, len(ids)):
+            want, n_eff = jump_corr_oracle(series, i, j)
+            key = (ids[i], ids[j])
             if want is None or n_eff < 4:
                 assert key not in at
                 continue
@@ -191,10 +188,11 @@ def test_jump_lead_correlations_match_loop_oracle(rng):
     pairs, _ = jump_pair_correlations(series, timing="lead")
     at = index_of(pairs)
     checked = 0
-    for sa in series:
-        for sb in series:
-            want, n_eff = jump_corr_oracle(sa, sb, lead=True)
-            key = (sa.msa_id, sb.msa_id)
+    ids = series.ids
+    for a in range(len(ids)):
+        for b in range(len(ids)):
+            want, n_eff = jump_corr_oracle(series, a, b, lead=True)
+            key = (ids[a], ids[b])
             if want is None or n_eff < 4:
                 assert key not in at
                 continue
@@ -208,8 +206,12 @@ def test_jump_identical_series_correlate_one(rng):
     import dataclasses
 
     series = make_jump_series(rng, n_msas=1, jump_every=25)
-    twin = dataclasses.replace(series[0], msa_id="TWIN")
-    pairs, _ = jump_pair_correlations([series[0], twin])
+    twin = dataclasses.replace(
+        series, ids=("M0", "TWIN"), first_offsets=np.repeat(series.first_offsets, 2),
+        **{f: np.repeat(getattr(series, f), 2, axis=1)
+           for f in ("L", "L_scaled", "jump_flag", "big_flag", "testable")},
+    )
+    pairs, _ = jump_pair_correlations(twin)
     assert len(pairs) == 1
     assert pairs.r[0] == pytest.approx(1.0)
 
@@ -219,7 +221,7 @@ def test_jump_no_flags_omitted(rng):
 
     series = make_jump_series(rng, n_msas=3, n_quarters=60, jump_every=0)
     # strip whatever noise flags occurred so the masked series is all zeros
-    quiet = [dataclasses.replace(s, big_flag=np.zeros_like(s.big_flag)) for s in series]
+    quiet = dataclasses.replace(series, big_flag=np.zeros_like(series.big_flag))
     pairs, omitted = jump_pair_correlations(quiet)
     assert not pairs
     assert len(omitted) == 3
@@ -374,10 +376,7 @@ def test_pair_sets_hold_the_t_formula_and_counts(lengths, twin, floor, seed):
     if twin is not None:  # a scaled copy: r = 1 and infinite t, or |r| just below 1
         returns["M1"] = returns["M0"][-lengths[1]:] * twin
     panel = panel_from_returns(returns)
-    series = []
-    for msa_id in panel.msa_ids():
-        first, values = panel.series(msa_id)
-        series.append(lm_series(values, bipower_window=8, msa_id=msa_id, start_code=first.code))
+    series = lm_series(panel, bipower_window=8)
     for timing in ("contemporaneous", "lead"):
         pairs, omitted = return_pair_correlations(panel, timing, min_overlap=floor)
         check_pair_set(pairs, omitted, len(lengths), timing, floor)

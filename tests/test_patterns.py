@@ -75,15 +75,8 @@ def test_jumps_in_seventy_pct_of_members_show_as_seventy():
         states=("CA",) * 10,
     )
     panel, _, truth = generate_panel(cfg)
-    returns = compute_returns(panel)
-    series = []
-    for msa_id in returns.msa_ids():
-        first, vals = returns.series(msa_id)
-        series.append(
-            lm_series(vals, bipower_window=20, msa_id=msa_id,
-                      start_code=first.code)
-        )
-    codes, pct, flagged, testable = jump_incidence(series, flag="big")
+    series = lm_series(compute_returns(panel), bipower_window=20)
+    codes, pct, flagged, testable = jump_incidence(series, range(10), flag="big")
     planted_code = truth.jumps[0][1]
     at = int(np.searchsorted(codes, planted_code))
     assert codes[at] == planted_code
