@@ -540,7 +540,8 @@ def _incidence_columns(r: _Runner) -> list:
     jumps = r.jumps()
     parts = []
     for cohort, members in r.ca_cohorts().items():
-        columns = np.flatnonzero(np.isin(jumps.ids, members))
+        wanted = set(members)
+        columns = np.flatnonzero([msa_id in wanted for msa_id in jumps.ids])
         if columns.size:
             parts.append((cohort, *jump_incidence(jumps, columns, flag="big")))
     names, codes, pct, flagged, testable = zip(*parts)  # every run has the us cohort
@@ -806,7 +807,8 @@ def _contagion_columns(r: _Runner) -> tuple[list[str], list]:
             t_first, t_vals = r.returns.series(pairs[k][1])
             block[row] = t_vals[first - t_first.code : last + 1 - t_first.code]
         res_codes, res_vals = _interaction_residual(r, source_id if per_source else None)
-        rv = res_vals[np.searchsorted(res_codes, common)] if np.isin(common, res_codes).all() else None
+        held = set(res_codes.tolist()).issuperset(common.tolist())
+        rv = res_vals[np.searchsorted(res_codes, common)] if held else None
         members.append(np.array(at))
         inputs.append((block, s_vals[first - s_first.code : last + 1 - s_first.code], rv))
 

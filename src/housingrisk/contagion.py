@@ -284,7 +284,7 @@ def contagion_fits(
     short = (_too_few_for_cochrane_orcutt if serial == "always" and n < k + 3
              else _too_few_for_ols if n < k + 2 else None)
     if short is None:
-        fit = _fit_stack(Xy, names)
+        fit = _fit_stack(Xy, names).single()
     else:
         fit = _StackFit(*(np.full(shape, np.nan) for shape in ((m, k), (m, k), m, m)),
                        {i: short(n, k) for i in range(m)})

@@ -397,10 +397,13 @@ def align(
     not need to be contiguous (so an already-aligned dataset can be aligned
     again; doing so drops zero rows).
     """
-    codes = np.asarray(
-        [q.code if isinstance(q, QuarterIndex) else int(q) for q in return_quarters],
-        dtype=int,
-    )
+    if isinstance(return_quarters, np.ndarray) and return_quarters.dtype.kind in "iu":
+        codes = return_quarters.astype(int)
+    else:
+        codes = np.asarray(
+            [q.code if isinstance(q, QuarterIndex) else int(q) for q in return_quarters],
+            dtype=int,
+        )
     y = np.asarray(returns, dtype=float)
     if codes.shape != y.shape:
         raise ValueError("return_quarters and returns must have equal length")

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlignedDataset, FactorTable, QuarterIndex, ReturnPanel, align
-from .errors import AlignmentError, ConfigError, SingularDesignError
+from .errors import AlignmentError, ConfigError
 from .regress import PrewhitenResult, _fit_stack, ar1_prewhiten, trend_fit
 
 __all__ = [
@@ -75,38 +75,47 @@ class IntegrationSeries:
         return float(self.r_squares[-1] - self.r_squares[0])
 
 
-def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> IntegrationSeries:
-    """Fit the factor model over every ``window``-row span of an aligned MSA.
-
-    Windows slide one row at a time; each fit's R-square and coefficient
-    vector are stamped at the quarter of the window's last row. All windows
-    are fitted in one stacked Householder QR of ``[X | y]``
-    (``regress._fit_stack``). A badly conditioned window is refitted by
-    pivoted QR, so the first rank-deficient window raises the same
-    ``SingularDesignError`` as a per-window pivoted QR.
-    """
-    k = len(dataset.factor_ids) + 1
+def _check_window(k: int, window: int) -> None:
     if window < k + 2:
         raise ConfigError(
             f"window of {window} leaves too few degrees of freedom for "
             f"{k} regressors; minimum window is {k + 2}"
         )
+
+
+def _span_fits(X: np.ndarray, Y: np.ndarray, window: int, names: tuple[str, ...]):
+    """Fit every column of Y on ``[1 | X]`` over each ``window``-row span of
+    the rows: one ``regress._fit_stack`` call, so one Householder QR of
+    ``[1 | X | Y]`` per span serves all columns."""
+    Xy = np.column_stack([np.ones(X.shape[0]), X, Y])
+    return _fit_stack(sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1), names)
+
+
+def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> IntegrationSeries:
+    """Fit the factor model over every ``window``-row span of an aligned MSA.
+
+    Windows slide one row at a time; each fit's R-square and coefficient
+    vector are stamped at the quarter of the window's last row. All windows
+    are fitted in one stacked Householder QR (``regress._fit_stack``). A
+    badly conditioned window is refitted by pivoted QR, so the first
+    rank-deficient window raises the same ``SingularDesignError`` as a
+    per-window pivoted QR.
+    """
+    names = ("const",) + tuple(dataset.factor_ids)
+    _check_window(len(names), window)
     n = dataset.n_rows
     if n < window:
         raise AlignmentError(
             f"{dataset.msa_id}: {n} aligned rows < window of {window}"
         )
-    names = ("const",) + tuple(dataset.factor_ids)
-    Xy = np.column_stack([np.ones(n), dataset.X, dataset.y])
-    fit = _fit_stack(sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1), names)
+    fit = _span_fits(dataset.X, dataset.y[:, None], window, names)
     if fit.failed:
         raise fit.failed[min(fit.failed)]
-    ends = dataset.quarter_codes[window - 1 :].copy()
     return IntegrationSeries(
         msa_id=dataset.msa_id,
-        window_ends=ends,
-        r_squares=fit.r_square,
-        betas=fit.beta,
+        window_ends=dataset.quarter_codes[window - 1 :].copy(),
+        r_squares=fit.r_square[:, 0],
+        betas=fit.beta[:, 0],
         names=names,
         window=window,
     )
@@ -140,8 +149,19 @@ def integrate_panel(
     too short to pre-whiten, align, or fill a single window, and MSAs with a
     rank-deficient window, are skipped with a logged reason rather than
     failing the panel.
+
+    Every MSA regresses on the same factors, so its aligned rows are the
+    tail of one grid: the panel's quarters where every factor is present,
+    from its first (pre-whitened) return on. Each window is keyed by the
+    grid row it starts on, and one ``_span_fits`` call fits every MSA over
+    every span, with the MSAs' returns as the responses (zeros before an
+    MSA enters). Seemingly unrelated regressions with identical regressors
+    reduce to OLS one equation at a time (Zellner 1962), so each series is
+    sliced out of the span fits. A rank-deficient span skips every MSA that
+    holds it, with the error of the MSA's first such window, as
+    ``rolling_factor_model`` raises it. Skips are listed in panel order.
     """
-    series = []
+    datasets = []
     skipped = []
     pw_info: dict[str, PrewhitenResult] = {}
     for msa_id in returns.msa_ids():
@@ -159,14 +179,42 @@ def integrate_panel(
         quarters = np.arange(start.code, start.code + values.size)
         try:
             dataset = align(msa_id, quarters, values, factors)
-            if dataset.n_rows < window:
-                skipped.append(
-                    (msa_id, f"{dataset.n_rows} aligned rows < window of {window}")
-                )
-                continue
-            series.append(rolling_factor_model(dataset, window))
-        except (AlignmentError, SingularDesignError) as exc:
+        except AlignmentError as exc:
             skipped.append((msa_id, str(exc)))
+            continue
+        if dataset.n_rows < window:
+            skipped.append((msa_id, f"{dataset.n_rows} aligned rows < window of {window}"))
+            continue
+        datasets.append(dataset)
+
+    series = []
+    if datasets:
+        names = ("const",) + tuple(factors.factor_ids)
+        _check_window(len(names), window)
+        # A panel series has no gap, and pre-whitening leaves a series either
+        # free of NaN or all NaN (which align rejects), so every MSA's aligned
+        # rows are the tail of the longest MSA's: the grid of the span fits.
+        grid = max(datasets, key=lambda d: d.n_rows)
+        Y = np.zeros((grid.n_rows, len(datasets)))
+        for c, d in enumerate(datasets):
+            Y[grid.n_rows - d.n_rows :, c] = d.y
+        fit = _span_fits(grid.X, Y, window, names)
+        failed = sorted(fit.failed)
+        ends = grid.quarter_codes[window - 1 :]
+        # One contiguous row of windows per MSA, as rolling_factor_model gives.
+        r_squares = np.ascontiguousarray(fit.r_square.T)
+        betas = np.ascontiguousarray(fit.beta.transpose(1, 0, 2))
+        for c, d in enumerate(datasets):
+            off = grid.n_rows - d.n_rows  # the grid row of its first window
+            bad = [s for s in failed if s >= off]
+            if bad:
+                skipped.append((d.msa_id, str(fit.failed[bad[0]])))
+            else:
+                series.append(IntegrationSeries(
+                    d.msa_id, ends[off:], r_squares[c, off:], betas[c, off:], names, window
+                ))
+        order = {msa_id: i for i, msa_id in enumerate(returns.msa_ids())}
+        skipped.sort(key=lambda skip: order[skip[0]])
     return PanelIntegration(tuple(series), tuple(skipped), pw_info)
 
 

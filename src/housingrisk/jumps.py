@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import QuarterIndex, ReturnPanel
 from .errors import ConfigError, InsufficientHistoryError, UndefinedStatisticError
@@ -110,12 +111,13 @@ def lm_series(
     offsets = panel.first_offsets[keep]
     r = np.nan_to_num(panel.values[:, keep])
     a = np.abs(r)
-    # Row t of csum sums the products of adjacent returns up to row t. The
-    # zeros before an MSA's first return add exact zeros, so every window
-    # sum has the bits of a cumsum over that MSA's own returns.
-    csum = np.cumsum(np.vstack([np.zeros((1, r.shape[1])), a[1:] * a[:-1]]), axis=0)
+    # Each window's W - 1 adjacent products are summed on their own, along a
+    # contiguous row as bipower_variation sums them: a difference of running
+    # sums would lose a quiet window's digits after a volatile stretch.
+    prod = np.ascontiguousarray((a[1:] * a[:-1]).T)  # (MSA, quarter)
     b = np.zeros(r.shape)
-    b[W:] = (csum[W - 1 : -1] - csum[:-W]) / (W - 1)  # the window r[t-W : t]
+    windows = sliding_window_view(prod, W - 1, axis=1)[:, : len(r) - W]
+    b[W:] = windows.sum(axis=-1).T / (W - 1)  # the window r[t-W : t]
     testable = (np.arange(len(r))[:, None] >= offsets + W) & (b > 0.0)
     L = np.full(r.shape, np.nan)
     L[testable] = r[testable] / np.sqrt(b[testable])

@@ -129,11 +129,12 @@ def series_correlation(
 ) -> tuple[float, int]:
     """Pearson correlation of two quarter-stamped series over their overlap
     (optionally clipped to [start, end]). Returns (r, n); r is NaN when
-    either series is constant over the overlap.
+    either series is constant over the overlap. Each series' quarter codes
+    must be sorted and unique.
     """
     codes_a = np.asarray(codes_a, dtype=int)
     codes_b = np.asarray(codes_b, dtype=int)
-    common = np.intersect1d(codes_a, codes_b)
+    common = np.intersect1d(codes_a, codes_b, assume_unique=True)
     if start is not None:
         common = common[common >= start.code]
     if end is not None:

@@ -136,24 +136,30 @@ def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
 
 
 def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
-    """Least squares for a stack of problems ``Xy = [X | y]``, shape (s, n, k + 1).
+    """Least squares for a stack of problems ``Xy = [X | Y]``, shape
+    (s, n, k + m): each of the m columns of Y regressed on the same X, whose
+    k columns ``names`` labels.
 
-    One Householder QR factors the whole stack; the last column of each R
-    is Q'y, so Q is never formed (Golub & Van Loan, *Matrix Computations*,
-    §5.3). One back-substitution over the k columns then solves
-    ``R [beta | R^-1] = [Q'y | I]`` for every problem at once.
+    One Householder QR factors the whole stack; the top k rows of the last
+    m columns of each R are Q'Y, so Q is never formed (Golub & Van Loan,
+    *Matrix Computations*, §5.3). One back-substitution over the k columns
+    then solves ``R [B | R^-1] = [Q'Y | I]`` for every problem and response
+    at once.
 
     A problem whose R has ``cond_F(R) >= RANK_SCREEN_COND`` (or a NaN
-    condition number) is redone by ``_solve_ls``, in stack order. The
-    screen catches every problem pivoted QR calls rank deficient: that
-    needs ``cond_2(X) >= 1 / (max(n, k) * eps)``, about 2e14, and
-    ``cond_F(R) >= cond_2(R) = cond_2(X)``.
+    condition number) is redone by ``_solve_ls``, in stack order, one
+    response at a time. The screen catches every problem pivoted QR calls
+    rank deficient: that needs ``cond_2(X) >= 1 / (max(n, k) * eps)``,
+    about 2e14, and ``cond_F(R) >= cond_2(R) = cond_2(X)``. Rank is a
+    property of X alone, so a rank-deficient problem fails for every
+    response.
 
-    Returns (beta, diag of (X'X)^-1, failed): two (s, k) arrays and a dict
-    from stack position to the ``SingularDesignError`` of each
-    rank-deficient problem, whose rows hold NaN.
+    Returns (beta, diag of (X'X)^-1, failed): arrays of shape (s, m, k) and
+    (s, k), and a dict from stack position to the ``SingularDesignError``
+    of each rank-deficient problem, whose rows hold NaN.
     """
-    k = Xy.shape[2] - 1
+    k = len(names)
+    m = Xy.shape[2] - k
     Ra = np.linalg.qr(Xy, mode="r")
     R = Ra[:, :k, :k]
     rhs = np.concatenate([Ra[:, :k, k:], np.broadcast_to(np.eye(k), R.shape)], axis=2)
@@ -162,14 +168,15 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
         for i in range(k - 1, -1, -1):
             done = np.einsum("wj,wjc->wc", R[:, i, i + 1 :], sol[:, i + 1 :])
             sol[:, i] = (rhs[:, i] - done) / R[:, i, i, None]
-        r_inv = sol[:, :, 1:]
+        r_inv = sol[:, :, m:]
         cond = np.sqrt(np.einsum("wij,wij->w", R, R) * np.einsum("wij,wij->w", r_inv, r_inv))
         diag = np.einsum("wij,wij->wi", r_inv, r_inv)
-    beta = np.ascontiguousarray(sol[:, :, 0])
+    beta = np.ascontiguousarray(sol[:, :, :m].transpose(0, 2, 1))
     failed = {}
     for s in np.flatnonzero(~(cond < RANK_SCREEN_COND)):
         try:
-            beta[s], _, diag[s] = _solve_ls(Xy[s, :, :k], Xy[s, :, k], names)
+            for c in range(m):
+                beta[s, c], _, diag[s] = _solve_ls(Xy[s, :, :k], Xy[s, :, k + c], names)
         except SingularDesignError as exc:
             beta[s] = diag[s] = np.nan
             failed[int(s)] = exc
@@ -177,29 +184,38 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
 
 
 class _StackFit(NamedTuple):
-    """OLS fits of a stack of problems, one row each; see ``_fit_stack``."""
+    """OLS fits of a stack of problems; see ``_fit_stack``.
 
-    beta: np.ndarray  # (s, k)
-    se: np.ndarray  # (s, k)
-    r_square: np.ndarray  # (s,)
-    durbin_watson: np.ndarray  # (s,); NaN for an exact fit
+    Each array has a response axis after the stack axis, which ``single``
+    drops for a one-response stack.
+    """
+
+    beta: np.ndarray  # (s, m, k)
+    se: np.ndarray  # (s, m, k)
+    r_square: np.ndarray  # (s, m)
+    durbin_watson: np.ndarray  # (s, m); NaN for an exact fit
     failed: dict[int, HousingRiskError]  # stack position -> error; its rows hold NaN
+
+    def single(self) -> "_StackFit":
+        """This fit of a one-response stack, without the response axis."""
+        return _StackFit(*(a[:, 0] for a in self[:4]), self.failed)
 
 
 def _fit_stack(Xy: np.ndarray, names: tuple[str, ...]) -> _StackFit:
-    """``_fit_core``'s estimates and diagnostics for every problem of a stack
-    ``[X | y]`` of shape (s, n, k + 1), from one ``_solve_stacked``."""
-    n, k = Xy.shape[1], Xy.shape[2] - 1
-    X, y = Xy[:, :, :k], Xy[:, :, k]
+    """``_fit_core``'s estimates and diagnostics for every problem and
+    response of a stack ``[X | Y]`` of shape (s, n, k + m), where X has the
+    k columns ``names`` labels, from one ``_solve_stacked``."""
+    n, k = Xy.shape[1], len(names)
+    X, Y = Xy[:, :, :k], Xy[:, :, k:].transpose(0, 2, 1)
     beta, diag, failed = _solve_stacked(Xy, names)
-    resid = y - np.einsum("wtj,wj->wt", X, beta)
-    ssr = np.sum(resid**2, axis=1)
-    sst = np.sum((y - y.mean(axis=1, keepdims=True)) ** 2, axis=1)
+    resid = Y - np.einsum("wtj,wcj->wct", X, beta)
+    ssr = np.sum(resid**2, axis=2)
+    sst = np.sum((Y - Y.mean(axis=2, keepdims=True)) ** 2, axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        se = np.sqrt(np.maximum((ssr / (n - k))[:, None] * diag, 0.0))
+        se = np.sqrt(np.maximum((ssr / (n - k))[:, :, None] * diag[:, None, :], 0.0))
         # A constant response (SST = 0) has R-square 0.
         r2 = np.where(sst == 0.0, 0.0, 1.0 - ssr / sst)
-        dw = np.where(ssr > 0, np.sum(np.diff(resid, axis=1) ** 2, axis=1) / ssr, np.nan)
+        dw = np.where(ssr > 0, np.sum(np.diff(resid, axis=2) ** 2, axis=2) / ssr, np.nan)
     return _StackFit(beta, se, r2, dw, failed)
 
 
@@ -413,9 +429,9 @@ def _cochrane_orcutt_stack(
 ) -> tuple[_StackFit, np.ndarray, np.ndarray]:
     """``cochrane_orcutt`` for a stack of problems ``[X | y]``, in lockstep.
 
-    ``start`` is the stack's OLS fit (``_fit_stack(Xy, names)``), which is
-    also the first iterate, as in ``cochrane_orcutt``. Each round takes the
-    rho estimate of every problem still iterating and fits all their
+    ``start`` is the stack's OLS fit (``_fit_stack(Xy, names).single()``),
+    which is also the first iterate, as in ``cochrane_orcutt``. Each round
+    takes the rho estimate of every problem still iterating and fits all their
     quasi-differenced problems in one stacked solve. A problem leaves the
     round when its rho converges (|delta rho| < tol), when rho leaves the
     unit interval, when its quasi-differenced design is rank deficient, or
@@ -452,7 +468,7 @@ def _cochrane_orcutt_stack(
         r = rho[go]
         Xys = Xy[go, 1:, :] - r[:, None, None] * Xy[go, :-1, :]
         Xys[:, :, 0] = 1.0
-        fit = _fit_stack(Xys, names)
+        fit = _fit_stack(Xys, names).single()
         scale = 1.0 / (1.0 - r)
         fit.beta[:, 0] *= scale
         fit.se[:, 0] *= np.abs(scale)

@@ -703,8 +703,38 @@ def test_fit_workers_are_fork_safe_with_and_without_blas_threads(tmp_path):
     assert outputs[0].count(b"\n") == 1 + 2 * n_targets
 
 
+def test_integration_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The span fits factor matrices as wide as the factors plus every MSA;
+    # a panel this wide reaches BLAS paths that criterion 7's scenario does not.
+    import subprocess
+    import sys
+
+    import housingrisk
+
+    src = str(Path(housingrisk.__file__).resolve().parent.parent)
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas and not k.startswith("HOUSINGRISK_")}
+    env["PYTHONPATH"] = src
+    code = "import sys; from housingrisk.cli import main; sys.exit(main())"
+    outputs = []
+    for threads in ("1", "4"):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        # Relative paths, so the manifests of the two runs can match too.
+        (run_dir / "scenario.json").write_text(json.dumps(dict(SCENARIO, n_msas=64, n_quarters=80, n_factors=4)))
+        (run_dir / "run.json").write_text(json.dumps({"synth_scenario": "scenario.json"}))
+        proc = subprocess.run([sys.executable, "-c", code, "integrate", "--config", "run.json", "--out", "out"],
+                              cwd=run_dir, env=dict(env, **dict.fromkeys(blas, threads)),
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), threads
+        outputs.append({p.name: p.read_bytes() for p in sorted((run_dir / "out").iterdir())})
+    assert "integration_series.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 def test_all_computes_each_result_once(tmp_path, monkeypatch):
     import housingrisk.cli as cli
+    import housingrisk.integration as integration
 
     calls = {}
     sources = set()
@@ -724,8 +754,16 @@ def test_all_computes_each_result_once(tmp_path, monkeypatch):
                  "integration_summary", "diversification_series",
                  "boombust_residual", "contagion_fits"):
         count(name)
+    kernel = integration._fit_stack
+
+    def counted_kernel(*args):
+        calls["integration._fit_stack"] = calls.get("integration._fit_stack", 0) + 1
+        return kernel(*args)
+
+    monkeypatch.setattr(integration, "_fit_stack", counted_kernel)
     rpath, _ = write_scenario(tmp_path)
     assert main(["all", "--config", str(rpath)]) == 0
+    assert calls["integration._fit_stack"] == 1  # every MSA's windows in one span fit
     assert calls["lm_series"] == 1
     assert calls["return_pair_correlations"] == 2
     assert calls["jump_pair_correlations"] == 2
@@ -768,10 +806,11 @@ def test_all_leaves_scipy_linalg_unloaded(tmp_path):
     rpath, out = write_scenario(tmp_path)
     src = str(Path(housingrisk.__file__).resolve().parent.parent)
     code = ("import sys; from housingrisk.cli import main; status = main(['all', '--config', sys.argv[1]]); "
-            "sys.exit(status or 3 * ('scipy.linalg' in sys.modules))")
+            "sys.exit(status or 3 * ('scipy.linalg' in sys.modules) or 4 * ('numpy.ma' in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code, str(rpath)], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode != 3, "housingrisk all imported scipy.linalg"
+    assert proc.returncode != 4, "housingrisk all imported numpy.ma"
     assert proc.returncode == 0, proc.stderr
     assert (out / "run_manifest.json").is_file()
 

@@ -20,7 +20,7 @@ from housingrisk import (
     rolling_factor_model,
 )
 from housingrisk.integration import CHARACTERISTICS, CROSS_STATS
-from housingrisk.regress import _solve_ls, add_intercept, ols_fit
+from housingrisk.regress import _solve_ls, add_intercept, ar1_prewhiten, ols_fit
 from .conftest import Q0, factor_table, panel_from_returns
 
 
@@ -228,6 +228,105 @@ def test_integrate_panel_offsets_late_starter(rng):
     assert late.n_windows == 6
     # LATE's first window ends 19 quarters after its own first return
     assert late.window_ends[0] == (Q0 + 15 + 19).code
+
+
+def per_msa_integration(panel, table, window, prewhiten):
+    """``integrate_panel`` one MSA at a time: pre-whiten, align, and one
+    ``rolling_factor_model`` call per MSA. Returns (series, skipped)."""
+    series, skipped = [], []
+    for msa_id in panel.msa_ids():
+        start, values = panel.series(msa_id)
+        if prewhiten:
+            if values.size < 10:
+                skipped.append((msa_id, f"too short to pre-whiten ({values.size} < 10 obs)"))
+                continue
+            pw = ar1_prewhiten(values)
+            values, start = pw.residuals, start + pw.offset
+        try:
+            ds = align(msa_id, np.arange(start.code, start.code + values.size), values, table)
+            if ds.n_rows < window:
+                skipped.append((msa_id, f"{ds.n_rows} aligned rows < window of {window}"))
+                continue
+            series.append(rolling_factor_model(ds, window))
+        except (AlignmentError, SingularDesignError) as exc:
+            skipped.append((msa_id, str(exc)))
+    return series, skipped
+
+
+def assert_same_integration(result, series, skipped):
+    assert result.skipped == tuple(skipped)
+    assert [s.msa_id for s in result.series] == [s.msa_id for s in series]
+    for got, want in zip(result.series, series):
+        assert got.names == want.names and got.window == want.window
+        assert_array_equal(got.window_ends, want.window_ends)
+        assert_allclose(got.betas, want.betas, rtol=1e-10)
+        assert_allclose(got.r_squares, want.r_squares, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_factors=st.integers(1, 4),
+    extra_rows=st.integers(0, 4),
+    n_quarters=st.integers(0, 30),
+    entries=st.lists(st.integers(0, 60), min_size=1, max_size=6),
+    factor_shift=st.integers(-3, 3),
+    nan_rows=st.lists(st.integers(0, 60), max_size=3),
+    prewhiten=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_panel_equals_one_rolling_fit_per_msa(n_factors, extra_rows, n_quarters, entries,
+                                              factor_shift, nan_rows, prewhiten, seed):
+    """Staggered entries, MSAs too short for a window, factor rows missing
+    mid-sample and a factor table offset from the panel: the span fits give
+    each MSA the series and skip reason of its own rolling fit."""
+    window = n_factors + 3 + extra_rows
+    n_q = window + n_quarters
+    rng = np.random.default_rng(seed)
+    returns = {f"M{k}": rng.normal(size=max(n_q - e, 1)) for k, e in enumerate(entries)}
+    F = rng.normal(size=(n_q + 3, n_factors))
+    F[[r % len(F) for r in nan_rows], rng.integers(0, n_factors)] = np.nan
+    panel = panel_from_returns(returns)
+    table = factor_table(F, start=Q0 + factor_shift)
+    result = integrate_panel(panel, table, window=window, prewhiten=prewhiten)
+    assert_same_integration(result, *per_msa_integration(panel, table, window, prewhiten))
+
+
+def test_rank_deficient_spans_skip_the_msas_that_hold_them(rng):
+    n = 100
+    F = rng.normal(size=(n, 3))
+    # Two constant stretches naming different columns: an MSA that enters
+    # between them fails on the second, with its own message.
+    F[17:42, 1] = 0.75
+    F[50:75, 2] = 3.0
+    panel = panel_from_returns({
+        "EARLY": rng.normal(size=n),
+        "MID": rng.normal(size=n - 45),
+        "LATE": rng.normal(size=n - 76),
+    })
+    table = factor_table(F, start=Q0)
+    result = integrate_panel(panel, table, window=20, prewhiten=False)
+    series, skipped = per_msa_integration(panel, table, 20, False)
+    assert [m for m, _ in skipped] == ["EARLY", "MID"]
+    assert "dependent columns: F1" in skipped[0][1]
+    assert skipped[1][1] != skipped[0][1]
+    assert_same_integration(result, series, skipped)
+
+
+def test_badly_conditioned_spans_take_the_pivoted_fallback(rng):
+    n, w = 40, 20
+    F = rng.normal(size=(n, 2))
+    F[:, 1] = F[:, 0] + 1e-9 * rng.normal(size=n)  # full rank, badly conditioned
+    returns = {"A": F[:, 0] + rng.normal(size=n), "B": rng.normal(size=n - 12)}
+    panel = panel_from_returns(returns)
+    result = integrate_panel(panel, factor_table(F, start=Q0), window=w, prewhiten=False)
+    X = add_intercept(F)
+    for msa_id, y in returns.items():
+        series = result.by_msa(msa_id)
+        off = n - y.size
+        assert series.n_windows == y.size - w + 1
+        for s in range(series.n_windows):
+            beta, _, _ = _solve_ls(X[off + s : off + s + w], y[s : s + w], series.names)
+            assert_array_equal(series.betas[s], beta)
 
 
 # --- summaries --------------------------------------------------------------

@@ -68,8 +68,6 @@ def test_series_matches_scalar_loop(window, msas, seed):
     rng = np.random.default_rng(seed)
     returns = {}
     for k, (n, zero_at, zero_len) in enumerate(msas):
-        # Magnitudes kept away from zero, so that a window whose only
-        # nonzero product is small still holds 1e-12 through the cumsum.
         r = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
         r[zero_at : zero_at + zero_len] = 0.0
         returns[f"M{k}"] = r
@@ -124,6 +122,18 @@ def test_series_matches_scalar_loop(window, msas, seed):
     assert flagged.tolist() == [f for _, f, _ in want]
     assert testable.tolist() == [n for _, _, n in want]
     assert pct.tolist() == [100.0 * f / n for _, f, n in want]
+
+
+def test_quiet_window_after_a_volatile_stretch_keeps_its_digits():
+    # Each window is summed on its own: a difference of running sums would
+    # leave 1e-14-sized windows at the rounding of 30 * 1e4.
+    r = np.r_[np.full(30, 100.0), np.full(30, 1e-7)]
+    series = lm_series(panel_from_returns({"A": r}), bipower_window=20)
+    assert series.testable[55, 0]
+    for t in range(20, 60):
+        L, Ls = lm_statistic(r[t], r[t - 20 : t])
+        assert series.testable[t, 0]
+        assert series.L[t, 0] == L and series.L_scaled[t, 0] == Ls
 
 
 def test_series_quarter_codes_and_window(rng):
