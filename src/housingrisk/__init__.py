@@ -44,8 +44,8 @@ from .regress import (
     trend_fit,
 )
 from .integration import (
-    IntegrationSeries,
     IntegrationSummary,
+    PanelIntegration,
     beta_average,
     cohort_average,
     integrate_panel,

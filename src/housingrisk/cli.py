@@ -208,7 +208,11 @@ def _file(v) -> bool:
     return isinstance(v, str) and Path(v).is_file()
 
 
-_PORTFOLIO_KEYS = {"members": _list_of(_is(str)), "state": _is(str), "available_from": is_quarter}
+def _distinct_strings(v) -> bool:
+    return _list_of(_is(str))(v) and len(set(v)) == len(v)
+
+
+_PORTFOLIO_KEYS = {"members": _distinct_strings, "state": _is(str), "available_from": is_quarter}
 
 
 def _portfolio(v) -> bool:
@@ -282,7 +286,7 @@ _SETTINGS = (
     _Setting("cohorts.ca_coastal", "ca_coastal", "a list of strings", _list_of(_is(str))),
     _Setting("contagion", "contagion_menu", "null or an object of string lists",
              _optional(_object_of(_list_of(_is(str))))),
-    _Setting("portfolios", "portfolios", "an object of objects with only members (strings), "
+    _Setting("portfolios", "portfolios", "an object of objects with only members (distinct strings), "
              "state and available_from", _object_of(_portfolio)),
     _Setting("sub_ranges", "sub_ranges", "an object of [first quarter, last quarter] pairs",
              _object_of(lambda v: _list_of(is_quarter)(v) and len(v) == 2)),
@@ -414,17 +418,11 @@ class _Runner:
 
     @_memoised
     def integration(self):
-        result = integrate_panel(
-            self.returns, self.factors, self.cfg.window, self.cfg.prewhiten
-        )
-        if not result.series:
-            msa_id, reason = result.skipped[0]
-            raise HousingRiskError(f"no MSA could be integrated; first skip: {msa_id}: {reason}")
-        return result
+        return integrate_panel(self.returns, self.factors, self.cfg.window, self.cfg.prewhiten)
 
     @_memoised
     def summary(self):
-        return integration_summary(self.integration().series, self.returns)
+        return integration_summary(self.integration(), self.returns)
 
     @_memoised
     def jumps(self):
@@ -527,10 +525,10 @@ def _fields(records, cls) -> list[list]:
 @_memoised
 def _cohort_columns(r: _Runner) -> list:
     """(cohort, quarter, average R²): cohort_averages.csv and fig2.csv."""
-    series = r.integration().series
+    integ = r.integration()
     return _long([
-        (name, *cohort_average(series, members, start))
-        for name, members, start in _cohort_plan(r, series)
+        (name, *cohort_average(integ, members, start))
+        for name, members, start in _cohort_plan(r, integ)
     ])
 
 
@@ -581,15 +579,17 @@ def _cmd_ingest(r: _Runner) -> None:
 
 def _cmd_integrate(r: _Runner) -> None:
     result = r.integration()
-    series = result.series
+    # Each MSA's windows from its first on, MSA by MSA.
+    present = np.arange(len(result.ends)) >= result.first[:, None]
+    msa, s = np.nonzero(present)
     r.write_csv(
         "integration_series.csv",
-        ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in series[0].names],
+        ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in result.names],
         [
-            Labels.repeat([s.msa_id for s in series], [s.n_windows for s in series]),
-            quarter_labels(_concat([s.window_ends for s in series], int)),
-            _concat([s.r_squares for s in series], float),
-            *np.concatenate([s.betas for s in series]).T,
+            Labels(msa, result.ids),
+            quarter_labels(result.ends[s]),
+            result.r_square[present],
+            *result.beta[present].T,
         ],
     )
 
@@ -618,9 +618,9 @@ def _cmd_integrate(r: _Runner) -> None:
     r.write_csv("cohort_averages.csv", ["cohort", "quarter", "avg_r_square"], _cohort_columns(r))
 
 
-def _cohort_plan(r: _Runner, series):
+def _cohort_plan(r: _Runner, integ):
     """(name, members, start) triples for every non-empty cohort."""
-    have = {s.msa_id: int(s.window_ends[0]) for s in series}
+    have = dict(zip(integ.ids, integ.ends[integ.first].tolist()))  # MSA -> its first window end
     plan = [("us", sorted(have), None)]
     starts = sorted(
         ((name, parse_quarter(q)) for name, q in r.cfg.time_cohorts.items()),
@@ -690,11 +690,13 @@ def _cmd_correlate(r: _Runner) -> None:
 
 
 def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
-    """(source id, target id) pairs for the contagion command.
+    """(source id, target id) pairs for the contagion command, each once.
 
     Priority: explicit config (ids or name fragments) > default city menu
     matched against MSA names > pairs planted by this run's synthetic
-    scenario > a first-vs-next fallback so the artifact always exists.
+    scenario > a first-vs-next fallback so the artifact always exists. A
+    pair that two references resolve to (an id and a name fragment, say)
+    is listed the first time.
     """
     ids = set(r.panel.msa_ids())
 
@@ -714,7 +716,7 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
                 if strict and not tgts:
                     raise ConfigError(f"contagion target {tgt_ref!r} matches no MSA")
                 pairs += [(s, t) for s in srcs for t in tgts if s != t]
-        return pairs
+        return list(dict.fromkeys(pairs))
 
     if r.cfg.contagion_menu is not None:
         return expand(r.cfg.contagion_menu, strict=True)
@@ -723,8 +725,8 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
         return pairs
 
     if r.ground_truth is not None:
-        for entry in r.ground_truth.get("contagion", []):
-            pairs.append((entry["source"], entry["target"]))
+        planted = r.ground_truth.get("contagion", [])
+        pairs = list(dict.fromkeys((entry["source"], entry["target"]) for entry in planted))
     if pairs:
         return pairs
 
@@ -879,8 +881,8 @@ def _portfolio_members(r: _Runner, name: str, spec: dict) -> list[str]:
 @_memoised
 def _portfolios(r: _Runner) -> list[tuple]:
     """(name, diversification series, member-average R² path or None) per portfolio."""
-    series = r.integration().series
-    have = {s.msa_id for s in series}
+    integ = r.integration()
+    have = set(integ.ids)
     out = []
     for name, spec in sorted(r.cfg.portfolios.items()):
         members = _portfolio_members(r, name, spec)
@@ -891,7 +893,7 @@ def _portfolios(r: _Runner) -> list[tuple]:
         except (InsufficientHistoryError, ValueError):
             continue
         int_members = [m for m in members if m in have]
-        out.append((name, ps, cohort_average(series, int_members) if int_members else None))
+        out.append((name, ps, cohort_average(integ, int_members) if int_members else None))
     return out
 
 
@@ -994,11 +996,11 @@ def _cmd_report(r: _Runner) -> None:
     r.write_csv("table4.csv", DIVISION_HEADER, division_columns)
 
     r.write_csv("fig2.csv", FIG_HEADER, _cohort_columns(r))
-    series = r.integration().series
+    integ = r.integration()
     r.write_csv(
         "fig3.csv",
         FIG_HEADER,
-        _long((f, *beta_average(series, f)) for f in series[0].names if f != "const"),
+        _long((f, *beta_average(integ, f)) for f in integ.names if f != "const"),
     )
     r.write_csv("fig4.csv", FIG_HEADER, _incidence_columns(r)[:3])
     triples = []

@@ -4,7 +4,7 @@ An MSA's integration with the national market is the R-square of its
 (optionally pre-whitened) quarterly returns regressed on the common factor
 set over a moving window, stamped at the window-end quarter. Summary
 statistics, ranks, quintile minima, cohort averages, and factor-beta
-averages all derive from those per-MSA series.
+averages all derive from those paths, held on one grid of window ends.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import AlignedDataset, FactorTable, QuarterIndex, ReturnPanel, align
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, InsufficientHistoryError
 from .regress import PrewhitenResult, _fit_stack, ar1_prewhiten, trend_fit
 
 __all__ = [
-    "IntegrationSeries",
     "IntegrationSummary",
     "PanelIntegration",
     "CHARACTERISTICS",
@@ -47,32 +46,32 @@ MIN_PREWHITEN_OBS = 10
 MIN_SUMMARY_WINDOWS = 3
 
 
-@dataclass(frozen=True)
-class IntegrationSeries:
-    """Rolling R-square and coefficient paths for one MSA.
+@dataclass(frozen=True, eq=False)
+class PanelIntegration:
+    """Rolling R-square and coefficient paths of every fitted MSA on one window grid.
 
-    ``betas`` has one row per window and one column per regressor
-    (intercept first, then factors, in ``names`` order). ``window_ends``
-    holds quarter codes.
+    Column s of ``r_square`` (N, S) and ``beta`` (N, S, k) is the window
+    ending in quarter ``ends[s]``; row c is MSA ``ids[c]`` (panel order),
+    whose first window is column ``first[c]``. Every MSA's windows run to the
+    last column, and its cells before ``first[c]`` are NaN. ``beta`` holds
+    the intercept, then the factors, in ``names`` order. ``skipped`` holds
+    ``(msa_id, reason)`` for each MSA that was not fitted, in panel order, and
+    ``prewhiten`` each pre-whitened MSA's AR(1) result.
     """
 
-    msa_id: str
-    window_ends: np.ndarray
-    r_squares: np.ndarray
-    betas: np.ndarray
+    ids: tuple[str, ...]
     names: tuple[str, ...]
-    window: int
+    ends: np.ndarray
+    first: np.ndarray
+    r_square: np.ndarray
+    beta: np.ndarray
+    skipped: tuple[tuple[str, str], ...]
+    prewhiten: dict[str, PrewhitenResult]
 
     @property
-    def n_windows(self) -> int:
-        return len(self.window_ends)
-
-    def beta_series(self, name: str) -> np.ndarray:
-        return self.betas[:, self.names.index(name)]
-
-    @property
-    def change_r_square(self) -> float:
-        return float(self.r_squares[-1] - self.r_squares[0])
+    def series(self) -> tuple[str, ...]:
+        # perfbench/tracing.py counts the fitted MSAs as len(result.series).
+        return self.ids
 
 
 def _check_window(k: int, window: int) -> None:
@@ -91,15 +90,15 @@ def _span_fits(X: np.ndarray, Y: np.ndarray, window: int, names: tuple[str, ...]
     return _fit_stack(sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1), names)
 
 
-def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> IntegrationSeries:
+def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> PanelIntegration:
     """Fit the factor model over every ``window``-row span of an aligned MSA.
 
     Windows slide one row at a time; each fit's R-square and coefficient
-    vector are stamped at the quarter of the window's last row. All windows
-    are fitted in one stacked Householder QR (``regress._fit_stack``). A
-    badly conditioned window is refitted by pivoted QR, so the first
-    rank-deficient window raises the same ``SingularDesignError`` as a
-    per-window pivoted QR.
+    vector are stamped at the quarter of the window's last row, in a
+    one-row ``PanelIntegration``. All windows are fitted in one stacked
+    Householder QR (``regress._fit_stack``). A badly conditioned window is
+    refitted by pivoted QR, so the first rank-deficient window raises the
+    same ``SingularDesignError`` as a per-window pivoted QR.
     """
     names = ("const",) + tuple(dataset.factor_ids)
     _check_window(len(names), window)
@@ -111,29 +110,11 @@ def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> Integrati
     fit = _span_fits(dataset.X, dataset.y[:, None], window, names)
     if fit.failed:
         raise fit.failed[min(fit.failed)]
-    return IntegrationSeries(
-        msa_id=dataset.msa_id,
-        window_ends=dataset.quarter_codes[window - 1 :].copy(),
-        r_squares=fit.r_square[:, 0],
-        betas=fit.beta[:, 0],
-        names=names,
-        window=window,
+    return PanelIntegration(
+        ids=(dataset.msa_id,), names=names, ends=dataset.quarter_codes[window - 1 :].copy(),
+        first=np.zeros(1, dtype=int), r_square=np.ascontiguousarray(fit.r_square.T),
+        beta=np.ascontiguousarray(fit.beta.transpose(1, 0, 2)), skipped=(), prewhiten={},
     )
-
-
-@dataclass(frozen=True)
-class PanelIntegration:
-    """All per-MSA integration series plus the skip log."""
-
-    series: tuple[IntegrationSeries, ...]
-    skipped: tuple[tuple[str, str], ...]
-    prewhiten: dict[str, PrewhitenResult]
-
-    def by_msa(self, msa_id: str) -> IntegrationSeries:
-        for s in self.series:
-            if s.msa_id == msa_id:
-                return s
-        raise KeyError(f"no integration series for {msa_id!r}")
 
 
 def integrate_panel(
@@ -148,7 +129,7 @@ def integrate_panel(
     consumes one leading observation when lag 1 is selected. MSAs that are
     too short to pre-whiten, align, or fill a single window, and MSAs with a
     rank-deficient window, are skipped with a logged reason rather than
-    failing the panel.
+    failing the panel; InsufficientHistoryError if every MSA is.
 
     Every MSA regresses on the same factors, so its aligned rows are the
     tail of one grid: the panel's quarters where every factor is present,
@@ -156,8 +137,8 @@ def integrate_panel(
     grid row it starts on, and one ``_span_fits`` call fits every MSA over
     every span, with the MSAs' returns as the responses (zeros before an
     MSA enters). Seemingly unrelated regressions with identical regressors
-    reduce to OLS one equation at a time (Zellner 1962), so each series is
-    sliced out of the span fits. A rank-deficient span skips every MSA that
+    reduce to OLS one equation at a time (Zellner 1962), so the span fits
+    are the result's columns. A rank-deficient span skips every MSA that
     holds it, with the error of the MSA's first such window, as
     ``rolling_factor_model`` raises it. Skips are listed in panel order.
     """
@@ -187,7 +168,7 @@ def integrate_panel(
             continue
         datasets.append(dataset)
 
-    series = []
+    kept = []
     if datasets:
         names = ("const",) + tuple(factors.factor_ids)
         _check_window(len(names), window)
@@ -199,23 +180,30 @@ def integrate_panel(
         for c, d in enumerate(datasets):
             Y[grid.n_rows - d.n_rows :, c] = d.y
         fit = _span_fits(grid.X, Y, window, names)
+        first = np.array([grid.n_rows - d.n_rows for d in datasets])  # the grid row of its first window
         failed = sorted(fit.failed)
-        ends = grid.quarter_codes[window - 1 :]
-        # One contiguous row of windows per MSA, as rolling_factor_model gives.
-        r_squares = np.ascontiguousarray(fit.r_square.T)
-        betas = np.ascontiguousarray(fit.beta.transpose(1, 0, 2))
         for c, d in enumerate(datasets):
-            off = grid.n_rows - d.n_rows  # the grid row of its first window
-            bad = [s for s in failed if s >= off]
+            bad = [s for s in failed if s >= first[c]]
             if bad:
                 skipped.append((d.msa_id, str(fit.failed[bad[0]])))
             else:
-                series.append(IntegrationSeries(
-                    d.msa_id, ends[off:], r_squares[c, off:], betas[c, off:], names, window
-                ))
+                kept.append(c)
         order = {msa_id: i for i, msa_id in enumerate(returns.msa_ids())}
         skipped.sort(key=lambda skip: order[skip[0]])
-    return PanelIntegration(tuple(series), tuple(skipped), pw_info)
+    if not kept:
+        msa_id, reason = skipped[0]
+        raise InsufficientHistoryError(f"no MSA could be integrated; first skip: {msa_id}: {reason}")
+    # MSA-major, so each MSA's path is one contiguous row, as trend_fit reads it.
+    r_square = np.ascontiguousarray(fit.r_square.T[kept])
+    beta = np.ascontiguousarray(fit.beta.transpose(1, 0, 2)[kept])
+    first = first[kept]
+    before = np.arange(r_square.shape[1]) < first[:, None]
+    r_square[before] = np.nan
+    beta[before] = np.nan
+    ids = tuple(datasets[c].msa_id for c in kept)
+    return PanelIntegration(
+        ids, names, grid.quarter_codes[window - 1 :], first, r_square, beta, tuple(skipped), pw_info
+    )
 
 
 @dataclass(frozen=True)
@@ -257,10 +245,7 @@ def _quintile_minima(sorted_values: np.ndarray) -> tuple[float, ...]:
     return tuple(minima)
 
 
-def integration_summary(
-    series: list[IntegrationSeries] | tuple[IntegrationSeries, ...],
-    returns: ReturnPanel,
-) -> IntegrationSummary:
+def integration_summary(integration: PanelIntegration, returns: ReturnPanel) -> IntegrationSummary:
     """Summarise integration across MSAs (mean/sigma of raw returns, final
     and change in R-square, trend t-stat, ranks, quintiles).
 
@@ -268,20 +253,19 @@ def integration_summary(
     points); exclusions are logged on the result.
     """
     ids, rows, excluded = [], [], []
-    for s in sorted(series, key=lambda s: s.msa_id):
-        if s.n_windows < MIN_SUMMARY_WINDOWS:
-            excluded.append(
-                (s.msa_id, f"only {s.n_windows} windows (< {MIN_SUMMARY_WINDOWS})")
-            )
+    for c in sorted(range(len(integration.ids)), key=integration.ids.__getitem__):
+        msa_id, path = integration.ids[c], integration.r_square[c, integration.first[c] :]
+        if path.size < MIN_SUMMARY_WINDOWS:
+            excluded.append((msa_id, f"only {path.size} windows (< {MIN_SUMMARY_WINDOWS})"))
             continue
-        _, r = returns.series(s.msa_id)
-        ids.append(s.msa_id)
+        _, r = returns.series(msa_id)
+        ids.append(msa_id)
         rows.append((
             float(r.mean()),
             float(r.std(ddof=1)) if r.size > 1 else 0.0,
-            float(s.r_squares[-1]),
-            s.change_r_square,
-            trend_fit(s.r_squares).slope_t_stat,
+            float(path[-1]),
+            float(path[-1] - path[0]),
+            trend_fit(path).slope_t_stat,
         ))
     if not rows:
         raise ValueError("no MSA has enough windows to summarise")
@@ -300,41 +284,39 @@ def integration_summary(
 
 
 def _common_average(
-    series: list[IntegrationSeries],
-    members: list[str] | tuple[str, ...],
+    integration: PanelIntegration,
+    members,
     start: QuarterIndex | None,
-    extract,
+    paths: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Average rows ``paths[c]`` of ``members`` over the window ends they all report."""
     if not members:
         raise ValueError("cohort membership is empty")
-    by_id = {s.msa_id: s for s in series}
-    missing = [m for m in members if m not in by_id]
+    row = {msa_id: c for c, msa_id in enumerate(integration.ids)}
+    missing = [m for m in members if m not in row]
     if missing:
         raise KeyError(f"no integration series for cohort members: {', '.join(missing)}")
-    chosen = [by_id[m] for m in sorted(members)]
-    # Each member's window ends are distinct, so a code every member reports
-    # appears once per member.
-    codes, counts = np.unique(np.concatenate([s.window_ends for s in chosen]), return_counts=True)
-    common = codes[counts == len(chosen)]
+    rows = [row[m] for m in sorted(members)]
+    # Every MSA's windows run to the last column, so the ends all members
+    # report start at their latest first window.
+    lo = int(integration.first[rows].max())
     if start is not None:
-        for s in chosen:
-            if int(s.window_ends[0]) > start.code:
+        for c in rows:
+            if int(integration.ends[integration.first[c]]) > start.code:
                 raise AlignmentError(
-                    f"{s.msa_id} has no window ending by cohort start {start}"
+                    f"{integration.ids[c]} has no window ending by cohort start {start}"
                 )
-        common = common[common >= start.code]
-    if common.size == 0:
+        lo = max(lo, int(np.searchsorted(integration.ends, start.code)))
+    if lo == integration.ends.size:
         raise AlignmentError("cohort members share no common window-end quarters")
-    acc = np.zeros(common.size)
-    for s in chosen:
-        # window_ends are sorted, so searchsorted recovers member positions.
-        pos = np.searchsorted(s.window_ends, common)
-        acc += extract(s)[pos]
-    return common, acc / len(chosen)
+    acc = np.zeros(integration.ends.size - lo)
+    for c in rows:
+        acc += paths[c, lo:]
+    return integration.ends[lo:], acc / len(rows)
 
 
 def cohort_average(
-    series: list[IntegrationSeries] | tuple[IntegrationSeries, ...],
+    integration: PanelIntegration,
     members,
     start: QuarterIndex | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -343,20 +325,15 @@ def cohort_average(
     Returns (quarter codes, averages). If ``start`` is given, every member
     must already be reporting by that quarter and the output begins there.
     """
-    return _common_average(list(series), list(members), start, lambda s: s.r_squares)
+    return _common_average(integration, list(members), start, integration.r_square)
 
 
-def beta_average(
-    series: list[IntegrationSeries] | tuple[IntegrationSeries, ...],
-    factor_id: str,
-) -> tuple[np.ndarray, np.ndarray]:
+def beta_average(integration: PanelIntegration, factor_id: str) -> tuple[np.ndarray, np.ndarray]:
     """Average one factor's rolling coefficient across all MSAs, over quarters they all report."""
     if not factor_id:
         raise ValueError("factor id is empty")
-    series = list(series)
-    for s in series:
-        if factor_id not in s.names:
-            raise KeyError(f"{s.msa_id} has no factor {factor_id!r}")
+    if factor_id not in integration.names:
+        raise KeyError(f"the integration has no factor {factor_id!r}")
     return _common_average(
-        series, [s.msa_id for s in series], None, lambda s: s.beta_series(factor_id)
+        integration, integration.ids, None, integration.beta[:, :, integration.names.index(factor_id)]
     )

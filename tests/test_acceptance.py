@@ -201,7 +201,7 @@ def test_criterion_4_integration_oracle():
                 compute_returns(panel), factors, window=W, prewhiten=False
             )
             pkg_means.append(
-                float(np.mean(np.concatenate([s.r_squares for s in integ.series])))
+                float(np.mean(np.concatenate([p[f:] for p, f in zip(integ.r_square, integ.first)])))
             )
         pkg_mean = float(np.mean(pkg_means))
         oracle = _oracle_rolling_r2_mean(
@@ -219,7 +219,7 @@ def test_criterion_4_integration_oracle():
         )
         twelve = factor_table(rng.standard_normal((160, 12)))
         integ_b = integrate_panel(noise, twelve, window=W, prewhiten=False)
-        base = float(np.mean(np.concatenate([s.r_squares for s in integ_b.series])))
+        base = float(np.mean(np.concatenate([p[f:] for p, f in zip(integ_b.r_square, integ_b.first)])))
         target = 12 / (W - 1)
         c.expect(
             abs(base - target) <= 0.03,
@@ -374,8 +374,9 @@ def test_criterion_8_real_data_patterns():
         # (a) national mean integration rises across the 2000s
         start = QuarterIndex(2000, 1)
         end = QuarterIndex(2009, 4)
-        members = [s.msa_id for s in integ.series if s.window_ends[0] <= start.code]
-        codes, avg = cohort_average(integ.series, members, start=start)
+        first_ends = integ.ends[integ.first]
+        members = [m for m, end in zip(integ.ids, first_ends) if end <= start.code]
+        codes, avg = cohort_average(integ, members, start=start)
         keep = codes <= end.code
         c.expect(
             avg[keep][-1] > avg[keep][0],

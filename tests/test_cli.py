@@ -296,6 +296,7 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"portfolios": {"p": ["x"]}}, id="portfolio-list"),
     pytest.param({"portfolios": {"p": {"members": [1, 2]}}}, id="portfolio-member-numbers"),
     pytest.param({"portfolios": {"p": {"members": ["S001", "NOPE"]}}}, id="portfolio-unknown-member"),
+    pytest.param({"portfolios": {"p": {"members": ["S001", "S002", "S001"]}}}, id="portfolio-duplicate-member"),
     pytest.param({"portfolios": {"p": {"member": ["S001"]}}}, id="portfolio-unknown-key"),
     pytest.param({"contagion": {"Nowhere": ["S002"]}}, id="contagion-unknown-source"),
     pytest.param({"contagion": {"S001": [2]}}, id="contagion-target-number"),
@@ -597,6 +598,14 @@ def test_short_overlap_skips_only_the_failing_variants(tmp_path, capsys):
         ["S002", "S004", "skipped", "12", too_few],
     ]
     assert rows[2:4] == plain[2:4]
+
+
+def test_a_pair_named_twice_is_fitted_once(tmp_path, capsys):
+    once = contagion_csv_bytes(tmp_path, capsys)
+    # Each pair again, by id and by a name fragment (the CLI-test names are the ids).
+    twice = {"S001": ["S002", "s002", "S003", "S003"], "S004": ["S002"], "s004": ["S002", "s002"]}
+    assert contagion_csv_bytes(tmp_path, capsys, menu=twice) == once
+    assert once.count(b"\n") == 1 + 2 * 3  # the header, then base and interacted for each pair
 
 
 # Four source groups of 2, 1, 3 and 4 targets, including the pairs that

@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from housingrisk import (
     AlignmentError,
     ConfigError,
-    IntegrationSeries,
+    InsufficientHistoryError,
+    PanelIntegration,
     SingularDesignError,
     align,
     beta_average,
@@ -47,37 +48,37 @@ def test_windows_stamped_at_their_end(rng):
     n, w = 30, 20
     y = rng.normal(size=n)
     F = rng.normal(size=(n, 2))
-    series = rolling_factor_model(aligned(y, F), window=w)
-    assert series.n_windows == n - w + 1
-    assert series.window_ends[0] == (Q0 + w - 1).code
-    assert series.window_ends[-1] == (Q0 + n - 1).code
-    assert series.window == w
+    result = rolling_factor_model(aligned(y, F), window=w)
+    assert result.ids == ("A",) and result.first.tolist() == [0]
+    assert result.r_square.shape == (1, n - w + 1)
+    assert result.ends[0] == (Q0 + w - 1).code
+    assert result.ends[-1] == (Q0 + n - 1).code
 
 
 def test_r_square_matches_lstsq_oracle(rng):
     n, w = 45, 20
     F = rng.normal(size=(n, 3))
     y = F @ np.array([0.5, -0.2, 0.1]) + rng.normal(size=n)
-    series = rolling_factor_model(aligned(y, F), window=w)
-    assert_allclose(series.r_squares, window_r2_oracle(y, F, w), atol=1e-10)
+    result = rolling_factor_model(aligned(y, F), window=w)
+    assert_allclose(result.r_square[0], window_r2_oracle(y, F, w), atol=1e-10)
 
 
 def test_perfect_fit_r_square_one(rng):
     F = rng.normal(size=(25, 1))
     y = 2.0 + 3.0 * F[:, 0]
-    series = rolling_factor_model(aligned(y, F), window=20)
-    assert_allclose(series.r_squares, 1.0, atol=1e-10)
-    assert_allclose(series.beta_series("F0"), 3.0, atol=1e-8)
+    result = rolling_factor_model(aligned(y, F), window=20)
+    assert_allclose(result.r_square, 1.0, atol=1e-10)
+    assert_allclose(result.beta[0, :, result.names.index("F0")], 3.0, atol=1e-8)
 
 
 def test_betas_recorded_per_window(rng):
     n = 40
     F = rng.normal(size=(n, 2))
     y = F @ np.array([1.0, -1.0]) + 0.01 * rng.normal(size=n)
-    series = rolling_factor_model(aligned(y, F), window=20)
-    assert series.names == ("const", "F0", "F1")
-    assert_allclose(series.beta_series("F1"), -1.0, atol=0.02)
-    assert series.betas.shape == (series.n_windows, 3)
+    result = rolling_factor_model(aligned(y, F), window=20)
+    assert result.names == ("const", "F0", "F1")
+    assert_allclose(result.beta[0, :, 2], -1.0, atol=0.02)
+    assert result.beta.shape == (1, n - 20 + 1, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,12 +94,12 @@ def test_every_window_equals_a_single_ols_fit(n_factors, extra_rows, extra_windo
     rng = np.random.default_rng(seed)
     F = rng.normal(size=(n, n_factors))
     y = F @ rng.normal(size=n_factors) + rng.normal(size=n)
-    series = rolling_factor_model(aligned(y, F), window=w)
-    assert series.n_windows == n - w + 1
-    for s in range(series.n_windows):
+    result = rolling_factor_model(aligned(y, F), window=w)
+    assert result.r_square.shape == (1, n - w + 1)
+    for s in range(n - w + 1):
         fit = ols_fit(add_intercept(F[s : s + w]), y[s : s + w])
-        assert_allclose(series.betas[s], fit.coefficients, rtol=1e-10)
-        assert_allclose(series.r_squares[s], fit.r_square, rtol=1e-10, atol=1e-12)
+        assert_allclose(result.beta[0, s], fit.coefficients, rtol=1e-10)
+        assert_allclose(result.r_square[0, s], fit.r_square, rtol=1e-10, atol=1e-12)
 
 
 def first_solve_ls_error(ds, window):
@@ -134,11 +135,11 @@ def test_near_collinear_window_keeps_pivoted_qr_beta(rng):
     F[:, 1] = F[:, 0] + 1e-9 * rng.normal(size=n)  # full rank, badly conditioned
     y = F[:, 0] + rng.normal(size=n)
     ds = aligned(y, F)
-    series = rolling_factor_model(ds, window=w)
+    result = rolling_factor_model(ds, window=w)
     X = add_intercept(F)
-    for s in range(series.n_windows):
-        beta, _, _ = _solve_ls(X[s : s + w], y[s : s + w], series.names)
-        assert_array_equal(series.betas[s], beta)
+    for s in range(n - w + 1):
+        beta, _, _ = _solve_ls(X[s : s + w], y[s : s + w], result.names)
+        assert_array_equal(result.beta[0, s], beta)
 
 
 def test_window_shorter_than_params_rejected(rng):
@@ -156,9 +157,10 @@ def test_too_few_rows_rejected(rng):
 def test_change_r_square_is_last_minus_first(rng):
     n = 50
     y = rng.normal(size=n)
-    series = rolling_factor_model(aligned(y, rng.normal(size=(n, 1))), window=20)
-    assert series.change_r_square == pytest.approx(
-        series.r_squares[-1] - series.r_squares[0]
+    result = rolling_factor_model(aligned(y, rng.normal(size=(n, 1))), window=20)
+    summary = integration_summary(result, panel_from_returns({"A": y}))
+    assert summary.values[0, column("change_r_square")] == pytest.approx(
+        result.r_square[0, -1] - result.r_square[0, 0]
     )
 
 
@@ -185,7 +187,7 @@ def test_integrate_panel_skips_short_series(rng):
     })
     table = factor_table(rng.normal(size=(30, 1)), start=Q0)
     result = integrate_panel(panel, table, window=20, prewhiten=True)
-    assert [s.msa_id for s in result.series] == ["LONG"]
+    assert result.ids == ("LONG",)
     assert [m for m, _ in result.skipped] == ["TINY"]
 
 
@@ -199,7 +201,7 @@ def test_integrate_panel_skips_a_rank_deficient_msa(rng):
     })
     table = factor_table(F, start=Q0)
     result = integrate_panel(panel, table, window=20, prewhiten=False)
-    assert [s.msa_id for s in result.series] == ["LATE"]
+    assert result.ids == ("LATE",)
     with pytest.raises(SingularDesignError) as caught:
         rolling_factor_model(aligned(panel.series("EARLY")[1], F), window=20)
     assert result.skipped == (("EARLY", str(caught.value)),)
@@ -211,7 +213,7 @@ def test_integrate_panel_prewhiten_toggle(rng):
     raw = integrate_panel(panel, table, window=20, prewhiten=False)
     assert raw.prewhiten == {} or not raw.prewhiten  # no pre-whitening info
     white = integrate_panel(panel, table, window=20, prewhiten=True)
-    assert len(white.series) == 1
+    assert white.ids == ("A",)
 
 
 def test_integrate_panel_offsets_late_starter(rng):
@@ -222,17 +224,16 @@ def test_integrate_panel_offsets_late_starter(rng):
     })
     table = factor_table(rng.normal(size=(40, 1)), start=Q0)
     result = integrate_panel(panel, table, window=20, prewhiten=False)
-    early = result.by_msa("EARLY")
-    late = result.by_msa("LATE")
-    assert early.n_windows == 21
-    assert late.n_windows == 6
+    assert result.ids == ("EARLY", "LATE")
+    assert result.r_square.shape == (2, 21)
+    assert result.first.tolist() == [0, 15]  # LATE holds the last 6 windows
     # LATE's first window ends 19 quarters after its own first return
-    assert late.window_ends[0] == (Q0 + 15 + 19).code
+    assert result.ends[result.first[1]] == (Q0 + 15 + 19).code
 
 
 def per_msa_integration(panel, table, window, prewhiten):
     """``integrate_panel`` one MSA at a time: pre-whiten, align, and one
-    ``rolling_factor_model`` call per MSA. Returns (series, skipped)."""
+    ``rolling_factor_model`` call per MSA. Returns (one-row results, skipped)."""
     series, skipped = [], []
     for msa_id in panel.msa_ids():
         start, values = panel.series(msa_id)
@@ -255,12 +256,18 @@ def per_msa_integration(panel, table, window, prewhiten):
 
 def assert_same_integration(result, series, skipped):
     assert result.skipped == tuple(skipped)
-    assert [s.msa_id for s in result.series] == [s.msa_id for s in series]
-    for got, want in zip(result.series, series):
-        assert got.names == want.names and got.window == want.window
-        assert_array_equal(got.window_ends, want.window_ends)
-        assert_allclose(got.betas, want.betas, rtol=1e-10)
-        assert_allclose(got.r_squares, want.r_squares, rtol=1e-10, atol=1e-12)
+    assert result.ids == tuple(want.ids[0] for want in series)
+    for c, want in enumerate(series):
+        lo = result.first[c]
+        assert result.names == want.names
+        assert_array_equal(result.ends[lo:], want.ends)
+        assert_allclose(result.beta[c, lo:], want.beta[0], rtol=1e-10)
+        assert_allclose(result.r_square[c, lo:], want.r_square[0], rtol=1e-10, atol=1e-12)
+
+
+def no_msa_integrated(skipped):
+    msa_id, reason = skipped[0]
+    return f"no MSA could be integrated; first skip: {msa_id}: {reason}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,8 +294,14 @@ def test_panel_equals_one_rolling_fit_per_msa(n_factors, extra_rows, n_quarters,
     F[[r % len(F) for r in nan_rows], rng.integers(0, n_factors)] = np.nan
     panel = panel_from_returns(returns)
     table = factor_table(F, start=Q0 + factor_shift)
+    series, skipped = per_msa_integration(panel, table, window, prewhiten)
+    if not series:
+        with pytest.raises(InsufficientHistoryError) as caught:
+            integrate_panel(panel, table, window=window, prewhiten=prewhiten)
+        assert str(caught.value) == no_msa_integrated(skipped)
+        return
     result = integrate_panel(panel, table, window=window, prewhiten=prewhiten)
-    assert_same_integration(result, *per_msa_integration(panel, table, window, prewhiten))
+    assert_same_integration(result, series, skipped)
 
 
 def test_rank_deficient_spans_skip_the_msas_that_hold_them(rng):
@@ -320,22 +333,72 @@ def test_badly_conditioned_spans_take_the_pivoted_fallback(rng):
     panel = panel_from_returns(returns)
     result = integrate_panel(panel, factor_table(F, start=Q0), window=w, prewhiten=False)
     X = add_intercept(F)
-    for msa_id, y in returns.items():
-        series = result.by_msa(msa_id)
+    for c, (msa_id, y) in enumerate(returns.items()):
         off = n - y.size
-        assert series.n_windows == y.size - w + 1
-        for s in range(series.n_windows):
-            beta, _, _ = _solve_ls(X[off + s : off + s + w], y[s : s + w], series.names)
-            assert_array_equal(series.betas[s], beta)
+        assert result.ids[c] == msa_id and result.first[c] == off
+        for s in range(y.size - w + 1):
+            beta, _, _ = _solve_ls(X[off + s : off + s + w], y[s : s + w], result.names)
+            assert_array_equal(result.beta[c, off + s], beta)
+
+
+def staggered_integration(rng, entries=(0, 7, 3, 12), n=40, w=12, k=2):
+    """``integrate_panel`` of MSAs M0.. entering ``entries`` quarters late."""
+    panel = panel_from_returns({f"M{c}": rng.normal(size=n - e) for c, e in enumerate(entries)})
+    table = factor_table(rng.normal(size=(n, k)), start=Q0)
+    return integrate_panel(panel, table, window=w, prewhiten=False)
+
+
+def test_cells_before_an_msas_first_window_are_nan(rng):
+    result = staggered_integration(rng)
+    assert result.first.tolist() == [0, 7, 3, 12]
+    before = np.arange(result.ends.size) < result.first[:, None]
+    assert np.isnan(result.r_square[before]).all() and np.isnan(result.beta[before]).all()
+    assert np.isfinite(result.r_square[~before]).all() and np.isfinite(result.beta[~before]).all()
+
+
+def test_series_counts_the_fitted_msas(rng):
+    # perfbench/tracing.py counts the fitted MSAs as len(result.series).
+    result = staggered_integration(rng)
+    assert len(result.series) == len(result.ids) == 4
+
+
+def test_every_msa_too_short_raises_one_line(rng):
+    panel = panel_from_returns({"A": rng.normal(size=12), "B": rng.normal(size=15)})
+    table = factor_table(rng.normal(size=(15, 1)), start=Q0)
+    with pytest.raises(InsufficientHistoryError) as caught:
+        integrate_panel(panel, table, window=20, prewhiten=False)
+    assert str(caught.value) == "no MSA could be integrated; first skip: A: 12 aligned rows < window of 20"
+
+
+def test_every_msa_holding_a_rank_deficient_span_raises_one_line(rng):
+    n = 60
+    F = rng.normal(size=(n, 2))
+    F[30:55, 1] = 0.75  # every MSA's windows run over the constant stretch
+    panel = panel_from_returns({"A": rng.normal(size=n), "B": rng.normal(size=n - 10)})
+    table = factor_table(F, start=Q0)
+    _, skipped = per_msa_integration(panel, table, 20, False)
+    assert [m for m, _ in skipped] == ["A", "B"]
+    with pytest.raises(InsufficientHistoryError) as caught:
+        integrate_panel(panel, table, window=20, prewhiten=False)
+    assert str(caught.value) == no_msa_integrated(skipped)
+    assert "\n" not in str(caught.value) and "dependent columns: F1" in str(caught.value)
 
 
 # --- summaries --------------------------------------------------------------
 
-def series_of(msa_id, r2s, start=Q0):
-    r2s = np.asarray(r2s, dtype=float)
-    ends = np.arange(start.code, start.code + len(r2s))
-    betas = np.zeros((len(r2s), 1))
-    return IntegrationSeries(msa_id, ends, r2s, betas, ("const",), window=20)
+def grid_of(paths, names=("const",), beta=None):
+    """A ``PanelIntegration`` holding each R-square path of ``paths`` (id ->
+    values) as the tail of one grid of window ends from Q0; ``beta`` (N, S,
+    k) or zeros, NaN before each MSA's first window."""
+    ids = tuple(paths)
+    S = max(len(v) for v in paths.values())
+    first = np.array([S - len(v) for v in paths.values()])
+    before = np.arange(S) < first[:, None]
+    r_square = np.full((len(ids), S), np.nan)
+    r_square[~before] = np.concatenate([np.asarray(v, dtype=float) for v in paths.values()])
+    beta = np.zeros((len(ids), S, len(names))) if beta is None else np.array(beta, dtype=float)
+    beta[before] = np.nan
+    return PanelIntegration(ids, names, Q0.code + np.arange(S), first, r_square, beta, (), {})
 
 
 def column(name):
@@ -347,8 +410,7 @@ def test_summary_characteristics_and_ranks(rng):
         "A": np.array([1.0, -1.0, 1.0, -1.0]),
         "B": np.array([2.0, 2.0, 2.0, 2.0]),
     })
-    series = [series_of("A", [0.1, 0.2, 0.5]), series_of("B", [0.6, 0.55, 0.7])]
-    summary = integration_summary(series, panel)
+    summary = integration_summary(grid_of({"A": [0.1, 0.2, 0.5], "B": [0.6, 0.55, 0.7]}), panel)
     assert summary.ids == ("A", "B")
     a, b = summary.values
     # sample sd with ddof=1: sd(1,-1,1,-1) = sqrt(4/3)
@@ -367,16 +429,14 @@ def test_summary_rank_ties_break_by_id():
     panel = panel_from_returns({
         "X": np.ones(4), "Y": np.ones(4),
     })
-    series = [series_of("Y", [0.5, 0.5, 0.5]), series_of("X", [0.5, 0.5, 0.5])]
-    summary = integration_summary(series, panel)
+    summary = integration_summary(grid_of({"Y": [0.5, 0.5, 0.5], "X": [0.5, 0.5, 0.5]}), panel)
     assert summary.ids == ("X", "Y")
     assert summary.ranks[:, column("final_r_square")].tolist() == [1, 2]
 
 
 def test_summary_excludes_under_three_windows():
     panel = panel_from_returns({"A": np.ones(4), "B": np.ones(4)})
-    series = [series_of("A", [0.1, 0.2, 0.3]), series_of("B", [0.9, 0.8])]
-    summary = integration_summary(series, panel)
+    summary = integration_summary(grid_of({"A": [0.1, 0.2, 0.3], "B": [0.9, 0.8]}), panel)
     assert summary.ids == ("A",)
     assert summary.excluded[0][0] == "B"
     assert "2" in summary.excluded[0][1]
@@ -384,24 +444,23 @@ def test_summary_excludes_under_three_windows():
 
 def test_summary_single_msa_quintiles_collapse():
     panel = panel_from_returns({"A": np.ones(4)})
-    summary = integration_summary([series_of("A", [0.2, 0.3, 0.4])], panel)
+    summary = integration_summary(grid_of({"A": [0.2, 0.3, 0.4]}), panel)
     assert summary.quintile_minima[:, column("final_r_square")].tolist() == [0.4] * 5
 
 
 def test_summary_quintile_minima_nondecreasing(rng):
     ids = [f"M{i:02d}" for i in range(17)]
     panel = panel_from_returns({i: rng.normal(size=5) for i in ids})
-    series = [series_of(i, rng.uniform(0, 1, size=4)) for i in ids]
-    summary = integration_summary(series, panel)
+    summary = integration_summary(grid_of({i: rng.uniform(0, 1, size=4) for i in ids}), panel)
     assert summary.quintile_minima.shape == (5, len(CHARACTERISTICS))
     assert (np.diff(summary.quintile_minima, axis=0) >= 0).all()
 
 
 def test_summary_cross_moments(rng):
     panel = panel_from_returns({"A": np.ones(5), "B": np.ones(5), "C": np.ones(5)})
-    series = [series_of(i, v) for i, v in
-              [("A", [0.1, 0.1, 0.2]), ("B", [0.3, 0.3, 0.4]), ("C", [0.5, 0.5, 0.9])]]
-    summary = integration_summary(series, panel)
+    summary = integration_summary(
+        grid_of({"A": [0.1, 0.1, 0.2], "B": [0.3, 0.3, 0.4], "C": [0.5, 0.5, 0.9]}), panel
+    )
     cross = dict(zip(CROSS_STATS, summary.cross[:, column("final_r_square")]))
     assert cross["mean"] == pytest.approx(np.mean([0.2, 0.4, 0.9]))
     assert cross["sd"] == pytest.approx(np.std([0.2, 0.4, 0.9], ddof=1))
@@ -421,8 +480,8 @@ SUMMARY_VALUE = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5])
 def test_summary_ranks_cross_and_quintiles_over_ties(msas):
     ids = [f"M{k:02d}" for k in range(len(msas))]
     panel = panel_from_returns({i: np.array(r) for i, (r, _, _) in zip(ids, msas)})
-    series = [series_of(i, [a, a, b]) for i, (_, a, b) in zip(ids, msas)]
-    summary = integration_summary(series[::-1], panel)
+    paths = {i: [a, a, b] for i, (_, a, b) in zip(ids, msas)}
+    summary = integration_summary(grid_of(dict(reversed(paths.items()))), panel)
     assert summary.ids == tuple(ids)
     for c in range(len(CHARACTERISTICS)):
         values = summary.values[:, c]
@@ -438,52 +497,88 @@ def test_summary_ranks_cross_and_quintiles_over_ties(msas):
 # --- cohort and beta averages -----------------------------------------------
 
 def test_cohort_average_constant_members():
-    series = [series_of("A", [0.5] * 6), series_of("B", [0.7] * 6)]
-    codes, avg = cohort_average(series, ["A", "B"])
+    codes, avg = cohort_average(grid_of({"A": [0.5] * 6, "B": [0.7] * 6}), ["A", "B"])
     assert_allclose(avg, 0.6)
     assert len(codes) == 6
 
 
 def test_cohort_average_single_member_identity():
-    s = series_of("A", [0.2, 0.4, 0.6])
-    codes, avg = cohort_average([s], ["A"])
-    assert_array_equal(codes, s.window_ends)
-    assert_array_equal(avg, s.r_squares)
+    integ = grid_of({"A": [0.2, 0.4, 0.6]})
+    codes, avg = cohort_average(integ, ["A"])
+    assert_array_equal(codes, integ.ends)
+    assert_array_equal(avg, integ.r_square[0])
 
 
 def test_cohort_average_common_quarters_only():
-    series = [series_of("A", [0.2, 0.4, 0.6, 0.8]),
-              series_of("B", [1.0, 1.0], start=Q0 + 2)]
-    codes, avg = cohort_average(series, ["A", "B"])
+    integ = grid_of({"A": [0.2, 0.4, 0.6, 0.8], "B": [1.0, 1.0]})  # B from Q0 + 2
+    codes, avg = cohort_average(integ, ["A", "B"])
     assert_array_equal(codes, [Q0.code + 2, Q0.code + 3])
     assert_allclose(avg, [0.8, 0.9])
 
 
 def test_cohort_average_start_filter():
-    series = [series_of("A", [0.2, 0.4, 0.6, 0.8])]
-    codes, avg = cohort_average(series, ["A"], start=Q0 + 2)
+    codes, avg = cohort_average(grid_of({"A": [0.2, 0.4, 0.6, 0.8]}), ["A"], start=Q0 + 2)
     assert codes[0] == (Q0 + 2).code
     assert_allclose(avg, [0.6, 0.8])
 
 
 def test_cohort_average_empty_membership():
     with pytest.raises(ValueError):
-        cohort_average([series_of("A", [0.5] * 3)], [])
+        cohort_average(grid_of({"A": [0.5] * 3}), [])
 
 
 def test_beta_average_identical_members(rng):
     b = rng.normal(size=5)
-    s1 = IntegrationSeries("A", np.arange(5) + Q0.code, np.zeros(5),
-                           np.column_stack([np.ones(5), b]), ("const", "F"), 20)
-    s2 = IntegrationSeries("B", np.arange(5) + Q0.code, np.zeros(5),
-                           np.column_stack([np.ones(5), b]), ("const", "F"), 20)
-    codes, avg = beta_average([s1, s2], "F")
+    beta = np.stack([np.column_stack([np.ones(5), b])] * 2)
+    codes, avg = beta_average(grid_of({"A": np.zeros(5), "B": np.zeros(5)}, ("const", "F"), beta), "F")
     assert_allclose(avg, b)
 
 
 def test_beta_average_bad_factor():
-    s = series_of("A", [0.5] * 3)
+    integ = grid_of({"A": [0.5] * 3})
     with pytest.raises(ValueError):
-        beta_average([s], "")
+        beta_average(integ, "")
     with pytest.raises(KeyError):
-        beta_average([s], "NOT_A_FACTOR")
+        beta_average(integ, "NOT_A_FACTOR")
+
+
+def member_loop_average(integ, members, paths, start=None):
+    """Each member's own (window ends, path), summed member by member in id
+    order over the ends all of them report from ``start`` on."""
+    own = {m: (integ.ends[integ.first[c]:], paths[c, integ.first[c]:])
+           for c, m in enumerate(integ.ids)}
+    common = own[members[0]][0]
+    for m in members:
+        common = np.intersect1d(common, own[m][0])
+    if start is not None:
+        common = common[common >= start.code]
+    acc = np.zeros(common.size)
+    for m in sorted(members):
+        ends, path = own[m]
+        acc += path[np.searchsorted(ends, common)]
+    return common, acc / len(members)
+
+
+def test_averages_equal_a_member_loop_in_id_order(rng):
+    integ = staggered_integration(rng, entries=(5, 0, 9, 2, 14, 3), k=3)
+    for members, start in ((["M3", "M0", "M2"], None), (["M5", "M1", "M4", "M0"], None),
+                           (["M3", "M1", "M0"], Q0 + 30), (list(integ.ids), Q0 + 27)):
+        want = member_loop_average(integ, members, integ.r_square, start)
+        got = cohort_average(integ, members, start)
+        assert_array_equal(got[0], want[0])
+        assert_array_equal(got[1], want[1])
+    for j, factor_id in enumerate(integ.names[1:], start=1):
+        want = member_loop_average(integ, list(integ.ids), integ.beta[:, :, j])
+        got = beta_average(integ, factor_id)
+        assert_array_equal(got[0], want[0])
+        assert_array_equal(got[1], want[1])
+
+
+def test_cohort_start_before_a_members_first_window_fails(rng):
+    integ = staggered_integration(rng)
+    late_end = Q0.code + 12 + 11  # M3 enters 12 quarters late; window 12
+    assert integ.ends[integ.first[3]] == late_end
+    with pytest.raises(AlignmentError, match="M3 has no window ending by cohort start"):
+        cohort_average(integ, ["M0", "M3"], start=Q0 + 22)
+    codes, _ = cohort_average(integ, ["M0", "M3"], start=Q0 + 23)
+    assert codes[0] == late_end

@@ -42,9 +42,9 @@ def integrated(config, window=20):
 
 def test_rising_integration_has_positive_trend():
     _, _, integ = integrated(ramp_config(6, 140, seed=31))
-    assert len(integ.series) == 6
-    for s in integ.series:
-        assert trend_fit(s.r_squares).slope_t_stat > 2.0
+    assert len(integ.ids) == 6
+    for path, first in zip(integ.r_square, integ.first):
+        assert trend_fit(path[first:]).slope_t_stat > 2.0
 
 
 def test_small_negative_loading_recovered_by_beta_average():
@@ -59,7 +59,7 @@ def test_small_negative_loading_recovered_by_beta_average():
             phi=0.0, mu=0.0, seed=seed,
         )
         _, _, integ = integrated(cfg)
-        _, avg = beta_average(integ.series, "F01")
+        _, avg = beta_average(integ, "F01")
         means.append(float(np.mean(avg)))
     grand = float(np.mean(means))
     half_ci = 2.0 * float(np.std(means, ddof=1)) / np.sqrt(len(means))
@@ -87,8 +87,8 @@ def test_jumps_in_seventy_pct_of_members_show_as_seventy():
 
 def test_integration_ramp_depresses_diversification():
     returns, _, integ = integrated(ramp_config(8, 160, seed=34))
-    members = [s.msa_id for s in integ.series]
-    codes_i, avg_i = cohort_average(integ.series, members)
+    members = list(integ.ids)
+    codes_i, avg_i = cohort_average(integ, members)
     ps = diversification_series(returns, members, window=20)
     common = np.intersect1d(codes_i, ps.sigma_codes)
     assert common.size > 100
