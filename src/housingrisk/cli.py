@@ -2,10 +2,14 @@
 
 Commands: ingest, integrate, jumps, correlate, contagion, portfolio, synth,
 report, all. Settings merge in precedence order defaults < config file <
-environment (HOUSINGRISK_*) < flags. One table, ``_SETTINGS``, names every
-setting with its RunConfig field and its valid values; the config-file
-reader, the environment reader, the flags and ``RunConfig.validate`` all
-read it.
+environment (HOUSINGRISK_*) < flags. ``_SETTINGS`` names every setting's
+config-file key, its RunConfig field and any flag; the config-file reader,
+the environment reader and the flags read it. ``_CONFIG_KEYS`` gives every
+key's valid values as a ``schema`` key table: the config-file reader checks
+the file's layout and unknown keys with it, and ``RunConfig.validate``
+checks the merged values. ``schema.py`` is the one place that knows how a
+JSON value is checked and read, for the config, scenario and transforms
+files alike; a scenario file, like the config, rejects unknown keys.
 
 A run validates its config before it reads any input. It writes every
 artifact into a private stage directory beside the output directory and
@@ -30,7 +34,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +86,9 @@ from .io import (
 )
 from .jumps import MIN_BIPOWER_WINDOW, jump_incidence, lm_series
 from .portfolio import diversification_series, portfolio_returns, series_correlation
-from .synth import _is_int, _is_number, generate_panel, ground_truth_report, scenario_from_json
+from .schema import (ANY_KEY, Key, distinct_strings, faults, instance_of, int_at_least, is_int, is_positive,
+                     list_of, object_of, optional, read_json)
+from .synth import generate_panel, ground_truth_report, scenario_from_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS", "ENV_PREFIX"]
 
@@ -131,7 +137,7 @@ DEFAULT_SUB_RANGES = {"2000s": ("2000:Q1", "2009:Q4")}
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one run; ``_SETTINGS`` says what each field may hold."""
+    """Resolved settings for one run; ``_CONFIG_KEYS`` says what each field may hold."""
 
     hpi: str | None = None
     factors: str | None = None
@@ -157,11 +163,11 @@ class RunConfig:
     synth_scenario: str | None = None
 
     def validate(self) -> None:
-        problems = [
-            f"{s.key} must be {s.what}, got {getattr(self, s.field)!r}"
-            for s in _SETTINGS
-            if not s.ok(getattr(self, s.field))
-        ]
+        obj: dict = {}  # the settings laid out as a config file holds them
+        for s in _SETTINGS:
+            section, _, key = s.key.rpartition(".")
+            (obj.setdefault(section, {}) if section else obj)[key] = getattr(self, s.field)
+        problems = faults(_CONFIG_KEYS, obj)
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -172,32 +178,6 @@ class RunConfig:
 
 
 # -- the settings table ----------------------------------------------------
-#
-# Each test takes a value as JSON gives it and says whether it is valid.
-
-
-def _is(kind):
-    return lambda v: isinstance(v, kind)
-
-
-def _optional(ok):
-    return lambda v: v is None or ok(v)
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, (list, tuple)) and all(ok(x) for x in v)
-
-
-def _object_of(ok):
-    return lambda v: isinstance(v, dict) and all(ok(x) for x in v.values())
-
-
-def _integer(least=None):
-    return lambda v: _is_int(v) and (least is None or v >= least)
-
-
-def _positive(v) -> bool:
-    return _is_number(v) and v > 0
 
 
 def _path(v) -> bool:
@@ -208,28 +188,58 @@ def _file(v) -> bool:
     return isinstance(v, str) and Path(v).is_file()
 
 
-def _distinct_strings(v) -> bool:
-    return _list_of(_is(str))(v) and len(set(v)) == len(v)
-
-
-_PORTFOLIO_KEYS = {"members": _distinct_strings, "state": _is(str), "available_from": is_quarter}
-
-
-def _portfolio(v) -> bool:
-    return isinstance(v, dict) and all(k in _PORTFOLIO_KEYS and _PORTFOLIO_KEYS[k](x) for k, x in v.items())
+# The valid values of every config-file key; a section, and each portfolio,
+# is an object with its own table.
+_CONFIG_KEYS = {
+    "inputs": Key("a JSON object", instance_of(dict), keys={
+        "hpi": Key("null or an existing file", optional(_file)),
+        "factors": Key("null or an existing file", optional(_file)),
+        "transforms": Key("null, an existing file or an object of strings",
+                          optional(lambda v: _file(v) or object_of(instance_of(str))(v))),
+    }),
+    "out": Key("a non-empty path", _path),
+    "window": Key("an integer at least 3", int_at_least(3)),
+    "bipower_window": Key(f"an integer at least {MIN_BIPOWER_WINDOW}", int_at_least(MIN_BIPOWER_WINDOW)),
+    "prewhiten": Key("true or false", instance_of(bool)),
+    "serial": Key(f"one of {SERIAL_POLICIES}", lambda v: v in SERIAL_POLICIES),
+    "interaction_residual": Key(f"one of {INTERACTION_SOURCES}", lambda v: v in INTERACTION_SOURCES),
+    "seed": Key("null or an integer at least 0", optional(int_at_least(0))),
+    "income_as_level": Key("true or false", instance_of(bool)),
+    "synth_scenario": Key("null or an existing file", optional(_file)),
+    "thresholds": Key("a JSON object", instance_of(dict), keys={
+        "jump": Key("a positive number", is_positive),
+        "big": Key("a positive number", is_positive),
+        "pair_sig_t": Key("a positive number", is_positive),
+    }),
+    "pairs": Key("a JSON object", instance_of(dict), keys={
+        "min_overlap": Key("an integer", is_int),
+        "jump_floor": Key("an integer", is_int),
+    }),
+    "cohorts": Key("a JSON object", instance_of(dict), keys={
+        "time": Key("an object of quarters", object_of(is_quarter)),
+        "ca_coastal": Key("a list of strings", list_of(instance_of(str))),
+    }),
+    "contagion": Key("null or an object of string lists", optional(object_of(list_of(instance_of(str))))),
+    "portfolios": Key("an object", instance_of(dict), keys={ANY_KEY: Key("an object", instance_of(dict), keys={
+        "members": Key("a list of distinct strings", distinct_strings),
+        "state": Key("a string", instance_of(str)),
+        "available_from": Key("a quarter", is_quarter),
+    })}),
+    "sub_ranges": Key("an object of [first quarter, last quarter] pairs",
+                      object_of(lambda v: list_of(is_quarter)(v) and len(v) == 2)),
+}
 
 
 class _Setting(NamedTuple):
-    """One run setting: its config-file key, its RunConfig field and its valid values.
+    """One run setting: its config-file key and its RunConfig field.
 
     ``flag`` holds the argparse keywords of a setting that ``--<name>`` and
     ``HOUSINGRISK_<NAME>`` can also set; ``option_name`` gives the name.
+    ``_CONFIG_KEYS`` gives its valid values.
     """
 
     key: str  # "section.key" for a key inside a section of the config file
     field: str
-    what: str  # the error message says "<key> must be <what>"
-    ok: Callable[[object], bool]
     flag: dict | None = None
 
     @property
@@ -255,41 +265,30 @@ class _Setting(NamedTuple):
 
 
 _SETTINGS = (
-    _Setting("inputs.hpi", "hpi", "null or an existing file", _optional(_file)),
-    _Setting("inputs.factors", "factors", "null or an existing file", _optional(_file)),
-    _Setting("inputs.transforms", "transforms", "null, an existing file or an object of strings",
-             _optional(lambda v: _file(v) or _object_of(_is(str))(v))),
-    _Setting("out", "out", "a non-empty path", _path, {"help": "output directory"}),
-    _Setting("window", "window", "an integer at least 3", _integer(3),
-             {"type": int, "help": "rolling regression window (quarters)"}),
-    _Setting("bipower_window", "bipower_window", f"an integer at least {MIN_BIPOWER_WINDOW}",
-             _integer(MIN_BIPOWER_WINDOW), {"type": int, "help": "trailing window for bipower variation"}),
-    _Setting("prewhiten", "prewhiten", "true or false", _is(bool),
-             {"action": "store_false",
-              "help": "feed raw returns to the factor model instead of AR(1) residuals"}),
-    _Setting("serial", "serial", f"one of {SERIAL_POLICIES}", lambda v: v in SERIAL_POLICIES,
-             {"choices": SERIAL_POLICIES, "help": "serial-correlation policy"}),
-    _Setting("interaction_residual", "interaction_residual", f"one of {INTERACTION_SOURCES}",
-             lambda v: v in INTERACTION_SOURCES,
-             {"choices": INTERACTION_SOURCES,
-              "help": "boom/bust residual source for interacted contagion fits"}),
-    _Setting("seed", "seed", "null or an integer at least 0", _optional(_integer(0)),
-             {"type": int, "help": "override the scenario seed"}),
-    _Setting("income_as_level", "income_as_level", "true or false", _is(bool)),
-    _Setting("synth_scenario", "synth_scenario", "null or an existing file", _optional(_file)),
-    _Setting("thresholds.jump", "jump_threshold", "a positive number", _positive),
-    _Setting("thresholds.big", "big_threshold", "a positive number", _positive),
-    _Setting("thresholds.pair_sig_t", "pair_sig_t", "a positive number", _positive),
-    _Setting("pairs.min_overlap", "min_overlap", "an integer", _integer()),
-    _Setting("pairs.jump_floor", "jump_pair_floor", "an integer", _integer()),
-    _Setting("cohorts.time", "time_cohorts", "an object of quarters", _object_of(is_quarter)),
-    _Setting("cohorts.ca_coastal", "ca_coastal", "a list of strings", _list_of(_is(str))),
-    _Setting("contagion", "contagion_menu", "null or an object of string lists",
-             _optional(_object_of(_list_of(_is(str))))),
-    _Setting("portfolios", "portfolios", "an object of objects with only members (distinct strings), "
-             "state and available_from", _object_of(_portfolio)),
-    _Setting("sub_ranges", "sub_ranges", "an object of [first quarter, last quarter] pairs",
-             _object_of(lambda v: _list_of(is_quarter)(v) and len(v) == 2)),
+    _Setting("inputs.hpi", "hpi"),
+    _Setting("inputs.factors", "factors"),
+    _Setting("inputs.transforms", "transforms"),
+    _Setting("out", "out", {"help": "output directory"}),
+    _Setting("window", "window", {"type": int, "help": "rolling regression window (quarters)"}),
+    _Setting("bipower_window", "bipower_window", {"type": int, "help": "trailing window for bipower variation"}),
+    _Setting("prewhiten", "prewhiten",
+             {"action": "store_false", "help": "feed raw returns to the factor model instead of AR(1) residuals"}),
+    _Setting("serial", "serial", {"choices": SERIAL_POLICIES, "help": "serial-correlation policy"}),
+    _Setting("interaction_residual", "interaction_residual",
+             {"choices": INTERACTION_SOURCES, "help": "boom/bust residual source for interacted contagion fits"}),
+    _Setting("seed", "seed", {"type": int, "help": "override the scenario seed"}),
+    _Setting("income_as_level", "income_as_level"),
+    _Setting("synth_scenario", "synth_scenario"),
+    _Setting("thresholds.jump", "jump_threshold"),
+    _Setting("thresholds.big", "big_threshold"),
+    _Setting("thresholds.pair_sig_t", "pair_sig_t"),
+    _Setting("pairs.min_overlap", "min_overlap"),
+    _Setting("pairs.jump_floor", "jump_pair_floor"),
+    _Setting("cohorts.time", "time_cohorts"),
+    _Setting("cohorts.ca_coastal", "ca_coastal"),
+    _Setting("contagion", "contagion_menu"),
+    _Setting("portfolios", "portfolios"),
+    _Setting("sub_ranges", "sub_ranges"),
 )
 
 _OPTIONS = tuple(s for s in _SETTINGS if s.flag is not None)
@@ -297,26 +296,17 @@ _OPTIONS = tuple(s for s in _SETTINGS if s.flag is not None)
 
 def _apply_config_file(cfg: RunConfig, path: str) -> None:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = {s.key for s in _SETTINGS}
-    sections = {key.partition(".")[0] for key in known if "." in key}
-    unknown = []
-    for key, value in obj.items():
-        if key not in sections:
-            if key not in known:
-                unknown.append(key)
-        elif isinstance(value, dict):
-            unknown += [f"{key}.{sub}" for sub in value if f"{key}.{sub}" not in known]
-        else:
-            raise ConfigError(f"config file {path}: {key} must be a JSON object")
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown key {', '.join(map(repr, unknown))}")
+    # The values are checked once the environment and flags have had their say.
+    problems = faults(_CONFIG_KEYS, obj, values=False)
+    if problems:
+        raise ConfigError(f"config file {path}: " + "; ".join(problems))
     for s in _SETTINGS:
         section, _, key = s.key.rpartition(".")
         values = obj.get(section, {}) if section else obj
@@ -953,8 +943,8 @@ def _cmd_synth(r: _Runner) -> None:
         raise ConfigError("synth needs a synth_scenario in the config")
     path = cfg.synth_scenario
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = read_json(path)
+    except ValueError as exc:
         raise ConfigError(f"scenario file {path} is not UTF-8 JSON: {exc}") from None
     try:
         sc = scenario_from_json(obj)

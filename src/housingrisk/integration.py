@@ -268,7 +268,7 @@ def integration_summary(integration: PanelIntegration, returns: ReturnPanel) -> 
             trend_fit(path).slope_t_stat,
         ))
     if not rows:
-        raise ValueError("no MSA has enough windows to summarise")
+        raise InsufficientHistoryError("no MSA has enough windows to summarise")
 
     values = np.array(rows)
     # Stable over rows in id order, so a tie is broken by MSA id.

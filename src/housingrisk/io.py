@@ -36,6 +36,7 @@ from .core import (
     transform_factor,
 )
 from .errors import IngestionError, QuarterParseError
+from .schema import ANY_KEY, Key, faults, instance_of, read_json
 
 HPI_HEADER = ["msa_id", "msa_name", "state", "quarter", "index"]
 
@@ -276,17 +277,21 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
     )
 
 
+# A transforms file maps each factor id to the name of its transform.
+_TRANSFORM_KEYS = {ANY_KEY: Key("a transform name", instance_of(str))}
+
+
 def load_transform_config(path: str | Path) -> dict[str, str]:
     """Read a JSON factor_id -> transform mapping."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        cfg = read_json(path)
+    except ValueError as exc:
         raise IngestionError(f"{path}: not UTF-8 JSON: {exc}") from None
-    if not isinstance(cfg, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in cfg.items()
-    ):
+    if not isinstance(cfg, dict):
         raise IngestionError(f"{path}: transform config must map factor ids to kinds")
+    problems = faults(_TRANSFORM_KEYS, cfg)
+    if problems:
+        raise IngestionError(f"{path}: " + "; ".join(problems))
     return cfg
 
 

@@ -11,14 +11,13 @@ oracle for the integration estimator.
 
 from __future__ import annotations
 
-import reprlib
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import FactorTable, IndexPanel, LOG_LEVEL, MsaInfo, QuarterIndex, is_quarter, parse_quarter
 from .errors import ConfigError
+from .schema import Key, faults, instance_of, int_at_least, is_int, is_number, is_numbers, is_ref, list_of
 
 __all__ = [
     "JumpPlan",
@@ -319,74 +318,37 @@ def ground_truth_report(truth: GroundTruth) -> dict:
     }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _int_at_least(least: int):
-    return lambda v: _is_int(v) and v >= least
-
-
-def _is_number(v) -> bool:
-    """A finite number; JSON reads NaN, Infinity and 1e999 as floats too."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _is_numbers(v) -> bool:
-    """A number or a list of numbers, nested to any depth."""
-    return _is_number(v) or isinstance(v, list) and all(map(_is_numbers, v))
-
-
-def _is_ref(v) -> bool:
-    """An MSA given by 0-based index or by id."""
-    return _is_int(v) or isinstance(v, str)
-
-
-def _list_of(ok):
-    return lambda v: isinstance(v, list) and all(map(ok, v))
-
-
-# key: (what its value must be, test); entries of "jumps", "contagion" and a
-# ramp "loadings" are objects whose keys are all required.
-_SCENARIO_KEYS = {
-    "n_msas": ("an integer at least 1", _int_at_least(1)),
-    "n_quarters": ("an integer at least 2", _int_at_least(2)),
-    "n_factors": ("an integer at least 0", _int_at_least(0)),
-    "seed": ("an integer at least 0", _int_at_least(0)),
-    "start": ("a quarter", is_quarter),
-    "loadings": ("a number, a list of numbers or a ramp object",
-                 lambda v: _is_numbers(v) or isinstance(v, dict)),
-    "idio_sigma": ("a number or a list of numbers", _is_numbers),
-    "phi": ("a number or a list of numbers", _is_numbers),
-    "mu": ("a number or a list of numbers", _is_numbers),
-    "states": ("a list of printable strings", _list_of(lambda v: isinstance(v, str) and v.isprintable())),
-    "jumps": ("a list of objects", _list_of(lambda v: isinstance(v, dict))),
-    "contagion": ("a list of objects", _list_of(lambda v: isinstance(v, dict))),
-}
+# Every key of a ramp "loadings", a jump and a contagion plan is required.
 _RAMP_KEYS = {
-    "kind": ('"ramp"', lambda v: v == "ramp"),
-    "start": ("a number", _is_number),
-    "end": ("a number", _is_number),
+    "kind": Key('"ramp"', lambda v: v == "ramp", True),
+    "start": Key("a number", is_number, True),
+    "end": Key("a number", is_number, True),
 }
 _JUMP_KEYS = {
-    "quarter": ("an integer or a quarter", lambda v: _is_int(v) or is_quarter(v)),
-    "msas": ("a list of MSA indices or ids", _list_of(_is_ref)),
-    "magnitude": ("a number", _is_number),
+    "quarter": Key("an integer or a quarter", lambda v: is_int(v) or is_quarter(v), True),
+    "msas": Key("a list of MSA indices or ids", list_of(is_ref), True),
+    "magnitude": Key("a number", is_number, True),
 }
 _CONTAGION_KEYS = {
-    "source": ("an MSA index or id", _is_ref),
-    "target": ("an MSA index or id", _is_ref),
-    "weights": ("a list of numbers", _list_of(_is_number)),
+    "source": Key("an MSA index or id", is_ref, True),
+    "target": Key("an MSA index or id", is_ref, True),
+    "weights": Key("a list of numbers", list_of(is_number), True),
 }
-
-
-def _key_problems(obj: dict, keys: dict, where: str, required) -> list[str]:
-    """A problem for each key of ``required`` that ``obj`` lacks and each value ``keys`` rejects."""
-    problems = [f"{where}{key} is missing" for key in required if key not in obj]
-    for key, (what, ok) in keys.items():
-        if key in obj and not ok(obj[key]):
-            problems.append(f"{where}{key} must be {what}, got {reprlib.repr(obj[key])}")
-    return problems
+_SCENARIO_KEYS = {
+    "n_msas": Key("an integer at least 1", int_at_least(1), True),
+    "n_quarters": Key("an integer at least 2", int_at_least(2), True),
+    "n_factors": Key("an integer at least 0", int_at_least(0), True),
+    "seed": Key("an integer at least 0", int_at_least(0)),
+    "start": Key("a quarter", is_quarter),
+    "loadings": Key("a number, a list of numbers or a ramp object",
+                    lambda v: is_numbers(v) or isinstance(v, dict), keys=_RAMP_KEYS),
+    "idio_sigma": Key("a number or a list of numbers", is_numbers),
+    "phi": Key("a number or a list of numbers", is_numbers),
+    "mu": Key("a number or a list of numbers", is_numbers),
+    "states": Key("a list of printable strings", list_of(lambda v: isinstance(v, str) and v.isprintable())),
+    "jumps": Key("a list of objects", list_of(instance_of(dict)), keys=_JUMP_KEYS),
+    "contagion": Key("a list of objects", list_of(instance_of(dict)), keys=_CONTAGION_KEYS),
+}
 
 
 def scenario_from_json(obj: dict) -> ScenarioConfig:
@@ -394,29 +356,28 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
 
     ``loadings`` may be a number, a nested list, or {"kind": "ramp",
     "start": a, "end": b} for a loading that rises linearly over the sample
-    (the rising-integration emulation). A missing key or a value of the
-    wrong type raises one ConfigError naming every such key.
+    (the rising-integration emulation). A missing key, a value of the
+    wrong type or an unknown key, at the top level or in a ramp, a jump or
+    a contagion plan, raises one ConfigError naming every such key.
     """
     if not isinstance(obj, dict):
         raise ConfigError("scenario file must hold a JSON object")
-    problems = _key_problems(obj, _SCENARIO_KEYS, "", ("n_msas", "n_quarters", "n_factors"))
-    if not problems:
-        if isinstance(obj.get("loadings"), dict):
-            problems += _key_problems(obj["loadings"], _RAMP_KEYS, "loadings.", _RAMP_KEYS)
-        for name, keys in (("jumps", _JUMP_KEYS), ("contagion", _CONTAGION_KEYS)):
-            for k, entry in enumerate(obj.get(name, ())):
-                problems += _key_problems(entry, keys, f"{name}[{k}].", keys)
+    problems = faults(_SCENARIO_KEYS, obj)
     if problems:
         raise ConfigError("invalid scenario: " + "; ".join(problems))
+    fields = dict(obj)  # the table admits only ScenarioConfig's fields
     n_m, n_q, n_f = obj["n_msas"], obj["n_quarters"], obj["n_factors"]
 
-    loadings = obj.get("loadings", 0.0)
+    loadings = obj.get("loadings")
     if isinstance(loadings, dict):
         a, b = loadings["start"], loadings["end"]
         ramp = a + (b - a) * np.arange(n_q) / (n_q - 1)
-        loadings = np.broadcast_to(ramp[:, None, None], (n_q, n_m, n_f)).copy()
-
-    jumps = tuple(
+        fields["loadings"] = np.broadcast_to(ramp[:, None, None], (n_q, n_m, n_f)).copy()
+    if "start" in obj:
+        fields["start"] = parse_quarter(obj["start"])
+    if "states" in obj:
+        fields["states"] = tuple(obj["states"])
+    fields["jumps"] = tuple(
         JumpPlan(
             quarter=parse_quarter(j["quarter"]) if isinstance(j["quarter"], str) else j["quarter"],
             msas=tuple(j["msas"]),
@@ -424,24 +385,11 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         )
         for j in obj.get("jumps", ())
     )
-    contagion = tuple(
+    fields["contagion"] = tuple(
         ContagionPlan(
             source=c["source"], target=c["target"],
             weights=tuple(float(w) for w in c["weights"]),
         )
         for c in obj.get("contagion", ())
     )
-    return ScenarioConfig(
-        n_msas=n_m,
-        n_quarters=n_q,
-        n_factors=n_f,
-        loadings=loadings,
-        idio_sigma=obj.get("idio_sigma", 1.0),
-        phi=obj.get("phi", 0.0),
-        mu=obj.get("mu", 0.0),
-        jumps=jumps,
-        contagion=contagion,
-        seed=obj.get("seed", 0),
-        start=parse_quarter(obj["start"]) if "start" in obj else QuarterIndex(1980, 1),
-        states=tuple(obj["states"]) if "states" in obj else None,
-    )
+    return ScenarioConfig(**fields)

@@ -332,6 +332,26 @@ def test_config_file_that_is_not_utf8_json_is_named(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("reads", ["config", "scenario", "transforms"])
+@pytest.mark.parametrize("text", [b"[" * 100000, b"[" + b"9" * 5000 + b"]"], ids=["deep", "long-integer"])
+def test_json_the_decoder_cannot_take_fails_before_any_write(tmp_path, capsys, monkeypatch, reads, text):
+    # json raises RecursionError for deep nesting and a plain ValueError for an integer
+    # past int's digit limit (Python >= 3.10.7); neither may end a run in a traceback.
+    monkeypatch.chdir(tmp_path)
+    Path("hpi.csv").write_text("msa_id,msa_name,state,quarter,index\nA,Alpha,CA,2000:Q1,1.0\nA,Alpha,CA,2000:Q2,2.0\n")
+    Path("factors.csv").write_text("quarter,SP500\n2000:Q1,1.0\n2000:Q2,2.0\n")
+    Path("bad.json").write_bytes(text)
+    Path("run.json").write_text(json.dumps({
+        "scenario": {"synth_scenario": "bad.json"},
+        "transforms": {"inputs": {"hpi": "hpi.csv", "factors": "factors.csv", "transforms": "bad.json"}},
+    }.get(reads, {})))
+    before = sorted(os.listdir())
+    assert main(["ingest", "--config", "bad.json" if reads == "config" else "run.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("housingrisk: error:") and err.count("\n") == 1
+    assert sorted(os.listdir()) == before
+
+
 def scenario_bytes(**overrides) -> bytes:
     return json.dumps(dict(json.loads(json.dumps(SCENARIO)), **overrides)).encode()
 
@@ -466,6 +486,16 @@ def test_cohorts_with_no_common_quarter_fail_before_any_write(tmp_path, capsys):
     assert main(["integrate", "--config", str(rpath)]) == 2
     err = capsys.readouterr().err
     assert err == "housingrisk: error: cohort members share no common window-end quarters\n"
+    assert not out.exists()
+    assert not list(tmp_path.glob(".out.*"))
+
+
+def test_no_msa_with_enough_windows_to_summarise_fails_before_any_write(tmp_path, capsys):
+    # 21 raw returns and a 20-quarter window give every MSA two windows, one short of a summary.
+    rpath, out = write_scenario(tmp_path, n_msas=3, n_quarters=21, jumps=[], contagion=[])
+    assert main(["integrate", "--no-prewhiten", "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == "housingrisk: error: no MSA has enough windows to summarise\n"
     assert not out.exists()
     assert not list(tmp_path.glob(".out.*"))
 

@@ -1,9 +1,11 @@
 """Mutated input files never end a run in a traceback.
 
-Small valid HPI, factor, transforms and scenario files are mutated (byte
-flips, truncation, inserted 0xff, NUL, quotes, CRs and an oversized field)
-and run through ``ingest`` or ``synth`` in-process. The status is 0 or 2; on
-2, stderr is one ``housingrisk: error:`` line and no output directory exists.
+Small valid HPI, factor, transforms, run config and scenario files are
+mutated (byte flips, truncation, inserted 0xff, NUL, quotes, CRs and an
+oversized field) and run through ``ingest`` or ``synth`` in-process, in a
+fresh directory that the run config names its files in. The status is 0 or
+2; on 2, stderr is one ``housingrisk: error:`` line and the directory holds
+just what it held before.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -33,6 +36,15 @@ FACTORS = b"""quarter,F1,F2
 1990:Q3,8.0,358.0
 """
 TRANSFORMS = b'{"F1": "log_level", "F2": "log_pct_change"}'
+# Every section and most keys, so a mutation can reach each part of the config table.
+CONFIG = json.dumps({
+    "inputs": {"hpi": "hpi.csv", "factors": "factors.csv", "transforms": "transforms.json"},
+    "window": 3, "bipower_window": 8, "prewhiten": False, "serial": "auto", "seed": 1,
+    "thresholds": {"jump": 1.65, "big": 2.0, "pair_sig_t": 5.0}, "pairs": {"min_overlap": 2, "jump_floor": 1},
+    "cohorts": {"time": {"c1": "1990:Q2"}, "ca_coastal": ["Alpha"]}, "contagion": {"A1": ["B2"]},
+    "portfolios": {"ca": {"state": "CA", "available_from": "1990:Q2"}, "ab": {"members": ["A1", "B2"]}},
+    "sub_ranges": {"early": ["1990:Q1", "1990:Q3"]},
+}).encode()
 SCENARIO = json.dumps({
     "n_msas": 3, "n_quarters": 12, "n_factors": 1, "seed": 5, "start": "1990:Q1",
     "loadings": {"kind": "ramp", "start": 0.2, "end": 1.0},
@@ -58,44 +70,45 @@ def mutated(draw, data: bytes) -> bytes:
     return data
 
 
-def assert_exits_0_or_2_cleanly(command: str, files: dict[str, bytes], config) -> None:
-    """Run ``command`` on ``files`` in a fresh directory; ``config(dir)`` gives the run config."""
+def assert_exits_0_or_2_cleanly(command: str, files: dict[str, bytes]) -> None:
+    """Run ``command`` with ``config.json`` in a fresh directory holding ``files``."""
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
         for name, data in files.items():
-            (tmp / name).write_bytes(data)
-        (tmp / "run.json").write_text(json.dumps(dict(config(tmp), out=str(tmp / "out"))))
+            (Path(tmp) / name).write_bytes(data)
+        before = sorted(os.listdir(tmp))
         err = io.StringIO()
         # A warning would print a second stderr line, so it fails here too.
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            status = main([command, "--config", str(tmp / "run.json")])
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                status = main([command, "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
         err = err.getvalue()
         assert status in (0, 2), err
         if status == 2:
             assert err.startswith("housingrisk: error: "), err
             assert err.count("\n") == 1 and err.endswith("\n") and "\r" not in err, err
-            assert not (tmp / "out").exists()
+            assert sorted(os.listdir(tmp)) == before
         else:
             assert err == ""
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(("hpi.csv", "factors.csv", "transforms.json")).flatmap(
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("hpi.csv", "factors.csv", "transforms.json", "config.json")).flatmap(
     lambda name: st.tuples(st.just(name), mutated({"hpi.csv": HPI, "factors.csv": FACTORS,
-                                                   "transforms.json": TRANSFORMS}[name]))
+                                                   "transforms.json": TRANSFORMS, "config.json": CONFIG}[name]))
 ))
 def test_ingest_of_a_mutated_input_exits_0_or_2(mutation):
     name, data = mutation
-    files = {"hpi.csv": HPI, "factors.csv": FACTORS, "transforms.json": TRANSFORMS, name: data}
-    assert_exits_0_or_2_cleanly("ingest", files, lambda tmp: {"inputs": {
-        "hpi": str(tmp / "hpi.csv"), "factors": str(tmp / "factors.csv"),
-        "transforms": str(tmp / "transforms.json"),
-    }})
+    files = {"hpi.csv": HPI, "factors.csv": FACTORS, "transforms.json": TRANSFORMS, "config.json": CONFIG, name: data}
+    assert_exits_0_or_2_cleanly("ingest", files)
 
 
 @settings(max_examples=40, deadline=None)
 @given(mutated(SCENARIO))
 def test_synth_of_a_mutated_scenario_exits_0_or_2(data):
-    assert_exits_0_or_2_cleanly("synth", {"scenario.json": data},
-                                lambda tmp: {"synth_scenario": str(tmp / "scenario.json")})
+    config = b'{"synth_scenario": "scenario.json"}'
+    assert_exits_0_or_2_cleanly("synth", {"scenario.json": data, "config.json": config})

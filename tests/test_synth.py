@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -18,6 +20,7 @@ from housingrisk import (
     loading_for_signal_share,
     scenario_from_json,
 )
+from housingrisk.cli import main
 
 
 def small_config(**kw):
@@ -228,6 +231,25 @@ def test_scenario_json_names_every_bad_key():
         "invalid scenario: jumps[0].magnitude is missing; jumps[0].quarter must be an integer or a quarter, "
         "got '1990:Q9'; contagion[0].target is missing"
     )
+
+
+def test_misspelt_scenario_key_fails_before_any_write(tmp_path, capsys):
+    # An unknown key is named, so a misspelt idio_sigma cannot leave the default sigma of 1.0 in place.
+    spath, rpath, out = tmp_path / "scenario.json", tmp_path / "run.json", tmp_path / "out"
+    spath.write_text(json.dumps({"n_msas": 3, "n_quarters": 40, "n_factors": 1, "idio_sgima": 9.0}))
+    rpath.write_text(json.dumps({"synth_scenario": str(spath), "out": str(out)}))
+    assert main(["synth", "--config", str(rpath)]) == 2
+    assert capsys.readouterr().err == (
+        f"housingrisk: error: scenario file {spath}: invalid scenario: unknown key 'idio_sgima'\n")
+    assert not out.exists()
+
+
+def test_deeply_nested_loadings_are_named_not_a_recursion_error():
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    with pytest.raises(ConfigError, match="loadings must be a number or a regular nested list of numbers"):
+        generate_panel(scenario_from_json({"n_msas": 3, "n_quarters": 12, "n_factors": 1, "loadings": deep}))
 
 
 def test_scenario_json_ramp_loadings():
