@@ -2,14 +2,15 @@
 
 Commands: ingest, integrate, jumps, correlate, contagion, portfolio, synth,
 report, all. Settings merge in precedence order defaults < config file <
-environment (HOUSINGRISK_*) < flags. ``_SETTINGS`` names every setting's
-config-file key, its RunConfig field and any flag; the config-file reader,
-the environment reader and the flags read it. ``_CONFIG_KEYS`` gives every
-key's valid values as a ``schema`` key table: the config-file reader checks
-the file's layout and unknown keys with it, and ``RunConfig.validate``
-checks the merged values. ``schema.py`` is the one place that knows how a
-JSON value is checked and read, for the config, scenario and transforms
-files alike; a scenario file, like the config, rejects unknown keys.
+environment (HOUSINGRISK_*) < flags. Each ``RunConfig`` field declares its
+setting's config-file key, its valid values and any flag; the config key
+table ``_CONFIG_KEYS``, the config-file reader, the environment reader and
+the flags are derived from the fields. The config-file reader checks the
+file's layout and unknown keys against ``_CONFIG_KEYS``, and
+``RunConfig.validate`` checks the merged values. ``schema.py`` is the one
+place that knows how a JSON value is checked and read, for the config,
+scenario and transforms files alike; a scenario file, like the config,
+rejects unknown keys.
 
 A run validates its config before it reads any input. It writes every
 artifact into a private stage directory beside the output directory and
@@ -34,7 +35,6 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -135,49 +135,7 @@ DEFAULT_PORTFOLIOS = {
 DEFAULT_SUB_RANGES = {"2000s": ("2000:Q1", "2009:Q4")}
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one run; ``_CONFIG_KEYS`` says what each field may hold."""
-
-    hpi: str | None = None
-    factors: str | None = None
-    transforms: object = None  # path, inline mapping, or None for defaults
-    out: str = "out"
-    window: int = 20
-    bipower_window: int = 20
-    prewhiten: bool = True
-    serial: str = "auto"
-    interaction_residual: str = "coastal"
-    seed: int | None = None
-    income_as_level: bool = False
-    jump_threshold: float = 1.65
-    big_threshold: float = 2.0
-    pair_sig_t: float = 5.0
-    min_overlap: int = 8
-    jump_pair_floor: int = 4
-    time_cohorts: dict = field(default_factory=lambda: dict(DEFAULT_TIME_COHORTS))
-    ca_coastal: tuple = DEFAULT_CA_COASTAL
-    contagion_menu: dict | None = None
-    portfolios: dict = field(default_factory=lambda: json.loads(json.dumps(DEFAULT_PORTFOLIOS)))
-    sub_ranges: dict = field(default_factory=lambda: {k: tuple(v) for k, v in DEFAULT_SUB_RANGES.items()})
-    synth_scenario: str | None = None
-
-    def validate(self) -> None:
-        obj: dict = {}  # the settings laid out as a config file holds them
-        for s in _SETTINGS:
-            section, _, key = s.key.rpartition(".")
-            (obj.setdefault(section, {}) if section else obj)[key] = getattr(self, s.field)
-        problems = faults(_CONFIG_KEYS, obj)
-        if problems:
-            raise ConfigError("; ".join(problems))
-
-    def resolved_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["version"] = __version__
-        return d
-
-
-# -- the settings table ----------------------------------------------------
+# -- the settings ----------------------------------------------------------
 
 
 def _path(v) -> bool:
@@ -188,110 +146,122 @@ def _file(v) -> bool:
     return isinstance(v, str) and Path(v).is_file()
 
 
-# The valid values of every config-file key; a section, and each portfolio,
-# is an object with its own table.
-_CONFIG_KEYS = {
-    "inputs": Key("a JSON object", instance_of(dict), keys={
-        "hpi": Key("null or an existing file", optional(_file)),
-        "factors": Key("null or an existing file", optional(_file)),
-        "transforms": Key("null, an existing file or an object of strings",
-                          optional(lambda v: _file(v) or object_of(instance_of(str))(v))),
-    }),
-    "out": Key("a non-empty path", _path),
-    "window": Key("an integer at least 3", int_at_least(3)),
-    "bipower_window": Key(f"an integer at least {MIN_BIPOWER_WINDOW}", int_at_least(MIN_BIPOWER_WINDOW)),
-    "prewhiten": Key("true or false", instance_of(bool)),
-    "serial": Key(f"one of {SERIAL_POLICIES}", lambda v: v in SERIAL_POLICIES),
-    "interaction_residual": Key(f"one of {INTERACTION_SOURCES}", lambda v: v in INTERACTION_SOURCES),
-    "seed": Key("null or an integer at least 0", optional(int_at_least(0))),
-    "income_as_level": Key("true or false", instance_of(bool)),
-    "synth_scenario": Key("null or an existing file", optional(_file)),
-    "thresholds": Key("a JSON object", instance_of(dict), keys={
-        "jump": Key("a positive number", is_positive),
-        "big": Key("a positive number", is_positive),
-        "pair_sig_t": Key("a positive number", is_positive),
-    }),
-    "pairs": Key("a JSON object", instance_of(dict), keys={
-        "min_overlap": Key("an integer", is_int),
-        "jump_floor": Key("an integer", is_int),
-    }),
-    "cohorts": Key("a JSON object", instance_of(dict), keys={
-        "time": Key("an object of quarters", object_of(is_quarter)),
-        "ca_coastal": Key("a list of strings", list_of(instance_of(str))),
-    }),
-    "contagion": Key("null or an object of string lists", optional(object_of(list_of(instance_of(str))))),
-    "portfolios": Key("an object", instance_of(dict), keys={ANY_KEY: Key("an object", instance_of(dict), keys={
-        "members": Key("a list of distinct strings", distinct_strings),
-        "state": Key("a string", instance_of(str)),
-        "available_from": Key("a quarter", is_quarter),
-    })}),
-    "sub_ranges": Key("an object of [first quarter, last quarter] pairs",
-                      object_of(lambda v: list_of(is_quarter)(v) and len(v) == 2)),
-}
+def _setting(key, what, ok, default=None, *, factory=None, flag=None, keys=None):
+    """A RunConfig field that declares one run setting.
 
-
-class _Setting(NamedTuple):
-    """One run setting: its config-file key and its RunConfig field.
-
-    ``flag`` holds the argparse keywords of a setting that ``--<name>`` and
-    ``HOUSINGRISK_<NAME>`` can also set; ``option_name`` gives the name.
-    ``_CONFIG_KEYS`` gives its valid values.
+    ``key`` is its config-file key ("section.key" for a key inside a section
+    of the file); ``what``, ``ok`` and ``keys`` give its valid values as a
+    ``schema.Key``; ``flag`` holds the argparse keywords of a setting that
+    ``--<name>`` and ``HOUSINGRISK_<NAME>`` can also set (see ``_option_name``).
     """
-
-    key: str  # "section.key" for a key inside a section of the config file
-    field: str
-    flag: dict | None = None
-
-    @property
-    def option_name(self) -> str:
-        """The field, or ``no_<field>`` for a flag that turns a default off."""
-        return ("no_" if self.flag.get("action") == "store_false" else "") + self.field
-
-    def from_env(self, text: str):
-        """The value that ``HOUSINGRISK_<NAME>=text`` sets."""
-        name = ENV_PREFIX + self.option_name.upper()
-        if self.flag.get("action") == "store_false":
-            if text.lower() in ("1", "true", "yes"):
-                return False
-            if text.lower() in ("0", "false", "no"):
-                return True
-            raise ConfigError(f"{name} must be one of 1/0, true/false, yes/no, got {text!r}")
-        if self.flag.get("type") is int:
-            try:
-                return int(text)
-            except ValueError:
-                raise ConfigError(f"{name} must be an integer, got {text!r}") from None
-        return text
+    metadata = {"key": key, "valid": Key(what, ok, keys=keys), "flag": flag}
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
-_SETTINGS = (
-    _Setting("inputs.hpi", "hpi"),
-    _Setting("inputs.factors", "factors"),
-    _Setting("inputs.transforms", "transforms"),
-    _Setting("out", "out", {"help": "output directory"}),
-    _Setting("window", "window", {"type": int, "help": "rolling regression window (quarters)"}),
-    _Setting("bipower_window", "bipower_window", {"type": int, "help": "trailing window for bipower variation"}),
-    _Setting("prewhiten", "prewhiten",
-             {"action": "store_false", "help": "feed raw returns to the factor model instead of AR(1) residuals"}),
-    _Setting("serial", "serial", {"choices": SERIAL_POLICIES, "help": "serial-correlation policy"}),
-    _Setting("interaction_residual", "interaction_residual",
-             {"choices": INTERACTION_SOURCES, "help": "boom/bust residual source for interacted contagion fits"}),
-    _Setting("seed", "seed", {"type": int, "help": "override the scenario seed"}),
-    _Setting("income_as_level", "income_as_level"),
-    _Setting("synth_scenario", "synth_scenario"),
-    _Setting("thresholds.jump", "jump_threshold"),
-    _Setting("thresholds.big", "big_threshold"),
-    _Setting("thresholds.pair_sig_t", "pair_sig_t"),
-    _Setting("pairs.min_overlap", "min_overlap"),
-    _Setting("pairs.jump_floor", "jump_pair_floor"),
-    _Setting("cohorts.time", "time_cohorts"),
-    _Setting("cohorts.ca_coastal", "ca_coastal"),
-    _Setting("contagion", "contagion_menu"),
-    _Setting("portfolios", "portfolios"),
-    _Setting("sub_ranges", "sub_ranges"),
-)
+@dataclass
+class RunConfig:
+    """Resolved settings for one run; each field declares its config-file key, valid values and flag."""
 
-_OPTIONS = tuple(s for s in _SETTINGS if s.flag is not None)
+    hpi: str | None = _setting("inputs.hpi", "null or an existing file", optional(_file))
+    factors: str | None = _setting("inputs.factors", "null or an existing file", optional(_file))
+    transforms: object = _setting(  # path, inline mapping, or None for defaults
+        "inputs.transforms", "null, an existing file or an object of strings",
+        optional(lambda v: _file(v) or object_of(instance_of(str))(v)))
+    out: str = _setting("out", "a non-empty path", _path, "out", flag={"help": "output directory"})
+    window: int = _setting("window", "an integer at least 3", int_at_least(3), 20,
+                           flag={"type": int, "help": "rolling regression window (quarters)"})
+    bipower_window: int = _setting(
+        "bipower_window", f"an integer at least {MIN_BIPOWER_WINDOW}", int_at_least(MIN_BIPOWER_WINDOW), 20,
+        flag={"type": int, "help": "trailing window for bipower variation"})
+    prewhiten: bool = _setting(
+        "prewhiten", "true or false", instance_of(bool), True,
+        flag={"action": "store_false", "help": "feed raw returns to the factor model instead of AR(1) residuals"})
+    serial: str = _setting("serial", f"one of {SERIAL_POLICIES}", lambda v: v in SERIAL_POLICIES, "auto",
+                           flag={"choices": SERIAL_POLICIES, "help": "serial-correlation policy"})
+    interaction_residual: str = _setting(
+        "interaction_residual", f"one of {INTERACTION_SOURCES}", lambda v: v in INTERACTION_SOURCES, "coastal",
+        flag={"choices": INTERACTION_SOURCES, "help": "boom/bust residual source for interacted contagion fits"})
+    seed: int | None = _setting("seed", "null or an integer at least 0", optional(int_at_least(0)),
+                                flag={"type": int, "help": "override the scenario seed"})
+    income_as_level: bool = _setting("income_as_level", "true or false", instance_of(bool), False)
+    synth_scenario: str | None = _setting("synth_scenario", "null or an existing file", optional(_file))
+    jump_threshold: float = _setting("thresholds.jump", "a positive number", is_positive, 1.65)
+    big_threshold: float = _setting("thresholds.big", "a positive number", is_positive, 2.0)
+    pair_sig_t: float = _setting("thresholds.pair_sig_t", "a positive number", is_positive, 5.0)
+    min_overlap: int = _setting("pairs.min_overlap", "an integer", is_int, 8)
+    jump_pair_floor: int = _setting("pairs.jump_floor", "an integer", is_int, 4)
+    time_cohorts: dict = _setting("cohorts.time", "an object of quarters", object_of(is_quarter),
+                                  factory=lambda: dict(DEFAULT_TIME_COHORTS))
+    ca_coastal: tuple = _setting("cohorts.ca_coastal", "a list of strings", list_of(instance_of(str)),
+                                 DEFAULT_CA_COASTAL)
+    contagion_menu: dict | None = _setting("contagion", "null or an object of string lists",
+                                           optional(object_of(list_of(instance_of(str)))))
+    portfolios: dict = _setting(
+        "portfolios", "an object", instance_of(dict), factory=lambda: json.loads(json.dumps(DEFAULT_PORTFOLIOS)),
+        keys={ANY_KEY: Key("an object", instance_of(dict), keys={
+            "members": Key("a list of distinct strings", distinct_strings),
+            "state": Key("a string", instance_of(str)),
+            "available_from": Key("a quarter", is_quarter),
+        })})
+    sub_ranges: dict = _setting(
+        "sub_ranges", "an object of [first quarter, last quarter] pairs",
+        object_of(lambda v: list_of(is_quarter)(v) and len(v) == 2),
+        factory=lambda: {k: tuple(v) for k, v in DEFAULT_SUB_RANGES.items()})
+
+    def validate(self) -> None:
+        obj: dict = {}  # the settings laid out as a config file holds them
+        for f in _FIELDS:
+            section, _, key = f.metadata["key"].rpartition(".")
+            (obj.setdefault(section, {}) if section else obj)[key] = getattr(self, f.name)
+        problems = faults(_CONFIG_KEYS, obj)
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+    def resolved_dict(self) -> dict:
+        d = dataclasses.asdict(self)
+        d["version"] = __version__
+        return d
+
+
+_FIELDS = dataclasses.fields(RunConfig)
+_OPTIONS = tuple(f for f in _FIELDS if f.metadata["flag"] is not None)
+
+
+def _config_keys() -> dict:
+    """The valid values of every config-file key; a section, and each portfolio, is an object with its own table."""
+    table: dict = {}
+    for f in _FIELDS:
+        section, _, key = f.metadata["key"].rpartition(".")
+        within = table.setdefault(section, Key("a JSON object", instance_of(dict), keys={})).keys if section else table
+        within[key] = f.metadata["valid"]
+    return table
+
+
+_CONFIG_KEYS = _config_keys()
+
+
+def _option_name(f) -> str:
+    """The field, or ``no_<field>`` for a flag that turns a default off."""
+    return ("no_" if f.metadata["flag"].get("action") == "store_false" else "") + f.name
+
+
+def _from_env(f, text: str):
+    """The value that ``HOUSINGRISK_<NAME>=text`` sets."""
+    name = ENV_PREFIX + _option_name(f).upper()
+    if f.metadata["flag"].get("action") == "store_false":
+        if text.lower() in ("1", "true", "yes"):
+            return False
+        if text.lower() in ("0", "false", "no"):
+            return True
+        raise ConfigError(f"{name} must be one of 1/0, true/false, yes/no, got {text!r}")
+    if f.metadata["flag"].get("type") is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+    return text
 
 
 def _apply_config_file(cfg: RunConfig, path: str) -> None:
@@ -307,11 +277,11 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
     problems = faults(_CONFIG_KEYS, obj, values=False)
     if problems:
         raise ConfigError(f"config file {path}: " + "; ".join(problems))
-    for s in _SETTINGS:
-        section, _, key = s.key.rpartition(".")
+    for f in _FIELDS:
+        section, _, key = f.metadata["key"].rpartition(".")
         values = obj.get(section, {}) if section else obj
         if key in values:
-            setattr(cfg, s.field, values[key])
+            setattr(cfg, f.name, values[key])
 
 
 def build_config(args, env=None) -> RunConfig:
@@ -321,12 +291,12 @@ def build_config(args, env=None) -> RunConfig:
     config_path = args.config or env.get(ENV_PREFIX + "CONFIG")
     if config_path:
         _apply_config_file(cfg, config_path)
-    for s in _OPTIONS:
-        text = env.get(ENV_PREFIX + s.option_name.upper())
+    for f in _OPTIONS:
+        text = env.get(ENV_PREFIX + _option_name(f).upper())
         if text:
-            setattr(cfg, s.field, s.from_env(text))
-        if getattr(args, s.field) is not None:
-            setattr(cfg, s.field, getattr(args, s.field))
+            setattr(cfg, f.name, _from_env(f, text))
+        if getattr(args, f.name) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     return cfg
 
 
@@ -1068,9 +1038,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run-config path")
-    for s in _OPTIONS:
-        flag = "--" + s.option_name.replace("_", "-")
-        common.add_argument(flag, dest=s.field, default=None, **s.flag)
+    for f in _OPTIONS:
+        flag = "--" + _option_name(f).replace("_", "-")
+        common.add_argument(flag, dest=f.name, default=None, **f.metadata["flag"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])

@@ -135,6 +135,18 @@ def _resolve_msa(ref, ids: tuple[str, ...], problems: list[str], context: str) -
         return 0
 
 
+# The most cells, n_msas * n_quarters * max(n_factors, 1), a scenario may
+# hold: about 15 times the 384 * 140 * 12 = 645,120 of the paper-scale
+# scenario. A larger one is refused before anything of its size is built.
+MAX_SCENARIO_CELLS = 10**7
+
+
+def _check_size(n_m: int, n_q: int, n_f: int) -> None:
+    if n_m * n_q * max(n_f, 1) > MAX_SCENARIO_CELLS:
+        raise ConfigError(
+            f"invalid scenario: n_msas * n_quarters * max(n_factors, 1) must be at most {MAX_SCENARIO_CELLS:,}")
+
+
 def _normalize(config: ScenarioConfig):
     """Validate the config, collecting every problem before raising."""
     problems: list[str] = []
@@ -150,6 +162,7 @@ def _normalize(config: ScenarioConfig):
         raise ConfigError("invalid scenario: " + "; ".join(problems))
 
     n_m, n_q, n_f = config.n_msas, config.n_quarters, config.n_factors
+    _check_size(n_m, n_q, n_f)
     ids = config.msa_ids()
 
     L = _as_array(config.loadings, "loadings", problems)
@@ -367,6 +380,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         raise ConfigError("invalid scenario: " + "; ".join(problems))
     fields = dict(obj)  # the table admits only ScenarioConfig's fields
     n_m, n_q, n_f = obj["n_msas"], obj["n_quarters"], obj["n_factors"]
+    _check_size(n_m, n_q, n_f)  # before a ramp builds its (n_quarters, n_msas, n_factors) path
 
     loadings = obj.get("loadings")
     if isinstance(loadings, dict):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from housingrisk import ConfigError
-from housingrisk.cli import _SETTINGS, RunConfig, _build_parser, build_config, main, run
+from housingrisk.cli import _CONFIG_KEYS, RunConfig, _build_parser, build_config, main, run
 
 SCENARIO = {
     "n_msas": 8,
@@ -858,7 +859,8 @@ def test_all_leaves_scipy_linalg_unloaded(tmp_path):
 
 FUZZ_SCENARIO = dict(SCENARIO, n_msas=4, n_quarters=60, n_factors=1, jumps=[],
                      contagion=[{"source": 0, "target": 1, "weights": [0.5]}])
-KNOWN_KEYS = [tuple(s.key.rpartition(".")[::2]) for s in _SETTINGS]  # (section or "", key)
+SETTINGS = dataclasses.fields(RunConfig)
+KNOWN_KEYS = [tuple(f.metadata["key"].rpartition(".")[::2]) for f in SETTINGS]  # (section or "", key)
 SECTIONS = {section for section, _ in KNOWN_KEYS if section}
 PATH_KEYS = {("", "out"), ("inputs", "hpi"), ("inputs", "factors"),
              ("inputs", "transforms"), ("", "synth_scenario")}
@@ -898,3 +900,60 @@ def test_any_config_value_exits_0_or_2_and_a_failure_writes_nothing(tmp_path, mo
     assert status in (0, 2)
     if status == 2:
         assert sorted(os.listdir()) == before
+
+
+# --- one declaration per setting ---------------------------------------------
+
+# A valid value other than the default for every config key; FILE stands for an existing file.
+FILE = object()
+NON_DEFAULT = {
+    "inputs.hpi": FILE, "inputs.factors": FILE, "inputs.transforms": {"GS10": "log_level"},
+    "out": "elsewhere", "window": 12, "bipower_window": 10, "prewhiten": False, "serial": "never",
+    "interaction_residual": "ca-equal-weighted", "seed": 5, "income_as_level": True, "synth_scenario": FILE,
+    "thresholds.jump": 1.5, "thresholds.big": 3.0, "thresholds.pair_sig_t": 4.0,
+    "pairs.min_overlap": 9, "pairs.jump_floor": 5,
+    "cohorts.time": {"c1": "1990:Q1"}, "cohorts.ca_coastal": ["Oakland"], "contagion": {"S001": ["S002"]},
+    "portfolios": {"tx": {"state": "TX"}}, "sub_ranges": {"1990s": ["1990:Q1", "1999:Q4"]},
+}
+# The option name of the seven settings a flag and an environment variable can also set.
+OPTIONS = {"out": "out", "window": "window", "bipower_window": "bipower_window", "prewhiten": "no_prewhiten",
+           "serial": "serial", "interaction_residual": "interaction_residual", "seed": "seed"}
+README_KEY_TABLE = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").split(
+    "| key | valid values |")[1].split("\n\n")[0]
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids=lambda f: f.name)
+def test_each_setting_is_declared_by_its_field(tmp_path, setting):
+    key = setting.metadata["key"]
+    section, _, name = key.rpartition(".")
+    p = tmp_path / "cfg.json"
+    value = str(p) if NON_DEFAULT[key] is FILE else NON_DEFAULT[key]
+    assert getattr(RunConfig(), setting.name) != value
+
+    # Its key in a config file sets its field and no other.
+    p.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+    cfg = build_config(parse(["ingest", "--config", str(p)]), env={})
+    cfg.validate()
+    assert dataclasses.asdict(cfg) == dict(dataclasses.asdict(RunConfig()), **{setting.name: value})
+
+    # The config key table holds its valid values in its section, and holds the 22 keys of the fields only.
+    assert (_CONFIG_KEYS[section].keys if section else _CONFIG_KEYS)[name] is setting.metadata["valid"]
+    held = [(s, k) for s in SECTIONS for k in _CONFIG_KEYS[s].keys]
+    held += [("", k) for k in _CONFIG_KEYS if k not in SECTIONS]
+    assert sorted(held) == sorted(KNOWN_KEYS) and len(held) == 22
+
+    # Only the seven options have a flag and an environment variable.
+    option = OPTIONS.get(setting.name, setting.name)
+    flag, env_name = "--" + option.replace("_", "-"), "HOUSINGRISK_" + option.upper()
+    if setting.name in OPTIONS:
+        argv = ["ingest", flag] if value is False else ["ingest", flag, str(value)]
+        assert getattr(build_config(parse(argv), env={}), setting.name) == value
+        env = {env_name: "1" if value is False else str(value)}
+        assert getattr(build_config(parse(["ingest"]), env=env), setting.name) == value
+    else:
+        with pytest.raises(SystemExit):
+            parse(["ingest", flag, "1"])
+        assert build_config(parse(["ingest"]), env={env_name: "1"}) == RunConfig()
+
+    # README's key table names it.
+    assert f"`{key}`" in README_KEY_TABLE

@@ -199,6 +199,9 @@ def test_config_problems_collected():
     # ...and value-level problems surface once the shapes are valid
     with pytest.raises(ConfigError, match="idio_sigma"):
         generate_panel(small_config(idio_sigma=-1.0))
+    # ...and a scenario too large to build is refused before anything of its size is allocated
+    with pytest.raises(ConfigError, match=r"n_msas \* n_quarters \* max\(n_factors, 1\) must be at most"):
+        generate_panel(small_config(n_factors=10**20, loadings=0.0))
 
 
 def test_scenario_json_round_trip():
@@ -233,15 +236,26 @@ def test_scenario_json_names_every_bad_key():
     )
 
 
+TOO_LARGE = "n_msas * n_quarters * max(n_factors, 1) must be at most 10,000,000"
+
+
 def test_misspelt_scenario_key_fails_before_any_write(tmp_path, capsys):
-    # An unknown key is named, so a misspelt idio_sigma cannot leave the default sigma of 1.0 in place.
     spath, rpath, out = tmp_path / "scenario.json", tmp_path / "run.json", tmp_path / "out"
-    spath.write_text(json.dumps({"n_msas": 3, "n_quarters": 40, "n_factors": 1, "idio_sgima": 9.0}))
     rpath.write_text(json.dumps({"synth_scenario": str(spath), "out": str(out)}))
-    assert main(["synth", "--config", str(rpath)]) == 2
-    assert capsys.readouterr().err == (
-        f"housingrisk: error: scenario file {spath}: invalid scenario: unknown key 'idio_sgima'\n")
-    assert not out.exists()
+    ramp = {"kind": "ramp", "start": 0.0, "end": 1.0}
+    for scenario, fault in [
+        # An unknown key is named, so a misspelt idio_sigma cannot leave the default sigma of 1.0 in place.
+        ({"n_msas": 3, "n_quarters": 40, "n_factors": 1, "idio_sgima": 9.0}, "unknown key 'idio_sgima'"),
+        # A scenario too large to build is refused by its size, before anything of that size is allocated.
+        ({"n_msas": 3, "n_quarters": 12, "n_factors": 10**20}, TOO_LARGE),
+        ({"n_msas": 3, "n_quarters": 10**20, "n_factors": 1}, TOO_LARGE),
+        ({"n_msas": 10**8, "n_quarters": 12, "n_factors": 1}, TOO_LARGE),
+        ({"n_msas": 3, "n_quarters": 12, "n_factors": 10**20, "loadings": ramp}, TOO_LARGE),
+    ]:
+        spath.write_text(json.dumps(scenario))
+        assert main(["synth", "--config", str(rpath)]) == 2
+        assert capsys.readouterr().err == f"housingrisk: error: scenario file {spath}: invalid scenario: {fault}\n"
+        assert not out.exists()
 
 
 def test_deeply_nested_loadings_are_named_not_a_recursion_error():
