@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import AlignedDataset, FactorTable, QuarterIndex, ReturnPanel, align
+# align and ar1_prewhiten are not called here since the panel is aligned and
+# pre-whitened as a whole; perfbench/tracing.py still wraps them in this module.
+from .core import AlignedDataset, FactorTable, QuarterIndex, ReturnPanel, align  # noqa: F401
 from .errors import AlignmentError, ConfigError, InsufficientHistoryError
-from .regress import PrewhitenResult, _fit_stack, ar1_prewhiten, trend_fit
+from .regress import MIN_PREWHITEN_OBS, _ar1_rows, _fit_stack, ar1_prewhiten, trend_fit  # noqa: F401
 
 __all__ = [
     "IntegrationSummary",
@@ -42,7 +44,6 @@ CHARACTERISTICS = (
 #: The rows of ``IntegrationSummary.cross``, in order.
 CROSS_STATS = ("mean", "sd", "min", "max")
 
-MIN_PREWHITEN_OBS = 10
 MIN_SUMMARY_WINDOWS = 3
 
 
@@ -55,8 +56,9 @@ class PanelIntegration:
     whose first window is column ``first[c]``. Every MSA's windows run to the
     last column, and its cells before ``first[c]`` are NaN. ``beta`` holds
     the intercept, then the factors, in ``names`` order. ``skipped`` holds
-    ``(msa_id, reason)`` for each MSA that was not fitted, in panel order, and
-    ``prewhiten`` each pre-whitened MSA's AR(1) result.
+    ``(msa_id, reason)`` for each MSA that was not fitted, in panel order.
+    ``order``, ``phi`` and ``near_unit_root`` hold each MSA's
+    ``ar1_prewhiten`` choice; without pre-whitening, 0, 0.0 and False.
     """
 
     ids: tuple[str, ...]
@@ -66,7 +68,9 @@ class PanelIntegration:
     r_square: np.ndarray
     beta: np.ndarray
     skipped: tuple[tuple[str, str], ...]
-    prewhiten: dict[str, PrewhitenResult]
+    order: np.ndarray
+    phi: np.ndarray
+    near_unit_root: np.ndarray
 
     @property
     def series(self) -> tuple[str, ...]:
@@ -87,7 +91,7 @@ def _span_fits(X: np.ndarray, Y: np.ndarray, window: int, names: tuple[str, ...]
     the rows: one ``regress._fit_stack`` call, so one Householder QR of
     ``[1 | X | Y]`` per span serves all columns."""
     Xy = np.column_stack([np.ones(X.shape[0]), X, Y])
-    return _fit_stack(sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1), names)
+    return _fit_stack(sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1), names, diagnostics=False)
 
 
 def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> PanelIntegration:
@@ -113,7 +117,8 @@ def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> PanelInte
     return PanelIntegration(
         ids=(dataset.msa_id,), names=names, ends=dataset.quarter_codes[window - 1 :].copy(),
         first=np.zeros(1, dtype=int), r_square=np.ascontiguousarray(fit.r_square.T),
-        beta=np.ascontiguousarray(fit.beta.transpose(1, 0, 2)), skipped=(), prewhiten={},
+        beta=np.ascontiguousarray(fit.beta.transpose(1, 0, 2)), skipped=(),
+        order=np.zeros(1, dtype=int), phi=np.zeros(1), near_unit_root=np.zeros(1, dtype=bool),
     )
 
 
@@ -125,74 +130,67 @@ def integrate_panel(
 ) -> PanelIntegration:
     """Run the rolling factor model for every MSA in the panel.
 
-    Pre-whitening (AR(1) residuals, per-MSA, applied before alignment)
-    consumes one leading observation when lag 1 is selected. MSAs that are
+    A window too small for the factor count raises ConfigError first. MSAs
     too short to pre-whiten, align, or fill a single window, and MSAs with a
-    rank-deficient window, are skipped with a logged reason rather than
-    failing the panel; InsufficientHistoryError if every MSA is.
+    rank-deficient window, are skipped with a logged reason, in panel order;
+    InsufficientHistoryError if every MSA is.
 
-    Every MSA regresses on the same factors, so its aligned rows are the
-    tail of one grid: the panel's quarters where every factor is present,
-    from its first (pre-whitened) return on. Each window is keyed by the
-    grid row it starts on, and one ``_span_fits`` call fits every MSA over
-    every span, with the MSAs' returns as the responses (zeros before an
-    MSA enters). Seemingly unrelated regressions with identical regressors
-    reduce to OLS one equation at a time (Zellner 1962), so the span fits
-    are the result's columns. A rank-deficient span skips every MSA that
-    holds it, with the error of the MSA's first such window, as
-    ``rolling_factor_model`` raises it. Skips are listed in panel order.
+    Pre-whitening takes AR(1) residuals of each MSA's returns, one quarter
+    shorter when lag 1 is selected, in one ``regress._ar1_rows`` call per
+    entry quarter. One mask of the quarters where every factor is present
+    then aligns every MSA: its rows are the masked quarters from its first
+    (pre-whitened) return on, the tail of one grid. One ``_span_fits`` call
+    fits every MSA over every window span of that grid, zeros before an MSA
+    enters: with identical regressors, seemingly unrelated regressions are
+    OLS one equation at a time (Zellner 1962). A rank-deficient span skips
+    every MSA that holds it, with the error of its first such window, as
+    ``rolling_factor_model`` raises it.
     """
-    datasets = []
-    skipped = []
-    pw_info: dict[str, PrewhitenResult] = {}
-    for msa_id in returns.msa_ids():
-        start, values = returns.series(msa_id)
-        if prewhiten:
-            if values.size < MIN_PREWHITEN_OBS:
-                skipped.append(
-                    (msa_id, f"too short to pre-whiten ({values.size} < {MIN_PREWHITEN_OBS} obs)")
-                )
-                continue
-            pw = ar1_prewhiten(values)
-            pw_info[msa_id] = pw
-            values = pw.residuals
-            start = start + pw.offset
-        quarters = np.arange(start.code, start.code + values.size)
-        try:
-            dataset = align(msa_id, quarters, values, factors)
-        except AlignmentError as exc:
-            skipped.append((msa_id, str(exc)))
-            continue
-        if dataset.n_rows < window:
-            skipped.append((msa_id, f"{dataset.n_rows} aligned rows < window of {window}"))
-            continue
-        datasets.append(dataset)
-
-    kept = []
-    if datasets:
-        names = ("const",) + tuple(factors.factor_ids)
-        _check_window(len(names), window)
-        # A panel series has no gap, and pre-whitening leaves a series either
-        # free of NaN or all NaN (which align rejects), so every MSA's aligned
-        # rows are the tail of the longest MSA's: the grid of the span fits.
-        grid = max(datasets, key=lambda d: d.n_rows)
-        Y = np.zeros((grid.n_rows, len(datasets)))
-        for c, d in enumerate(datasets):
-            Y[grid.n_rows - d.n_rows :, c] = d.y
-        fit = _span_fits(grid.X, Y, window, names)
-        first = np.array([grid.n_rows - d.n_rows for d in datasets])  # the grid row of its first window
-        failed = sorted(fit.failed)
-        for c, d in enumerate(datasets):
-            bad = [s for s in failed if s >= first[c]]
-            if bad:
-                skipped.append((d.msa_id, str(fit.failed[bad[0]])))
+    names = ("const",) + tuple(factors.factor_ids)
+    _check_window(len(names), window)
+    ids = returns.msa_ids()
+    entry = returns.first_offsets
+    n_q, n_msas = returns.values.shape
+    skip: dict[int, str] = {}  # panel column -> reason
+    Y = returns.values.copy()  # each MSA's series, pre-whitened in place
+    order, phi, near = np.zeros(n_msas, dtype=int), np.zeros(n_msas), np.zeros(n_msas, dtype=bool)
+    if prewhiten:
+        for e in sorted(set(entry.tolist())):
+            cols = np.flatnonzero(entry == e)
+            if n_q - e < MIN_PREWHITEN_OBS:
+                skip.update((j, f"too short to pre-whiten ({n_q - e} < {MIN_PREWHITEN_OBS} obs)") for j in cols)
             else:
-                kept.append(c)
-        order = {msa_id: i for i, msa_id in enumerate(returns.msa_ids())}
-        skipped.sort(key=lambda skip: order[skip[0]])
-    if not kept:
-        msa_id, reason = skipped[0]
-        raise InsufficientHistoryError(f"no MSA could be integrated; first skip: {msa_id}: {reason}")
+                resid, phi[cols], order[cols], near[cols] = _ar1_rows(returns.values[e:, cols].T)
+                Y[e:, cols] = resid.T
+    start = entry + order  # the panel row of each MSA's first aligned return
+
+    codes = returns.start.code + np.arange(n_q)
+    f_rows = codes - factors.start.code
+    in_range = (f_rows >= 0) & (f_rows < factors.n_quarters)
+    complete = in_range.copy()
+    complete[in_range] = ~np.isnan(factors.values[f_rows[in_range]]).any(axis=1)
+    # The in-range and the complete quarters from each MSA's start on.
+    n_over = np.cumsum(in_range[::-1])[::-1][start]
+    n_rows = np.cumsum(complete[::-1])[::-1][start]
+    for j in np.flatnonzero(n_rows < window):
+        skip.setdefault(j, f"{n_rows[j]} aligned rows < window of {window}" if n_rows[j]
+                        else f"all {n_over[j]} overlapping quarters of {ids[j]} are incomplete" if n_over[j]
+                        else f"no overlap between returns of {ids[j]} and the factor table")
+
+    cols = np.array(sorted(set(range(n_msas)) - skip.keys()), dtype=int)
+    if cols.size:
+        grid = np.flatnonzero(complete & (np.arange(n_q) >= start[cols].min()))
+        Yg = np.where(grid[:, None] >= start[cols], Y[grid][:, cols], 0.0)
+        fit = _span_fits(factors.values[f_rows[grid]], Yg, window, names)
+        first = grid.size - n_rows[cols]  # the grid row of its first window
+        failed = np.array(sorted(fit.failed), dtype=int)
+        at = np.searchsorted(failed, first)  # its first rank-deficient span, if any
+        for c in np.flatnonzero(at < failed.size):
+            skip[cols[c]] = str(fit.failed[failed[at[c]]])
+    skipped = tuple((ids[j], skip[j]) for j in sorted(skip))
+    if len(skip) == n_msas:
+        raise InsufficientHistoryError(f"no MSA could be integrated; first skip: {': '.join(skipped[0])}")
+    kept = np.flatnonzero(at == failed.size)
     # MSA-major, so each MSA's path is one contiguous row, as trend_fit reads it.
     r_square = np.ascontiguousarray(fit.r_square.T[kept])
     beta = np.ascontiguousarray(fit.beta.transpose(1, 0, 2)[kept])
@@ -200,9 +198,10 @@ def integrate_panel(
     before = np.arange(r_square.shape[1]) < first[:, None]
     r_square[before] = np.nan
     beta[before] = np.nan
-    ids = tuple(datasets[c].msa_id for c in kept)
+    cols = cols[kept]
     return PanelIntegration(
-        ids, names, grid.quarter_codes[window - 1 :], first, r_square, beta, tuple(skipped), pw_info
+        tuple(ids[j] for j in cols), names, codes[grid[window - 1 :]], first, r_square, beta,
+        skipped, order[cols], phi[cols], near[cols],
     )
 
 

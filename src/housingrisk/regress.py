@@ -8,7 +8,7 @@ fits are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +42,9 @@ __all__ = [
 #: beta of badly conditioned but full-rank problems, where the two differ by
 #: about cond * eps.
 RANK_SCREEN_COND = 1e8
+
+#: The fewest observations ``ar1_prewhiten`` takes.
+MIN_PREWHITEN_OBS = 10
 
 
 def add_intercept(X: np.ndarray) -> np.ndarray:
@@ -191,9 +194,9 @@ class _StackFit(NamedTuple):
     """
 
     beta: np.ndarray  # (s, m, k)
-    se: np.ndarray  # (s, m, k)
+    se: np.ndarray | None  # (s, m, k); None without diagnostics
     r_square: np.ndarray  # (s, m)
-    durbin_watson: np.ndarray  # (s, m); NaN for an exact fit
+    durbin_watson: np.ndarray | None  # (s, m); NaN for an exact fit; None without diagnostics
     failed: dict[int, HousingRiskError]  # stack position -> error; its rows hold NaN
 
     def single(self) -> "_StackFit":
@@ -201,10 +204,12 @@ class _StackFit(NamedTuple):
         return _StackFit(*(a[:, 0] for a in self[:4]), self.failed)
 
 
-def _fit_stack(Xy: np.ndarray, names: tuple[str, ...]) -> _StackFit:
+def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True) -> _StackFit:
     """``_fit_core``'s estimates and diagnostics for every problem and
     response of a stack ``[X | Y]`` of shape (s, n, k + m), where X has the
-    k columns ``names`` labels, from one ``_solve_stacked``."""
+    k columns ``names`` labels, from one ``_solve_stacked``. Without
+    ``diagnostics`` only beta and R-square are computed, and ``se`` and
+    ``durbin_watson`` are None."""
     n, k = Xy.shape[1], len(names)
     X, Y = Xy[:, :, :k], Xy[:, :, k:].transpose(0, 2, 1)
     beta, diag, failed = _solve_stacked(Xy, names)
@@ -212,20 +217,13 @@ def _fit_stack(Xy: np.ndarray, names: tuple[str, ...]) -> _StackFit:
     ssr = np.sum(resid**2, axis=2)
     sst = np.sum((Y - Y.mean(axis=2, keepdims=True)) ** 2, axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        se = np.sqrt(np.maximum((ssr / (n - k))[:, :, None] * diag[:, None, :], 0.0))
         # A constant response (SST = 0) has R-square 0.
         r2 = np.where(sst == 0.0, 0.0, 1.0 - ssr / sst)
+        if not diagnostics:
+            return _StackFit(beta, None, r2, None, failed)
+        se = np.sqrt(np.maximum((ssr / (n - k))[:, :, None] * diag[:, None, :], 0.0))
         dw = np.where(ssr > 0, np.sum(np.diff(resid, axis=2) ** 2, axis=2) / ssr, np.nan)
     return _StackFit(beta, se, r2, dw, failed)
-
-
-def _r_square(y: np.ndarray, resid: np.ndarray) -> float:
-    """1 - SSR/SST; a constant response (SST = 0) is defined as 0."""
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        return 0.0
-    ssr = float(np.sum(resid**2))
-    return 1.0 - ssr / sst
 
 
 def _t_stats(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -248,9 +246,9 @@ def _fit_core(X, y, names, method, rho) -> RegressionFit:
     ssr = float(np.sum(resid**2))
     sigma2 = ssr / (n - k)
     se = np.sqrt(np.maximum(sigma2 * xtx_inv_diag, 0.0))
-    r2 = _r_square(y, resid)
-    denom = float(np.sum(resid**2))
-    dw = float(np.sum(np.diff(resid) ** 2) / denom) if denom > 0 else float("nan")
+    sst = float(np.sum((y - y.mean()) ** 2))
+    r2 = 0.0 if sst == 0.0 else 1.0 - ssr / sst  # a constant response has R-square 0
+    dw = float(np.sum(np.diff(resid) ** 2) / ssr) if ssr > 0 else float("nan")
     return RegressionFit(
         names=names,
         coefficients=beta,
@@ -322,18 +320,7 @@ def _quasi_difference_fit(X, y, rho, names) -> RegressionFit:
     se = fit.standard_errors.copy()
     coef[0] *= scale
     se[0] *= abs(scale)
-    return RegressionFit(
-        names=fit.names,
-        coefficients=coef,
-        standard_errors=se,
-        t_stats=_t_stats(coef, se),
-        r_square=fit.r_square,
-        residuals=fit.residuals,
-        n_obs=fit.n_obs,
-        durbin_watson=fit.durbin_watson,
-        method="cochrane_orcutt",
-        rho=rho,
-    )
+    return replace(fit, coefficients=coef, standard_errors=se, t_stats=_t_stats(coef, se))
 
 
 def cochrane_orcutt(
@@ -378,18 +365,7 @@ def cochrane_orcutt(
             raise _rho_left_unit_interval(rho_new)
         last_rho = rho_new
         if abs(rho_new - rho_prev) < tol:
-            return RegressionFit(
-                names=fit.names,
-                coefficients=fit.coefficients,
-                standard_errors=fit.standard_errors,
-                t_stats=fit.t_stats,
-                r_square=fit.r_square,
-                residuals=fit.residuals,
-                n_obs=fit.n_obs,
-                durbin_watson=fit.durbin_watson,
-                method="cochrane_orcutt",
-                rho=rho_new,
-            )
+            return replace(fit, rho=rho_new)
         fit = _quasi_difference_fit(X, y, rho_new, names)
         rho_prev = rho_new
     raise _rho_did_not_converge(max_iter, last_rho, fit)
@@ -499,51 +475,64 @@ class PrewhitenResult:
     near_unit_root: bool = False
 
 
+def _ar1_rows(x: np.ndarray):
+    """``ar1_prewhiten`` of every row of ``x`` (m, n), with n >= 10, at once.
+
+    Every statistic is a reduction along the contiguous last axis, which
+    numpy sums row by row in the pairwise order of a 1-D call, so each row
+    gets the bits of its own one-row call. Returns (residuals, phi, order,
+    near_unit_root): row i of ``residuals`` (m, n) holds the pre-whitened
+    series of row i from column ``order[i]`` on, and NaN before it; ``phi``
+    is 0 where AR(0) is chosen.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    n_eff = x.shape[1] - 1
+    y, x_lag = x[:, 1:], x[:, :-1]
+    dy = y - y.mean(axis=1, keepdims=True)
+    lag_mean = x_lag.mean(axis=1, keepdims=True)
+    lx = x_lag - lag_mean
+
+    # AR(0): mean-only model on the common sample (observations 2..n).
+    ssr0 = np.sum(dy**2, axis=1)
+
+    # AR(1) by conditional least squares. A lag of zero variance gets phi 0:
+    # then AR(1) has AR(0)'s SSR and one more parameter, so AR(0) is chosen.
+    denom = np.sum(lx**2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 for a flat lag
+        phi = np.where(denom == 0.0, 0.0, np.sum(dy * lx, axis=1) / denom)[:, None]
+    c = y.mean(axis=1, keepdims=True) - phi * lag_mean
+    resid1 = y - c - phi * x_lag
+    ssr1 = np.sum(resid1**2, axis=1)
+
+    # BIC and AIC of AR(0) (column 0, one parameter) and AR(1) (column 1, two).
+    k = np.array([1, 2])
+    ll = n_eff * np.log(np.maximum(np.column_stack([ssr0, ssr1]) / n_eff, np.finfo(float).tiny))
+    bic, aic = ll + k * np.log(n_eff), ll + 2 * k
+    ar1 = (bic[:, 1] < bic[:, 0]) | ((bic[:, 1] == bic[:, 0]) & (aic[:, 1] < aic[:, 0]))
+    # AR(0): residual is the demeaned series, so +mean gives the series back.
+    residuals = x.copy()
+    residuals[ar1, 0] = np.nan
+    residuals[ar1, 1:] = resid1[ar1] + x[ar1].mean(axis=1, keepdims=True)
+    phi = np.where(ar1, phi[:, 0], 0.0)
+    return residuals, phi, ar1.astype(int), ar1 & (np.abs(phi) >= 1.0)
+
+
 def ar1_prewhiten(series: np.ndarray) -> PrewhitenResult:
     """Remove AR(1) serial correlation if an information criterion asks for it.
 
     Fits mean-only AR(0) and conditional-least-squares AR(1) on the common
     sample (observations 2..n), picks the lower BIC (AIC breaks ties), and
     returns residuals with the series mean re-added. A |phi| >= 1 estimate
-    flags near_unit_root instead of raising.
+    flags near_unit_root instead of raising. This is ``_ar1_rows`` of one row.
     """
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    if n < 10:
+    x = np.asarray(series, dtype=float).reshape(1, -1)
+    if x.size < MIN_PREWHITEN_OBS:
         raise InsufficientHistoryError(
-            f"pre-whitening needs at least 10 observations, got {n}"
+            f"pre-whitening needs at least {MIN_PREWHITEN_OBS} observations, got {x.size}"
         )
-    mean = float(x.mean())
-
-    y = x[1:]
-    x_lag = x[:-1]
-    n_eff = n - 1
-
-    # AR(0): mean-only model on the common sample.
-    ssr0 = float(np.sum((y - y.mean()) ** 2))
-
-    # AR(1) by conditional least squares; zero lag variance degrades to AR(0).
-    lx = x_lag - x_lag.mean()
-    denom = float(np.sum(lx**2))
-    if denom == 0.0:
-        return PrewhitenResult(x.copy(), 0.0, 0, 0, False)
-    phi = float(np.sum((y - y.mean()) * lx) / denom)
-    c = y.mean() - phi * x_lag.mean()
-    resid1 = y - c - phi * x_lag
-    ssr1 = float(np.sum(resid1**2))
-
-    def _ic(ssr, k):
-        sigma2 = max(ssr / n_eff, np.finfo(float).tiny)
-        ll = n_eff * np.log(sigma2)
-        return ll + k * np.log(n_eff), ll + 2 * k
-
-    bic0, aic0 = _ic(ssr0, 1)
-    bic1, aic1 = _ic(ssr1, 2)
-    if bic1 < bic0 or (bic1 == bic0 and aic1 < aic0):
-        near_unit = abs(phi) >= 1.0
-        return PrewhitenResult(resid1 + mean, phi, 1, 1, near_unit)
-    # AR(0): residual is the demeaned series, so +mean gives the series back.
-    return PrewhitenResult(x.copy(), 0.0, 0, 0, False)
+    residuals, phi, order, near_unit_root = _ar1_rows(x)
+    k = int(order[0])
+    return PrewhitenResult(residuals[0, k:], float(phi[0]), k, k, bool(near_unit_root[0]))
 
 
 def trend_fit(series: np.ndarray) -> TrendFit:

@@ -501,6 +501,18 @@ def test_no_msa_with_enough_windows_to_summarise_fails_before_any_write(tmp_path
     assert not list(tmp_path.glob(".out.*"))
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-prewhiten"]], ids=["prewhiten", "no-prewhiten"])
+def test_window_too_small_for_the_factors_fails_with_one_line(tmp_path, capsys, flags):
+    # 9 returns are too short to pre-whiten, but a 3-quarter window is too
+    # small for 3 factors and the intercept whichever way the run goes.
+    rpath, out = write_scenario(tmp_path, n_msas=2, n_quarters=9, n_factors=3, jumps=[], contagion=[])
+    assert main(["integrate", "--window", "3", *flags, "--config", str(rpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("housingrisk: error: window of 3 leaves too few degrees of freedom for "
+                   "4 regressors; minimum window is 6\n")
+    assert not out.exists()
+
+
 def test_failed_run_leaves_existing_out_as_it_was(tmp_path, capsys):
     rpath, out = write_scenario(tmp_path)
     out.mkdir()
@@ -796,9 +808,9 @@ def test_all_computes_each_result_once(tmp_path, monkeypatch):
         count(name)
     kernel = integration._fit_stack
 
-    def counted_kernel(*args):
+    def counted_kernel(*args, **kwargs):
         calls["integration._fit_stack"] = calls.get("integration._fit_stack", 0) + 1
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(integration, "_fit_stack", counted_kernel)
     rpath, _ = write_scenario(tmp_path)

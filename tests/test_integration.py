@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from housingrisk import (
     integration_summary,
     rolling_factor_model,
 )
-from housingrisk.integration import CHARACTERISTICS, CROSS_STATS
+from housingrisk.integration import CHARACTERISTICS, CROSS_STATS, MIN_SUMMARY_WINDOWS
 from housingrisk.regress import _solve_ls, add_intercept, ar1_prewhiten, ols_fit
 from .conftest import Q0, factor_table, panel_from_returns
 
@@ -208,12 +210,25 @@ def test_integrate_panel_skips_a_rank_deficient_msa(rng):
 
 
 def test_integrate_panel_prewhiten_toggle(rng):
-    panel = panel_from_returns({"A": rng.normal(size=40)})
-    table = factor_table(rng.normal(size=(40, 2)), start=Q0)
+    e = rng.normal(size=(60, 2))
+    ar = np.zeros(60)
+    for t in range(1, 60):
+        ar[t] = 0.8 * ar[t - 1] + e[t, 0]
+    panel = panel_from_returns({"AR": ar, "FLAT": np.zeros(60), "NOISE": e[:, 1]})
+    table = factor_table(rng.normal(size=(60, 2)), start=Q0)
     raw = integrate_panel(panel, table, window=20, prewhiten=False)
-    assert raw.prewhiten == {} or not raw.prewhiten  # no pre-whitening info
+    assert raw.ids == ("AR", "FLAT", "NOISE")
+    assert raw.order.tolist() == [0, 0, 0] and raw.phi.tolist() == [0.0, 0.0, 0.0]
+    assert raw.near_unit_root.tolist() == [False, False, False]
     white = integrate_panel(panel, table, window=20, prewhiten=True)
-    assert white.ids == ("A",)
+    assert white.ids == raw.ids
+    fits = [ar1_prewhiten(panel.series(msa_id)[1]) for msa_id in white.ids]
+    assert white.order.tolist() == [1, 0, 0] == [pw.order for pw in fits]
+    assert_array_equal(white.phi, [pw.phi for pw in fits])
+    assert 0.6 < white.phi[0] < 1.0 and white.phi[1] == white.phi[2] == 0.0
+    assert white.near_unit_root.tolist() == [False, False, False]
+    # AR's first window starts a quarter later, on its first residual.
+    assert white.first.tolist() == [1, 0, 0] and raw.first.tolist() == [0, 0, 0]
 
 
 def test_integrate_panel_offsets_late_starter(rng):
@@ -233,10 +248,13 @@ def test_integrate_panel_offsets_late_starter(rng):
 
 def per_msa_integration(panel, table, window, prewhiten):
     """``integrate_panel`` one MSA at a time: pre-whiten, align, and one
-    ``rolling_factor_model`` call per MSA. Returns (one-row results, skipped)."""
+    ``rolling_factor_model`` call per MSA. Returns (one-row results, with
+    the MSA's ``ar1_prewhiten`` choice in their pre-whitening columns, and
+    skipped)."""
     series, skipped = [], []
     for msa_id in panel.msa_ids():
         start, values = panel.series(msa_id)
+        pw = None
         if prewhiten:
             if values.size < 10:
                 skipped.append((msa_id, f"too short to pre-whiten ({values.size} < 10 obs)"))
@@ -248,9 +266,14 @@ def per_msa_integration(panel, table, window, prewhiten):
             if ds.n_rows < window:
                 skipped.append((msa_id, f"{ds.n_rows} aligned rows < window of {window}"))
                 continue
-            series.append(rolling_factor_model(ds, window))
+            one = rolling_factor_model(ds, window)
         except (AlignmentError, SingularDesignError) as exc:
             skipped.append((msa_id, str(exc)))
+            continue
+        if pw is not None:
+            one = replace(one, order=np.array([pw.order]), phi=np.array([pw.phi]),
+                          near_unit_root=np.array([pw.near_unit_root]))
+        series.append(one)
     return series, skipped
 
 
@@ -263,6 +286,8 @@ def assert_same_integration(result, series, skipped):
         assert_array_equal(result.ends[lo:], want.ends)
         assert_allclose(result.beta[c, lo:], want.beta[0], rtol=1e-10)
         assert_allclose(result.r_square[c, lo:], want.r_square[0], rtol=1e-10, atol=1e-12)
+    for name in ("order", "phi", "near_unit_root"):
+        assert_array_equal(getattr(result, name), [getattr(want, name)[0] for want in series])
 
 
 def no_msa_integrated(skipped):
@@ -278,18 +303,28 @@ def no_msa_integrated(skipped):
     entries=st.lists(st.integers(0, 60), min_size=1, max_size=6),
     factor_shift=st.integers(-3, 3),
     nan_rows=st.lists(st.integers(0, 60), max_size=3),
+    short=st.lists(st.sampled_from(("9 returns", "10 returns", "1 window", "2 windows")), max_size=3),
+    flat=st.lists(st.sampled_from(("zeros", "zero lag")), max_size=2),
     prewhiten=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_panel_equals_one_rolling_fit_per_msa(n_factors, extra_rows, n_quarters, entries,
-                                              factor_shift, nan_rows, prewhiten, seed):
-    """Staggered entries, MSAs too short for a window, factor rows missing
+                                              factor_shift, nan_rows, short, flat, prewhiten, seed):
+    """Staggered entries, MSAs just long enough or too short to pre-whiten,
+    to fill a window or to be summarised, flat returns, factor rows missing
     mid-sample and a factor table offset from the panel: the span fits give
-    each MSA the series and skip reason of its own rolling fit."""
+    each MSA the series, pre-whitening choice and skip reason of its own
+    rolling fit, and the summary leaves out the same MSAs."""
     window = n_factors + 3 + extra_rows
     n_q = window + n_quarters
     rng = np.random.default_rng(seed)
     returns = {f"M{k}": rng.normal(size=max(n_q - e, 1)) for k, e in enumerate(entries)}
+    lengths = {"9 returns": 9, "10 returns": 10, "1 window": window, "2 windows": window + 1}
+    returns.update((f"S{k}", rng.normal(size=lengths[kind])) for k, kind in enumerate(short))
+    for k, kind in enumerate(flat):  # a flat lag takes the AR(0) path of a zero lag variance
+        returns[f"Z{k}"] = np.zeros(n_q)
+        if kind == "zero lag":
+            returns[f"Z{k}"][-1] = rng.normal()
     F = rng.normal(size=(n_q + 3, n_factors))
     F[[r % len(F) for r in nan_rows], rng.integers(0, n_factors)] = np.nan
     panel = panel_from_returns(returns)
@@ -302,6 +337,22 @@ def test_panel_equals_one_rolling_fit_per_msa(n_factors, extra_rows, n_quarters,
         return
     result = integrate_panel(panel, table, window=window, prewhiten=prewhiten)
     assert_same_integration(result, series, skipped)
+    few = sorted((want.ids[0], want.ends.size) for want in series if want.ends.size < MIN_SUMMARY_WINDOWS)
+    if len(few) < len(series):
+        summary = integration_summary(result, panel)
+        assert summary.excluded == tuple((m, f"only {n} windows (< 3)") for m, n in few)
+
+
+@pytest.mark.parametrize("prewhiten", [True, False])
+def test_window_too_small_for_the_factors_fails_before_any_msa(rng, prewhiten):
+    # Both MSAs are too short to pre-whiten, but the window is wrong for every MSA.
+    panel = panel_from_returns({"A": rng.normal(size=8), "B": rng.normal(size=8)})
+    table = factor_table(rng.normal(size=(8, 3)), start=Q0)
+    with pytest.raises(ConfigError) as caught:
+        integrate_panel(panel, table, window=3, prewhiten=prewhiten)
+    assert str(caught.value) == (
+        "window of 3 leaves too few degrees of freedom for 4 regressors; minimum window is 6"
+    )
 
 
 def test_rank_deficient_spans_skip_the_msas_that_hold_them(rng):
@@ -398,7 +449,9 @@ def grid_of(paths, names=("const",), beta=None):
     r_square[~before] = np.concatenate([np.asarray(v, dtype=float) for v in paths.values()])
     beta = np.zeros((len(ids), S, len(names))) if beta is None else np.array(beta, dtype=float)
     beta[before] = np.nan
-    return PanelIntegration(ids, names, Q0.code + np.arange(S), first, r_square, beta, (), {})
+    n = len(ids)
+    return PanelIntegration(ids, names, Q0.code + np.arange(S), first, r_square, beta, (),
+                            np.zeros(n, dtype=int), np.zeros(n), np.zeros(n, dtype=bool))
 
 
 def column(name):

@@ -26,7 +26,7 @@ from housingrisk import (
     ols_fit,
     trend_fit,
 )
-from housingrisk.regress import _fit_core
+from housingrisk.regress import _ar1_rows, _fit_core
 
 
 def normal_equations(X, y):
@@ -271,6 +271,61 @@ def test_prewhiten_near_unit_root_flag():
 def test_prewhiten_min_obs():
     with pytest.raises(InsufficientHistoryError):
         ar1_prewhiten(np.arange(9.0) + 1.0)
+
+
+def scalar_ar1(x):
+    """(residuals, phi, order, near_unit_root) of AR(0)/AR(1) by BIC, AIC
+    breaking ties, one 1-D series at a time in plain float arithmetic."""
+    y, x_lag, n_eff = x[1:], x[:-1], x.size - 1
+    lx = x_lag - x_lag.mean()
+    denom = float(np.sum(lx**2))
+    if denom == 0.0:
+        return x, 0.0, 0, False
+    phi = float(np.sum((y - y.mean()) * lx) / denom)
+    resid1 = y - (y.mean() - phi * x_lag.mean()) - phi * x_lag
+    ic = []
+    for ssr, k in ((float(np.sum((y - y.mean()) ** 2)), 1), (float(np.sum(resid1**2)), 2)):
+        ll = n_eff * np.log(max(ssr / n_eff, np.finfo(float).tiny))
+        ic.append((ll + k * np.log(n_eff), ll + 2 * k))
+    if ic[1] < ic[0]:  # BIC first, then AIC
+        return resid1 + float(x.mean()), phi, 1, abs(phi) >= 1.0
+    return x, 0.0, 0, False
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(("noise", "ar1", "walk", "explosive", "flat", "flat lag")),
+                   min_size=1, max_size=6),
+    n=st.integers(10, 90),
+    scale=st.sampled_from((1e-6, 1.0, 1e6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar1_kernel_block_equals_one_row_calls(kinds, n, scale, seed):
+    """Each row of a block gets the bits of its own ``ar1_prewhiten`` call,
+    and those of the scalar arithmetic."""
+    rng = np.random.default_rng(seed)
+    x = np.empty((len(kinds), n))
+    for i, kind in enumerate(kinds):
+        if kind in ("flat", "flat lag"):  # zero lag variance: phi's 0/0
+            x[i] = rng.normal()
+            x[i, -1] += kind == "flat lag"
+        else:
+            phi = {"noise": 0.0, "ar1": 0.8, "walk": 1.0, "explosive": 1.2}[kind]
+            x[i] = rng.normal(size=n)
+            for t in range(1, n):
+                x[i, t] += phi * x[i, t - 1]
+    x *= scale
+    residuals, phi, order, near_unit_root = _ar1_rows(x)
+    for i in range(len(kinds)):
+        one = ar1_prewhiten(x[i])
+        assert one.offset == one.order == order[i]
+        assert np.isnan(residuals[i, : one.offset]).all()
+        assert_array_equal(residuals[i, one.offset :], one.residuals)
+        assert_array_equal(phi[i], one.phi)
+        assert near_unit_root[i] == one.near_unit_root
+        want = scalar_ar1(x[i])
+        assert_array_equal(one.residuals, want[0])
+        assert (one.phi, one.order, one.near_unit_root) == want[1:]
 
 
 # --- trend fits -------------------------------------------------------------
