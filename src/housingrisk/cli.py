@@ -64,7 +64,6 @@ from .correlations import (
     return_pair_correlations,
 )
 from .errors import ConfigError, HousingRiskError, InsufficientHistoryError
-from .forkmap import fork_map
 from .integration import (
     CHARACTERISTICS,
     CROSS_STATS,
@@ -679,7 +678,10 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
         return list(dict.fromkeys(pairs))
 
     if r.cfg.contagion_menu is not None:
-        return expand(r.cfg.contagion_menu, strict=True)
+        pairs = expand(r.cfg.contagion_menu, strict=True)
+        if not pairs:
+            raise ConfigError("contagion menu resolves to no pair of distinct source and target MSAs")
+        return pairs
     pairs = expand(PRIMARY_CITY_MENU, strict=False)
     if pairs:
         return pairs
@@ -720,23 +722,15 @@ def _interaction_residual(r: _Runner, source_id: str | None):
         return np.empty(0, dtype=int), np.empty(0)
 
 
-# The fewest contagion targets one fit worker is given (see forkmap). On a
-# 2-vCPU host with BLAS on one thread a fork costs about 6 ms, and two
-# workers first beat one at about 80 targets each (160 targets: 74 ms
-# serial, 71 ms split; 320 targets: 143 ms, 108 ms).
-CONTAGION_TARGETS_PER_WORKER = 128
-
-
 @_memoised
 def _contagion_columns(r: _Runner) -> tuple[list[str], list]:
     """Fit every configured source→target pair once: contagion_fits.csv; table5/6 are its views.
 
     The pairs that share a source and an overlap share one design, so each
-    such group is fitted by one ``contagion_fits`` call per variant. This
-    process builds every group's inputs; ``fork_map`` fits the groups, on
-    several CPUs when the menu is large enough. Rows stay in sorted pair
-    order, then base before interacted; a variant whose fit fails is a
-    ``skipped`` row naming the variant and the error.
+    such group is fitted by one ``contagion_fits`` call per variant, as its
+    block of target returns is built. Rows stay in sorted pair order, then
+    base before interacted; a variant whose fit fails is a ``skipped`` row
+    naming the variant and the error.
     """
     n_lags = 3
     header = ["target", "source", "variant", "n", "method", "rho", "r_square", "dw", "const", "const_t"]
@@ -758,30 +752,24 @@ def _contagion_columns(r: _Runner) -> tuple[list[str], list]:
         overlap[at] = max(0, last + 1 - first)
         groups.setdefault((source_id, first, last), []).append(at)
 
-    members, inputs = [], []  # per fitted group: pair positions, (targets, source, residual or None)
+    members, fitted = [], []  # per fitted group: pair positions, [(variant, ContagionFits)]
     for (source_id, first, last), at in groups.items():
         common = np.arange(first, last + 1)
         if common.size < n_lags + 8:
             continue
         s_first, s_vals = r.returns.series(source_id)
+        sv = s_vals[first - s_first.code : last + 1 - s_first.code]
         block = np.empty((len(at), common.size))
         for row, k in enumerate(at):
             t_first, t_vals = r.returns.series(pairs[k][1])
             block[row] = t_vals[first - t_first.code : last + 1 - t_first.code]
         res_codes, res_vals = _interaction_residual(r, source_id if per_source else None)
-        held = set(res_codes.tolist()).issuperset(common.tolist())
-        rv = res_vals[np.searchsorted(res_codes, common)] if held else None
-        members.append(np.array(at))
-        inputs.append((block, s_vals[first - s_first.code : last + 1 - s_first.code], rv))
-
-    def fit(group):
-        block, sv, rv = group
         variants = [("base", contagion_fits(block, sv, None, n_lags, serial))]
-        if rv is not None:
+        if set(res_codes.tolist()).issuperset(common.tolist()):
+            rv = res_vals[np.searchsorted(res_codes, common)]
             variants.append(("interacted", contagion_fits(block, sv, rv, n_lags, serial)))
-        return variants
-
-    fitted = fork_map(fit, inputs, [len(at) for at in members], CONTAGION_TARGETS_PER_WORKER)
+        members.append(np.array(at))
+        fitted.append(variants)
 
     # One row per pair and variant; a pair with no fitted group has one row.
     # Every row starts as a skip for insufficient overlap.

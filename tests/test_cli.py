@@ -651,95 +651,66 @@ def test_a_pair_named_twice_is_fitted_once(tmp_path, capsys):
     assert once.count(b"\n") == 1 + 2 * 3  # the header, then base and interacted for each pair
 
 
-# Four source groups of 2, 1, 3 and 4 targets, including the pairs that
-# the two tests above skip.
-FORK_MENU = dict(SKIP_MENU, S005=["S002", "S006", "S007"], S008=["S001", "S002", "S003", "S006"])
+NO_PAIR = "contagion menu resolves to no pair of distinct source and target MSAs"
 
 
-def force_workers(monkeypatch, n):
-    """Let ``n`` fit workers share any menu; returns the list of forked runs' sizes."""
-    import housingrisk.cli as cli
-    import housingrisk.forkmap as forkmap
-
-    started = []
-    start = forkmap._start
-
-    def counted(fn, chunk, children):
-        started.append(len(chunk))
-        start(fn, chunk, children)
-
-    monkeypatch.setattr(forkmap, "usable_cpus", lambda: n)
-    monkeypatch.setattr(cli, "CONTAGION_TARGETS_PER_WORKER", 1)
-    monkeypatch.setattr(forkmap, "_start", counted)
-    return started
-
-
-@pytest.mark.parametrize("edit", [None, flat_s001, short_s002], ids=["plain", "flat-source", "short-overlap"])
-def test_fit_workers_write_the_same_bytes(tmp_path, capsys, monkeypatch, edit):
-    serial = contagion_csv_bytes(tmp_path, capsys, edit, FORK_MENU)
-    assert (b",skipped," in serial) == (edit is not None)
-    for n in (2, 3):
-        with monkeypatch.context() as mp:
-            started = force_workers(mp, n)
-            assert contagion_csv_bytes(tmp_path, capsys, edit, FORK_MENU) == serial, n
-        assert len(started) == n - 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.mark.parametrize("command", ["contagion", "all"])
+@pytest.mark.parametrize("menu, message", [
+    ({"S001": ["S001"]}, NO_PAIR),
+    ({}, NO_PAIR),
+    ({"S001": ["S002"], "Nowhere": ["S002"]}, "contagion source 'Nowhere' matches no MSA"),
+    ({"S001": ["S002", "Nowhere"]}, "contagion target 'Nowhere' matches no MSA"),
+], ids=["self-pair", "empty", "unknown-source", "unknown-target"])
+def test_a_menu_that_names_no_pair_fails_before_any_write(tmp_path, capsys, command, menu, message):
+    cpath, out = contagion_config(tmp_path, menu=menu)
+    out.mkdir()
+    (out / "old.csv").write_bytes(b"kept\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cpath)]) == 2
+    assert capsys.readouterr().err == f"housingrisk: error: {message}\n"
+    assert [p.name for p in out.iterdir()] == ["old.csv"]
+    assert not list(tmp_path.glob(".plain.*"))
 
 
-def test_a_failing_worker_fails_the_run_like_the_serial_path(tmp_path, capsys, monkeypatch):
+def test_a_failing_fit_fails_the_run_and_writes_nothing(tmp_path, capsys, monkeypatch):
     import housingrisk.cli as cli
     from housingrisk import HousingRiskError
 
     fits = cli.contagion_fits
 
     def failing(targets, *args):
-        if len(targets) == 4:  # only S008's group has four targets
-            raise HousingRiskError("no fit for the four-target group")
+        if len(targets) == 1:  # only S004's group has one target; S001's is fitted first
+            raise HousingRiskError("no fit for the one-target group")
         return fits(targets, *args)
 
     monkeypatch.setattr(cli, "contagion_fits", failing)
-    cpath, out = contagion_config(tmp_path, menu=FORK_MENU)
+    cpath, out = contagion_config(tmp_path)
     out.mkdir()
     (out / "old.csv").write_bytes(b"kept\n")
-    errors = []
-    for n in (1, 2, 3):
-        with monkeypatch.context() as mp:
-            started = force_workers(mp, n)
-            capsys.readouterr()
-            assert main(["contagion", "--config", str(cpath)]) == 2
-            errors.append(capsys.readouterr().err)
-        assert len(started) == n - 1
-        assert [p.name for p in out.iterdir()] == ["old.csv"]
-        assert not list(tmp_path.glob(".plain.*"))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert errors == ["housingrisk: error: no fit for the four-target group\n"] * 3
+    capsys.readouterr()
+    assert main(["contagion", "--config", str(cpath)]) == 2
+    assert capsys.readouterr().err == "housingrisk: error: no fit for the one-target group\n"
+    assert [p.name for p in out.iterdir()] == ["old.csv"]
+    assert not list(tmp_path.glob(".plain.*"))
 
 
-def test_fit_workers_are_fork_safe_with_and_without_blas_threads(tmp_path):
-    # A menu large enough to fork, run once with the BLAS thread pool at its
-    # default size and once pinned to one thread: a fork taken while a pool
-    # is live must neither hang, nor warn, nor change a byte.
+def test_contagion_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # An all-pairs menu of 552 targets, run once with the BLAS thread pool at
+    # its default size and once pinned to one thread: the stacked solves of
+    # 23-target groups must give the same bytes either way.
     import subprocess
     import sys
 
     import housingrisk
-    from housingrisk.cli import CONTAGION_TARGETS_PER_WORKER
-    from housingrisk.forkmap import usable_cpus
 
     ids = [f"S{i:03d}" for i in range(1, 25)]
     menu = {s: [t for t in ids if t != s] for s in ids}
     n_targets = len(ids) * (len(ids) - 1)
-    assert n_targets >= 2 * CONTAGION_TARGETS_PER_WORKER
     rpath, _ = write_scenario(tmp_path, n_msas=len(ids), n_quarters=60)
     cfg = json.loads(rpath.read_text())
     rpath.write_text(json.dumps(dict(cfg, contagion=menu)))
     src = str(Path(housingrisk.__file__).resolve().parent.parent)
-    code = ("import sys, housingrisk.forkmap as fm; started = []; start = fm._start; "
-            "fm._start = lambda *args: (started.append(1), start(*args)); "
-            "from housingrisk.cli import main; status = main(sys.argv[1:]); "
-            "print(len(started)); sys.exit(status)")
+    code = "import sys; from housingrisk.cli import main; sys.exit(main())"
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas}
     env["PYTHONPATH"] = src
@@ -749,7 +720,6 @@ def test_fit_workers_are_fork_safe_with_and_without_blas_threads(tmp_path):
         proc = subprocess.run([sys.executable, "-c", code, "contagion", "--config", str(rpath), "--out", str(out)],
                               env=dict(env, **extra), capture_output=True, text=True, timeout=300)
         assert (proc.returncode, proc.stderr) == (0, ""), name
-        assert int(proc.stdout) == min(usable_cpus(), n_targets // CONTAGION_TARGETS_PER_WORKER) - 1
         outputs.append((out / "contagion_fits.csv").read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].count(b"\n") == 1 + 2 * n_targets
