@@ -299,7 +299,7 @@ def contagion_fits(
         failed.update((int(i), _too_few_for_cochrane_orcutt(n, k)) for i in at)
     elif at.size:
         start = _StackFit(*(a[at] for a in fit[:4]), {})
-        co, rho[at], n_obs[at] = _cochrane_orcutt_stack(Xy[at], names, start)
+        co, rho[at], n_obs[at], _ = _cochrane_orcutt_stack(Xy[at], names, start)
         for a, b in zip(fit[:4], co[:4]):
             a[at] = b
         failed.update((int(at[j]), exc) for j, exc in co.failed.items())

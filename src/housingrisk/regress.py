@@ -8,7 +8,7 @@ fits are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -205,7 +205,7 @@ class _StackFit(NamedTuple):
 
 
 def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True) -> _StackFit:
-    """``_fit_core``'s estimates and diagnostics for every problem and
+    """OLS estimates and ``RegressionFit``'s diagnostics for every problem and
     response of a stack ``[X | Y]`` of shape (s, n, k + m), where X has the
     k columns ``names`` labels, from one ``_solve_stacked``. Without
     ``diagnostics`` only beta and R-square are computed, and ``se`` and
@@ -235,32 +235,50 @@ def _t_stats(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
     return t
 
 
-def _fit_core(X, y, names, method, rho) -> RegressionFit:
-    """Fit without the public df guard (needs only n >= k + 1)."""
-    n, k = X.shape
-    if n < k + 1:
-        raise DegreesOfFreedomError(
-            f"need at least {k + 1} observations for {k} regressors, got {n}"
-        )
-    beta, resid, xtx_inv_diag = _solve_ls(X, y, names)
-    ssr = float(np.sum(resid**2))
-    sigma2 = ssr / (n - k)
-    se = np.sqrt(np.maximum(sigma2 * xtx_inv_diag, 0.0))
-    sst = float(np.sum((y - y.mean()) ** 2))
-    r2 = 0.0 if sst == 0.0 else 1.0 - ssr / sst  # a constant response has R-square 0
-    dw = float(np.sum(np.diff(resid) ** 2) / ssr) if ssr > 0 else float("nan")
-    return RegressionFit(
-        names=names,
-        coefficients=beta,
-        standard_errors=se,
-        t_stats=_t_stats(beta, se),
-        r_square=r2,
-        residuals=resid,
-        n_obs=n,
-        durbin_watson=dw,
-        method=method,
-        rho=rho,
-    )
+def _quasi_difference_stack(Xy: np.ndarray, names: tuple[str, ...], rho: np.ndarray) -> _StackFit:
+    """``_fit_stack`` of each problem of ``Xy`` on its rows quasi-differenced
+    by its ``rho``, z_t - rho z_{t-1}, with the first column (the intercept)
+    reset to ones. The intercept and its standard error are then rescaled to
+    the original scale by 1 / (1 - rho)."""
+    Xys = Xy[:, 1:, :] - rho[:, None, None] * Xy[:, :-1, :]
+    Xys[:, :, 0] = 1.0
+    fit = _fit_stack(Xys, names).single()
+    scale = 1.0 / (1.0 - rho)
+    fit.beta[:, 0] *= scale
+    fit.se[:, 0] *= np.abs(scale)
+    return fit
+
+
+def _regression_fit(Xy, names, fit: _StackFit, i: int, method: str = "ols", rho=None,
+                    differenced_by=None) -> RegressionFit:
+    """Problem i of ``fit``, a fit of the stack ``Xy``, as a RegressionFit.
+
+    Its residuals are those of the regression fitted: y - X beta, or for a
+    fit on rows quasi-differenced by ``differenced_by``, e_t - rho e_{t-1}
+    of those original-scale residuals e, which is the transformed residual.
+    """
+    resid = Xy[i, :, -1] - Xy[i, :, :-1] @ fit.beta[i]
+    if differenced_by is not None:
+        resid = resid[1:] - differenced_by * resid[:-1]
+    beta, se = fit.beta[i].copy(), fit.se[i].copy()
+    return RegressionFit(names, beta, se, _t_stats(beta, se), float(fit.r_square[i]), resid,
+                         resid.size, float(fit.durbin_watson[i]), method, rho)
+
+
+def _one_problem(X, y, names) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The one-problem stack ``[X | y]``, shape (1, n, k + 1), and the names
+    of X's k columns (x0, x1, ... by default)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (n, k) and y (n,)")
+    names = tuple(f"x{j}" for j in range(X.shape[1])) if names is None else tuple(names)
+    if len(names) != X.shape[1]:
+        raise ValueError("names must match the number of columns")
+    Xy = np.column_stack([X, y])[None]
+    if not np.isfinite(Xy).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return Xy, names
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
@@ -268,22 +286,16 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
     """Classical OLS on a design matrix that already includes its intercept.
 
     Requires n >= k + 2 so the error-variance estimate has at least two
-    degrees of freedom.
+    degrees of freedom. This is ``_fit_stack`` of one problem.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, k) and y (n,)")
-    n, k = X.shape
+    Xy, names = _one_problem(X, y, names)
+    n, k = Xy.shape[1], len(names)
     if n < k + 2:
         raise _too_few_for_ols(n, k)
-    if names is None:
-        names = tuple(f"x{j}" for j in range(k))
-    else:
-        names = tuple(names)
-        if len(names) != k:
-            raise ValueError("names must match the number of columns")
-    return _fit_core(X, y, names, method, rho)
+    fit = _fit_stack(Xy, names).single()
+    if fit.failed:
+        raise fit.failed[0]
+    return _regression_fit(Xy, names, fit, 0, method, rho)
 
 
 def durbin_watson(residuals: np.ndarray) -> float:
@@ -295,32 +307,6 @@ def durbin_watson(residuals: np.ndarray) -> float:
     if denom == 0.0:
         raise UndefinedStatisticError("Durbin-Watson undefined for all-zero residuals")
     return float(np.sum(np.diff(e) ** 2) / denom)
-
-
-def _rho_estimate(resid: np.ndarray) -> float:
-    """Lag-1 serial-correlation estimate sum(e_t e_{t-1}) / sum(e_{t-1}^2)."""
-    denom = float(np.sum(resid[:-1] ** 2))
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum(resid[1:] * resid[:-1]) / denom)
-
-
-def _quasi_difference_fit(X, y, rho, names) -> RegressionFit:
-    """Fit on rho-differenced data, reporting original-scale coefficients.
-
-    The transformed intercept column is replaced by ones; the estimated
-    intercept and its standard error are rescaled by 1/(1-rho) afterwards.
-    """
-    ys = y[1:] - rho * y[:-1]
-    Xs = X[1:, :] - rho * X[:-1, :]
-    Xs[:, 0] = 1.0
-    fit = ols_fit(Xs, ys, names=names, method="cochrane_orcutt", rho=rho)
-    scale = 1.0 / (1.0 - rho)
-    coef = fit.coefficients.copy()
-    se = fit.standard_errors.copy()
-    coef[0] *= scale
-    se[0] *= abs(scale)
-    return replace(fit, coefficients=coef, standard_errors=se, t_stats=_t_stats(coef, se))
 
 
 def cochrane_orcutt(
@@ -337,38 +323,28 @@ def cochrane_orcutt(
     residuals, quasi-differencing until |delta rho| < tol. The returned fit
     is the one estimated under the converged rho; when rho converges at the
     first pass (negligible serial correlation) that is plain OLS on all rows.
+    Its residuals are those of the quasi-differenced regression.
 
-    ``fixed_rho`` skips the iteration and fits the transformation once.
+    ``fixed_rho`` skips the iteration and fits the transformation once. This
+    is ``_cochrane_orcutt_stack`` (or ``_quasi_difference_stack``) of one
+    problem.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, k = X.shape
+    Xy, names = _one_problem(X, y, names)
+    n, k = Xy.shape[1], len(names)
     if n < k + 3:
         raise _too_few_for_cochrane_orcutt(n, k)
-    if names is None:
-        names = tuple(f"x{j}" for j in range(k))
-    else:
-        names = tuple(names)
-
     if fixed_rho is not None:
         if abs(fixed_rho) >= 1.0:
             raise NonStationaryError(f"|rho| >= 1: {fixed_rho}")
-        return _quasi_difference_fit(X, y, fixed_rho, names)
-
-    rho_prev = 0.0
-    fit = ols_fit(X, y, names=names, method="cochrane_orcutt", rho=0.0)
-    last_rho = 0.0
-    for _ in range(max_iter):
-        resid_orig = y - X @ fit.coefficients
-        rho_new = _rho_estimate(resid_orig)
-        if abs(rho_new) >= 1.0:
-            raise _rho_left_unit_interval(rho_new)
-        last_rho = rho_new
-        if abs(rho_new - rho_prev) < tol:
-            return replace(fit, rho=rho_new)
-        fit = _quasi_difference_fit(X, y, rho_new, names)
-        rho_prev = rho_new
-    raise _rho_did_not_converge(max_iter, last_rho, fit)
+        fit = _quasi_difference_stack(Xy, names, np.array([float(fixed_rho)]))
+        rho, differenced_by = fixed_rho, fixed_rho
+    else:
+        start = _fit_stack(Xy, names).single()
+        fit, rhos, n_obs, rho_fitted = _cochrane_orcutt_stack(Xy, names, start, tol, max_iter)
+        rho, differenced_by = float(rhos[0]), rho_fitted[0] if n_obs[0] < n else None
+    if fit.failed:
+        raise fit.failed[0]
+    return _regression_fit(Xy, names, fit, 0, "cochrane_orcutt", rho, differenced_by)
 
 
 def _too_few_for_ols(n: int, k: int) -> DegreesOfFreedomError:
@@ -402,27 +378,30 @@ def _cochrane_orcutt_stack(
     start: _StackFit,
     tol: float = 1e-6,
     max_iter: int = 50,
-) -> tuple[_StackFit, np.ndarray, np.ndarray]:
+) -> tuple[_StackFit, np.ndarray, np.ndarray, np.ndarray]:
     """``cochrane_orcutt`` for a stack of problems ``[X | y]``, in lockstep.
 
     ``start`` is the stack's OLS fit (``_fit_stack(Xy, names).single()``),
-    which is also the first iterate, as in ``cochrane_orcutt``. Each round
-    takes the rho estimate of every problem still iterating and fits all their
-    quasi-differenced problems in one stacked solve. A problem leaves the
-    round when its rho converges (|delta rho| < tol), when rho leaves the
-    unit interval, when its quasi-differenced design is rank deficient, or
-    after ``max_iter`` rounds; the last three fail with the same exception
-    message as ``cochrane_orcutt``. As there, the first column of X is the
-    intercept; the caller checks n >= k + 3.
+    which is also the first iterate. Each round takes the lag-1 rho estimate
+    of every problem still iterating, from its original-scale residuals, and
+    fits all their quasi-differenced problems in one
+    ``_quasi_difference_stack``. A problem leaves the round when its rho
+    converges (|delta rho| < tol), keeping its previous iterate; when rho
+    leaves the unit interval; when its quasi-differenced design is rank
+    deficient; or after ``max_iter`` rounds, with a ``ConvergenceError``
+    that carries its last iterate. The first column of X is the intercept;
+    the caller checks n >= k + 3.
 
-    Returns (fit, rho, n_obs) with one row per problem.
+    Returns (fit, rho, n_obs, rho_fitted) with one row per problem: rho is
+    the last estimate, and rho_fitted the rho the fit's rows were
+    quasi-differenced by (0 for the OLS start, whose n_obs is n).
     """
     n, k = Xy.shape[1], Xy.shape[2] - 1
     X, y = Xy[:, :, :k], Xy[:, :, k]
     beta, se, r2, dw = (a.copy() for a in start[:4])
     failed = dict(start.failed)
     rho = np.zeros(len(Xy))
-    rho_prev = np.zeros(len(Xy))
+    rho_fitted = np.zeros(len(Xy))
     n_obs = np.full(len(Xy), n)
     live = np.ones(len(Xy), dtype=bool)
     live[list(failed)] = False
@@ -438,29 +417,26 @@ def _cochrane_orcutt_stack(
         live[at] = False
         for i in at[np.abs(rho_new) >= 1.0]:
             failed[int(i)] = _rho_left_unit_interval(rho[i])
-        go = at[(np.abs(rho_new) < 1.0) & ~(np.abs(rho_new - rho_prev[at]) < tol)]
+        go = at[(np.abs(rho_new) < 1.0) & ~(np.abs(rho_new - rho_fitted[at]) < tol)]
         if not go.size:
             continue
-        r = rho[go]
-        Xys = Xy[go, 1:, :] - r[:, None, None] * Xy[go, :-1, :]
-        Xys[:, :, 0] = 1.0
-        fit = _fit_stack(Xys, names).single()
-        scale = 1.0 / (1.0 - r)
-        fit.beta[:, 0] *= scale
-        fit.se[:, 0] *= np.abs(scale)
+        fit = _quasi_difference_stack(Xy[go], names, rho[go])
         beta[go], se[go], r2[go], dw[go] = fit.beta, fit.se, fit.r_square, fit.durbin_watson
         n_obs[go] = n - 1
-        rho_prev[go] = r
+        rho_fitted[go] = rho[go]
         live[go] = True
         for j, exc in fit.failed.items():
             failed[int(go[j])] = exc
             live[go[j]] = False
+    out = _StackFit(beta, se, r2, dw, failed)
     for i in np.flatnonzero(live):
-        failed[int(i)] = _rho_did_not_converge(max_iter, float(rho[i]))
+        last = _regression_fit(Xy, names, out, i, "cochrane_orcutt", float(rho_fitted[i]),
+                               rho_fitted[i] if n_obs[i] < n else None)
+        failed[int(i)] = _rho_did_not_converge(max_iter, float(rho[i]), last)
     rows = list(failed)
     for a in (beta, se, r2, dw, rho):
         a[rows] = np.nan
-    return _StackFit(beta, se, r2, dw, failed), rho, n_obs
+    return out, rho, n_obs, rho_fitted
 
 
 @dataclass(frozen=True)

@@ -651,6 +651,21 @@ def test_a_pair_named_twice_is_fitted_once(tmp_path, capsys):
     assert once.count(b"\n") == 1 + 2 * 3  # the header, then base and interacted for each pair
 
 
+@pytest.mark.parametrize("command", ["contagion", "all"])
+def test_a_one_msa_panel_writes_a_header_only_contagion_table(tmp_path, capsys, command):
+    # The default menu needs a second MSA, so there is no contagion pair to
+    # fit; only the lead pair of the MSA with itself is correlated.
+    rpath, out = write_scenario(tmp_path, n_msas=1, n_quarters=40, n_factors=1, jumps=[], contagion=[])
+    assert main([command, "--config", str(rpath)]) == 0
+    views = ["table5.csv", "table6.csv"] if command == "all" else []
+    for name in ["contagion_fits.csv"] + views:
+        assert (out / name).read_bytes().count(b"\n") == 1, name
+    if command == "all":
+        assert {p.name for p in out.iterdir()} == EXPECTED_ALL
+        rows = list(csv.reader(io.StringIO((out / "pair_correlations.csv").read_text())))
+        assert [r[:4] for r in rows[1:]] == [["S001", "S001", "return", "lead"]]
+
+
 NO_PAIR = "contagion menu resolves to no pair of distinct source and target MSAs"
 
 
@@ -816,6 +831,19 @@ def test_cli_import_leaves_scipy_signal_out():
             "sys.exit(any(m in sys.modules for m in ('scipy.signal', 'scipy.linalg')))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py replaces names in the cli, integration, contagion
+    # and regress modules; one that is gone makes a traced benchmark run die.
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

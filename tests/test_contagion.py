@@ -24,7 +24,8 @@ from housingrisk.contagion import (
     dw_bounds,
     dw_rejects,
 )
-from housingrisk.regress import cochrane_orcutt, ols_fit
+
+from .oracles import cochrane_orcutt, ols_fit
 
 
 def ar1(rng, n, rho, sigma=1.0):

@@ -23,8 +23,9 @@ from housingrisk import (
     rolling_factor_model,
 )
 from housingrisk.integration import CHARACTERISTICS, CROSS_STATS, MIN_SUMMARY_WINDOWS
-from housingrisk.regress import _solve_ls, add_intercept, ar1_prewhiten, ols_fit
+from housingrisk.regress import _solve_ls, add_intercept, ar1_prewhiten
 from .conftest import Q0, factor_table, panel_from_returns
+from .oracles import ols_fit
 
 
 def aligned(y, F, msa_id="A"):

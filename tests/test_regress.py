@@ -2,7 +2,9 @@
 
 Oracle policy: coefficient paths are checked against explicit normal-equation
 solves done inline with plain numpy, never against the implementation's own
-solver; iterative-procedure targets come from seeded Monte Carlo.
+solver; iterative-procedure targets come from seeded Monte Carlo. The public
+one-problem calls are also checked against the scalar estimators of
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from housingrisk import (
     ConvergenceError,
     DegreesOfFreedomError,
+    HousingRiskError,
     InsufficientHistoryError,
     NonStationaryError,
     SingularDesignError,
@@ -26,7 +29,9 @@ from housingrisk import (
     ols_fit,
     trend_fit,
 )
-from housingrisk.regress import _ar1_rows, _fit_core
+from housingrisk.regress import _ar1_rows
+
+from . import oracles
 
 
 def normal_equations(X, y):
@@ -215,6 +220,75 @@ def test_co_needs_one_extra_row(rng):
         cochrane_orcutt(X, rng.normal(size=4))
 
 
+def outcome(fit, *args, **kwargs):
+    """(result, None) or (None, the HousingRiskError raised)."""
+    try:
+        return fit(*args, **kwargs), None
+    except HousingRiskError as exc:
+        return None, exc
+
+
+def assert_same_fit(fit, ref):
+    assert (fit.names, fit.method, fit.n_obs) == (ref.names, ref.method, ref.n_obs)
+    for field in ("coefficients", "standard_errors", "t_stats", "durbin_watson"):
+        assert_allclose(getattr(fit, field), getattr(ref, field), rtol=1e-9)
+    # An intercept-only fit has R-square 0 up to rounding.
+    assert_allclose(fit.r_square, ref.r_square, rtol=1e-9, atol=1e-12)
+    assert (fit.rho is None) == (ref.rho is None)
+    if ref.rho is not None:
+        assert_allclose(fit.rho, ref.rho, rtol=1e-9)
+    scale = np.max(np.abs(ref.residuals))
+    assert_allclose(fit.residuals, ref.residuals, rtol=1e-9, atol=1e-9 * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    extra_rows=st.sampled_from([1, 2, 3, 4, 8, 30, 100]),
+    phi=st.sampled_from([0.0, 0.3, 0.9, 0.99, -0.6]),
+    collinear=st.sampled_from([False] * 9 + [True]),
+    fixed_rho=st.sampled_from([None] * 4 + [0.0, 0.5, -0.95, 1.0, -1.5]),
+    max_iter=st.sampled_from([0, 1, 50]),
+)
+def test_public_fits_equal_the_scalar_oracles(seed, k, extra_rows, phi, collinear, fixed_rho, max_iter):
+    # n = k + 1 fails both calls, n = k + 2 fails only Cochrane-Orcutt.
+    rng = np.random.default_rng(seed)
+    n = k + extra_rows
+    X = add_intercept(rng.normal(size=(n, k - 1)))
+    if collinear and k > 1:
+        X[:, -1] = 2.0 * X[:, 1] if k > 2 else 3.0
+    y = X @ rng.normal(size=k) + ar1_noise(rng, n, phi)
+    kwargs = {"fixed_rho": fixed_rho, "max_iter": max_iter}
+    for public, oracle, options in ((ols_fit, oracles.ols_fit, {}),
+                                    (cochrane_orcutt, oracles.cochrane_orcutt, kwargs)):
+        fit, exc = outcome(public, X, y, **options)
+        ref, ref_exc = outcome(oracle, X, y, **options)
+        if ref_exc is None:
+            assert exc is None
+            assert_same_fit(fit, ref)
+            continue
+        assert type(exc) is type(ref_exc)
+        assert str(exc) == str(ref_exc)
+        if isinstance(ref_exc, ConvergenceError):
+            assert_allclose(exc.last_rho, ref_exc.last_rho, rtol=1e-9)
+            assert_same_fit(exc.last_fit, ref_exc.last_fit)
+
+
+@pytest.mark.parametrize("fit", [ols_fit, cochrane_orcutt])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["X", "y"])
+def test_public_fits_reject_a_non_finite_input(rng, fit, bad, where):
+    X = add_intercept(rng.normal(size=(20, 2)))
+    y = rng.normal(size=20)
+    if where == "X":
+        X[5, 1] = bad
+    else:
+        y[5] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        fit(X, y)
+
+
 # --- AR(1) pre-whitening ----------------------------------------------------
 
 def test_prewhiten_white_noise_prefers_lag0():
@@ -369,7 +443,7 @@ SERIES = st.one_of(
 def test_trend_equals_the_pivoted_qr_fit_bit_for_bit(values):
     y = np.array(values)
     X = np.column_stack([np.ones(y.size), np.arange(y.size, dtype=float)])
-    ref = _fit_core(X, y, ("const", "t"), "ols", None)
+    ref = oracles._fit_core(X, y, ("const", "t"), "ols", None)
     fit = trend_fit(y)
     assert (fit.intercept, fit.slope) == tuple(ref.coefficients)
     assert fit.slope_t_stat == ref.t_stats[1] or (np.isnan(fit.slope_t_stat) and np.isnan(ref.t_stats[1]))
