@@ -12,9 +12,16 @@ place that knows how a JSON value is checked and read, for the config,
 scenario and transforms files alike; a scenario file, like the config,
 rejects unknown keys.
 
+``ARTIFACTS`` is the one place a CSV artifact is declared: its file name,
+the command that writes it and the builder of its header and columns. A
+command writes its entries, ``all`` every entry, in table order; ``synth``
+writes the generated inputs instead. A report table or figure that shows
+an analysis artifact again calls that artifact's builder, so both show one
+result.
+
 A run validates its config before it reads any input. It writes every
 artifact into a private stage directory beside the output directory and
-moves them into the output directory only after every step has returned,
+moves them into the output directory only after the last one is written,
 run_manifest.json last, so a run that fails leaves the output directory as
 it was. The manifest records the resolved-config hash and the SHA-256 of
 every input and output, with no timestamps, so identical runs are
@@ -324,7 +331,7 @@ class _Runner:
     """Holds loaded inputs, the results computed from them and the output bookkeeping.
 
     Every analysis result is ``_memoised``: the first artifact that needs it
-    computes it, and every other artifact is a view of the same result.
+    computes it, and every other artifact that needs it reads the same result.
     """
 
     def __init__(self, cfg: RunConfig, stage: Path):
@@ -450,13 +457,13 @@ class _Runner:
         write_json_atomic(self.stage / "run_manifest.json", manifest)
 
 
-# -- derived tables ------------------------------------------------------
+# -- the artifacts -------------------------------------------------------
 #
-# Column builders shared by a command's artifact and its report view. A
-# table is a list of columns (see io.write_csv_atomic).
+# A builder returns one CSV artifact as (header, columns), as
+# io.write_csv_atomic takes them; a table is a list of columns. ``_x``
+# builds ``x.csv``. A builder that a view reads is ``_memoised``, so the
+# view and its source share one result.
 
-SUMMARY_HEADER = ["kind", "timing", "threshold", "n", "mean", "sigma", "t_stat", "max", "min"]
-DIVISION_HEADER = ["division", "kind", "timing", "n", "n_significant", "pct_significant", "mean_r"]
 FIG_HEADER = ["series", "quarter", "value"]
 MSA_HEADER = ["msa_id"] + list(CHARACTERISTICS) + [f"rank_{c}" for c in CHARACTERISTICS]
 
@@ -476,84 +483,41 @@ def _long(named_series) -> list:
     ]
 
 
-def _fields(records, cls) -> list[list]:
-    """One column per field of dataclass ``cls`` over ``records``."""
-    return [[getattr(rec, f.name) for rec in records] for f in dataclasses.fields(cls)]
+def _fields(records, cls) -> tuple[list[str], list[list]]:
+    """The field names of dataclass ``cls`` and one column per field over ``records``."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return names, [[getattr(rec, name) for rec in records] for name in names]
 
 
-@_memoised
-def _cohort_columns(r: _Runner) -> list:
-    """(cohort, quarter, average R²): cohort_averages.csv and fig2.csv."""
-    integ = r.integration()
-    return _long([
-        (name, *cohort_average(integ, members, start))
-        for name, members, start in _cohort_plan(r, integ)
-    ])
-
-
-@_memoised
-def _incidence_columns(r: _Runner) -> list:
-    """(cohort, quarter, pct, n_flagged, n_testable): jump_incidence.csv; fig4 is the first three."""
-    jumps = r.jumps()
-    parts = []
-    for cohort, members in r.ca_cohorts().items():
-        wanted = set(members)
-        columns = np.flatnonzero([msa_id in wanted for msa_id in jumps.ids])
-        if columns.size:
-            parts.append((cohort, *jump_incidence(jumps, columns, flag="big")))
-    names, codes, pct, flagged, testable = zip(*parts)  # every run has the us cohort
-    return _long(zip(names, codes, pct)) + [_concat(flagged, int), _concat(testable, int)]
-
-
-@_memoised
-def _correlation_tables(r: _Runner) -> tuple[list, list]:
-    """(summary columns, division columns) over the four pair sets."""
-    sets = r.pair_sets()
-    summaries = [s for pairs in sets if pairs for s in correlation_summary(pairs)]
-    summary_columns = [["none" if v is None else v for v in column]
-                       for column in _fields(summaries, CorrelationSummary)]
-    states = {m.msa_id: m.state for m in r.panel.msas if m.state}
-    divisions = cohort_correlation_report(sets, states, r.cfg.pair_sig_t)
-    return summary_columns, _fields(divisions, DivisionRow)
-
-
-# -- command implementations ---------------------------------------------
-
-
-def _cmd_ingest(r: _Runner) -> None:
+def _panel_summary(r: _Runner):
     p = r.panel
-    r.write_csv(
-        "panel_summary.csv",
-        ["msa_id", "msa_name", "state", "first_quarter", "last_quarter", "n_obs"],
-        [
-            p.msa_ids(),
-            [m.name for m in p.msas],
-            [m.state for m in p.msas],
-            quarter_labels(p.start.code + p.first_offsets),
-            quarter_labels(np.full(p.n_msas, p.end.code)),
-            p.n_quarters - p.first_offsets,
-        ],
-    )
+    return ["msa_id", "msa_name", "state", "first_quarter", "last_quarter", "n_obs"], [
+        p.msa_ids(),
+        [m.name for m in p.msas],
+        [m.state for m in p.msas],
+        quarter_labels(p.start.code + p.first_offsets),
+        quarter_labels(np.full(p.n_msas, p.end.code)),
+        p.n_quarters - p.first_offsets,
+    ]
 
 
-def _cmd_integrate(r: _Runner) -> None:
+def _integration_series(r: _Runner):
     result = r.integration()
     # Each MSA's windows from its first on, MSA by MSA.
     present = np.arange(len(result.ends)) >= result.first[:, None]
     msa, s = np.nonzero(present)
-    r.write_csv(
-        "integration_series.csv",
-        ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in result.names],
-        [
-            Labels(msa, result.ids),
-            quarter_labels(result.ends[s]),
-            result.r_square[present],
-            *result.beta[present].T,
-        ],
-    )
+    return ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in result.names], [
+        Labels(msa, result.ids),
+        quarter_labels(result.ends[s]),
+        result.r_square[present],
+        *result.beta[present].T,
+    ]
 
+
+def _integration_summary(r: _Runner):
     summary = r.summary()
-    notes = summary.excluded + result.skipped
+    skipped = r.integration().skipped
+    notes = summary.excluded + skipped
 
     def blank(n_rows):
         return np.full((n_rows, len(CHARACTERISTICS)), np.nan)
@@ -565,16 +529,23 @@ def _cmd_integrate(r: _Runner) -> None:
         [summary.quintile_minima, blank(5)],
         [blank(len(notes)), blank(len(notes))],
     ])
-    r.write_csv("integration_summary.csv", ["row_type", "key"] + MSA_HEADER[1:] + ["note"], [
+    return ["row_type", "key"] + MSA_HEADER[1:] + ["note"], [
         Labels.repeat(["msa", "cross", "quintile_min", "excluded", "skipped"],
-                      [summary.n, len(CROSS_STATS), 5, len(summary.excluded), len(result.skipped)]),
+                      [summary.n, len(CROSS_STATS), 5, len(summary.excluded), len(skipped)]),
         [*summary.ids, *CROSS_STATS, "q1", "q2", "q3", "q4", "q5", *(msa_id for msa_id, _ in notes)],
         *numbers.T,
         [""] * (len(numbers) - len(notes)) + [reason for _, reason in notes],
-    ])
+    ]
 
-    # Cohort averages: entry-time cohorts plus the CA coastal/inland split.
-    r.write_csv("cohort_averages.csv", ["cohort", "quarter", "avg_r_square"], _cohort_columns(r))
+
+@_memoised
+def _cohort_averages(r: _Runner):
+    """Entry-time cohorts plus the CA coastal/inland split: (cohort, quarter, average R²)."""
+    integ = r.integration()
+    return ["cohort", "quarter", "avg_r_square"], _long([
+        (name, *cohort_average(integ, members, start))
+        for name, members, start in _cohort_plan(r, integ)
+    ])
 
 
 def _cohort_plan(r: _Runner, integ):
@@ -603,49 +574,60 @@ def _cohort_plan(r: _Runner, integ):
     return plan
 
 
-def _cmd_jumps(r: _Runner) -> None:
+def _jump_series(r: _Runner):
     jumps = r.jumps()
     # Each MSA's quarters from its first return on, MSA by MSA.
     present = np.arange(len(jumps.L)) >= jumps.first_offsets[:, None]
     msa, t = np.nonzero(present)
-    r.write_csv(
-        "jump_series.csv",
-        ["msa_id", "quarter", "L", "L_scaled", "jump_flag", "big_flag", "testable"],
-        [
-            Labels(msa, jumps.ids),
-            quarter_labels(jumps.start.code + t),
-            *(a.T[present] for a in (jumps.L, jumps.L_scaled, jumps.jump_flag,
-                                     jumps.big_flag, jumps.testable)),
-        ],
-    )
-    r.write_csv(
-        "jump_incidence.csv",
-        ["cohort", "quarter", "pct", "n_flagged", "n_testable"],
-        _incidence_columns(r),
-    )
+    return ["msa_id", "quarter", "L", "L_scaled", "jump_flag", "big_flag", "testable"], [
+        Labels(msa, jumps.ids),
+        quarter_labels(jumps.start.code + t),
+        *(a.T[present] for a in (jumps.L, jumps.L_scaled, jumps.jump_flag, jumps.big_flag, jumps.testable)),
+    ]
 
 
-def _cmd_correlate(r: _Runner) -> None:
+@_memoised
+def _jump_incidence(r: _Runner):
+    """(cohort, quarter, pct, n_flagged, n_testable) of big flags per CA cohort."""
+    jumps = r.jumps()
+    parts = []
+    for cohort, members in r.ca_cohorts().items():
+        wanted = set(members)
+        columns = np.flatnonzero([msa_id in wanted for msa_id in jumps.ids])
+        if columns.size:
+            parts.append((cohort, *jump_incidence(jumps, columns, flag="big")))
+    names, codes, pct, flagged, testable = zip(*parts)  # every run has the us cohort
+    return ["cohort", "quarter", "pct", "n_flagged", "n_testable"], (
+        _long(zip(names, codes, pct)) + [_concat(flagged, int), _concat(testable, int)])
+
+
+def _pair_correlations(r: _Runner):
     sets = r.pair_sets()
     ids = [msa_id for p in sets for msa_id in p.ids]  # each set's ids, one after another
     offsets = np.cumsum([0] + [len(p.ids) for p in sets[:-1]])
     counts = [len(p) for p in sets]
-    r.write_csv(
-        "pair_correlations.csv",
-        ["msa_i", "msa_j", "kind", "timing", "r", "n", "t"],
-        [
-            Labels(_concat([p.i + off for p, off in zip(sets, offsets)], int), ids),
-            Labels(_concat([p.j + off for p, off in zip(sets, offsets)], int), ids),
-            Labels.repeat([p.kind for p in sets], counts),
-            Labels.repeat([p.timing for p in sets], counts),
-            _concat([p.r for p in sets], float),
-            _concat([p.n for p in sets], int),
-            _concat([p.t for p in sets], float),
-        ],
-    )
-    summary_columns, division_columns = _correlation_tables(r)
-    r.write_csv("correlation_summary.csv", SUMMARY_HEADER, summary_columns)
-    r.write_csv("division_report.csv", DIVISION_HEADER, division_columns)
+    return ["msa_i", "msa_j", "kind", "timing", "r", "n", "t"], [
+        Labels(_concat([p.i + off for p, off in zip(sets, offsets)], int), ids),
+        Labels(_concat([p.j + off for p, off in zip(sets, offsets)], int), ids),
+        Labels.repeat([p.kind for p in sets], counts),
+        Labels.repeat([p.timing for p in sets], counts),
+        _concat([p.r for p in sets], float),
+        _concat([p.n for p in sets], int),
+        _concat([p.t for p in sets], float),
+    ]
+
+
+@_memoised
+def _correlation_summary(r: _Runner):
+    summaries = [s for pairs in r.pair_sets() if pairs for s in correlation_summary(pairs)]
+    header, columns = _fields(summaries, CorrelationSummary)
+    return header, [["none" if v is None else v for v in column] for column in columns]
+
+
+@_memoised
+def _division_report(r: _Runner):
+    states = {m.msa_id: m.state for m in r.panel.msas if m.state}
+    return _fields(cohort_correlation_report(r.pair_sets(), states, r.cfg.pair_sig_t), DivisionRow)
 
 
 def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
@@ -723,8 +705,8 @@ def _interaction_residual(r: _Runner, source_id: str | None):
 
 
 @_memoised
-def _contagion_columns(r: _Runner) -> tuple[list[str], list]:
-    """Fit every configured source→target pair once: contagion_fits.csv; table5/6 are its views.
+def _contagion_fits(r: _Runner):
+    """Fit every configured source→target pair once.
 
     The pairs that share a source and an overlap share one design, so each
     such group is fitted by one ``contagion_fits`` call per variant, as its
@@ -805,8 +787,12 @@ def _contagion_columns(r: _Runner) -> tuple[list[str], list]:
     ]
 
 
-def _cmd_contagion(r: _Runner) -> None:
-    r.write_csv("contagion_fits.csv", *_contagion_columns(r))
+def _contagion_variant(r: _Runner, variant: str):
+    """contagion_fits.csv's ``variant`` rows without the variant column; a base fit has no ix_ columns."""
+    header, columns = _contagion_fits(r)
+    rows = np.flatnonzero(columns[2] == variant)
+    keep = [k for k, h in enumerate(header) if h != "variant" and not (variant == "base" and h.startswith("ix_"))]
+    return [header[k] for k in keep], [columns[k][rows] for k in keep]
 
 
 def _portfolio_members(r: _Runner, name: str, spec: dict) -> list[str]:
@@ -845,11 +831,7 @@ def _portfolios(r: _Runner) -> list[tuple]:
     return out
 
 
-def _cmd_portfolio(r: _Runner) -> None:
-    ranges = [("full", None, None)] + [
-        (rng_name, parse_quarter(lo), parse_quarter(hi))
-        for rng_name, (lo, hi) in sorted(r.cfg.sub_ranges.items())
-    ]
+def _portfolio_series(r: _Runner):
     portfolios = _portfolios(r)
 
     def on_return_quarters(column):
@@ -857,21 +839,23 @@ def _cmd_portfolio(r: _Runner) -> None:
         return _concat([np.concatenate([np.full(ps.returns.size - ps.sigma_codes.size, np.nan),
                                         getattr(ps, column)]) for _, ps, _ in portfolios], float)
 
-    r.write_csv(
-        "portfolio_series.csv",
-        ["portfolio", "quarter", "port_return", "port_sigma", "avg_member_sigma", "diversification"],
-        [
-            Labels.repeat([name for name, _, _ in portfolios], [ps.returns.size for _, ps, _ in portfolios]),
-            quarter_labels(_concat([ps.return_codes for _, ps, _ in portfolios], int)),
-            _concat([ps.returns for _, ps, _ in portfolios], float),
-            on_return_quarters("portfolio_sigma"),
-            on_return_quarters("avg_member_sigma"),
-            on_return_quarters("diversification"),
-        ],
-    )
+    return ["portfolio", "quarter", "port_return", "port_sigma", "avg_member_sigma", "diversification"], [
+        Labels.repeat([name for name, _, _ in portfolios], [ps.returns.size for _, ps, _ in portfolios]),
+        quarter_labels(_concat([ps.return_codes for _, ps, _ in portfolios], int)),
+        _concat([ps.returns for _, ps, _ in portfolios], float),
+        on_return_quarters("portfolio_sigma"),
+        on_return_quarters("avg_member_sigma"),
+        on_return_quarters("diversification"),
+    ]
 
+
+def _series_correlations(r: _Runner):
+    ranges = [("full", None, None)] + [
+        (rng_name, parse_quarter(lo), parse_quarter(hi))
+        for rng_name, (lo, hi) in sorted(r.cfg.sub_ranges.items())
+    ]
     correlations = [[] for _ in range(6)]
-    for name, ps, avg_r2 in portfolios:
+    for name, ps, avg_r2 in _portfolios(r):
         if avg_r2 is None:
             continue
         for rng_name, lo, hi in ranges:
@@ -887,11 +871,7 @@ def _cmd_portfolio(r: _Runner) -> None:
                     continue
                 for column, value in zip(correlations, (name, "integration", series_b, rng_name, rho, n)):
                     column.append(value)
-    r.write_csv(
-        "series_correlations.csv",
-        ["portfolio", "series_a", "series_b", "range", "r", "n"],
-        correlations,
-    )
+    return ["portfolio", "series_a", "series_b", "range", "r", "n"], correlations
 
 
 def _cmd_synth(r: _Runner) -> None:
@@ -927,79 +907,91 @@ def _cmd_synth(r: _Runner) -> None:
     cfg.transforms = str(r.out / "transforms_synth.json")
 
 
-def _cmd_report(r: _Runner) -> None:
-    """The paper's tables and figure data, each a view of a computed result."""
+def _table1(r: _Runner):
     summary = r.summary()
-    r.write_csv("table1.csv", MSA_HEADER, [summary.ids, *summary.values.T, *summary.ranks.T])
+    return MSA_HEADER, [summary.ids, *summary.values.T, *summary.ranks.T]
+
+
+def _table2(r: _Runner):
+    summary = r.summary()
     trend = CHARACTERISTICS.index("trend_t_stat")
     by_rank = np.argsort(summary.ranks[:, trend])
-    r.write_csv("table2.csv", ["msa_id", "trend_t_stat", "rank"], [
+    return ["msa_id", "trend_t_stat", "rank"], [
         Labels(by_rank, summary.ids),
         summary.values[by_rank, trend],
         summary.ranks[by_rank, trend],
-    ])
+    ]
 
-    summary_columns, division_columns = _correlation_tables(r)
-    r.write_csv("table3.csv", SUMMARY_HEADER, summary_columns)
-    r.write_csv("table4.csv", DIVISION_HEADER, division_columns)
 
-    r.write_csv("fig2.csv", FIG_HEADER, _cohort_columns(r))
+def _fig3(r: _Runner):
     integ = r.integration()
-    r.write_csv(
-        "fig3.csv",
-        FIG_HEADER,
-        _long((f, *beta_average(integ, f)) for f in integ.names if f != "const"),
-    )
-    r.write_csv("fig4.csv", FIG_HEADER, _incidence_columns(r)[:3])
+    return FIG_HEADER, _long((f, *beta_average(integ, f)) for f in integ.names if f != "const")
+
+
+def _fig5(r: _Runner):
     triples = []
     for name, ps, avg_r2 in _portfolios(r):
         triples.append((f"{name}_sigma", ps.sigma_codes, ps.portfolio_sigma))
         triples.append((f"{name}_diversification", ps.sigma_codes, ps.diversification))
         if avg_r2 is not None:
             triples.append((f"{name}_integration", *avg_r2))
-    r.write_csv("fig5.csv", FIG_HEADER, _long(triples))
+    return FIG_HEADER, _long(triples)
 
-    header, columns = _contagion_columns(r)
-    for name, variant, shown in (
-        ("table5.csv", "base", lambda h: h != "variant" and not h.startswith("ix_")),
-        ("table6.csv", "interacted", lambda h: h != "variant"),
-    ):
-        rows = np.flatnonzero(columns[2] == variant)
-        keep = [k for k, h in enumerate(header) if shown(h)]
-        r.write_csv(name, [header[k] for k in keep], [columns[k][rows] for k in keep])
+
+# Every CSV artifact: (file name, the command that writes it, builder), in
+# the order ``all`` writes them. The report's tables and figures are views
+# of the analysis artifacts.
+ARTIFACTS = (
+    ("panel_summary.csv", "ingest", _panel_summary),
+    ("integration_series.csv", "integrate", _integration_series),
+    ("integration_summary.csv", "integrate", _integration_summary),
+    ("cohort_averages.csv", "integrate", _cohort_averages),
+    ("jump_series.csv", "jumps", _jump_series),
+    ("jump_incidence.csv", "jumps", _jump_incidence),
+    ("pair_correlations.csv", "correlate", _pair_correlations),
+    ("correlation_summary.csv", "correlate", _correlation_summary),
+    ("division_report.csv", "correlate", _division_report),
+    ("contagion_fits.csv", "contagion", _contagion_fits),
+    ("portfolio_series.csv", "portfolio", _portfolio_series),
+    ("series_correlations.csv", "portfolio", _series_correlations),
+    ("table1.csv", "report", _table1),
+    ("table2.csv", "report", _table2),
+    ("table3.csv", "report", _correlation_summary),
+    ("table4.csv", "report", _division_report),
+    ("fig2.csv", "report", lambda r: (FIG_HEADER, _cohort_averages(r)[1])),
+    ("fig3.csv", "report", _fig3),
+    ("fig4.csv", "report", lambda r: (FIG_HEADER, _jump_incidence(r)[1][:3])),
+    ("fig5.csv", "report", _fig5),
+    ("table5.csv", "report", lambda r: _contagion_variant(r, "base")),
+    ("table6.csv", "report", lambda r: _contagion_variant(r, "interacted")),
+)
 
 
 def run(command: str, cfg: RunConfig) -> int:
     """Execute one command; returns the exit status (artifacts in cfg.out).
 
-    Every step writes into a private stage beside cfg.out. Only after every
-    step has returned are the artifacts moved into cfg.out, run_manifest.json
-    last; if anything fails, the stage is removed and cfg.out is left as it was.
+    ``synth`` writes the generated inputs; every other command loads the
+    inputs and writes its ``ARTIFACTS``, ``all`` every one. Every file goes
+    into a private stage beside cfg.out. Only after the last one is written
+    are they moved into cfg.out, run_manifest.json last; if anything fails,
+    the stage is removed and cfg.out is left as it was.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     cfg.validate()
-    load = _Runner.load
-    steps = {
-        "synth": (_cmd_synth,),
-        "ingest": (load, _cmd_ingest),
-        "integrate": (load, _cmd_integrate),
-        "jumps": (load, _cmd_jumps),
-        "correlate": (load, _cmd_correlate),
-        "contagion": (load, _cmd_contagion),
-        "portfolio": (load, _cmd_portfolio),
-        "report": (load, _cmd_report),
-        "all": (load, _cmd_ingest, _cmd_integrate, _cmd_jumps, _cmd_correlate,
-                _cmd_contagion, _cmd_portfolio, _cmd_report),
-    }[command]
     out = Path(cfg.out)
     made = [p for p in out.parents if not p.exists()]  # deepest first
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     try:
         runner = _Runner(cfg, stage)
-        for step in steps:
-            step(runner)
+        if command == "synth":
+            _cmd_synth(runner)
+        else:
+            runner.load()
+        for name, writer, build in ARTIFACTS:
+            if command in (writer, "all"):
+                runner.write_csv(name, *build(runner))
         runner.write_manifest(command)
         out.mkdir(exist_ok=True)
         names = [*sorted(set(runner.outputs)), "run_manifest.json"]

@@ -148,10 +148,85 @@ def test_validate_rejects_bad_values(tmp_path):
 
 # --- end-to-end runs --------------------------------------------------------
 
-def test_all_produces_every_artifact(tmp_path):
+SYNTH_FILES = {"hpi_synth.csv", "factors_synth.csv", "transforms_synth.json", "ground_truth.json"}
+# What each command writes besides the synthetic inputs and run_manifest.json.
+COMMAND_ARTIFACTS = {
+    "synth": set(),
+    "ingest": {"panel_summary.csv"},
+    "integrate": {"integration_series.csv", "integration_summary.csv", "cohort_averages.csv"},
+    "jumps": {"jump_series.csv", "jump_incidence.csv"},
+    "correlate": {"pair_correlations.csv", "correlation_summary.csv", "division_report.csv"},
+    "contagion": {"contagion_fits.csv"},
+    "portfolio": {"portfolio_series.csv", "series_correlations.csv"},
+    "report": {f"table{i}.csv" for i in range(1, 7)} | {f"fig{i}.csv" for i in range(2, 6)},
+}
+
+
+@pytest.mark.parametrize("command", [*COMMAND_ARTIFACTS, "all"])
+def test_each_command_writes_exactly_its_artifacts(tmp_path, command):
+    rpath, out = write_scenario(tmp_path)
+    assert main([command, "--config", str(rpath)]) == 0
+    expected = EXPECTED_ALL if command == "all" else SYNTH_FILES | COMMAND_ARTIFACTS[command] | {"run_manifest.json"}
+    assert {p.name for p in out.iterdir()} == expected
+
+
+def test_readme_lists_each_commands_artifacts_in_table_order():
+    from housingrisk.cli import ARTIFACTS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | artifacts |\n|---|---|\n")[1].split("\n\n")[0]
+    listed = [(cells[1].strip("` "), [a.strip("` ") for a in cells[2].split(",")])
+              for cells in (line.split("|") for line in table.splitlines())]
+    declared = {}
+    for name, command, _ in ARTIFACTS:
+        declared.setdefault(command, []).append(name)
+    assert len({name for name, _, _ in ARTIFACTS}) == len(ARTIFACTS)  # each file declared once
+    assert listed == list(declared.items())
+    assert {c: set(names) for c, names in listed} == {c: a for c, a in COMMAND_ARTIFACTS.items() if a}
+
+
+def csv_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_report_views_show_their_sources(tmp_path):
     rpath, out = write_scenario(tmp_path)
     assert main(["all", "--config", str(rpath)]) == 0
-    assert {p.name for p in out.iterdir()} == EXPECTED_ALL
+    assert (out / "table3.csv").read_bytes() == (out / "correlation_summary.csv").read_bytes()
+    assert (out / "table4.csv").read_bytes() == (out / "division_report.csv").read_bytes()
+    fig_header = ["series", "quarter", "value"]
+    assert csv_rows(out / "fig2.csv") == [fig_header] + csv_rows(out / "cohort_averages.csv")[1:]
+    assert csv_rows(out / "fig4.csv") == [fig_header] + [row[:3] for row in csv_rows(out / "jump_incidence.csv")[1:]]
+
+    header, *rows = csv_rows(out / "integration_summary.csv")
+    assert header[:2] == ["row_type", "key"] and header[-1] == "note"
+    assert csv_rows(out / "table1.csv") == [["msa_id"] + header[2:-1]] + [
+        row[1:-1] for row in rows if row[0] == "msa"]
+
+    header, *rows = csv_rows(out / "contagion_fits.csv")
+    for name, variant in (("table5.csv", "base"), ("table6.csv", "interacted")):
+        keep = [k for k, h in enumerate(header) if h != "variant" and not (variant == "base" and h.startswith("ix_"))]
+        shown = [[row[k] for k in keep] for row in [header] + rows if row is header or row[2] == variant]
+        assert len(shown) > 1 and csv_rows(out / name) == shown, name
+
+
+def test_a_duplicated_msa_has_an_infinite_pair_t(tmp_path, capsys):
+    # |r| = 1 gives t = inf, which README documents as that cell's text.
+    rpath, synth_out = write_scenario(tmp_path)
+    main(["synth", "--config", str(rpath)])
+    hpi = synth_out / "hpi_synth.csv"
+    header, *rows = csv_rows(hpi)
+    with open(hpi, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows, *(["S999"] + r[1:] for r in rows if r[0] == "S001")])
+    out = tmp_path / "out2"
+    capsys.readouterr()
+    assert main(["correlate", "--config", str(csv_config(tmp_path, synth_out, out))]) == 0
+    assert capsys.readouterr().err == ""
+    rows = csv_rows(out / "pair_correlations.csv")
+    assert ["S001", "S999", "return", "contemporaneous", "1", "120", "inf"] in rows
+    assert any(row[:3] == ["S001", "S999", "jump"] and row[-1] == "inf" for row in rows)
+    assert all(row[-1] != "inf" for row in rows if "S999" not in row[:2])
 
 
 def test_manifest_hashes_verify(tmp_path):
