@@ -680,15 +680,16 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
 
 @_memoised
 def _interaction_residual(r: _Runner, source_id: str | None):
-    """(quarter codes, residual values) per the configured residual source.
+    """(first quarter code, residual values) per the configured residual source.
 
     ``source_id`` is None for the ca-equal-weighted residual, which is the
-    same for every source. Too short a history gives empty arrays.
+    same for every source. The values run to the end of the panel; too
+    short a history gives None.
     """
     try:
         if source_id is not None:
             first, levels = r.panel.series(source_id)
-            return np.arange(first.code, first.code + levels.size), boombust_residual(levels)
+            return first.code, boombust_residual(levels)
         members = r.state_members("CA")
         if not members:
             raise ConfigError(
@@ -698,20 +699,21 @@ def _interaction_residual(r: _Runner, source_id: str | None):
         levels = np.empty(rets.size + 1)
         levels[0] = 100.0
         levels[1:] = 100.0 * np.exp(np.cumsum(rets) / 100.0)
-        resid = boombust_residual(levels)
-        return np.concatenate([[codes[0] - 1], codes]), resid
+        return int(codes[0]) - 1, boombust_residual(levels)
     except InsufficientHistoryError:
-        return np.empty(0, dtype=int), np.empty(0)
+        return None
 
 
 @_memoised
 def _contagion_fits(r: _Runner):
     """Fit every configured source→target pair once.
 
-    The pairs that share a source and an overlap share one design, so each
-    such group is fitted by one ``contagion_fits`` call per variant, as its
-    block of target returns is built. Rows stay in sorted pair order, then
-    base before interacted; a variant whose fit fails is a ``skipped`` row
+    A pair's overlap is the rows of the return grid from the later of its
+    two first quarters to the end. The pairs that share a source and an
+    overlap share one design, so each such group is fitted by one
+    ``contagion_fits`` call per variant. Rows stay in sorted pair order,
+    then base before interacted; a pair whose overlap is too short is one
+    ``skipped`` row, and a variant whose fit fails is a ``skipped`` row
     naming the variant and the error.
     """
     n_lags = 3
@@ -721,69 +723,48 @@ def _contagion_fits(r: _Runner):
     for l in range(n_lags + 1):
         header += [f"ix_lag{l}", f"ix_lag{l}_t"]
     per_source = r.cfg.interaction_residual == "coastal"
-    serial = r.cfg.serial
-
+    grid = r.returns
     pairs = sorted(_resolve_contagion_menu(r))
-    overlap = np.zeros(len(pairs), dtype=int)
-    groups: dict[tuple[str, int, int], list[int]] = {}
-    for at, (source_id, target_id) in enumerate(pairs):
-        t_first, t_vals = r.returns.series(target_id)
-        s_first, s_vals = r.returns.series(source_id)
-        first = max(t_first.code, s_first.code)
-        last = min(t_first.code + t_vals.size, s_first.code + s_vals.size) - 1
-        overlap[at] = max(0, last + 1 - first)
-        groups.setdefault((source_id, first, last), []).append(at)
+    source, target = np.array([[grid.column(m) for m in pair] for pair in pairs], dtype=int).reshape(-1, 2).T
+    lo = np.maximum(grid.first_offsets[source], grid.first_offsets[target])
+    groups: dict[tuple[int, int], list[int]] = {}
+    for at, key in enumerate(zip(source.tolist(), lo.tolist())):
+        groups.setdefault(key, []).append(at)
 
-    members, fitted = [], []  # per fitted group: pair positions, [(variant, ContagionFits)]
-    for (source_id, first, last), at in groups.items():
-        common = np.arange(first, last + 1)
-        if common.size < n_lags + 8:
+    # Row v of pair p is its base (v = 0) or interacted (v = 1) row; each pair
+    # starts as one row skipped for insufficient overlap.
+    shown = np.tile([True, False], (len(pairs), 1))
+    variant = np.full((len(pairs), 2), "skipped", dtype=object)
+    n = np.repeat(grid.n_quarters - lo, 2).reshape(-1, 2)
+    method = np.full((len(pairs), 2), "insufficient overlap", dtype=object)
+    numbers = np.full((len(pairs), 2, len(header) - 5), np.nan)  # rho, R², DW, (coefficient, t) pairs
+    for (s, first), at in groups.items():
+        if grid.n_quarters - first < n_lags + 8:
             continue
-        s_first, s_vals = r.returns.series(source_id)
-        sv = s_vals[first - s_first.code : last + 1 - s_first.code]
-        block = np.empty((len(at), common.size))
-        for row, k in enumerate(at):
-            t_first, t_vals = r.returns.series(pairs[k][1])
-            block[row] = t_vals[first - t_first.code : last + 1 - t_first.code]
-        res_codes, res_vals = _interaction_residual(r, source_id if per_source else None)
-        variants = [("base", contagion_fits(block, sv, None, n_lags, serial))]
-        if set(res_codes.tolist()).issuperset(common.tolist()):
-            rv = res_vals[np.searchsorted(res_codes, common)]
-            variants.append(("interacted", contagion_fits(block, sv, rv, n_lags, serial)))
-        members.append(np.array(at))
-        fitted.append(variants)
-
-    # One row per pair and variant; a pair with no fitted group has one row.
-    # Every row starts as a skip for insufficient overlap.
-    n_rows = np.ones(len(pairs), dtype=int)
-    for at, variants in zip(members, fitted):
-        n_rows[at] = len(variants)
-    first_row = np.cumsum(n_rows) - n_rows
-    pair_at = np.repeat(np.arange(len(pairs)), n_rows)
-    variant = np.full(pair_at.size, "skipped", dtype=object)
-    n = overlap[pair_at]
-    method = np.full(pair_at.size, "insufficient overlap", dtype=object)
-    numbers = np.full((pair_at.size, len(header) - 5), np.nan)  # rho, R², DW, (coefficient, t) pairs
-    for at, variants in zip(members, fitted):
-        for v, (name, fits) in enumerate(variants):
-            rows = first_row[at] + v
+        sv = grid.values[first:, s]
+        block = grid.values[first:, target[at]].T
+        res = _interaction_residual(r, grid.msas[s].msa_id if per_source else None)
+        code = grid.start.code + first
+        variants = [contagion_fits(block, sv, None, n_lags, r.cfg.serial)]
+        if res is not None and res[0] <= code:
+            variants.append(contagion_fits(block, sv, res[1][code - res[0]:], n_lags, r.cfg.serial))
+        for v, (name, fits) in enumerate(zip(("base", "interacted"), variants)):
             ok = np.array([exc is None for exc in fits.errors])
-            for row, exc in zip(rows, fits.errors):
-                if exc is not None:
-                    method[row] = f"{name}: {exc}"
-            variant[rows[ok]] = name
-            n[rows[ok]] = fits.n_obs[ok]
-            method[rows[ok]] = np.array(fits.methods, dtype=object)[ok]
-            cells = np.stack([fits.coefficients, fits.t_stats], axis=2).reshape(len(rows), -1)
+            shown[at, v] = True
+            variant[at, v] = np.where(ok, name, "skipped")
+            n[at, v] = np.where(ok, fits.n_obs, n[at, v])
+            method[at, v] = [m if exc is None else f"{name}: {exc}" for m, exc in zip(fits.methods, fits.errors)]
+            cells = np.stack([fits.coefficients, fits.t_stats], axis=2).reshape(len(at), -1)
             values = np.column_stack([fits.rho, fits.r_square, fits.durbin_watson, cells])
-            numbers[rows[ok], : values.shape[1]] = values[ok]
+            numbers[at, v, : values.shape[1]] = values  # NaN where the fit failed
+    pair_at = np.repeat(np.arange(len(pairs)), 2)[shown.ravel()]
     return header, [
         Labels(pair_at, [target_id for _, target_id in pairs]),
         Labels(pair_at, [source_id for source_id, _ in pairs]),
-        variant,
-        n,
-        method,
-        *numbers.T,
+        variant[shown],
+        n[shown],
+        method[shown],
+        *numbers[shown].T,
     ]
 
 

@@ -156,6 +156,8 @@ class _Panel:
 
     ``values`` is (n_quarters, n_msas) with NaN strictly before each MSA's
     first observation; every series runs through the last grid quarter.
+    Construction checks this layout, one MSA after another in column
+    order, and raises ValueError at the first MSA that breaks it.
     """
 
     def __init__(self, msas: Sequence[MsaInfo], start: QuarterIndex, values: np.ndarray):
@@ -182,7 +184,7 @@ class _Panel:
             if not present[first:].all():
                 gap = first + int(np.argmin(present[first:]))
                 raise ValueError(
-                    f"MSA {msa.msa_id} has a gap at {self.start + gap}"
+                    f"MSA {msa.msa_id} missing quarter {self.start + gap} inside its range"
                 )
             offsets[j] = first
         if n_q == 0:

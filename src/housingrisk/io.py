@@ -94,10 +94,10 @@ def load_hpi_panel(path: str | Path) -> IndexPanel:
     Leading missingness is allowed (series start late); interior gaps and
     duplicate (MSA, quarter) keys are hard errors. A record's error names
     its csv record number, the earliest faulty record wins, and a gap is
-    reported only once every record has passed. An MSA keeps the name and
-    state of its first record. Records are checked in blocks: each distinct
-    id and quarter cell is parsed once, and the levels are converted and
-    checked as arrays.
+    reported, by the panel's layout check, only once every record has
+    passed. An MSA keeps the name and state of its first record. Records
+    are checked in blocks: each distinct id and quarter cell is parsed
+    once, and the levels are converted and checked as arrays.
     """
     path = Path(path)
     infos: dict[str, MsaInfo] = {}
@@ -182,15 +182,10 @@ def load_hpi_panel(path: str | Path) -> IndexPanel:
     start = int(codes.min())
     values = np.full((int(codes.max()) + 1 - start, len(ids)), np.nan)
     values[codes - start, list(map(column.__getitem__, msa_ids))] = np.concatenate(levels)
-    present = ~np.isnan(values)
-    holes = ~present & (np.cumsum(present, axis=0) > 0)  # missing after the MSA's first quarter
-    if holes.any():
-        j, t = map(int, np.argwhere(holes.T)[0])  # the first MSA in id order, its first hole
-        raise IngestionError(
-            f"{path}: MSA {ids[j]} missing quarter "
-            f"{QuarterIndex.from_code(start + t)} inside its range"
-        )
-    return IndexPanel([infos[m] for m in ids], QuarterIndex.from_code(start), values)
+    try:
+        return IndexPanel([infos[m] for m in ids], QuarterIndex.from_code(start), values)
+    except ValueError as exc:  # the first MSA in id order with a missing quarter inside its range
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> FactorTable:

@@ -39,12 +39,18 @@ class PortfolioSeries:
     dropped_quarters: tuple[int, ...]
 
 
-def _member_matrix(panel: ReturnPanel, members):
+def _member_returns(panel: ReturnPanel, members):
+    """(sorted members, quarter codes where every member reports, the members'
+    returns in those quarters, the other quarter codes)."""
     members = tuple(sorted(members))
     if not members:
         raise ValueError("portfolio membership is empty")
     V = np.column_stack([panel.values[:, panel.column(m)] for m in members])
-    return members, V
+    full = np.all(np.isfinite(V), axis=1)
+    if not np.any(full):
+        raise InsufficientHistoryError("no quarter has all members present")
+    codes = np.arange(panel.start.code, panel.start.code + panel.n_quarters)
+    return members, codes[full], V[full], tuple(codes[~full].tolist())
 
 
 def portfolio_returns(
@@ -54,13 +60,8 @@ def portfolio_returns(
 
     Returns (quarter codes, returns, dropped quarter codes).
     """
-    members, V = _member_matrix(panel, members)
-    full = np.all(np.isfinite(V), axis=1)
-    if not np.any(full):
-        raise InsufficientHistoryError("no quarter has all members present")
-    codes = np.arange(panel.start.code, panel.start.code + panel.n_quarters)
-    dropped = tuple(int(c) for c in codes[~full])
-    return codes[full], V[full].mean(axis=1), dropped
+    _, codes, common, dropped = _member_returns(panel, members)
+    return codes, common.mean(axis=1), dropped
 
 
 def rolling_sigma(series: np.ndarray, window: int = 20) -> np.ndarray:
@@ -87,12 +88,8 @@ def diversification_series(
     NaN where every member is constant over it, unless the portfolio sigma is
     0 as well (then 0).
     """
-    members, V = _member_matrix(panel, members)
-    codes, port, dropped = portfolio_returns(panel, members)
-    lookup = np.searchsorted(
-        np.arange(panel.start.code, panel.start.code + panel.n_quarters), codes
-    )
-    common = V[lookup]
+    members, codes, common, dropped = _member_returns(panel, members)
+    port = common.mean(axis=1)
     port_sigma = rolling_sigma(port, window)
     member_sigmas = np.column_stack(
         [rolling_sigma(common[:, c], window) for c in range(common.shape[1])]

@@ -718,6 +718,49 @@ def test_short_overlap_skips_only_the_failing_variants(tmp_path, capsys):
     assert rows[2:4] == plain[2:4]
 
 
+def s002_last_11(rows):
+    """HPI rows with S002's last 11 levels only: 10 quarters of returns overlap each source."""
+    return [r for r in rows if r[0] != "S002"] + [r for r in rows if r[0] == "S002"][-11:]
+
+
+def s001_from_41(rows):
+    """HPI rows without S001's first 40 levels; S001 is the panel's one CA MSA."""
+    return [r for r in rows if r[0] != "S001"] + [r for r in rows if r[0] == "S001"][40:]
+
+
+@pytest.mark.parametrize("edit, settings, leading, digests", [
+    # S002's overlap with either source is under n_lags + 8 = 11 quarters.
+    (s002_last_11, {}, [
+        ["S002", "S001", "skipped", "10", "insufficient overlap"],
+        ["S003", "S001", "base", "117", "ols"],
+        ["S003", "S001", "interacted", "116", "cochrane_orcutt"],
+        ["S002", "S004", "skipped", "10", "insufficient overlap"],
+    ], ["b9579bdcf98affe5e6b589e135e1b2f246d1f5f9a993ec479a967ff304fc72b4",
+        "16fe10199f2bf8bdd7b9b0cb9842b1af772907edc14a652ac1670f410f8c2532",
+        "cdcc9b6543f2e2d969b9b06ea12a321f649a13e727ebdd094b41f205c3f6a26c"]),
+    # The CA index starts with S001, 40 quarters after S004 and S002 do, so
+    # S004 -> S002 has no residual over its overlap and gets a base fit only.
+    (s001_from_41, {"interaction_residual": "ca-equal-weighted"}, [
+        ["S002", "S001", "base", "76", "cochrane_orcutt"],
+        ["S002", "S001", "interacted", "76", "cochrane_orcutt"],
+        ["S003", "S001", "base", "76", "cochrane_orcutt"],
+        ["S003", "S001", "interacted", "76", "cochrane_orcutt"],
+        ["S002", "S004", "base", "116", "cochrane_orcutt"],
+    ], ["75dfdfe8f6a2385f491c36cab9605838daccc2d90bb20f1b1ea4b79e8f919038",
+        "55f528ab8b622c07d1486b49215d16fbb2141a98ba3d03aba9cc82f148929526",
+        "8eb133b20c960f8bce18de8dbad3e2087ee838fa14faacdabd02f60c2a40911a"]),
+], ids=["short-overlap", "late-residual"])
+def test_contagion_tables_of_unfitted_pairs_and_uncovered_residuals(tmp_path, capsys, edit, settings, leading, digests):
+    cpath, out = contagion_config(tmp_path, edit)
+    cpath.write_text(json.dumps(dict(json.loads(cpath.read_text()), **settings)))
+    for command in ("contagion", "report"):
+        assert main([command, "--config", str(cpath)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row[:5] for row in csv_rows(out / "contagion_fits.csv")[1:]] == leading
+    names = ["contagion_fits.csv", "table5.csv", "table6.csv"]
+    assert [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names] == digests
+
+
 def test_a_pair_named_twice_is_fitted_once(tmp_path, capsys):
     once = contagion_csv_bytes(tmp_path, capsys)
     # Each pair again, by id and by a name fragment (the CLI-test names are the ids).

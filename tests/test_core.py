@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from housingrisk import (
@@ -17,6 +18,7 @@ from housingrisk import (
     MsaInfo,
     QuarterIndex,
     QuarterParseError,
+    ReturnPanel,
     align,
     compute_returns,
     default_factor_transforms,
@@ -133,6 +135,48 @@ def test_panel_unknown_msa():
     panel = index_panel({"A": np.full(4, 100.0)})
     with pytest.raises(KeyError):
         panel.series("NOPE")
+
+
+def first_layout_fault(ids, columns, start):
+    """The layout fault a scan of one MSA after another meets first, or None."""
+    for msa_id, column in zip(ids, columns):
+        present = [not math.isnan(v) for v in column]
+        if not any(present):
+            return f"MSA {msa_id} has no observations"
+        first = present.index(True)
+        if not all(present[first:]):
+            gap = present.index(False, first)
+            return f"MSA {msa_id} missing quarter {start + gap} inside its range"
+    return None
+
+
+@st.composite
+def panel_columns(draw):
+    """Columns of one panel: late entries, interior gaps and all-NaN columns."""
+    n_q = draw(st.integers(1, 8))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        entry = draw(st.integers(0, n_q))  # n_q: no observation at all
+        holes = draw(st.sets(st.integers(entry + 1, n_q - 1), max_size=2)) if entry < n_q - 1 else set()
+        columns.append([math.nan if t < entry or t in holes else 100.0 + t for t in range(n_q)])
+    return columns
+
+
+@pytest.mark.parametrize("panel_type", [IndexPanel, ReturnPanel])
+@settings(max_examples=200, deadline=None)
+@given(columns=panel_columns())
+def test_panel_layout_check_reports_the_first_fault_of_a_per_msa_scan(panel_type, columns):
+    ids = [f"M{j}" for j in range(len(columns))]
+    msas = [MsaInfo(i, i, "") for i in ids]
+    fault = first_layout_fault(ids, columns, Q0)
+    values = np.array(columns).T
+    if fault is None:
+        panel = panel_type(msas, Q0, values)
+        assert panel.first_offsets.tolist() == [int(np.argmax(~np.isnan(c))) for c in values.T]
+    else:
+        with pytest.raises(ValueError) as exc:
+            panel_type(msas, Q0, values)
+        assert str(exc.value) == fault
 
 
 # --- factor transforms ------------------------------------------------------
