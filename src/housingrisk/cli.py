@@ -56,6 +56,7 @@ from .contagion import (
 # wraps these names in this module, so they stay importable from it.
 from .contagion import contagion_fit, contagion_fit_interacted  # noqa: F401
 from .core import (
+    TRANSFORMS,
     ReturnPanel,
     compute_returns,
     default_factor_transforms,
@@ -173,8 +174,9 @@ class RunConfig:
     hpi: str | None = _setting("inputs.hpi", "null or an existing file", optional(_file))
     factors: str | None = _setting("inputs.factors", "null or an existing file", optional(_file))
     transforms: object = _setting(  # path, inline mapping, or None for defaults
-        "inputs.transforms", "null, an existing file or an object of strings",
-        optional(lambda v: _file(v) or object_of(instance_of(str))(v)))
+        "inputs.transforms", "null, an existing file or an object",
+        optional(lambda v: _file(v) or isinstance(v, dict)),
+        keys={ANY_KEY: Key(f"one of {TRANSFORMS}", TRANSFORMS.__contains__)})
     out: str = _setting("out", "a non-empty path", _path, "out", flag={"help": "output directory"})
     window: int = _setting("window", "an integer at least 3", int_at_least(3), 20,
                            flag={"type": int, "help": "rolling regression window (quarters)"})

@@ -41,6 +41,7 @@ __all__ = [
     "align",
     "LOG_PCT_CHANGE",
     "LOG_LEVEL",
+    "TRANSFORMS",
     "DEFAULT_FACTOR_TRANSFORMS",
 ]
 
@@ -48,6 +49,7 @@ _QUARTER_RE = re.compile(r"^(\d{4}):?Q([0-9])$")
 
 LOG_PCT_CHANGE = "log_pct_change"
 LOG_LEVEL = "log_level"
+TRANSFORMS = (LOG_LEVEL, LOG_PCT_CHANGE)  # the names transform_factor knows
 
 # Canonical transform per national factor series. INCOME defaults to the
 # differenced form so a trending nominal aggregate does not enter the

@@ -20,8 +20,9 @@ import math
 import os
 import re
 import tempfile
+from array import array
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,156 +33,116 @@ from .core import (
     IndexPanel,
     MsaInfo,
     QuarterIndex,
+    TRANSFORMS,
     parse_quarter,
     transform_factor,
 )
 from .errors import IngestionError, QuarterParseError
-from .schema import ANY_KEY, Key, faults, instance_of, read_json
+from .schema import ANY_KEY, Key, faults, read_json
 
 HPI_HEADER = ["msa_id", "msa_name", "state", "quarter", "index"]
 
 
-READ_BLOCK_ROWS = 4096  # records parsed together by load_hpi_panel
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
 
 
-def _open_csv(path: Path):
-    """``path`` opened for ``_csv_records``: a byte that is not UTF-8 reads as a lone surrogate."""
-    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+def _records(path: Path):
+    """The header of the csv file ``path``, then ``(record number, fields)`` for each record that is not blank.
 
-
-def _csv_records(fh, path: Path):
-    """The csv records of ``fh`` (see ``_open_csv``), header first.
-
-    A record holding a byte that is not UTF-8, or one that csv cannot read
-    (a field over the field size limit), raises an IngestionError naming the
-    path and the record number.
+    The header is record 1, and a blank record (white space only) is
+    skipped but counted. A record holding a byte that is not UTF-8, or one
+    that csv cannot read (a field over the field size limit), raises an
+    IngestionError naming the path and the record number.
     """
     number = 0
-    try:
-        for number, row in enumerate(csv.reader(fh), start=1):
-            text = "".join(row)
-            if not text.isascii() and _NOT_UTF8.search(text):
-                raise IngestionError(f"{path}:{number}: not valid UTF-8")
-            yield row
-    except csv.Error as exc:
-        raise IngestionError(f"{path}:{number + 1}: {exc}") from None
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            for number, row in enumerate(csv.reader(fh), start=1):
+                text = "".join(row)
+                if not text.isascii() and _NOT_UTF8.search(text):
+                    raise IngestionError(f"{path}:{number}: not valid UTF-8")
+                if number == 1:
+                    yield row
+                elif text.strip():
+                    yield number, row
+        except csv.Error as exc:
+            raise IngestionError(f"{path}:{number + 1}: {exc}") from None
 
 
-def _record_blocks(reader, size: int):
-    """Lists of up to ``size`` records from ``reader``.
+class _Parsed(dict):
+    """Cell text -> ``parse(text)``, each distinct text parsed once."""
 
-    An error in the reader is raised only after the records read before it
-    have been yielded, so a fault in one of those records is reported first.
-    """
-    block = []
-    try:
-        for row in reader:
-            block.append(row)
-            if len(block) == size:
-                yield block
-                block = []
-    except IngestionError:
-        yield block
-        raise
-    if block:
-        yield block
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _quarter_code(cell: str) -> int:
+    """The code of a quarter cell; QuarterParseError names its stripped text."""
+    return parse_quarter(cell.strip()).code
+
+
+class _RecordFault(Exception):
+    """A record breaks a rule of its file; the loader reports it as ``path:N: <message>``."""
 
 
 def load_hpi_panel(path: str | Path) -> IndexPanel:
     """Load an index panel from the HPI CSV schema.
 
     Leading missingness is allowed (series start late); interior gaps and
-    duplicate (MSA, quarter) keys are hard errors. A record's error names
-    its csv record number, the earliest faulty record wins, and a gap is
-    reported, by the panel's layout check, only once every record has
-    passed. An MSA keeps the name and state of its first record. Records
-    are checked in blocks: each distinct id and quarter cell is parsed
-    once, and the levels are converted and checked as arrays.
+    duplicate (MSA, quarter) keys are hard errors. Records are checked in
+    file order, so the first faulty record is the one reported, by its csv
+    record number; a gap is reported, by the panel's layout check, only
+    once every record has passed. An MSA keeps the name and state of its
+    first record.
     """
     path = Path(path)
-    infos: dict[str, MsaInfo] = {}
-    msa_of: dict[str, str] = {}  # msa id cell -> msa id
-    quarter_of: dict[str, int | QuarterParseError] = {}  # quarter cell -> code
-    seen: set[tuple[str, int]] = set()
-    msa_ids, codes, levels = [], [], []
-    with _open_csv(path) as fh:
-        reader = _csv_records(fh, path)
-        header = next(reader, None)
+    with closing(_records(path)) as records:
+        header = next(records, None)
         if header is None or [h.strip() for h in header] != HPI_HEADER:
             raise IngestionError(
                 f"{path}: expected header {','.join(HPI_HEADER)!r}, got {header}"
             )
-        line = 2
-        for block in _record_blocks(reader, READ_BLOCK_ROWS):
-            kept = list(map(str.strip, map("".join, block)))  # "" for a blank record
-            lines = list(compress(range(line, line + len(block)), kept))
-            rows = list(compress(block, kept))
-            line += len(block)
-            # Each check sees only the records before the earliest fault found
-            # so far, so the first faulty record wins and a record's checks
-            # keep their order.
-            n, fault = len(rows), None
-            widths = list(map(len, rows))
-            if widths.count(5) < n:
-                n = next(k for k, width in enumerate(widths) if width != 5)
-                fault = f"expected 5 fields, got {widths[n]}"
-            msa, name, state, q_text, level_text = zip(*rows[:n]) if n else [()] * 5
-            for text in set(msa).difference(msa_of):
-                msa_of[text] = text.strip()
-            msa = list(map(msa_of.__getitem__, msa))
-            texts = set(q_text)
-            for text in texts.difference(quarter_of):
+        infos: dict[str, MsaInfo] = {}
+        msa_of = _Parsed(str.strip)  # msa id cell -> msa id, one string per id
+        quarter_of = _Parsed(_quarter_code)
+        seen: dict[str, set[int]] = {}  # msa id -> the quarter codes read for it
+        msa_ids, codes, levels = [], array("q"), array("d")
+        try:
+            for number, row in records:
+                if len(row) != 5:
+                    raise _RecordFault(f"expected 5 fields, got {len(row)}")
+                msa, name, state, code, level = row
+                msa, code, level = msa_of[msa], quarter_of[code], level.strip()
                 try:
-                    quarter_of[text] = parse_quarter(text.strip()).code
-                except QuarterParseError as exc:
-                    quarter_of[text] = exc
-            code = list(map(quarter_of.__getitem__, q_text))
-            if not all(isinstance(quarter_of[text], int) for text in texts):
-                n = next(k for k, c in enumerate(code) if not isinstance(c, int))
-                fault = str(code[n])
-            try:
-                level = np.fromiter(map(float, level_text[:n]), float, count=n)
-            except ValueError:  # a bad level, or padding float() keeps and strip() drops
-                level_text = [text.strip() for text in level_text[:n]]
-                for bad, text in enumerate(level_text):
-                    try:
-                        float(text)
-                    except ValueError:
-                        n, fault = bad, f"bad index value {text!r}"
-                        break
-                level = np.fromiter(map(float, level_text[:n]), float, count=n)
-            bad = np.flatnonzero(~(np.isfinite(level) & (level > 0)))
-            if bad.size:
-                n = int(bad[0])
-                fault = f"non-positive index level {float(level[n])} for {msa[n]}"
-            keys = list(zip(msa[:n], code[:n]))
-            fresh = set(keys)
-            if len(fresh) < n or not seen.isdisjoint(fresh):
-                for n, key in enumerate(keys):  # stops at the first repeated key
-                    if key in seen:
-                        break
-                    seen.add(key)
-                fault = f"duplicate ({msa[n]}, {QuarterIndex.from_code(code[n])}) observation"
-            if fault is not None:
-                raise IngestionError(f"{path}:{lines[n]}: {fault}")
-            seen |= fresh
-            # Reversed, so each MSA's first record of the block is the one kept.
-            for msa_id, (first_name, first_state) in dict(zip(msa[::-1], zip(name[::-1], state[::-1]))).items():
-                if msa_id not in infos:
-                    infos[msa_id] = MsaInfo(msa_id, first_name.strip(), first_state.strip())
-            msa_ids += msa
-            codes += code
-            levels.append(level)
+                    value = float(level)  # of the stripped text: float() keeps \x1c-\x1f padding
+                except ValueError:
+                    raise _RecordFault(f"bad index value {level!r}") from None
+                if not (math.isfinite(value) and value > 0):
+                    raise _RecordFault(f"non-positive index level {value} for {msa}")
+                if msa not in infos:
+                    infos[msa], seen[msa] = MsaInfo(msa, name.strip(), state.strip()), set()
+                if code in seen[msa]:
+                    raise _RecordFault(f"duplicate ({msa}, {QuarterIndex.from_code(code)}) observation")
+                seen[msa].add(code)
+                msa_ids.append(msa)
+                codes.append(code)
+                levels.append(value)
+        except (_RecordFault, QuarterParseError) as exc:
+            raise IngestionError(f"{path}:{number}: {exc}") from None
     if not infos:
         raise IngestionError(f"{path}: no data rows")
 
     ids = sorted(infos)
     column = {msa_id: j for j, msa_id in enumerate(ids)}
-    codes = np.array(codes)
+    codes = np.frombuffer(codes, dtype=np.int64)
     start = int(codes.min())
     values = np.full((int(codes.max()) + 1 - start, len(ids)), np.nan)
-    values[codes - start, list(map(column.__getitem__, msa_ids))] = np.concatenate(levels)
+    values[codes - start, list(map(column.__getitem__, msa_ids))] = np.frombuffer(levels)
     try:
         return IndexPanel([infos[m] for m in ids], QuarterIndex.from_code(start), values)
     except ValueError as exc:  # the first MSA in id order with a missing quarter inside its range
@@ -191,14 +152,14 @@ def load_hpi_panel(path: str | Path) -> IndexPanel:
 def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> FactorTable:
     """Load and transform a wide factor CSV.
 
-    Every factor column must have an entry in ``transforms``. Raw missing
-    cells stay missing after transformation (and log_pct_change also loses
-    its first available observation).
+    Every factor column must have an entry in ``transforms``. Records are
+    checked in file order, as in ``load_hpi_panel``. Raw missing cells stay
+    missing after transformation (and log_pct_change also loses its first
+    available observation).
     """
     path = Path(path)
-    with _open_csv(path) as fh:
-        reader = _csv_records(fh, path)
-        header = next(reader, None)
+    with closing(_records(path)) as records:
+        header = next(records, None)
         if not header or header[0].strip() != "quarter" or len(header) < 2:
             raise IngestionError(f"{path}: expected header 'quarter,<factor_id>...'")
         factor_ids = [h.strip() for h in header[1:]]
@@ -209,38 +170,27 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
             raise IngestionError(
                 f"{path}: no transform configured for {', '.join(missing_spec)}"
             )
+        quarter_of = _Parsed(_quarter_code)
         rows: dict[int, list[float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(factor_ids) + 1:
-                raise IngestionError(
-                    f"{path}:{lineno}: expected {len(factor_ids) + 1} fields, got {len(row)}"
-                )
-            try:
-                q = parse_quarter(row[0].strip())
-            except QuarterParseError as exc:
-                raise IngestionError(f"{path}:{lineno}: {exc}") from exc
-            if q.code in rows:
-                raise IngestionError(f"{path}:{lineno}: duplicate quarter {q}")
-            vals = []
-            for j, cell in enumerate(row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    vals.append(np.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}:{lineno}: bad value {cell!r} in column {factor_ids[j]}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise IngestionError(
-                        f"{path}:{lineno}: non-finite value {cell!r} in column {factor_ids[j]}"
-                    )
-                vals.append(value)
-            rows[q.code] = vals
+        try:
+            for number, row in records:
+                if len(row) != len(factor_ids) + 1:
+                    raise _RecordFault(f"expected {len(factor_ids) + 1} fields, got {len(row)}")
+                code = quarter_of[row[0]]
+                if code in rows:
+                    raise _RecordFault(f"duplicate quarter {QuarterIndex.from_code(code)}")
+                rows[code] = vals = []
+                for fid, cell in zip(factor_ids, row[1:]):
+                    cell = cell.strip()
+                    try:
+                        value = float(cell) if cell else np.nan  # an empty cell is missing
+                    except ValueError:
+                        raise _RecordFault(f"bad value {cell!r} in column {fid}") from None
+                    if cell and not math.isfinite(value):
+                        raise _RecordFault(f"non-finite value {cell!r} in column {fid}")
+                    vals.append(value)
+        except (_RecordFault, QuarterParseError) as exc:
+            raise IngestionError(f"{path}:{number}: {exc}") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     start_code, end_code = min(rows), max(rows)
@@ -273,7 +223,7 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
 
 
 # A transforms file maps each factor id to the name of its transform.
-_TRANSFORM_KEYS = {ANY_KEY: Key("a transform name", instance_of(str))}
+_TRANSFORM_KEYS = {ANY_KEY: Key(f"one of {TRANSFORMS}", TRANSFORMS.__contains__)}
 
 
 def load_transform_config(path: str | Path) -> dict[str, str]:

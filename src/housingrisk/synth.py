@@ -253,16 +253,11 @@ def generate_panel(config: ScenarioConfig) -> tuple[IndexPanel, FactorTable, Gro
     eta = rng.standard_normal((n_q, n_m))
 
     stat_sd = sigma / np.sqrt(1.0 - phi**2)
+    innov = sigma * eta
     idio = np.empty((n_q, n_m))
-    for i in range(n_m):
-        innov = sigma[i] * eta[:, i]
-        if phi[i] == 0.0:
-            idio[:, i] = innov
-        else:
-            # AR(1) started from its stationary distribution.
-            prev = stat_sd[i] * pre[i]
-            for t in range(n_q):
-                prev = idio[t, i] = innov[t] + phi[i] * prev
+    prev = stat_sd * pre  # each MSA's AR(1) starts from its stationary distribution
+    for t in range(n_q):
+        prev = idio[t] = innov[t] + phi * prev
 
     if L.ndim == 3:
         common = np.einsum("tif,tf->ti", L, F, optimize=False)

@@ -428,6 +428,25 @@ def test_json_the_decoder_cannot_take_fails_before_any_write(tmp_path, capsys, m
     assert sorted(os.listdir()) == before
 
 
+@pytest.mark.parametrize("declared,message", [
+    pytest.param("transforms.json", "transforms.json: CNP16OV must be one of ('log_level', 'log_pct_change'), "
+                 "got 'log_levl'", id="file"),
+    pytest.param({"CNP16OV": "log_levl"}, "inputs.transforms.CNP16OV must be one of ('log_level', "
+                 "'log_pct_change'), got 'log_levl'", id="inline"),
+])
+def test_a_misspelt_transform_is_named_where_it_is_declared(tmp_path, capsys, monkeypatch, declared, message):
+    monkeypatch.chdir(tmp_path)
+    Path("hpi.csv").write_text("msa_id,msa_name,state,quarter,index\nA,Alpha,CA,2000:Q1,1.0\nA,Alpha,CA,2000:Q2,2.0\n")
+    Path("factors.csv").write_text("quarter,CNP16OV\n2000:Q1,1.0\n2000:Q2,2.0\n")
+    Path("transforms.json").write_text(json.dumps({"CNP16OV": "log_levl"}))
+    Path("run.json").write_text(json.dumps({"inputs": {"hpi": "hpi.csv", "factors": "factors.csv",
+                                                       "transforms": declared}}))
+    before = sorted(os.listdir())
+    assert main(["ingest", "--config", "run.json"]) == 2
+    assert capsys.readouterr().err == f"housingrisk: error: {message}\n"
+    assert sorted(os.listdir()) == before
+
+
 def scenario_bytes(**overrides) -> bytes:
     return json.dumps(dict(json.loads(json.dumps(SCENARIO)), **overrides)).encode()
 

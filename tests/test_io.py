@@ -90,38 +90,36 @@ def test_hpi_interior_gap_names_the_quarter(tmp_path):
 HEADER = "msa_id,msa_name,state,quarter,index\n"
 
 
-@pytest.mark.parametrize("records,block_rows,message", [
+@pytest.mark.parametrize("records,message", [
     # duplicate at record 4 before a bad float at record 6
     ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q2,1\nA,a,CA,1990:Q1,2\nB,b,CA,1990:Q1,1\nB,b,CA,1990:Q2,x\n",
-     None, "4: duplicate (A, 1990:Q1) observation"),
+     "4: duplicate (A, 1990:Q1) observation"),
     # bad float at record 3 before a duplicate at record 5
     ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q2,x\nB,b,CA,1990:Q1,1\nB,b,CA,1990:Q1,1\n",
-     None, "3: bad index value 'x'"),
+     "3: bad index value 'x'"),
     # a blank record still counts; the short record 4 wins over the bad quarter at 5
     ("A,a,CA,1990:Q1,1\n , ,\nA,a,CA,1990:Q2\nA,a,CA,1990:Q9,1\n",
-     None, "4: expected 5 fields, got 4"),
+     "4: expected 5 fields, got 4"),
     # within one record the quarter is checked before the level
-    ("A,a,CA,1990:Q5,x\n", None, "2: quarter out of range 1..4 in '1990:Q5'"),
+    ("A,a,CA,1990:Q5,x\n", "2: quarter out of range 1..4 in '1990:Q5'"),
     # within one record the level is checked before the duplicate
-    ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q1,-1\n", None, "3: non-positive index level -1.0 for A"),
+    ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q1,-1\n", "3: non-positive index level -1.0 for A"),
     # a gap in A is reported only once every record has passed
-    ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q3,1\nB,b,CA,1990:Q1,0\n", None, "4: non-positive index level 0.0 for B"),
+    ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q3,1\nB,b,CA,1990:Q1,0\n", "4: non-positive index level 0.0 for B"),
     # line numbers count csv records, not the physical lines of a quoted name
     ('A,"North\nEast",CA,1990:Q1,1\nA,a,CA,1990:Q2,1\nA,a,CA,1990:Q3,nan\n',
-     None, "4: non-positive index level nan for A"),
-    # across blocks: the duplicate at 5 (of record 2) wins over the bad float at 6
+     "4: non-positive index level nan for A"),
+    # the duplicate at 5 (of record 2) wins over the bad float at 6
     ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q2,1\nB,b,CA,1990:Q1,1\nA,a,CA,1990:Q1,1\nB,b,CA,1990:Q2,x\n",
-     2, "5: duplicate (A, 1990:Q1) observation"),
-    # across blocks: the bad float at 4 wins over the duplicate at 6
+     "5: duplicate (A, 1990:Q1) observation"),
+    # the bad float at 4 wins over the duplicate at 6
     ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q2,1\nB,b,CA,1990:Q1,y\nB,b,CA,1990:Q2,1\nA,a,CA,1990:Q1,1\n",
-     2, "4: bad index value 'y'"),
+     "4: bad index value 'y'"),
     # of two duplicates, the earlier second record wins
     ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q2,1\nB,b,CA,1990:Q1,1\nB,b,CA,1990:Q1,1\nA,a,CA,1990:Q1,1\n",
-     2, "5: duplicate (B, 1990:Q1) observation"),
+     "5: duplicate (B, 1990:Q1) observation"),
 ])
-def test_hpi_reports_the_earliest_fault(tmp_path, monkeypatch, records, block_rows, message):
-    if block_rows is not None:
-        monkeypatch.setattr(hio, "READ_BLOCK_ROWS", block_rows)
+def test_hpi_reports_the_earliest_fault(tmp_path, records, message):
     path = tmp_path / "hpi.csv"
     path.write_text(HEADER + records)
     with pytest.raises(IngestionError) as exc:
@@ -158,6 +156,23 @@ def test_hpi_names_the_record_that_is_not_utf8(tmp_path, records, message):
     with pytest.raises(IngestionError) as exc:
         load_hpi_panel(path)
     assert str(exc.value) == f"{path}:{message}"
+
+
+# File separator to unit separator: str.strip() drops them, float() keeps them.
+PADDING = ["\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+@pytest.mark.parametrize("pad", PADDING, ids=repr)
+def test_padded_cells_load(tmp_path, pad):
+    path = tmp_path / "hpi.csv"
+    path.write_text(HEADER + f"{pad}A,a,CA,{pad}1990:Q1,{pad}1.5{pad}\nA,a,CA,1990:Q2,2.5{pad}\n")
+    panel = load_hpi_panel(path)
+    assert panel.msa_ids() == ["A"] and panel.start == QuarterIndex(1990, 1)
+    assert panel.values[:, 0].tolist() == [1.5, 2.5]
+    path = tmp_path / "factors.csv"
+    path.write_text(f"quarter,GS10\n{pad}1990:Q1,{pad}8.0{pad}\n1990:Q2,{pad}\n1990:Q3,7.5{pad}\n")
+    table = load_factor_table(path, {"GS10": "log_level"})
+    assert np.array_equal(table.values[:, 0], np.log([8.0, np.nan, 7.5]), equal_nan=True)
 
 
 def test_hpi_keeps_the_first_name_and_state(tmp_path):
@@ -290,17 +305,37 @@ def test_transform_config_round_trip(tmp_path):
 
 
 
+OVERSIZED = b"8" * (csv.field_size_limit() + 1)
+
+
 @pytest.mark.parametrize("text,message", [
     pytest.param(b"quarter,GS10\n1990:Q1,8.0\n1990:Q2,\xff7.5\n", "3: not valid UTF-8", id="cell"),
     pytest.param(b"quarter,GS1\xb0\n1990:Q1,8.0\n", "1: not valid UTF-8", id="header"),
-    pytest.param(b"quarter,GS10\n1990:Q1," + b"8" * (csv.field_size_limit() + 1) + b"\n",
+    pytest.param(b"quarter,GS10\n1990:Q1," + OVERSIZED + b"\n",
                  f"2: field larger than field limit ({csv.field_size_limit()})", id="oversized-field"),
+    pytest.param(b"quarter,GS10\n1990:Q1,8.0\n\n , \n1990:Q2,x\n", "5: bad value 'x' in column GS10",
+                 id="blank-records-count"),
+    pytest.param(b'quarter,GS10\n1990:Q1,"8.0\n"\n1990:Q2,x\n', "3: bad value 'x' in column GS10",
+                 id="multi-line-cell-is-one-record"),
+    pytest.param(b"quarter,GS10\n1990:Q9\n", "2: expected 2 fields, got 1", id="field-count-before-quarter"),
+    pytest.param(b"quarter,GS10\n1990:Q9,x\n", "2: quarter out of range 1..4 in '1990:Q9'",
+                 id="quarter-before-cells"),
+    pytest.param(b"quarter,GS10\n1990:Q1,8.0\n1990Q1,x\n", "3: duplicate quarter 1990:Q1",
+                 id="duplicate-quarter-before-cells"),
+    pytest.param(b"quarter,GS10,SP500\n1990:Q1,x,inf\n", "2: bad value 'x' in column GS10",
+                 id="bad-cell-before-a-later-non-finite-one"),
+    pytest.param(b"quarter,GS10,SP500\n1990:Q1,nan,x\n", "2: non-finite value 'nan' in column GS10",
+                 id="non-finite-cell-before-a-later-bad-one"),
+    pytest.param(b"quarter,GS10\n1990:Q1,x\n1990:Q2,\xff\n", "2: bad value 'x' in column GS10",
+                 id="fault-before-a-later-byte"),
+    pytest.param(b"quarter,GS10\n1990:Q1,8.0\n1990:Q1,8.0\n1990:Q2," + OVERSIZED + b"\n",
+                 "3: duplicate quarter 1990:Q1", id="fault-before-a-later-oversized-field"),
 ])
 def test_factor_reader_fault_names_the_record(tmp_path, text, message):
     path = tmp_path / "factors.csv"
     path.write_bytes(text)
     with pytest.raises(IngestionError) as exc:
-        load_factor_table(path, {"GS10": "log_level"})
+        load_factor_table(path, {"GS10": "log_level", "SP500": "log_level"})
     assert str(exc.value) == f"{path}:{message}"
 
 

@@ -56,6 +56,8 @@ TABLES = [
      _CONFIG_KEYS["portfolios"].keys),
     ("portfolio", config_fault, {"portfolios": {"p": {}}}, ("portfolios", "p"), "portfolios.p.",
      _CONFIG_KEYS["portfolios"].keys[ANY_KEY].keys),
+    ("config.inputs.transforms", config_fault, {"inputs": {"transforms": {}}}, ("inputs", "transforms"),
+     "inputs.transforms.", _CONFIG_KEYS["inputs"].keys["transforms"].keys),
     ("scenario", scenario_fault, SCENARIO, (), "", _SCENARIO_KEYS),
     ("ramp", scenario_fault, SCENARIO, ("loadings",), "loadings.", _RAMP_KEYS),
     ("jump", scenario_fault, SCENARIO, ("jumps", 0), "jumps[0].", _JUMP_KEYS),
