@@ -15,7 +15,6 @@ from .core import (
     compute_returns,
     default_factor_transforms,
     parse_quarter,
-    quarter_range,
     transform_factor,
 )
 from .errors import (
@@ -36,7 +35,6 @@ from .regress import (
     PrewhitenResult,
     RegressionFit,
     TrendFit,
-    add_intercept,
     ar1_prewhiten,
     cochrane_orcutt,
     durbin_watson,
@@ -54,10 +52,8 @@ from .integration import (
 )
 from .jumps import (
     JumpSeries,
-    bipower_variation,
     jump_incidence,
     lm_series,
-    lm_statistic,
 )
 from .correlations import (
     PairSet,

@@ -7,7 +7,9 @@ setting's config-file key, its valid values and any flag; the config key
 table ``_CONFIG_KEYS``, the config-file reader, the environment reader and
 the flags are derived from the fields. The config-file reader checks the
 file's layout and unknown keys against ``_CONFIG_KEYS``, and
-``RunConfig.validate`` checks the merged values. ``schema.py`` is the one
+``RunConfig.validate`` checks the merged values. A relative path in a config
+file is read from the config file's directory; one from a flag or the
+environment, from the working directory. ``schema.py`` is the one
 place that knows how a JSON value is checked and read, for the config,
 scenario and transforms files alike; a scenario file, like the config,
 rejects unknown keys.
@@ -153,15 +155,17 @@ def _file(v) -> bool:
     return isinstance(v, str) and Path(v).is_file()
 
 
-def _setting(key, what, ok, default=None, *, factory=None, flag=None, keys=None):
+def _setting(key, what, ok, default=None, *, factory=None, flag=None, keys=None, path=False):
     """A RunConfig field that declares one run setting.
 
     ``key`` is its config-file key ("section.key" for a key inside a section
     of the file); ``what``, ``ok`` and ``keys`` give its valid values as a
     ``schema.Key``; ``flag`` holds the argparse keywords of a setting that
     ``--<name>`` and ``HOUSINGRISK_<NAME>`` can also set (see ``_option_name``).
+    A ``path`` setting's relative path in a config file is read from the
+    config file's directory.
     """
-    metadata = {"key": key, "valid": Key(what, ok, keys=keys), "flag": flag}
+    metadata = {"key": key, "valid": Key(what, ok, keys=keys), "flag": flag, "path": path}
     if factory is not None:
         return field(default_factory=factory, metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -171,13 +175,13 @@ def _setting(key, what, ok, default=None, *, factory=None, flag=None, keys=None)
 class RunConfig:
     """Resolved settings for one run; each field declares its config-file key, valid values and flag."""
 
-    hpi: str | None = _setting("inputs.hpi", "null or an existing file", optional(_file))
-    factors: str | None = _setting("inputs.factors", "null or an existing file", optional(_file))
+    hpi: str | None = _setting("inputs.hpi", "null or an existing file", optional(_file), path=True)
+    factors: str | None = _setting("inputs.factors", "null or an existing file", optional(_file), path=True)
     transforms: object = _setting(  # path, inline mapping, or None for defaults
         "inputs.transforms", "null, an existing file or an object",
         optional(lambda v: _file(v) or isinstance(v, dict)),
-        keys={ANY_KEY: Key(f"one of {TRANSFORMS}", TRANSFORMS.__contains__)})
-    out: str = _setting("out", "a non-empty path", _path, "out", flag={"help": "output directory"})
+        keys={ANY_KEY: Key(f"one of {TRANSFORMS}", TRANSFORMS.__contains__)}, path=True)
+    out: str = _setting("out", "a non-empty path", _path, "out", flag={"help": "output directory"}, path=True)
     window: int = _setting("window", "an integer at least 3", int_at_least(3), 20,
                            flag={"type": int, "help": "rolling regression window (quarters)"})
     bipower_window: int = _setting(
@@ -194,7 +198,7 @@ class RunConfig:
     seed: int | None = _setting("seed", "null or an integer at least 0", optional(int_at_least(0)),
                                 flag={"type": int, "help": "override the scenario seed"})
     income_as_level: bool = _setting("income_as_level", "true or false", instance_of(bool), False)
-    synth_scenario: str | None = _setting("synth_scenario", "null or an existing file", optional(_file))
+    synth_scenario: str | None = _setting("synth_scenario", "null or an existing file", optional(_file), path=True)
     jump_threshold: float = _setting("thresholds.jump", "a positive number", is_positive, 1.65)
     big_threshold: float = _setting("thresholds.big", "a positive number", is_positive, 2.0)
     pair_sig_t: float = _setting("thresholds.pair_sig_t", "a positive number", is_positive, 5.0)
@@ -281,6 +285,13 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    base = os.path.dirname(path)  # empty for a bare file name, whose paths stay as written
+    for f in _FIELDS:
+        section, _, key = f.metadata["key"].rpartition(".")
+        values = obj.get(section) if section else obj
+        value = values.get(key) if isinstance(values, dict) else None
+        if f.metadata["path"] and base and isinstance(value, str) and value:
+            values[key] = os.path.join(base, value)
     # The values are checked once the environment and flags have had their say.
     problems = faults(_CONFIG_KEYS, obj, values=False)
     if problems:

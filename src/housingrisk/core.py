@@ -30,7 +30,6 @@ __all__ = [
     "QuarterIndex",
     "parse_quarter",
     "is_quarter",
-    "quarter_range",
     "MsaInfo",
     "IndexPanel",
     "ReturnPanel",
@@ -135,13 +134,6 @@ def is_quarter(value) -> bool:
         return isinstance(value, str) and parse_quarter(value) is not None
     except QuarterParseError:
         return False
-
-
-def quarter_range(start: QuarterIndex, end: QuarterIndex) -> list[QuarterIndex]:
-    """Inclusive list of quarters from start to end."""
-    if end.code < start.code:
-        raise ValueError(f"range end {end} precedes start {start}")
-    return [QuarterIndex.from_code(c) for c in range(start.code, end.code + 1)]
 
 
 @dataclass(frozen=True)

@@ -100,9 +100,9 @@ def rolling_factor_model(dataset: AlignedDataset, window: int = 20) -> PanelInte
     Windows slide one row at a time; each fit's R-square and coefficient
     vector are stamped at the quarter of the window's last row, in a
     one-row ``PanelIntegration``. All windows are fitted in one stacked
-    Householder QR (``regress._fit_stack``). A badly conditioned window is
-    refitted by pivoted QR, so the first rank-deficient window raises the
-    same ``SingularDesignError`` as a per-window pivoted QR.
+    Householder QR (``regress._fit_stack``); the first rank-deficient window
+    raises its ``SingularDesignError``, which names the dependent columns in
+    declared order.
     """
     names = ("const",) + tuple(dataset.factor_ids)
     _check_window(len(names), window)

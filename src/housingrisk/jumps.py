@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import QuarterIndex, ReturnPanel
-from .errors import ConfigError, InsufficientHistoryError, UndefinedStatisticError
+from .errors import ConfigError, InsufficientHistoryError
 
 __all__ = [
     "JumpSeries",
@@ -24,8 +24,6 @@ __all__ = [
     "JUMP_THRESHOLD",
     "BIG_THRESHOLD",
     "MIN_BIPOWER_WINDOW",
-    "bipower_variation",
-    "lm_statistic",
     "lm_series",
     "jump_incidence",
 ]
@@ -59,30 +57,6 @@ class JumpSeries:
     skipped: tuple[tuple[str, str], ...]
 
 
-def bipower_variation(returns: np.ndarray) -> float:
-    """B = (1/(T-1)) * sum_{t=2..T} |R_t| * |R_{t-1}| over the window."""
-    r = np.asarray(returns, dtype=float)
-    if r.size < 2:
-        raise InsufficientHistoryError(
-            f"bipower variation needs at least 2 returns, got {r.size}"
-        )
-    if not np.all(np.isfinite(r)):
-        raise ValueError("returns must be finite")
-    a = np.abs(r)
-    return float(np.sum(a[1:] * a[:-1]) / (r.size - 1))
-
-
-def lm_statistic(next_return: float, trailing: np.ndarray) -> tuple[float, float]:
-    """L and scaled-L for one return against its trailing window."""
-    b = bipower_variation(trailing)
-    if b == 0.0:
-        raise UndefinedStatisticError(
-            "bipower variation of the trailing window is zero"
-        )
-    L = float(next_return) / float(np.sqrt(b))
-    return L, L * SCALE
-
-
 def lm_series(
     panel: ReturnPanel,
     bipower_window: int = 20,
@@ -112,7 +86,7 @@ def lm_series(
     r = np.nan_to_num(panel.values[:, keep])
     a = np.abs(r)
     # Each window's W - 1 adjacent products are summed on their own, along a
-    # contiguous row as bipower_variation sums them: a difference of running
+    # contiguous row as a one-window sum adds them: a difference of running
     # sums would lose a quiet window's digits after a volatile stretch.
     prod = np.ascontiguousarray((a[1:] * a[:-1]).T)  # (MSA, quarter)
     b = np.zeros(r.shape)

@@ -32,27 +32,10 @@ __all__ = [
     "cochrane_orcutt",
     "ar1_prewhiten",
     "trend_fit",
-    "add_intercept",
 ]
-
-
-#: Stacked solves whose R has at least this Frobenius condition number are
-#: redone by pivoted QR (see ``_solve_stacked``). Far below the ~2e14 at
-#: which pivoted QR finds a rank deficiency, it also keeps the pivoted-QR
-#: beta of badly conditioned but full-rank problems, where the two differ by
-#: about cond * eps.
-RANK_SCREEN_COND = 1e8
 
 #: The fewest observations ``ar1_prewhiten`` takes.
 MIN_PREWHITEN_OBS = 10
-
-
-def add_intercept(X: np.ndarray) -> np.ndarray:
-    """Prepend a column of ones."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    return np.column_stack([np.ones(X.shape[0]), X])
 
 
 @dataclass(frozen=True)
@@ -107,35 +90,16 @@ class TrendFit:
     residuals: np.ndarray
 
 
-def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
-    """Pivoted-QR least squares.
-
-    Returns (beta, residuals, diag of (X'X)^-1). Raises SingularDesignError
-    naming the pivoted-out columns when X is rank deficient.
-    """
-    from scipy import linalg as sla  # only this fallback needs scipy
-
-    n, k = X.shape
-    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = max(n, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < k:
-        dependent = [names[piv[i]] for i in range(rank, k)]
-        raise SingularDesignError(
-            f"design matrix is rank deficient (rank {rank} of {k}); "
-            f"dependent columns: {', '.join(dependent)}",
-            columns=dependent,
-        )
-    beta_p = sla.solve_triangular(R, Q.T @ y)
-    beta = np.empty(k)
-    beta[piv] = beta_p
-    resid = y - X @ beta
-    r_inv = sla.solve_triangular(R, np.eye(k))
-    xtx_inv_diag_p = np.sum(r_inv * r_inv, axis=1)
-    xtx_inv_diag = np.empty(k)
-    xtx_inv_diag[piv] = xtx_inv_diag_p
-    return beta, resid, xtx_inv_diag
+def _dependent_columns(X: np.ndarray, tol: float) -> list[int]:
+    """The columns of X, in declared order, whose residual on the earlier
+    kept columns is at most ``tol``: each column is taken in turn, and the
+    last diagonal entry of the R of the kept columns plus it is that
+    residual's norm."""
+    kept, dependent = [], []
+    for j in range(X.shape[1]):
+        r = np.linalg.qr(X[:, kept + [j]], mode="r")
+        (kept if abs(r[-1, -1]) > tol else dependent).append(j)
+    return dependent
 
 
 def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
@@ -149,19 +113,23 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
     then solves ``R [B | R^-1] = [Q'Y | I]`` for every problem and response
     at once.
 
-    A problem whose R has ``cond_F(R) >= RANK_SCREEN_COND`` (or a NaN
-    condition number) is redone by ``_solve_ls``, in stack order, one
-    response at a time. The screen catches every problem pivoted QR calls
-    rank deficient: that needs ``cond_2(X) >= 1 / (max(n, k) * eps)``,
-    about 2e14, and ``cond_F(R) >= cond_2(R) = cond_2(X)``. Rank is a
-    property of X alone, so a rank-deficient problem fails for every
-    response.
+    A problem is rank deficient when, in declared order, some column's
+    residual on the earlier kept columns is at most
+    ``max(n, k) * eps * (largest column norm)``. Column j of R has the norm
+    of column j of X, and ``|R[j, j]|`` is its residual on all the earlier
+    columns, so a problem whose diagonal stays above that bound is full rank.
+    Any other is re-factored one column at a time by ``_dependent_columns``,
+    which names its dependent columns; if it names none, the problem is full
+    rank after all (a residual within rounding of the bound can fall on
+    either side of it in the two factorizations). A full-rank problem keeps
+    the stack's solution. Rank is a property of X alone, so a rank-deficient
+    problem fails for every response.
 
     Returns (beta, diag of (X'X)^-1, failed): arrays of shape (s, m, k) and
     (s, k), and a dict from stack position to the ``SingularDesignError``
     of each rank-deficient problem, whose rows hold NaN.
     """
-    k = len(names)
+    n, k = Xy.shape[1], len(names)
     m = Xy.shape[2] - k
     Ra = np.linalg.qr(Xy, mode="r")
     R = Ra[:, :k, :k]
@@ -172,17 +140,19 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
             done = np.einsum("wj,wjc->wc", R[:, i, i + 1 :], sol[:, i + 1 :])
             sol[:, i] = (rhs[:, i] - done) / R[:, i, i, None]
         r_inv = sol[:, :, m:]
-        cond = np.sqrt(np.einsum("wij,wij->w", R, R) * np.einsum("wij,wij->w", r_inv, r_inv))
         diag = np.einsum("wij,wij->wi", r_inv, r_inv)
     beta = np.ascontiguousarray(sol[:, :, :m].transpose(0, 2, 1))
+    tol = max(n, k) * np.finfo(float).eps * np.sqrt(np.sum(R * R, axis=1)).max(axis=1)
     failed = {}
-    for s in np.flatnonzero(~(cond < RANK_SCREEN_COND)):
-        try:
-            for c in range(m):
-                beta[s, c], _, diag[s] = _solve_ls(Xy[s, :, :k], Xy[s, :, k + c], names)
-        except SingularDesignError as exc:
+    for s in np.flatnonzero(~(np.abs(np.diagonal(R, axis1=1, axis2=2)) > tol[:, None]).all(axis=1)):
+        dependent = [names[j] for j in _dependent_columns(Xy[s, :, :k], tol[s])]
+        if dependent:
             beta[s] = diag[s] = np.nan
-            failed[int(s)] = exc
+            failed[int(s)] = SingularDesignError(
+                f"design matrix is rank deficient (rank {k - len(dependent)} of {k}); "
+                f"dependent columns: {', '.join(dependent)}",
+                columns=dependent,
+            )
     return beta, diag, failed
 
 
@@ -514,10 +484,10 @@ def ar1_prewhiten(series: np.ndarray) -> PrewhitenResult:
 def trend_fit(series: np.ndarray) -> TrendFit:
     """OLS of a series on (1, t), t = 0..n-1, with the slope t-statistic.
 
-    ``[1, t]`` has full rank for n >= 3, so no pivoting is needed. The QR of
-    ``[t | 1]`` and the order of every operation below are those of the
-    pivoted QR in ``_solve_ls``, which takes t first, so the results are the
-    same to the bit without loading scipy.
+    ``[1, t]`` has full rank for n >= 3. The QR of ``[t | 1]`` and the
+    order of every operation below are those of a column-pivoted QR of
+    ``[1, t]``, which takes t first, so the results are that fit's to the
+    bit (the pivoted-QR oracle in ``tests/oracles.py`` pins it).
     """
     y = np.asarray(series, dtype=float)
     n = y.size

@@ -1,11 +1,17 @@
-"""Scalar reference implementations of OLS and Cochrane-Orcutt, for tests.
+"""Scalar reference implementations, for tests.
 
 The library fits every regression through its stacked kernels
 (``regress._fit_stack``, ``regress._cochrane_orcutt_stack``), including the
 one-problem calls ``ols_fit`` and ``cochrane_orcutt``. These are the
 independent per-problem versions those kernels are checked against: one
-pivoted-QR solve per fit and a plain loop over Cochrane-Orcutt rounds.
-They raise the library's exceptions with the same messages.
+scipy pivoted-QR solve per fit (``_solve_ls``) and a plain loop over
+Cochrane-Orcutt rounds. They raise the library's exceptions with the same
+messages, except that ``_solve_ls`` names the columns pivoted out, where
+the library names dependent columns in declared order.
+
+``bipower_variation`` and ``lm_statistic`` are the one-window jump
+statistics that ``jumps.lm_series`` is checked against, and
+``add_intercept`` builds the tests' designs.
 """
 
 from __future__ import annotations
@@ -13,27 +19,128 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy import linalg as sla
 
-from housingrisk.errors import DegreesOfFreedomError, NonStationaryError
+from housingrisk.errors import (
+    DegreesOfFreedomError,
+    InsufficientHistoryError,
+    NonStationaryError,
+    SingularDesignError,
+    UndefinedStatisticError,
+)
+from housingrisk.jumps import SCALE
 from housingrisk.regress import (
     RegressionFit,
     _rho_did_not_converge,
     _rho_left_unit_interval,
-    _solve_ls,
     _t_stats,
     _too_few_for_cochrane_orcutt,
     _too_few_for_ols,
 )
 
 
+def add_intercept(X: np.ndarray) -> np.ndarray:
+    """Prepend a column of ones."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    return np.column_stack([np.ones(X.shape[0]), X])
+
+
+def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
+    """Pivoted-QR least squares.
+
+    Returns (beta, residuals, diag of (X'X)^-1). Raises SingularDesignError
+    naming the pivoted-out columns when X is rank deficient.
+    """
+    n, k = X.shape
+    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    tol = max(n, k) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
+    rank = int(np.sum(diag > tol))
+    if rank < k:
+        dependent = [names[piv[i]] for i in range(rank, k)]
+        raise SingularDesignError(
+            f"design matrix is rank deficient (rank {rank} of {k}); "
+            f"dependent columns: {', '.join(dependent)}",
+            columns=dependent,
+        )
+    beta_p = sla.solve_triangular(R, Q.T @ y)
+    beta = np.empty(k)
+    beta[piv] = beta_p
+    resid = y - X @ beta
+    r_inv = sla.solve_triangular(R, np.eye(k))
+    xtx_inv_diag_p = np.sum(r_inv * r_inv, axis=1)
+    xtx_inv_diag = np.empty(k)
+    xtx_inv_diag[piv] = xtx_inv_diag_p
+    return beta, resid, xtx_inv_diag
+
+
+def bipower_variation(returns: np.ndarray) -> float:
+    """B = (1/(T-1)) * sum_{t=2..T} |R_t| * |R_{t-1}| over the window."""
+    r = np.asarray(returns, dtype=float)
+    if r.size < 2:
+        raise InsufficientHistoryError(
+            f"bipower variation needs at least 2 returns, got {r.size}"
+        )
+    if not np.all(np.isfinite(r)):
+        raise ValueError("returns must be finite")
+    a = np.abs(r)
+    return float(np.sum(a[1:] * a[:-1]) / (r.size - 1))
+
+
+def lm_statistic(next_return: float, trailing: np.ndarray) -> tuple[float, float]:
+    """L and scaled-L for one return against its trailing window."""
+    b = bipower_variation(trailing)
+    if b == 0.0:
+        raise UndefinedStatisticError(
+            "bipower variation of the trailing window is zero"
+        )
+    L = float(next_return) / float(np.sqrt(b))
+    return L, L * SCALE
+
+
+def declared_order_dependent(X: np.ndarray) -> list[int]:
+    """The columns of X, in declared order, whose residual on the earlier
+    kept columns is at most ``_solve_ls``'s rank tolerance,
+    ``max(n, k) * eps * (largest column norm)``: classical Gram-Schmidt,
+    run twice against each column."""
+    n, k = X.shape
+    tol = max(n, k) * np.finfo(float).eps * max(np.linalg.norm(X, axis=0), default=0.0)
+    basis, dependent = np.empty((n, 0)), []
+    for j in range(k):
+        v = X[:, j]
+        for _ in range(2):
+            v = v - basis @ (basis.T @ v)
+        norm = np.linalg.norm(v)
+        if norm > tol:
+            basis = np.column_stack([basis, v / norm])
+        else:
+            dependent.append(j)
+    return dependent
+
+
 def _fit_core(X, y, names, method, rho) -> RegressionFit:
-    """Fit without the public df guard (needs only n >= k + 1)."""
+    """Fit without the public df guard (needs only n >= k + 1).
+
+    A rank-deficient X raises with ``_solve_ls``'s rank and the dependent
+    columns in declared order (``declared_order_dependent``), as the
+    library names them.
+    """
     n, k = X.shape
     if n < k + 1:
         raise DegreesOfFreedomError(
             f"need at least {k + 1} observations for {k} regressors, got {n}"
         )
-    beta, resid, xtx_inv_diag = _solve_ls(X, y, names)
+    try:
+        beta, resid, xtx_inv_diag = _solve_ls(X, y, names)
+    except SingularDesignError as exc:
+        dependent = [names[j] for j in declared_order_dependent(X)]
+        raise SingularDesignError(
+            f"design matrix is rank deficient (rank {k - len(exc.columns)} of {k}); "
+            f"dependent columns: {', '.join(dependent)}",
+            columns=dependent,
+        ) from None
     ssr = float(np.sum(resid**2))
     sigma2 = ssr / (n - k)
     se = np.sqrt(np.maximum(sigma2 * xtx_inv_diag, 0.0))

@@ -115,6 +115,32 @@ def test_env_config_path(tmp_path):
     assert cfg.window == 33
 
 
+def test_a_relative_path_in_a_config_file_is_read_from_its_directory(tmp_path, monkeypatch):
+    # The config and everything it names sit in one directory, and the run
+    # starts in another. A relative path from a flag or the environment
+    # stays with the working directory.
+    rpath, inputs = write_scenario(tmp_path)
+    assert main(["synth", "--config", str(rpath)]) == 0
+    (inputs / "run.json").write_text(json.dumps({
+        "inputs": {"hpi": "hpi_synth.csv", "factors": "factors_synth.csv", "transforms": "transforms_synth.json"},
+        "out": "ingested",
+    }))
+    (inputs / "scenario.json").write_text(json.dumps(SCENARIO))
+    (inputs / "synth.json").write_text(json.dumps({"synth_scenario": "scenario.json", "out": "generated"}))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    config = str(inputs / "run.json")
+    assert main(["ingest", "--config", config]) == 0
+    assert (inputs / "ingested" / "panel_summary.csv").is_file()
+    assert main(["synth", "--config", str(inputs / "synth.json")]) == 0
+    assert (inputs / "generated" / "hpi_synth.csv").is_file()
+    assert main(["ingest", "--config", config, "--out", "flagged"]) == 0
+    monkeypatch.setenv("HOUSINGRISK_OUT", "from_env")
+    assert main(["ingest", "--config", config]) == 0
+    assert sorted(os.listdir()) == ["flagged", "from_env"]
+
+
 def test_no_prewhiten_flag_and_env(tmp_path, capsys, monkeypatch):
     assert build_config(parse(["integrate", "--no-prewhiten"]), env={}).prewhiten is False
     for text, prewhiten in [("1", False), ("true", False), ("TRUE", False), ("Yes", False),
@@ -1077,11 +1103,13 @@ def test_each_setting_is_declared_by_its_field(tmp_path, setting):
     value = str(p) if NON_DEFAULT[key] is FILE else NON_DEFAULT[key]
     assert getattr(RunConfig(), setting.name) != value
 
-    # Its key in a config file sets its field and no other.
+    # Its key in a config file sets its field and no other; a relative path
+    # is read from the config file's directory.
     p.write_text(json.dumps({section: {name: value}} if section else {name: value}))
     cfg = build_config(parse(["ingest", "--config", str(p)]), env={})
     cfg.validate()
-    assert dataclasses.asdict(cfg) == dict(dataclasses.asdict(RunConfig()), **{setting.name: value})
+    read = os.path.join(tmp_path, value) if (section, name) in PATH_KEYS and isinstance(value, str) else value
+    assert dataclasses.asdict(cfg) == dict(dataclasses.asdict(RunConfig()), **{setting.name: read})
 
     # The config key table holds its valid values in its section, and holds the 22 keys of the fields only.
     assert (_CONFIG_KEYS[section].keys if section else _CONFIG_KEYS)[name] is setting.metadata["valid"]

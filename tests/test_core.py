@@ -23,7 +23,6 @@ from housingrisk import (
     compute_returns,
     default_factor_transforms,
     parse_quarter,
-    quarter_range,
     transform_factor,
 )
 from .conftest import Q0, factor_table, index_panel, levels_from_returns
@@ -58,11 +57,6 @@ def test_quarter_arithmetic():
 def test_quarter_ordering():
     assert QuarterIndex(1990, 4) < QuarterIndex(1991, 1)
     assert sorted([QuarterIndex(2000, 2), QuarterIndex(1999, 3)])[0].year == 1999
-
-
-def test_quarter_range_inclusive():
-    qs = quarter_range(QuarterIndex(1990, 3), QuarterIndex(1991, 2))
-    assert [str(q) for q in qs] == ["1990:Q3", "1990:Q4", "1991:Q1", "1991:Q2"]
 
 
 def test_bad_quarter_number_rejected():

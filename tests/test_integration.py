@@ -23,9 +23,9 @@ from housingrisk import (
     rolling_factor_model,
 )
 from housingrisk.integration import CHARACTERISTICS, CROSS_STATS, MIN_SUMMARY_WINDOWS
-from housingrisk.regress import _solve_ls, add_intercept, ar1_prewhiten
+from housingrisk.regress import _fit_stack, ar1_prewhiten
 from .conftest import Q0, factor_table, panel_from_returns
-from .oracles import ols_fit
+from .oracles import _solve_ls, add_intercept, ols_fit
 
 
 def aligned(y, F, msa_id="A"):
@@ -132,7 +132,21 @@ def test_rank_deficient_window_raises_as_pivoted_qr(rng):
     assert caught.value.columns == expected.columns
 
 
-def test_near_collinear_window_keeps_pivoted_qr_beta(rng):
+def assert_near_the_pivoted_oracle(beta, X, y, names):
+    """``beta`` is within 10 eps times the least-squares condition number of
+    the pivoted-QR oracle's beta. For two backward-stable solves that is
+    Wedin's bound (Higham 2002, Thm 20.1): kappa (2 + (kappa + 1) eta) with
+    eta = |r| / (|X|_2 |beta|). The residual term grows as kappa squared, so
+    a plain multiple of kappa * eps does not bound it."""
+    ref, resid, _ = _solve_ls(X, y, names)
+    kappa = np.linalg.cond(X)
+    assert kappa > 1e8  # badly conditioned, yet full rank
+    eta = np.linalg.norm(resid) / (np.linalg.norm(X, 2) * np.linalg.norm(ref))
+    bound = 10 * np.finfo(float).eps * kappa * (2 + (kappa + 1) * eta)
+    assert np.linalg.norm(beta - ref) <= bound * np.linalg.norm(ref)
+
+
+def test_near_collinear_window_keeps_the_stacked_beta(rng):
     n, w = 30, 20
     F = rng.normal(size=(n, 2))
     F[:, 1] = F[:, 0] + 1e-9 * rng.normal(size=n)  # full rank, badly conditioned
@@ -141,8 +155,10 @@ def test_near_collinear_window_keeps_pivoted_qr_beta(rng):
     result = rolling_factor_model(ds, window=w)
     X = add_intercept(F)
     for s in range(n - w + 1):
-        beta, _, _ = _solve_ls(X[s : s + w], y[s : s + w], result.names)
-        assert_array_equal(result.beta[0, s], beta)
+        alone = _fit_stack(np.column_stack([X[s : s + w], y[s : s + w]])[None], result.names)
+        assert not alone.failed
+        assert_array_equal(result.beta[0, s], alone.beta[0, 0])
+        assert_near_the_pivoted_oracle(result.beta[0, s], X[s : s + w], y[s : s + w], result.names)
 
 
 def test_window_shorter_than_params_rejected(rng):
@@ -377,20 +393,21 @@ def test_rank_deficient_spans_skip_the_msas_that_hold_them(rng):
     assert_same_integration(result, series, skipped)
 
 
-def test_badly_conditioned_spans_take_the_pivoted_fallback(rng):
+def test_badly_conditioned_spans_keep_the_stacked_beta(rng):
     n, w = 40, 20
     F = rng.normal(size=(n, 2))
     F[:, 1] = F[:, 0] + 1e-9 * rng.normal(size=n)  # full rank, badly conditioned
     returns = {"A": F[:, 0] + rng.normal(size=n), "B": rng.normal(size=n - 12)}
     panel = panel_from_returns(returns)
     result = integrate_panel(panel, factor_table(F, start=Q0), window=w, prewhiten=False)
+    assert result.skipped == ()
     X = add_intercept(F)
     for c, (msa_id, y) in enumerate(returns.items()):
         off = n - y.size
         assert result.ids[c] == msa_id and result.first[c] == off
         for s in range(y.size - w + 1):
-            beta, _, _ = _solve_ls(X[off + s : off + s + w], y[s : s + w], result.names)
-            assert_array_equal(result.beta[c, off + s], beta)
+            rows = slice(off + s, off + s + w)
+            assert_near_the_pivoted_oracle(result.beta[c, off + s], X[rows], y[s : s + w], result.names)
 
 
 def staggered_integration(rng, entries=(0, 7, 3, 12), n=40, w=12, k=2):

@@ -12,14 +12,13 @@ from housingrisk import (
     InsufficientHistoryError,
     QuarterIndex,
     UndefinedStatisticError,
-    bipower_variation,
     jump_incidence,
     lm_series,
-    lm_statistic,
 )
 from housingrisk.jumps import BIG_THRESHOLD, JUMP_THRESHOLD, SCALE, JumpSeries
 
 from .conftest import panel_from_returns
+from .oracles import bipower_variation, lm_statistic
 
 
 def test_bipower_hand_values():

@@ -22,16 +22,16 @@ from housingrisk import (
     NonStationaryError,
     SingularDesignError,
     UndefinedStatisticError,
-    add_intercept,
     ar1_prewhiten,
     cochrane_orcutt,
     durbin_watson,
     ols_fit,
     trend_fit,
 )
-from housingrisk.regress import _ar1_rows
+from housingrisk.regress import _ar1_rows, _cochrane_orcutt_stack, _fit_stack, _solve_stacked
 
 from . import oracles
+from .oracles import add_intercept
 
 
 def normal_equations(X, y):
@@ -287,6 +287,126 @@ def test_public_fits_reject_a_non_finite_input(rng, fit, bad, where):
         y[5] = bad
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         fit(X, y)
+
+
+# --- rank and the stacked solve ---------------------------------------------
+
+DESIGN_COLUMNS = ("normal", "intercept", "zero", "const", "copy", "scaled", "sum", "near")
+
+
+def design(rng, kinds, n, shuffle=False):
+    """An (n, len(kinds)) design whose columns are built in ``kinds`` order.
+
+    ``copy``, ``scaled`` and ``sum`` are exactly dependent on earlier
+    columns, ``zero`` and ``const`` on nothing or the intercept, and
+    ``near`` is an earlier column plus 1e-9 noise: full rank, badly
+    conditioned. A kind with too few earlier columns is ``normal``.
+    """
+    cols = []
+    for kind in kinds:
+        if (kind in ("copy", "scaled", "near") and not cols) or (kind == "sum" and len(cols) < 2):
+            kind = "normal"
+        size = rng.uniform(0.25, 4.0) * rng.choice([-1.0, 1.0])
+        if kind == "normal":
+            col = size * rng.normal(size=n)
+        elif kind == "intercept":
+            col = np.ones(n)
+        elif kind == "zero":
+            col = np.zeros(n)
+        elif kind == "const":
+            col = np.full(n, size)
+        elif kind == "sum":
+            i, j = rng.choice(len(cols), 2, replace=False)
+            col = cols[i] + cols[j]
+        else:
+            col = cols[rng.integers(len(cols))]
+            col = {"copy": col, "scaled": size * col, "near": col + 1e-9 * rng.normal(size=n)}[kind]
+        cols.append(col)
+    X = np.column_stack(cols)
+    return X[:, rng.permutation(X.shape[1])] if shuffle else X
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(DESIGN_COLUMNS), min_size=1, max_size=6),
+    extra_rows=st.integers(2, 40),
+    shuffle=st.booleans(),
+)
+def test_rank_rule_finds_the_pivoted_qr_rank(seed, kinds, extra_rows, shuffle):
+    # The stacked solve's rule (in declared order, a column whose residual on
+    # the earlier kept columns is at rounding level is dependent) finds the
+    # rank of scipy's pivoted QR, and names the columns Gram-Schmidt does.
+    rng = np.random.default_rng(seed)
+    k = len(kinds)
+    X = design(rng, kinds, k + extra_rows, shuffle)
+    names = tuple(f"x{j}" for j in range(k))
+    y = rng.normal(size=X.shape[0])
+    try:
+        oracles._solve_ls(X, y, names)
+        rank = k
+    except SingularDesignError as exc:
+        rank = k - len(exc.columns)
+    _, _, failed = _solve_stacked(np.column_stack([X, y])[None], names)
+    dependent = failed[0].columns if failed else ()
+    assert k - len(dependent) == rank
+    assert dependent == tuple(names[j] for j in oracles.declared_order_dependent(X))
+
+
+def stack_of_designs(rng, s, n, k, m, phi=0.0):
+    """``[X | Y]`` of shape (s, n, k + m): an intercept and k - 1 random
+    ``design`` columns per problem, about one problem in three rank
+    deficient, and AR(1) noise of coefficient ``phi`` in the responses."""
+    stack = np.empty((s, n, k + m))
+    for i in range(s):
+        pool = DESIGN_COLUMNS if rng.random() < 0.3 else ("normal", "near")
+        X = design(rng, ["intercept", *rng.choice(pool, k - 1)], n)
+        noise = np.column_stack([ar1_noise(rng, n, phi) for _ in range(m)])
+        stack[i] = np.column_stack([X, X @ rng.normal(size=(k, m)) + noise])
+    return stack
+
+
+def assert_same_stack_rows(whole, alone, at):
+    """Row ``at`` of every array of ``whole`` equals row 0 of ``alone`` to
+    the bit, and so does its error, if any."""
+    for a, b in zip(whole, alone):
+        if isinstance(a, dict):
+            assert str(a.get(at)) == str(b.get(0))
+        elif a is not None:
+            assert_array_equal(a[at], b[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(2, 8),
+    k=st.integers(1, 5),
+    m=st.integers(1, 3),
+    extra_rows=st.sampled_from([3, 4, 8, 30]),
+    phi=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+)
+def test_a_problem_has_the_same_bits_alone_and_in_a_stack(seed, s, k, m, extra_rows, phi):
+    # The lockstep Cochrane-Orcutt rounds and byte-identical artifacts rely on
+    # a problem's fit not depending on the stack it is solved in.
+    rng = np.random.default_rng(seed)
+    n = k + extra_rows
+    names = tuple(f"x{j}" for j in range(k))
+    Xy = stack_of_designs(rng, s, n, k, m, phi)
+    alone = [_fit_stack(Xy[i : i + 1], names) for i in range(s)]
+    whole = _fit_stack(Xy, names)
+    for i, fit in enumerate(alone):
+        assert_same_stack_rows(whole, fit, i)
+    part = rng.choice(s, rng.integers(1, s + 1), replace=False)  # any sub-stack, in any order
+    some = _fit_stack(Xy[part], names)
+    for j, i in enumerate(part):
+        assert_same_stack_rows(some, alone[i], j)
+    one = Xy[:, :, : k + 1]
+    co = _cochrane_orcutt_stack(one, names, _fit_stack(one, names).single())
+    for i in range(s):
+        co_i = _cochrane_orcutt_stack(one[i : i + 1], names, _fit_stack(one[i : i + 1], names).single())
+        assert_same_stack_rows(co[0], co_i[0], i)
+        for a, b in zip(co[1:], co_i[1:]):
+            assert_array_equal(a[i], b[0])
 
 
 # --- AR(1) pre-whitening ----------------------------------------------------
