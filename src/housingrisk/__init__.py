@@ -37,7 +37,6 @@ from .regress import (
     TrendFit,
     ar1_prewhiten,
     cochrane_orcutt,
-    durbin_watson,
     ols_fit,
     trend_fit,
 )

@@ -173,16 +173,6 @@ class ContagionFit:
     def lag_coefficients(self) -> np.ndarray:
         return np.array([self.coefficient(f"lag{l}") for l in range(self.n_lags + 1)])
 
-    def lag_t_stats(self) -> np.ndarray:
-        return np.array([self.t_stat(f"lag{l}") for l in range(self.n_lags + 1)])
-
-    def interaction_coefficients(self) -> np.ndarray | None:
-        if not self.interacted:
-            return None
-        return np.array(
-            [self.coefficient(f"ix_lag{l}") for l in range(self.n_lags + 1)]
-        )
-
 
 @dataclass(frozen=True)
 class ContagionFits:

@@ -325,16 +325,9 @@ class FactorTable:
     """Transformed national factor series on a shared quarterly grid.
 
     ``values`` is (n_quarters, n_factors); NaN marks missing observations.
-    ``transforms`` records how each column was produced from raw data.
     """
 
-    def __init__(
-        self,
-        factor_ids: Sequence[str],
-        start: QuarterIndex,
-        values: np.ndarray,
-        transforms: Mapping[str, str] | None = None,
-    ):
+    def __init__(self, factor_ids: Sequence[str], start: QuarterIndex, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != len(factor_ids):
             raise ValueError("values must be (n_quarters, n_factors)")
@@ -343,8 +336,6 @@ class FactorTable:
         self.factor_ids = tuple(factor_ids)
         self.start = start
         self.values = values
-        self.transforms = dict(transforms or {})
-        self._col = {f: j for j, f in enumerate(self.factor_ids)}
 
     @property
     def n_quarters(self) -> int:
@@ -353,12 +344,6 @@ class FactorTable:
     @property
     def end(self) -> QuarterIndex:
         return self.start + (self.n_quarters - 1)
-
-    def column(self, factor_id: str) -> int:
-        try:
-            return self._col[factor_id]
-        except KeyError:
-            raise KeyError(f"unknown factor id {factor_id!r}") from None
 
 
 @dataclass(frozen=True)

@@ -129,11 +129,13 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pearson_grids(Za, Ma, Zb, Mb):
-    """Sufficient statistics for all-pairs Pearson correlations.
+    """All-pairs Pearson correlations: (overlap counts, r, ok).
 
     ``Za``/``Zb`` are zero-filled value arrays, ``Ma``/``Mb`` the matching
     presence masks (floats); column i of the a-side is correlated with
-    column j of the b-side over rows where both are present.
+    column j of the b-side over rows where both are present. ``ok`` is
+    False where either side's variance over the overlap is zero up to
+    rounding.
     """
     N = _mm(Ma, Mb)
     Sa = _mm(Za, Mb)
@@ -146,7 +148,14 @@ def _pearson_grids(Za, Ma, Zb, Mb):
         var_a = N * Qa - Sa**2
         var_b = N * Qb - Sb**2
         r = cov / np.sqrt(var_a * var_b)
-    return N, r, var_a, var_b
+    # N·Q and S² each carry a rounding error of up to about N·eps·N·Q (Higham,
+    # *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 1 and §4.2),
+    # so a variance of at most twice that is zero up to rounding: a constant
+    # column must not be kept on the sign of its rounding. Written as "not <="
+    # so that a NaN variance keeps its pair.
+    floor = 2.0 * np.finfo(float).eps * N * N
+    ok = ~((var_a <= floor * Qa) | (var_b <= floor * Qb))
+    return N, r, ok
 
 
 def _pair_set(kind, timing, ids, N, r, ok, floor, short_reason, bad_reason):
@@ -192,11 +201,9 @@ def return_pair_correlations(
     Z = np.where(M, V, 0.0)
     Mf = M.astype(float)
     if timing == "contemporaneous":
-        N, r, var_a, var_b = _pearson_grids(Z, Mf, Z, Mf)
+        N, r, ok = _pearson_grids(Z, Mf, Z, Mf)
     else:
-        N, r, var_a, var_b = _pearson_grids(Z[:-1], Mf[:-1], Z[1:], Mf[1:])
-    # Written as "not <= 0" so that a NaN variance keeps its pair.
-    ok = ~((var_a <= 0.0) | (var_b <= 0.0))
+        N, r, ok = _pearson_grids(Z[:-1], Mf[:-1], Z[1:], Mf[1:])
     return _pair_set(
         "return", timing, panel.msa_ids(), N, r, ok, min_overlap,
         "overlap {n} < {floor}", "zero variance over overlap",

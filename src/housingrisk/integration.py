@@ -251,6 +251,13 @@ def integration_summary(integration: PanelIntegration, returns: ReturnPanel) -> 
     MSAs with fewer than 3 windows are excluded (a trend fit needs 3
     points); exclusions are logged on the result.
     """
+    # Every path runs to the last window, so paths of one length start
+    # together and are trend-fitted as one stack.
+    size = integration.ends.size - integration.first
+    trend_t = np.empty(size.size)
+    for length in sorted(n for n in set(size.tolist()) if n >= MIN_SUMMARY_WINDOWS):
+        at = np.flatnonzero(size == length)
+        trend_t[at] = trend_fit(integration.r_square[at, -length:]).slope_t_stat
     ids, rows, excluded = [], [], []
     for c in sorted(range(len(integration.ids)), key=integration.ids.__getitem__):
         msa_id, path = integration.ids[c], integration.r_square[c, integration.first[c] :]
@@ -264,7 +271,7 @@ def integration_summary(integration: PanelIntegration, returns: ReturnPanel) -> 
             float(r.std(ddof=1)) if r.size > 1 else 0.0,
             float(path[-1]),
             float(path[-1] - path[0]),
-            trend_fit(path).slope_t_stat,
+            float(trend_t[c]),
         ))
     if not rows:
         raise InsufficientHistoryError("no MSA has enough windows to summarise")

@@ -214,12 +214,7 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
             out[:, j] = transformed
         else:  # log_pct_change loses the first observation
             out[1:, j] = transformed
-    return FactorTable(
-        factor_ids,
-        QuarterIndex.from_code(start_code),
-        out,
-        {f: transforms[f] for f in factor_ids},
-    )
+    return FactorTable(factor_ids, QuarterIndex.from_code(start_code), out)
 
 
 # A transforms file maps each factor id to the name of its transform.

@@ -85,8 +85,12 @@ def diversification_series(
     All sigmas are computed over the quarters where every member reports,
     so member and portfolio windows line up exactly. Diversification lies in
     [0, 1]. It is exactly 0 where the members are equal over the window, and
-    NaN where every member is constant over it, unless the portfolio sigma is
-    0 as well (then 0).
+    where the member and portfolio sigmas are both 0. Otherwise it is NaN
+    where the average member sigma is at most ``window * sqrt(eps)`` times
+    the largest |return| in the window: a computed sigma carries a rounding
+    error of up to about ``window * eps`` times that (Higham 2002, ch. 1),
+    so below the floor the ratio keeps fewer than half its digits. Above it,
+    the clip into [0, 1] trims only rounding.
     """
     members, codes, common, dropped = _member_returns(panel, members)
     port = common.mean(axis=1)
@@ -95,16 +99,17 @@ def diversification_series(
         [rolling_sigma(common[:, c], window) for c in range(common.shape[1])]
     )
     avg_sigma = member_sigmas.mean(axis=1)
+    scale = sliding_window_view(np.abs(common).max(axis=1), window).max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         diversification = np.where(
-            avg_sigma > 0, (avg_sigma - port_sigma) / avg_sigma, np.nan
+            avg_sigma > window * np.sqrt(np.finfo(float).eps) * scale,
+            (avg_sigma - port_sigma) / avg_sigma, np.nan
         )
         # Members equal over a whole window give avg == port in exact arithmetic,
         # but the mean of three or more equal values can round; make the zero exact.
         same = sliding_window_view((common == common[:, :1]).all(axis=1), window).all(axis=1)
         diversification = np.where(same | (avg_sigma == port_sigma), 0.0, diversification)
-    # Pooling never adds risk, so the ratio lies in [0, 1]; rounding can push it
-    # outside when the member sigmas are as small as the rounding of the mean.
+    # Pooling never adds risk, so the ratio lies in [0, 1] up to rounding.
     diversification = np.clip(diversification, 0.0, 1.0)
     return PortfolioSeries(
         members=members,

@@ -20,7 +20,6 @@ from .errors import (
     InsufficientHistoryError,
     NonStationaryError,
     SingularDesignError,
-    UndefinedStatisticError,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "TrendFit",
     "PrewhitenResult",
     "ols_fit",
-    "durbin_watson",
     "cochrane_orcutt",
     "ar1_prewhiten",
     "trend_fit",
@@ -63,26 +61,11 @@ class RegressionFit:
     def t_stat(self, name: str) -> float:
         return float(self.t_stats[self.names.index(name)])
 
-    def to_dict(self) -> dict:
-        """JSON-ready summary keyed by regressor id."""
-        out = {
-            "coefficients": {n: float(c) for n, c in zip(self.names, self.coefficients)},
-            "standard_errors": {
-                n: float(s) for n, s in zip(self.names, self.standard_errors)
-            },
-            "t_stats": {n: float(t) for n, t in zip(self.names, self.t_stats)},
-            "n": self.n_obs,
-            "r_square": self.r_square,
-            "dw": self.durbin_watson,
-            "method": self.method,
-            "rho": self.rho,
-        }
-        return out
-
 
 @dataclass(frozen=True)
 class TrendFit:
-    """OLS of a series on (1, t) with t = 0, 1, 2, ..."""
+    """OLS of a series on (1, t) with t = 0, 1, 2, ...; for a stack of m
+    series, each field has a leading axis of m."""
 
     intercept: float
     slope: float
@@ -268,17 +251,6 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
     return _regression_fit(Xy, names, fit, 0, method, rho)
 
 
-def durbin_watson(residuals: np.ndarray) -> float:
-    """DW = sum_{t>=2}(e_t - e_{t-1})^2 / sum e_t^2, in [0, 4]."""
-    e = np.asarray(residuals, dtype=float)
-    if e.size < 2:
-        raise ValueError("need at least 2 residuals")
-    denom = float(np.sum(e**2))
-    if denom == 0.0:
-        raise UndefinedStatisticError("Durbin-Watson undefined for all-zero residuals")
-    return float(np.sum(np.diff(e) ** 2) / denom)
-
-
 def cochrane_orcutt(
     X: np.ndarray,
     y: np.ndarray,
@@ -412,12 +384,12 @@ def _cochrane_orcutt_stack(
 @dataclass(frozen=True)
 class PrewhitenResult:
     """AR pre-whitening output; residuals keep the series mean so scale is
-    preserved. ``offset`` is how many leading observations were consumed."""
+    preserved. ``order`` is the AR order chosen, which is also how many
+    leading observations were consumed."""
 
     residuals: np.ndarray
     phi: float
     order: int
-    offset: int
     near_unit_root: bool = False
 
 
@@ -478,41 +450,45 @@ def ar1_prewhiten(series: np.ndarray) -> PrewhitenResult:
         )
     residuals, phi, order, near_unit_root = _ar1_rows(x)
     k = int(order[0])
-    return PrewhitenResult(residuals[0, k:], float(phi[0]), k, k, bool(near_unit_root[0]))
+    return PrewhitenResult(residuals[0, k:], float(phi[0]), k, bool(near_unit_root[0]))
 
 
 def trend_fit(series: np.ndarray) -> TrendFit:
     """OLS of a series on (1, t), t = 0..n-1, with the slope t-statistic.
 
-    ``[1, t]`` has full rank for n >= 3. The QR of ``[t | 1]`` and the
-    order of every operation below are those of a column-pivoted QR of
-    ``[1, t]``, which takes t first, so the results are that fit's to the
-    bit (the pivoted-QR oracle in ``tests/oracles.py`` pins it).
+    ``series`` is one series (n,) or a stack of equal-length series (m, n),
+    fitted as ``_fit_stack`` of ``[1, t | y]``; for a stack each field gains
+    a leading axis of m, and each row keeps the bits of its own call.
+
+    A slope at rounding level, ``|slope| * ||t - mean(t)|| <= n * (eps *
+    ||y|| + eta)``, has t-stat 0, the value ``_t_stats`` gives a zero slope
+    with a zero standard error. The bound is n rounding errors of a
+    backward-stable solve, each ``eps * ||y||`` plus the underflow unit eta,
+    the smallest subnormal (Higham 2002, ch. 2 and 20). Without it a flat
+    series gets a t-stat of rounding noise, or +-inf.
     """
     y = np.asarray(series, dtype=float)
-    n = y.size
+    if y.ndim not in (1, 2):
+        raise ValueError("series must be (n,) or (m, n)")
+    n = y.shape[-1]
     if n < 3:
         raise DegreesOfFreedomError(f"need at least 3 observations, got {n}")
     if not np.isfinite(y).all():
         raise ValueError("array must not contain infs or NaNs")
+    Y = y.reshape(-1, n)
     t = np.arange(n, dtype=float)
-    X = np.column_stack([np.ones(n), t])
-    Q, R = np.linalg.qr(X[:, ::-1])
-    qty = np.asfortranarray(Q).T @ y  # a C-order Q would sum in another order
-    intercept = qty[1] / R[1, 1]
-    slope = (qty[0] - R[0, 1] * intercept) / R[0, 0]
-    beta = np.array([intercept, slope])
-    resid = y - X @ beta
-    # diag of (X'X)^-1 from R^-1 = [[i00, i01], [0, i11]] of [t | 1]
-    i11 = 1.0 / R[1, 1]
-    i00 = 1.0 / R[0, 0]
-    i01 = (0.0 - R[0, 1] * i11) * i00
-    xtx_inv_diag = np.array([i11 * i11, i00 * i00 + i01 * i01])
-    sigma2 = float(np.sum(resid**2)) / (n - 2)
-    se = np.sqrt(np.maximum(sigma2 * xtx_inv_diag, 0.0))
-    return TrendFit(
-        intercept=float(intercept),
-        slope=float(slope),
-        slope_t_stat=float(_t_stats(beta, se)[1]),
-        residuals=resid,
-    )
+    Xy = np.empty((len(Y), n, 3))
+    Xy[:, :, 0], Xy[:, :, 1], Xy[:, :, 2] = 1.0, t, Y
+    fit = _fit_stack(Xy, ("const", "t")).single()
+    intercept, slope = fit.beta[:, 0], fit.beta[:, 1]
+    t_stat = _t_stats(fit.beta, fit.se)[:, 1]
+    # ||y|| as a * ||y / a||, a = max |y|, so that y * y cannot underflow.
+    a = np.abs(Y).max(axis=1)
+    norm_y = a * np.sqrt(np.sum((Y / np.where(a > 0, a, 1.0)[:, None]) ** 2, axis=1))
+    spread_t = np.sqrt(np.sum((t - t.mean()) ** 2))
+    info = np.finfo(float)
+    t_stat[np.abs(slope) * spread_t <= n * (info.eps * norm_y + info.smallest_subnormal)] = 0.0
+    resid = Y - (intercept[:, None] + slope[:, None] * t)
+    if y.ndim == 1:
+        return TrendFit(float(intercept[0]), float(slope[0]), float(t_stat[0]), resid[0])
+    return TrendFit(intercept, slope, t_stat, resid)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FactorTable, IndexPanel, LOG_LEVEL, MsaInfo, QuarterIndex, is_quarter, parse_quarter
+from .core import FactorTable, IndexPanel, MsaInfo, QuarterIndex, is_quarter, parse_quarter
 from .errors import ConfigError
 from .schema import Key, faults, instance_of, int_at_least, is_int, is_number, is_numbers, is_ref, list_of
 
@@ -86,9 +86,6 @@ class GroundTruth:
     signal_share: np.ndarray
     jumps: tuple[tuple[str, int, float], ...]  # (msa_id, quarter code, magnitude)
     contagion: tuple[tuple[str, str, tuple[float, ...]], ...]
-
-    def jump_quarters(self, msa_id: str) -> list[int]:
-        return [code for m, code, _ in self.jumps if m == msa_id]
 
 
 def loading_for_signal_share(
@@ -286,12 +283,7 @@ def generate_panel(config: ScenarioConfig) -> tuple[IndexPanel, FactorTable, Gro
     infos = tuple(MsaInfo(ids[i], ids[i], states[i]) for i in range(n_m))
     panel = IndexPanel(infos, config.start, levels)
     factor_ids = tuple(f"F{k + 1:02d}" for k in range(n_f))
-    table = FactorTable(
-        factor_ids,
-        config.start + 1,
-        F.copy(),
-        transforms={f: LOG_LEVEL for f in factor_ids},
-    )
+    table = FactorTable(factor_ids, config.start + 1, F.copy())
     truth = GroundTruth(
         msa_ids=ids,
         signal_share=_signal_share(L, sigma, phi),

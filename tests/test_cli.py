@@ -255,6 +255,96 @@ def test_a_duplicated_msa_has_an_infinite_pair_t(tmp_path, capsys):
     assert all(row[-1] != "inf" for row in rows if "S999" not in row[:2])
 
 
+# --- a panel with California metro names -------------------------------------
+
+# The CLI scenario's metros renamed: coastal and inland CA metros that the
+# default city menu and coastal list name, and two outside CA. Redding keeps
+# only its last ten levels, too few to integrate, to fill a 20-quarter
+# window or to give the CA residual a trend. The factors stop at 2004:Q4 and
+# Denver's levels start there: it fills one window but is not integrated.
+CA_METROS = {
+    "S001": ("Los Angeles-Long Beach, CA", "CA"),
+    "S002": ("San Francisco, CA", "CA"),
+    "S003": ("Riverside, CA", "CA"),
+    "S004": ("Fresno, CA", "CA"),
+    "S005": ("Oakland, CA", "CA"),
+    "S006": ("Redding, CA", "CA"),
+    "S007": ("Boston, MA", "MA"),
+    "S008": ("Denver, CO", "CO"),
+}
+
+
+def ca_config(tmp_path, out_name, state="CA", **settings):
+    """A run config on the CLI scenario's inputs with CA_METROS's names and
+    states (``state`` in place of CA), plus ``settings``."""
+    rpath, synth_out = write_scenario(tmp_path, out_name=f"{out_name}_inputs")
+    main(["synth", "--config", str(rpath)])
+    first = {"S006": "2007:Q3", "S008": "2004:Q4"}
+    hpi, factors = synth_out / "hpi_synth.csv", synth_out / "factors_synth.csv"
+    header, *rows = csv_rows(hpi)
+    with open(hpi, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [
+            [row[0], name, state if st == "CA" else st, *row[3:]]
+            for row in rows
+            for name, st in [CA_METROS[row[0]]]
+            if row[3] >= first.get(row[0], "")
+        ])
+    header, *rows = csv_rows(factors)
+    with open(factors, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [row for row in rows if row[0] <= "2004:Q4"])
+    cfg = csv_config(tmp_path, synth_out, tmp_path / out_name)
+    cfg.write_text(json.dumps(dict(json.loads(cfg.read_text()), **settings)))
+    return cfg
+
+
+def column_values(path, column) -> list[str]:
+    """The distinct values of one column of a CSV artifact, in row order."""
+    header, *rows = csv_rows(path)
+    return list(dict.fromkeys(row[header.index(column)] for row in rows))
+
+
+def test_a_ca_panel_gets_the_ca_cohorts_the_city_menu_and_drops_what_it_cannot_fit(tmp_path, capsys):
+    portfolios = {"us": {"available_from": "1983:Q4"}, "ca": {"state": "CA", "available_from": "1994:Q4"},
+                  "nv": {"state": "NV"}, "redding": {"members": ["S006"]}, "denver": {"members": ["S008"]}}
+    cfg = ca_config(tmp_path, "out", portfolios=portfolios,
+                    sub_ranges={"2000s": ["2000:Q1", "2009:Q4"], "late": ["2008:Q2", "2009:Q4"]})
+    assert main(["all", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    assert column_values(out / "cohort_averages.csv", "cohort") == ["us", "cohort2", "ca_coastal", "ca_inland"]
+    assert column_values(out / "jump_incidence.csv", "cohort") == ["us", "ca", "ca_coastal", "ca_inland"]
+    # No contagion menu is configured, so the default city menu picks the pairs.
+    header, *rows = csv_rows(out / "contagion_fits.csv")
+    assert [tuple(row[:3]) for row in rows] == [
+        (target, source, variant)
+        for target, source in (("S003", "S001"), ("S004", "S001"), ("S005", "S002"))
+        for variant in ("base", "interacted")
+    ]
+    # A portfolio with no member, and one too short for a window, are dropped.
+    assert column_values(out / "portfolio_series.csv", "portfolio") == ["ca", "denver", "us"]
+    # A portfolio with no integrated member has no series correlations, nor
+    # does a sub-range past the last window.
+    assert column_values(out / "series_correlations.csv", "portfolio") == ["ca", "us"]
+    assert column_values(out / "series_correlations.csv", "range") == ["full", "2000s"]
+
+
+def test_a_ca_equal_weighted_residual_too_short_gives_base_fits_only(tmp_path):
+    # Every CA metro reports only in Redding's last ten quarters, too few
+    # for the residual's trend fit.
+    cfg = ca_config(tmp_path, "out", interaction_residual="ca-equal-weighted")
+    assert main(["contagion", "--config", str(cfg)]) == 0
+    assert column_values(tmp_path / "out" / "contagion_fits.csv", "variant") == ["base"]
+
+
+def test_a_ca_equal_weighted_residual_needs_a_ca_metro(tmp_path, capsys):
+    cfg = ca_config(tmp_path, "out", state="NV", interaction_residual="ca-equal-weighted")
+    capsys.readouterr()
+    assert main(["contagion", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "housingrisk: error: interaction_residual=ca-equal-weighted needs MSAs with state CA\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_hashes_verify(tmp_path):
     rpath, out = write_scenario(tmp_path)
     main(["all", "--config", str(rpath)])

@@ -150,7 +150,7 @@ def test_fit_accessors(rng):
     fit = contagion_fit(tgt, src, serial="never", target_id="T", source_id="S")
     assert fit.target == "T" and fit.source == "S"
     assert fit.coefficient("lag0") == fit.lag_coefficients()[0]
-    assert len(fit.lag_t_stats()) == 4
+    assert [fit.t_stat(f"lag{l}") for l in range(4)] == list(fit.t_stats[1:])
     assert fit.intercept == fit.coefficient("const")
     assert not fit.interacted
 
@@ -194,7 +194,7 @@ def test_interacted_zero_residual_equals_base_bitwise(rng):
     assert_array_equal(inter.lag_coefficients(), base.lag_coefficients())
     assert_array_equal(inter.coefficient("const"), base.coefficient("const"))
     assert set(inter.dropped_columns) == {"ix_lag0", "ix_lag1", "ix_lag2", "ix_lag3"}
-    assert_array_equal(inter.interaction_coefficients(), np.zeros(4))
+    assert_array_equal([inter.coefficient(f"ix_lag{l}") for l in range(4)], np.zeros(4))
 
 
 def test_interacted_recovers_state_dependence(rng):

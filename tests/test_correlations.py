@@ -126,6 +126,19 @@ def test_perfect_correlation_infinite_t(rng):
     assert np.isinf(pairs.t[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(-1e3, 1e3), d=st.floats(-1e3, 1e3), n=st.integers(9, 200),
+       timing=st.sampled_from(["contemporaneous", "lead"]), seed=st.integers(0, 2**32 - 1))
+def test_a_constant_column_has_zero_variance_over_overlap(c, d, n, timing, seed):
+    # Whatever its value, a constant column is omitted against a random
+    # column and against another constant, never kept on the sign of the
+    # rounding in N·Q − S².
+    x = np.random.default_rng(seed).normal(size=n)
+    pairs, omitted = return_pair_correlations(panel_from_returns({"A": np.full(n, c), "B": x, "C": np.full(n, d)}), timing)
+    assert {(pairs.ids[i], pairs.ids[j]) for i, j in zip(pairs.i, pairs.j)} <= {("B", "B")}
+    assert {reason for a, b, reason in omitted} == {"zero variance over overlap"}
+
+
 # --- jump correlations ------------------------------------------------------
 
 def make_jump_series(rng, n_msas=6, n_quarters=160, jump_every=0):

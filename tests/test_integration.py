@@ -277,7 +277,7 @@ def per_msa_integration(panel, table, window, prewhiten):
                 skipped.append((msa_id, f"too short to pre-whiten ({values.size} < 10 obs)"))
                 continue
             pw = ar1_prewhiten(values)
-            values, start = pw.residuals, start + pw.offset
+            values, start = pw.residuals, start + pw.order
         try:
             ds = align(msa_id, np.arange(start.code, start.code + values.size), values, table)
             if ds.n_rows < window:

@@ -154,3 +154,15 @@ def test_diversification_lies_in_unit_interval(data, k, n, identical):
     assert np.all(d >= -1e-12) and np.all(d <= 1.0 + 1e-12), d
     if identical:
         assert np.all(d == 0.0), d
+
+
+@pytest.mark.parametrize("n, window, at", [(7, 7, 0), (8, 5, 3)])
+def test_diversification_is_nan_at_rounding_level_sigmas(n, window, at):
+    # Two constant members and one with a single tiny entry: every sigma is
+    # rounding noise, and the ratio of two of them can be anything (-3.8e32
+    # at (7, 7, 0), 1 at (8, 5, 3)).
+    tiny = np.zeros(n)
+    tiny[at] = 2e-47
+    columns = {"A": np.zeros(n), "B": np.full(n, 19.70417623), "C": tiny}
+    ps = diversification_series(panel_from_returns(columns), list(columns), window)
+    assert np.isnan(ps.diversification).all(), ps.diversification

@@ -21,14 +21,12 @@ from housingrisk import (
     InsufficientHistoryError,
     NonStationaryError,
     SingularDesignError,
-    UndefinedStatisticError,
     ar1_prewhiten,
     cochrane_orcutt,
-    durbin_watson,
     ols_fit,
     trend_fit,
 )
-from housingrisk.regress import _ar1_rows, _cochrane_orcutt_stack, _fit_stack, _solve_stacked
+from housingrisk.regress import _ar1_rows, _cochrane_orcutt_stack, _fit_stack, _solve_stacked, _t_stats
 
 from . import oracles
 from .oracles import add_intercept
@@ -100,36 +98,36 @@ def test_constant_response_r_square_zero():
     assert fit.r_square == 0.0
 
 
-def test_serialization_shape(rng):
-    X = add_intercept(rng.normal(size=(20, 1)))
-    fit = ols_fit(X, rng.normal(size=20), names=("const", "x"))
-    d = fit.to_dict()
-    assert d["n"] == 20 and d["method"] == "ols"
-    assert set(d["coefficients"]) == {"const", "x"}
-    assert d["rho"] is None
-
-
 # --- Durbin-Watson ----------------------------------------------------------
+
+def dw_of(e):
+    """The Durbin-Watson of an OLS fit whose residuals are e up to rounding:
+    e regressed on the column (e1, -e0, 0, ...), which is orthogonal to it."""
+    x = np.zeros_like(e)
+    x[:2] = e[1], -e[0]
+    return ols_fit(x[:, None], e).durbin_watson
+
 
 def test_dw_alternating_is_3_2():
     # e = (1,-1,1,-1,1): num = 4*4 = 16, den = 5
-    assert durbin_watson(np.array([1.0, -1.0, 1.0, -1.0, 1.0])) == pytest.approx(3.2)
+    assert dw_of(np.array([1.0, -1.0, 1.0, -1.0, 1.0])) == pytest.approx(3.2)
 
 
 def test_dw_smooth_near_zero():
-    assert durbin_watson(np.ones(10) * 1e-3 + np.arange(10) * 1e-9) < 0.1
+    assert dw_of(np.ones(10) * 1e-3 + np.arange(10) * 1e-9) < 0.1
 
 
 def test_dw_iid_near_two(rng):
     e = rng.normal(size=4000)
-    assert durbin_watson(e) == pytest.approx(2.0, abs=0.1)
+    assert dw_of(e) == pytest.approx(2.0, abs=0.1)
 
 
 def test_dw_guards():
-    with pytest.raises(UndefinedStatisticError):
-        durbin_watson(np.zeros(10))
-    with pytest.raises(ValueError):
-        durbin_watson(np.array([1.0]))
+    # All-zero residuals have no Durbin-Watson: NaN, not an error.
+    X = add_intercept(np.arange(10.0)[:, None])
+    assert np.isnan(ols_fit(X, np.zeros(10)).durbin_watson)
+    with pytest.raises(DegreesOfFreedomError):
+        ols_fit(X[:3], np.zeros(3))
 
 
 # --- Cochrane-Orcutt --------------------------------------------------------
@@ -438,7 +436,6 @@ def test_prewhiten_lag0_series_untouched():
     if res.order == 0:
         assert_array_equal(res.residuals, x)
         assert res.phi == 0.0
-        assert res.offset == 0
 
 
 def test_prewhiten_constant_series():
@@ -453,7 +450,7 @@ def test_prewhiten_preserves_mean_scale():
     x = 5.0 + ar1_noise(rng, 300, 0.7)
     res = ar1_prewhiten(x)
     assert res.order == 1
-    assert np.mean(res.residuals) == pytest.approx(np.mean(x[res.offset:]), abs=0.2)
+    assert np.mean(res.residuals) == pytest.approx(np.mean(x[res.order:]), abs=0.2)
 
 
 def test_prewhiten_near_unit_root_flag():
@@ -512,9 +509,9 @@ def test_ar1_kernel_block_equals_one_row_calls(kinds, n, scale, seed):
     residuals, phi, order, near_unit_root = _ar1_rows(x)
     for i in range(len(kinds)):
         one = ar1_prewhiten(x[i])
-        assert one.offset == one.order == order[i]
-        assert np.isnan(residuals[i, : one.offset]).all()
-        assert_array_equal(residuals[i, one.offset :], one.residuals)
+        assert one.order == order[i]
+        assert np.isnan(residuals[i, : one.order]).all()
+        assert_array_equal(residuals[i, one.order :], one.residuals)
         assert_array_equal(phi[i], one.phi)
         assert near_unit_root[i] == one.near_unit_root
         want = scalar_ar1(x[i])
@@ -552,19 +549,49 @@ def test_trend_rejects_a_non_finite_series(bad):
         trend_fit(np.array([1.0, bad, 2.0]))
 
 
-SERIES = st.one_of(
-    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=80),
-    st.tuples(st.floats(-1e3, 1e3), st.integers(3, 80)).map(lambda c: [c[0]] * c[1]),  # constant
-)
+def series_of(n):
+    return st.one_of(
+        st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+        st.floats(-1e3, 1e3).map(lambda c: [c] * n),  # constant
+    )
+
+
+STACKS = st.integers(3, 80).flatmap(lambda n: st.lists(series_of(n), min_size=1, max_size=6))
+
+#: How far trend_fit's fitted line may lie from the pivoted-QR oracle's, in
+#: units of n * (eps * ||y|| + eta), eta the smallest subnormal: both solves
+#: are backward stable. Over 6,000 examples the largest seen was 0.68, and
+#: the slope t-stats differed by at most 2.3e-15 * (1 + |t|).
+TREND_TOL = 4.0
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=SERIES)
-def test_trend_equals_the_pivoted_qr_fit_bit_for_bit(values):
-    y = np.array(values)
-    X = np.column_stack([np.ones(y.size), np.arange(y.size, dtype=float)])
+@given(rows=STACKS, i=st.integers(0, 5))
+def test_trend_equals_its_stack_row_and_the_stacked_fit_bit_for_bit(rows, i):
+    Y = np.array(rows)
+    i %= len(Y)
+    y, n = Y[i], Y.shape[1]
+    fit, stack = trend_fit(y), trend_fit(Y)
+    assert (fit.intercept, fit.slope, fit.slope_t_stat) == (stack.intercept[i], stack.slope[i], stack.slope_t_stat[i])
+    assert_array_equal(fit.residuals, stack.residuals[i])
+
+    X = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
+    one = _fit_stack(np.column_stack([X, y])[None], ("const", "t")).single()
+    assert (fit.intercept, fit.slope) == tuple(one.beta[0])
+    assert fit.slope_t_stat in (0.0, _t_stats(one.beta, one.se)[0, 1])
+
     ref = oracles._fit_core(X, y, ("const", "t"), "ols", None)
-    fit = trend_fit(y)
-    assert (fit.intercept, fit.slope) == tuple(ref.coefficients)
-    assert fit.slope_t_stat == ref.t_stats[1] or (np.isnan(fit.slope_t_stat) and np.isnan(ref.t_stats[1]))
-    assert_array_equal(fit.residuals, ref.residuals)
+    a = np.max(np.abs(y))
+    norm_y = a * np.linalg.norm(y / a) if a > 0 else 0.0  # no underflow in y * y
+    info = np.finfo(float)
+    assert np.max(np.abs(fit.residuals - ref.residuals)) <= TREND_TOL * n * (info.eps * norm_y + info.smallest_subnormal)
+    ssr = np.sum(ref.residuals**2)
+    if ssr > 1e-12 * np.sum(y * y) and ssr > 1e-280:  # t-stat well above rounding and underflow
+        assert_allclose(fit.slope_t_stat, ref.t_stats[1], rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(-1e3, 1e3), n=st.integers(3, 80))
+def test_a_constant_path_has_trend_t_stat_zero(c, n):
+    with np.errstate(all="raise", under="ignore"):
+        assert trend_fit(np.full(n, c)).slope_t_stat == 0.0

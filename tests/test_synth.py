@@ -142,7 +142,7 @@ def test_jump_magnitude_in_stationary_sigma_units():
     # only the planted quarter differs
     diff = np.flatnonzero(np.abs(r_jump - r_base) > 1e-9)
     assert_array_equal(diff, [jump_q])
-    assert truth.jump_quarters("S001") == [(QuarterIndex(1980, 1) + 1 + jump_q).code]
+    assert [code for m, code, _ in truth.jumps if m == "S001"] == [(QuarterIndex(1980, 1) + 1 + jump_q).code]
 
 
 def test_jump_on_all_listed_msas():
@@ -151,8 +151,8 @@ def test_jump_on_all_listed_msas():
         jumps=(JumpPlan(quarter=10, msas=(1, 3), magnitude=-5.0),),
     )
     _, _, truth = generate_panel(cfg)
-    assert truth.jump_quarters("S002") and truth.jump_quarters("S004")
-    assert not truth.jump_quarters("S001")
+    jumped = {m for m, _, _ in truth.jumps}
+    assert {"S002", "S004"} <= jumped and "S001" not in jumped
 
 
 # --- planted contagion ------------------------------------------------------
