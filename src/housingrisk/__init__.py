@@ -4,7 +4,6 @@ analytics for quarterly metropolitan house-price index panels."""
 __version__ = "0.1.0"
 
 from .core import (
-    DEFAULT_FACTOR_TRANSFORMS,
     AlignedDataset,
     FactorTable,
     IndexPanel,
@@ -29,7 +28,6 @@ from .errors import (
     NonStationaryError,
     QuarterParseError,
     SingularDesignError,
-    UndefinedStatisticError,
 )
 from .regress import (
     PrewhitenResult,
@@ -58,7 +56,6 @@ from .correlations import (
     PairSet,
     cohort_correlation_report,
     correlation_summary,
-    division_for_state,
     jump_pair_correlations,
     return_pair_correlations,
 )
@@ -69,13 +66,11 @@ from .contagion import (
     contagion_fit,
     contagion_fit_interacted,
     contagion_fits,
-    dw_bounds,
 )
 from .portfolio import (
     PortfolioSeries,
     diversification_series,
     portfolio_returns,
-    rolling_sigma,
     series_correlation,
 )
 from .synth import (
@@ -83,7 +78,6 @@ from .synth import (
     GroundTruth,
     JumpPlan,
     ScenarioConfig,
-    default_states,
     generate_panel,
     ground_truth_report,
     loading_for_signal_share,

@@ -95,7 +95,7 @@ from .io import (
 )
 from .jumps import MIN_BIPOWER_WINDOW, jump_incidence, lm_series
 from .portfolio import diversification_series, portfolio_returns, series_correlation
-from .schema import (ANY_KEY, Key, distinct_strings, faults, instance_of, int_at_least, is_int, is_positive,
+from .schema import (ANY_KEY, Key, distinct_strings, faults, instance_of, int_at_least, is_positive,
                      list_of, object_of, optional, read_json)
 from .synth import generate_panel, ground_truth_report, scenario_from_json
 
@@ -202,8 +202,8 @@ class RunConfig:
     jump_threshold: float = _setting("thresholds.jump", "a positive number", is_positive, 1.65)
     big_threshold: float = _setting("thresholds.big", "a positive number", is_positive, 2.0)
     pair_sig_t: float = _setting("thresholds.pair_sig_t", "a positive number", is_positive, 5.0)
-    min_overlap: int = _setting("pairs.min_overlap", "an integer", is_int, 8)
-    jump_pair_floor: int = _setting("pairs.jump_floor", "an integer", is_int, 4)
+    min_overlap: int = _setting("pairs.min_overlap", "an integer at least 3", int_at_least(3), 8)
+    jump_pair_floor: int = _setting("pairs.jump_floor", "an integer at least 3", int_at_least(3), 4)
     time_cohorts: dict = _setting("cohorts.time", "an object of quarters", object_of(is_quarter),
                                   factory=lambda: dict(DEFAULT_TIME_COHORTS))
     ca_coastal: tuple = _setting("cohorts.ca_coastal", "a list of strings", list_of(instance_of(str)),
@@ -303,15 +303,14 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
             setattr(cfg, f.name, values[key])
 
 
-def build_config(args, env=None) -> RunConfig:
+def build_config(args) -> RunConfig:
     """Merge defaults < config file < environment < flags."""
-    env = os.environ if env is None else env
     cfg = RunConfig()
-    config_path = args.config or env.get(ENV_PREFIX + "CONFIG")
+    config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         _apply_config_file(cfg, config_path)
     for f in _OPTIONS:
-        text = env.get(ENV_PREFIX + _option_name(f).upper())
+        text = os.environ.get(ENV_PREFIX + _option_name(f).upper())
         if text:
             setattr(cfg, f.name, _from_env(f, text))
         if getattr(args, f.name) is not None:
@@ -692,16 +691,16 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
 
 
 @_memoised
-def _interaction_residual(r: _Runner, source_id: str | None):
+def _interaction_residual(r: _Runner, source: str | None):
     """(first quarter code, residual values) per the configured residual source.
 
-    ``source_id`` is None for the ca-equal-weighted residual, which is the
+    ``source`` is None for the ca-equal-weighted residual, which is the
     same for every source. The values run to the end of the panel; too
     short a history gives None.
     """
     try:
-        if source_id is not None:
-            first, levels = r.panel.series(source_id)
+        if source is not None:
+            first, levels = r.panel.series(source)
             return first.code, boombust_residual(levels)
         members = r.state_members("CA")
         if not members:
@@ -772,8 +771,8 @@ def _contagion_fits(r: _Runner):
             numbers[at, v, : values.shape[1]] = values  # NaN where the fit failed
     pair_at = np.repeat(np.arange(len(pairs)), 2)[shown.ravel()]
     return header, [
-        Labels(pair_at, [target_id for _, target_id in pairs]),
-        Labels(pair_at, [source_id for source_id, _ in pairs]),
+        Labels(pair_at, [msa for _, msa in pairs]),
+        Labels(pair_at, [msa for msa, _ in pairs]),
         variant[shown],
         n[shown],
         method[shown],

@@ -145,8 +145,6 @@ class ContagionFit:
     with NaN standard error and t-stat.
     """
 
-    target: str
-    source: str
     names: tuple[str, ...]
     coefficients: np.ndarray
     standard_errors: np.ndarray
@@ -162,13 +160,6 @@ class ContagionFit:
 
     def coefficient(self, name: str) -> float:
         return float(self.coefficients[self.names.index(name)])
-
-    def t_stat(self, name: str) -> float:
-        return float(self.t_stats[self.names.index(name)])
-
-    @property
-    def intercept(self) -> float:
-        return float(self.coefficients[0])
 
     def lag_coefficients(self) -> np.ndarray:
         return np.array([self.coefficient(f"lag{l}") for l in range(self.n_lags + 1)])
@@ -197,14 +188,12 @@ class ContagionFits:
     interacted: bool
     dropped_columns: tuple[str, ...]
 
-    def fit(self, i: int, target: str = "", source: str = "") -> ContagionFit:
+    def fit(self, i: int) -> ContagionFit:
         """Target i's record; raises its exception if its fit failed."""
         if self.errors[i] is not None:
             raise self.errors[i]
         method = self.methods[i]
         return ContagionFit(
-            target=target,
-            source=source,
             names=self.names,
             coefficients=self.coefficients[i].copy(),
             standard_errors=self.standard_errors[i].copy(),
@@ -328,12 +317,10 @@ def contagion_fit(
     source,
     n_lags: int = 3,
     serial: str = "auto",
-    target_id: str = "",
-    source_id: str = "",
 ) -> ContagionFit:
     """Regress aligned target returns on source lags 0..n_lags."""
     batch = contagion_fits(np.asarray(target, dtype=float)[None], source, None, n_lags, serial)
-    return batch.fit(0, target_id, source_id)
+    return batch.fit(0)
 
 
 def boombust_residual(index_levels) -> np.ndarray:
@@ -358,8 +345,6 @@ def contagion_fit_interacted(
     residual,
     n_lags: int = 3,
     serial: str = "auto",
-    target_id: str = "",
-    source_id: str = "",
 ) -> ContagionFit:
     """Contagion fit plus boom/bust interactions source_{t-l} * resid_t.
 
@@ -369,4 +354,4 @@ def contagion_fit_interacted(
     coefficients identical to the plain fit's.
     """
     batch = contagion_fits(np.asarray(target, dtype=float)[None], source, residual, n_lags, serial)
-    return batch.fit(0, target_id, source_id)
+    return batch.fit(0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -231,32 +231,6 @@ class IndexPanel(_Panel):
                 f"non-positive index level for MSA {self.msas[j].msa_id} "
                 f"at {self.start + t}: {self.values[t, j]}"
             )
-
-    @classmethod
-    def from_series(
-        cls,
-        series: Mapping[str, tuple[QuarterIndex, Sequence[float]]],
-        infos: Mapping[str, MsaInfo] | None = None,
-    ) -> "IndexPanel":
-        """Build a panel from per-MSA (first quarter, levels) pairs."""
-        if not series:
-            raise ValueError("no series given")
-        firsts = {k: q.code for k, (q, _) in series.items()}
-        lasts = {k: q.code + len(v) - 1 for k, (q, v) in series.items()}
-        start_code = min(firsts.values())
-        end_code = max(lasts.values())
-        n_q = end_code - start_code + 1
-        ids = sorted(series)
-        values = np.full((n_q, len(ids)), np.nan)
-        for j, msa_id in enumerate(ids):
-            q0, vals = series[msa_id]
-            off = q0.code - start_code
-            values[off : off + len(vals), j] = vals
-        msas = [
-            infos[i] if infos and i in infos else MsaInfo(i, i, "")
-            for i in ids
-        ]
-        return cls(msas, QuarterIndex.from_code(start_code), values)
 
 
 class ReturnPanel(_Panel):

@@ -36,10 +36,6 @@ class DegreesOfFreedomError(HousingRiskError):
     """Too few observations for the requested fit."""
 
 
-class UndefinedStatisticError(HousingRiskError):
-    """Statistic has no defined value for this input (e.g. zero variance)."""
-
-
 class InsufficientHistoryError(HousingRiskError):
     """Series too short for the requested trailing window."""
 

@@ -55,12 +55,6 @@ class RegressionFit:
     method: str = "ols"
     rho: float | None = None
 
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.names.index(name)])
-
-    def t_stat(self, name: str) -> float:
-        return float(self.t_stats[self.names.index(name)])
-
 
 @dataclass(frozen=True)
 class TrendFit:
@@ -157,26 +151,68 @@ class _StackFit(NamedTuple):
         return _StackFit(*(a[:, 0] for a in self[:4]), self.failed)
 
 
+def _squares_out_of_range(v: np.ndarray) -> np.ndarray:
+    """Per row of the last axis: is the largest |value| not finite, or nonzero
+    and outside 2^-480 to 2^480? Inside, the largest square stays 2^62 from
+    either end of the normal range, so squares that turn subnormal cannot
+    change the rounded sum of fewer than 2^61 terms, and the sum cannot
+    overflow."""
+    a = np.abs(v).max(axis=-1, initial=0.0)
+    return ~(a <= 2.0**480) | ((a > 0.0) & (a < 2.0**-480))
+
+
 def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True) -> _StackFit:
     """OLS estimates and ``RegressionFit``'s diagnostics for every problem and
     response of a stack ``[X | Y]`` of shape (s, n, k + m), where X has the
     k columns ``names`` labels, from one ``_solve_stacked``. Without
     ``diagnostics`` only beta and R-square are computed, and ``se`` and
-    ``durbin_watson`` are None."""
+    ``durbin_watson`` are None.
+
+    A response whose residuals or centred values square out of range
+    (``_squares_out_of_range``) is fitted once more with its values scaled
+    by the power of two 2^-e that brings their largest |value| into [0.5, 1),
+    and its beta and se are scaled back by 2^e. A power of two scales every
+    step of the fit exactly, and R-square, Durbin-Watson and t do not depend
+    on scale; every other response keeps the bits of the first fit.
+    """
+    fit, redo = _fit_once(Xy, names, diagnostics)
+    if redo.any():
+        k = len(names)
+        at = np.flatnonzero(redo.any(axis=1))
+        e = np.where(redo[at], np.frexp(np.abs(Xy[at, :, k:]).max(axis=1))[1], 0)  # (problems, responses)
+        Xys = Xy[at]
+        Xys[:, :, k:] = np.ldexp(Xys[:, :, k:], -e[:, None, :])
+        refit, _ = _fit_once(Xys, names, diagnostics)
+        s, c = np.nonzero(redo[at])
+        with np.errstate(over="ignore"):  # a coefficient past the largest float is inf
+            fit.beta[at[s], c] = np.ldexp(refit.beta[s, c], e[s, c, None])
+            fit.r_square[at[s], c] = refit.r_square[s, c]
+            if diagnostics:
+                fit.se[at[s], c] = np.ldexp(refit.se[s, c], e[s, c, None])
+                fit.durbin_watson[at[s], c] = refit.durbin_watson[s, c]
+    return fit
+
+
+def _fit_once(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool) -> tuple[_StackFit, np.ndarray]:
+    """``_fit_stack`` without its rescaled refit, and the (s, m) mask of the
+    responses it would fit again."""
     n, k = Xy.shape[1], len(names)
     X, Y = Xy[:, :, :k], Xy[:, :, k:].transpose(0, 2, 1)
     beta, diag, failed = _solve_stacked(Xy, names)
-    resid = Y - np.einsum("wtj,wcj->wct", X, beta)
-    ssr = np.sum(resid**2, axis=2)
-    sst = np.sum((Y - Y.mean(axis=2, keepdims=True)) ** 2, axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    se = dw = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resid = Y - np.einsum("wtj,wcj->wct", X, beta)
+        centred = Y - Y.mean(axis=2, keepdims=True)
+        ssr = np.sum(resid**2, axis=2)
+        sst = np.sum(centred**2, axis=2)
         # A constant response (SST = 0) has R-square 0.
         r2 = np.where(sst == 0.0, 0.0, 1.0 - ssr / sst)
-        if not diagnostics:
-            return _StackFit(beta, None, r2, None, failed)
-        se = np.sqrt(np.maximum((ssr / (n - k))[:, :, None] * diag[:, None, :], 0.0))
-        dw = np.where(ssr > 0, np.sum(np.diff(resid, axis=2) ** 2, axis=2) / ssr, np.nan)
-    return _StackFit(beta, se, r2, dw, failed)
+        if diagnostics:
+            se = np.sqrt(np.maximum((ssr / (n - k))[:, :, None] * diag[:, None, :], 0.0))
+            dw = np.where(ssr > 0, np.sum(np.diff(resid, axis=2) ** 2, axis=2) / ssr, np.nan)
+    redo = _squares_out_of_range(resid) | _squares_out_of_range(centred)
+    redo[list(failed)] = False
+    return _StackFit(beta, se, r2, dw, failed), redo
 
 
 def _t_stats(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -234,8 +270,7 @@ def _one_problem(X, y, names) -> tuple[np.ndarray, tuple[str, ...]]:
     return Xy, names
 
 
-def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
-            rho: float | None = None) -> RegressionFit:
+def ols_fit(X: np.ndarray, y: np.ndarray, names=None) -> RegressionFit:
     """Classical OLS on a design matrix that already includes its intercept.
 
     Requires n >= k + 2 so the error-variance estimate has at least two
@@ -248,7 +283,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
     fit = _fit_stack(Xy, names).single()
     if fit.failed:
         raise fit.failed[0]
-    return _regression_fit(Xy, names, fit, 0, method, rho)
+    return _regression_fit(Xy, names, fit, 0)
 
 
 def cochrane_orcutt(
@@ -460,12 +495,13 @@ def trend_fit(series: np.ndarray) -> TrendFit:
     fitted as ``_fit_stack`` of ``[1, t | y]``; for a stack each field gains
     a leading axis of m, and each row keeps the bits of its own call.
 
-    A slope at rounding level, ``|slope| * ||t - mean(t)|| <= n * (eps *
-    ||y|| + eta)``, has t-stat 0, the value ``_t_stats`` gives a zero slope
-    with a zero standard error. The bound is n rounding errors of a
-    backward-stable solve, each ``eps * ||y||`` plus the underflow unit eta,
-    the smallest subnormal (Higham 2002, ch. 2 and 20). Without it a flat
-    series gets a t-stat of rounding noise, or +-inf.
+    A slope at rounding level, ``|slope| * ||t - mean(t)|| <= n * eps *
+    ||y||``, has t-stat 0, the value ``_t_stats`` gives a zero slope with a
+    zero standard error. The bound is n rounding errors of a backward-stable
+    solve, each ``eps * ||y||`` (Higham 2002, ch. 2 and 20); ``_fit_stack``
+    fits a series too small or too large to square as it is on a scaled
+    copy, so no error of underflow is added. Without it a flat series gets a
+    t-stat of rounding noise, or +-inf.
     """
     y = np.asarray(series, dtype=float)
     if y.ndim not in (1, 2):
@@ -482,12 +518,13 @@ def trend_fit(series: np.ndarray) -> TrendFit:
     fit = _fit_stack(Xy, ("const", "t")).single()
     intercept, slope = fit.beta[:, 0], fit.beta[:, 1]
     t_stat = _t_stats(fit.beta, fit.se)[:, 1]
-    # ||y|| as a * ||y / a||, a = max |y|, so that y * y cannot underflow.
+    # Both sides over a = max |y|, so that neither y * y nor ||y|| can leave
+    # the float range.
     a = np.abs(Y).max(axis=1)
-    norm_y = a * np.sqrt(np.sum((Y / np.where(a > 0, a, 1.0)[:, None]) ** 2, axis=1))
+    a = np.where(a > 0, a, 1.0)
     spread_t = np.sqrt(np.sum((t - t.mean()) ** 2))
-    info = np.finfo(float)
-    t_stat[np.abs(slope) * spread_t <= n * (info.eps * norm_y + info.smallest_subnormal)] = 0.0
+    unit_norm_y = np.sqrt(np.sum((Y / a[:, None]) ** 2, axis=1))
+    t_stat[np.abs(slope / a) * spread_t <= n * np.finfo(float).eps * unit_norm_y] = 0.0
     resid = Y - (intercept[:, None] + slope[:, None] * t)
     if y.ndim == 1:
         return TrendFit(float(intercept[0]), float(slope[0]), float(t_stat[0]), resid[0])

@@ -97,8 +97,8 @@ _REPR = reprlib.Repr()
 _REPR.maxstring = 300
 
 
-def faults(table: dict, obj: dict, where: str = "", values: bool = True) -> list[str]:
-    """Every fault of ``obj`` against ``table``, ``where`` prefixed to each key.
+def faults(table: dict, obj: dict, values: bool = True) -> list[str]:
+    """Every fault of ``obj`` against ``table``.
 
     ``<key> is missing`` for each required key, then ``<key> must be <what>,
     got <value>`` for each rejected value, in table order, with a nested
@@ -109,7 +109,7 @@ def faults(table: dict, obj: dict, where: str = "", values: bool = True) -> list
     other sources override its values.
     """
     unknown: list[str] = []
-    found = _walk(table, obj, where, values, unknown)
+    found = _walk(table, obj, "", values, unknown)
     if unknown:
         found.append("unknown key " + ", ".join(map(repr, unknown)))
     return found

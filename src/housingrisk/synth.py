@@ -28,16 +28,11 @@ __all__ = [
     "ground_truth_report",
     "loading_for_signal_share",
     "scenario_from_json",
-    "default_states",
 ]
 
 # Cycled through for synthetic MSA states so division reports have
 # something to chew on without extra configuration.
 _DEFAULT_STATES = ("CA", "TX", "NY", "FL", "IL", "WA", "MA", "CO", "GA", "MN")
-
-
-def default_states(n: int) -> tuple[str, ...]:
-    return tuple(_DEFAULT_STATES[i % len(_DEFAULT_STATES)] for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -88,14 +83,12 @@ class GroundTruth:
     contagion: tuple[tuple[str, str, tuple[float, ...]], ...]
 
 
-def loading_for_signal_share(
-    share: float, n_factors: int, idio_sigma: float, phi: float = 0.0
-) -> float:
-    """Uniform per-factor loading giving the requested signal share."""
+def loading_for_signal_share(share: float, n_factors: int, idio_sigma: float) -> float:
+    """Uniform per-factor loading giving the requested signal share of
+    white (phi = 0) idiosyncratic noise."""
     if not 0.0 <= share < 1.0:
         raise ValueError("share must be in [0, 1)")
-    idio_var = idio_sigma**2 / (1.0 - phi**2)
-    return float(np.sqrt(share / (1.0 - share) * idio_var / n_factors))
+    return float(np.sqrt(share / (1.0 - share) * idio_sigma**2 / n_factors))
 
 
 def _as_array(value, name: str, problems: list[str]) -> np.ndarray | None:
@@ -188,7 +181,9 @@ def _normalize(config: ScenarioConfig):
         problems.append("phi must satisfy |phi| < 1")
     mu = _per_msa(config.mu, n_m, "mu", problems)
 
-    states = config.states if config.states is not None else default_states(n_m)
+    states = config.states
+    if states is None:
+        states = tuple(_DEFAULT_STATES[i % len(_DEFAULT_STATES)] for i in range(n_m))
     if len(states) != n_m:
         problems.append(f"states must have {n_m} entries, got {len(states)}")
 

@@ -39,10 +39,10 @@ def levels_from_returns(rets: np.ndarray, base: float = 100.0) -> np.ndarray:
 
 def index_panel(series: dict[str, np.ndarray], start: QuarterIndex = Q0,
                 states: dict[str, str] | None = None) -> IndexPanel:
-    infos = {i: MsaInfo(i, i, (states or {}).get(i, "")) for i in series}
-    return IndexPanel.from_series(
-        {i: (start, list(v)) for i, v in series.items()}, infos
-    )
+    """An IndexPanel of equal-length level series (one shared start), ids sorted."""
+    ids = sorted(series)
+    values = np.column_stack([np.asarray(series[i], dtype=float) for i in ids])
+    return IndexPanel([MsaInfo(i, i, (states or {}).get(i, "")) for i in ids], start, values)
 
 
 def factor_table(values: np.ndarray, start: QuarterIndex = Q0,

@@ -23,10 +23,10 @@ from scipy import linalg as sla
 
 from housingrisk.errors import (
     DegreesOfFreedomError,
+    HousingRiskError,
     InsufficientHistoryError,
     NonStationaryError,
     SingularDesignError,
-    UndefinedStatisticError,
 )
 from housingrisk.jumps import SCALE
 from housingrisk.regress import (
@@ -76,6 +76,10 @@ def _solve_ls(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     return beta, resid, xtx_inv_diag
 
 
+class UndefinedStatisticError(HousingRiskError):
+    """``lm_statistic`` has no value: the trailing bipower variation is zero."""
+
+
 def bipower_variation(returns: np.ndarray) -> float:
     """B = (1/(T-1)) * sum_{t=2..T} |R_t| * |R_{t-1}| over the window."""
     r = np.asarray(returns, dtype=float)
@@ -120,7 +124,7 @@ def declared_order_dependent(X: np.ndarray) -> list[int]:
     return dependent
 
 
-def _fit_core(X, y, names, method, rho) -> RegressionFit:
+def _fit_core(X, y, names) -> RegressionFit:
     """Fit without the public df guard (needs only n >= k + 1).
 
     A rank-deficient X raises with ``_solve_ls``'s rank and the dependent
@@ -156,13 +160,10 @@ def _fit_core(X, y, names, method, rho) -> RegressionFit:
         residuals=resid,
         n_obs=n,
         durbin_watson=dw,
-        method=method,
-        rho=rho,
     )
 
 
-def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
-            rho: float | None = None) -> RegressionFit:
+def ols_fit(X: np.ndarray, y: np.ndarray, names=None) -> RegressionFit:
     """Classical OLS on a design matrix that already includes its intercept.
 
     Requires n >= k + 2 so the error-variance estimate has at least two
@@ -181,7 +182,7 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names=None, method: str = "ols",
         names = tuple(names)
         if len(names) != k:
             raise ValueError("names must match the number of columns")
-    return _fit_core(X, y, names, method, rho)
+    return _fit_core(X, y, names)
 
 
 def _rho_estimate(resid: np.ndarray) -> float:
@@ -201,7 +202,7 @@ def _quasi_difference_fit(X, y, rho, names) -> RegressionFit:
     ys = y[1:] - rho * y[:-1]
     Xs = X[1:, :] - rho * X[:-1, :]
     Xs[:, 0] = 1.0
-    fit = ols_fit(Xs, ys, names=names, method="cochrane_orcutt", rho=rho)
+    fit = replace(ols_fit(Xs, ys, names=names), method="cochrane_orcutt", rho=rho)
     scale = 1.0 / (1.0 - rho)
     coef = fit.coefficients.copy()
     se = fit.standard_errors.copy()
@@ -243,7 +244,7 @@ def cochrane_orcutt(
         return _quasi_difference_fit(X, y, fixed_rho, names)
 
     rho_prev = 0.0
-    fit = ols_fit(X, y, names=names, method="cochrane_orcutt", rho=0.0)
+    fit = replace(ols_fit(X, y, names=names), method="cochrane_orcutt", rho=0.0)
     last_rho = 0.0
     for _ in range(max_iter):
         resid_orig = y - X @ fit.coefficients

@@ -5,17 +5,20 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
 import tempfile
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from housingrisk import ConfigError
+from housingrisk import (ConfigError, cohort_correlation_report, contagion_fits, integrate_panel,
+                         jump_pair_correlations, lm_series, return_pair_correlations)
 from housingrisk.cli import _CONFIG_KEYS, RunConfig, _build_parser, build_config, main, run
 
 SCENARIO = {
@@ -75,10 +78,16 @@ def parse(argv):
     return _build_parser().parse_args(argv)
 
 
+def resolve(argv, env):
+    """``build_config`` of the command line ``argv`` in an environment that holds ``env`` alone."""
+    with mock.patch.dict(os.environ, env, clear=True):
+        return build_config(parse(argv))
+
+
 # --- config layering --------------------------------------------------------
 
 def test_defaults():
-    cfg = build_config(parse(["integrate"]), env={})
+    cfg = resolve(["integrate"], {})
     assert cfg.window == 20
     assert cfg.bipower_window == 20
     assert cfg.prewhiten is True
@@ -87,10 +96,29 @@ def test_defaults():
     assert cfg.out == "out"
 
 
+def test_a_setting_that_feeds_a_library_parameter_has_its_default():
+    # Each paper parameter has one value: the library's default, which the
+    # RunConfig field that passes it restates.
+    for fn, parameter, setting in [
+        (integrate_panel, "window", "window"),
+        (integrate_panel, "prewhiten", "prewhiten"),
+        (lm_series, "bipower_window", "bipower_window"),
+        (lm_series, "jump_threshold", "jump_threshold"),
+        (lm_series, "big_threshold", "big_threshold"),
+        (return_pair_correlations, "min_overlap", "min_overlap"),
+        (jump_pair_correlations, "min_quarters", "jump_pair_floor"),
+        (cohort_correlation_report, "sig_t", "pair_sig_t"),
+        (contagion_fits, "serial", "serial"),
+    ]:
+        default = inspect.signature(fn).parameters[parameter].default
+        value = getattr(RunConfig(), setting)
+        assert (type(value), value) == (type(default), default), (fn.__name__, parameter)
+
+
 def test_file_overrides_defaults(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"window": 30, "serial": "never"}))
-    cfg = build_config(parse(["integrate", "--config", str(p)]), env={})
+    cfg = resolve(["integrate", "--config", str(p)], {})
     assert cfg.window == 30 and cfg.serial == "never"
 
 
@@ -98,20 +126,20 @@ def test_env_overrides_file(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"window": 30}))
     env = {"HOUSINGRISK_WINDOW": "40", "HOUSINGRISK_SEED": "5"}
-    cfg = build_config(parse(["integrate", "--config", str(p)]), env=env)
+    cfg = resolve(["integrate", "--config", str(p)], env)
     assert cfg.window == 40 and cfg.seed == 5
 
 
 def test_flag_overrides_env(tmp_path):
     env = {"HOUSINGRISK_WINDOW": "40"}
-    cfg = build_config(parse(["integrate", "--window", "50"]), env=env)
+    cfg = resolve(["integrate", "--window", "50"], env)
     assert cfg.window == 50
 
 
 def test_env_config_path(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"window": 33}))
-    cfg = build_config(parse(["integrate"]), env={"HOUSINGRISK_CONFIG": str(p)})
+    cfg = resolve(["integrate"], {"HOUSINGRISK_CONFIG": str(p)})
     assert cfg.window == 33
 
 
@@ -142,14 +170,14 @@ def test_a_relative_path_in_a_config_file_is_read_from_its_directory(tmp_path, m
 
 
 def test_no_prewhiten_flag_and_env(tmp_path, capsys, monkeypatch):
-    assert build_config(parse(["integrate", "--no-prewhiten"]), env={}).prewhiten is False
+    assert resolve(["integrate", "--no-prewhiten"], {}).prewhiten is False
     for text, prewhiten in [("1", False), ("true", False), ("TRUE", False), ("Yes", False),
                             ("0", True), ("false", True), ("False", True), ("NO", True)]:
         env = {"HOUSINGRISK_NO_PREWHITEN": text}
-        assert build_config(parse(["integrate"]), env=env).prewhiten is prewhiten, text
+        assert resolve(["integrate"], env).prewhiten is prewhiten, text
     for text in ["off", "on", "2", "y"]:
         with pytest.raises(ConfigError) as exc:
-            build_config(parse(["integrate"]), env={"HOUSINGRISK_NO_PREWHITEN": text})
+            resolve(["integrate"], {"HOUSINGRISK_NO_PREWHITEN": text})
         assert str(exc.value) == (
             f"HOUSINGRISK_NO_PREWHITEN must be one of 1/0, true/false, yes/no, got {text!r}")
     rpath, out = write_scenario(tmp_path)
@@ -464,6 +492,9 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"bipower_window": "20"}, id="bipower-window-string"),
     pytest.param({"pairs": {"min_overlap": 8.5}}, id="min-overlap-float"),
     pytest.param({"pairs": {"jump_floor": True}}, id="jump-floor-bool"),
+    pytest.param({"pairs": {"min_overlap": 2}}, id="min-overlap-below-3"),
+    pytest.param({"pairs": {"min_overlap": -5}}, id="min-overlap-negative"),
+    pytest.param({"pairs": {"jump_floor": 2}}, id="jump-floor-below-3"),
     pytest.param({"seed": "3"}, id="seed-string"),
     pytest.param({"seed": True}, id="seed-bool"),
     pytest.param({"thresholds": {"jump": "1.65"}}, id="jump-threshold-string"),
@@ -603,7 +634,7 @@ def test_unknown_config_key_is_named(tmp_path, obj, key):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(obj))
     with pytest.raises(ConfigError) as exc:
-        build_config(parse(["integrate", "--config", str(p)]), env={})
+        resolve(["integrate", "--config", str(p)], {})
     assert str(exc.value) == f"config file {p}: unknown key {key}"
 
 
@@ -1196,7 +1227,7 @@ def test_each_setting_is_declared_by_its_field(tmp_path, setting):
     # Its key in a config file sets its field and no other; a relative path
     # is read from the config file's directory.
     p.write_text(json.dumps({section: {name: value}} if section else {name: value}))
-    cfg = build_config(parse(["ingest", "--config", str(p)]), env={})
+    cfg = resolve(["ingest", "--config", str(p)], {})
     cfg.validate()
     read = os.path.join(tmp_path, value) if (section, name) in PATH_KEYS and isinstance(value, str) else value
     assert dataclasses.asdict(cfg) == dict(dataclasses.asdict(RunConfig()), **{setting.name: read})
@@ -1212,13 +1243,13 @@ def test_each_setting_is_declared_by_its_field(tmp_path, setting):
     flag, env_name = "--" + option.replace("_", "-"), "HOUSINGRISK_" + option.upper()
     if setting.name in OPTIONS:
         argv = ["ingest", flag] if value is False else ["ingest", flag, str(value)]
-        assert getattr(build_config(parse(argv), env={}), setting.name) == value
+        assert getattr(resolve(argv, {}), setting.name) == value
         env = {env_name: "1" if value is False else str(value)}
-        assert getattr(build_config(parse(["ingest"]), env=env), setting.name) == value
+        assert getattr(resolve(["ingest"], env), setting.name) == value
     else:
         with pytest.raises(SystemExit):
             parse(["ingest", flag, "1"])
-        assert build_config(parse(["ingest"]), env={env_name: "1"}) == RunConfig()
+        assert resolve(["ingest"], {env_name: "1"}) == RunConfig()
 
     # README's key table names it.
     assert f"`{key}`" in README_KEY_TABLE

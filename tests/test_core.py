@@ -106,10 +106,8 @@ def test_returns_round_trip_levels():
 # --- panels -----------------------------------------------------------------
 
 def test_panel_sorted_ids_and_offsets():
-    panel = IndexPanel.from_series({
-        "B": (Q0 + 2, [100.0, 101.0]),
-        "A": (Q0, [100.0, 100.0, 100.0, 100.0]),
-    })
+    panel = IndexPanel([MsaInfo("A", "A", ""), MsaInfo("B", "B", "")], Q0,
+                       [[100.0, np.nan], [100.0, np.nan], [100.0, 100.0], [100.0, 101.0]])
     assert panel.msa_ids() == ["A", "B"]
     assert panel.start == Q0
     assert panel.n_quarters == 4

@@ -40,7 +40,7 @@ TRANSFORMS = b'{"F1": "log_level", "F2": "log_pct_change"}'
 CONFIG = json.dumps({
     "inputs": {"hpi": "hpi.csv", "factors": "factors.csv", "transforms": "transforms.json"},
     "window": 3, "bipower_window": 8, "prewhiten": False, "serial": "auto", "seed": 1,
-    "thresholds": {"jump": 1.65, "big": 2.0, "pair_sig_t": 5.0}, "pairs": {"min_overlap": 2, "jump_floor": 1},
+    "thresholds": {"jump": 1.65, "big": 2.0, "pair_sig_t": 5.0}, "pairs": {"min_overlap": 3, "jump_floor": 3},
     "cohorts": {"time": {"c1": "1990:Q2"}, "ca_coastal": ["Alpha"]}, "contagion": {"A1": ["B2"]},
     "portfolios": {"ca": {"state": "CA", "available_from": "1990:Q2"}, "ab": {"members": ["A1", "B2"]}},
     "sub_ranges": {"early": ["1990:Q1", "1990:Q3"]},

@@ -188,15 +188,15 @@ LEVEL = st.floats(1e-6, 1e9).map(lambda x: float(f"{x:.10g}"))  # what %.10g wri
 
 @st.composite
 def hpi_panels(draw):
-    ids = draw(st.lists(FIELD.filter(bool), min_size=1, max_size=5, unique=True))
+    ids = sorted(draw(st.lists(FIELD.filter(bool), min_size=1, max_size=5, unique=True)))
     n_q = draw(st.integers(1, 8))
-    series, infos = {}, {}
-    for msa_id in ids:
+    values = np.full((n_q, len(ids)), np.nan)
+    for j in range(len(ids)):
         first = draw(st.integers(0, n_q - 1))  # staggered first quarters, one common end
-        levels = draw(st.lists(LEVEL, min_size=n_q - first, max_size=n_q - first))
-        series[msa_id] = (QuarterIndex(1990, 1) + first, levels)
-        infos[msa_id] = MsaInfo(msa_id, draw(FIELD), draw(st.sampled_from(["CA", "OH", ""])))
-    return IndexPanel.from_series(series, infos)
+        values[first:, j] = draw(st.lists(LEVEL, min_size=n_q - first, max_size=n_q - first))
+    values = values[np.isnan(values).all(axis=1).argmin():]  # the panel starts at its first level
+    infos = [MsaInfo(msa_id, draw(FIELD), draw(st.sampled_from(["CA", "OH", ""]))) for msa_id in ids]
+    return IndexPanel(infos, QuarterIndex(1990, 1), values)
 
 
 @settings(max_examples=150, deadline=None)
@@ -456,10 +456,8 @@ def test_write_csv_atomic_matches_csv_writer(table, block_rows):
 
 
 def test_name_with_a_carriage_return_loads_back(tmp_path):
-    panel = IndexPanel.from_series(
-        {"A": (Q0, [100.0, 101.0]), "B": (Q0, [50.0, 51.0])},
-        {"A": MsaInfo("A", "North\rEast", "CA"), "B": MsaInfo("B", "South", "OH")},
-    )
+    panel = IndexPanel([MsaInfo("A", "North\rEast", "CA"), MsaInfo("B", "South", "OH")], Q0,
+                       [[100.0, 50.0], [101.0, 51.0]])
     path = tmp_path / "hpi.csv"
     write_hpi_csv(path, panel)
     assert b'"North\rEast"' in path.read_bytes()

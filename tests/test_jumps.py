@@ -11,14 +11,13 @@ from housingrisk import (
     ConfigError,
     InsufficientHistoryError,
     QuarterIndex,
-    UndefinedStatisticError,
     jump_incidence,
     lm_series,
 )
 from housingrisk.jumps import BIG_THRESHOLD, JUMP_THRESHOLD, SCALE, JumpSeries
 
 from .conftest import panel_from_returns
-from .oracles import bipower_variation, lm_statistic
+from .oracles import UndefinedStatisticError, bipower_variation, lm_statistic
 
 
 def test_bipower_hand_values():

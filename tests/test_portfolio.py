@@ -12,9 +12,9 @@ from housingrisk import (
     InsufficientHistoryError,
     diversification_series,
     portfolio_returns,
-    rolling_sigma,
     series_correlation,
 )
+from housingrisk.portfolio import rolling_sigma
 from .conftest import Q0, panel_from_returns
 
 

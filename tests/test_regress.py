@@ -52,7 +52,6 @@ def test_exact_line_recovered():
     assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-10)
     assert_allclose(fit.residuals, np.zeros(10), atol=1e-9)
     assert fit.r_square == pytest.approx(1.0, abs=1e-12)
-    assert fit.coefficient("x") == fit.coefficients[1]
 
 
 def test_ols_matches_normal_equations(rng):
@@ -194,7 +193,7 @@ def test_co_intercept_back_on_original_scale(rng):
     fit = cochrane_orcutt(X, y, names=("const", "x"))
     assert fit.method == "cochrane_orcutt"
     assert fit.n_obs == 199  # one row lost to quasi-differencing
-    assert fit.coefficient("const") == pytest.approx(3.0, abs=0.8)
+    assert fit.coefficients[0] == pytest.approx(3.0, abs=0.8)
     assert fit.rho == pytest.approx(0.5, abs=0.2)
 
 
@@ -580,7 +579,7 @@ def test_trend_equals_its_stack_row_and_the_stacked_fit_bit_for_bit(rows, i):
     assert (fit.intercept, fit.slope) == tuple(one.beta[0])
     assert fit.slope_t_stat in (0.0, _t_stats(one.beta, one.se)[0, 1])
 
-    ref = oracles._fit_core(X, y, ("const", "t"), "ols", None)
+    ref = oracles._fit_core(X, y, ("const", "t"))
     a = np.max(np.abs(y))
     norm_y = a * np.linalg.norm(y / a) if a > 0 else 0.0  # no underflow in y * y
     info = np.finfo(float)
@@ -595,3 +594,79 @@ def test_trend_equals_its_stack_row_and_the_stacked_fit_bit_for_bit(rows, i):
 def test_a_constant_path_has_trend_t_stat_zero(c, n):
     with np.errstate(all="raise", under="ignore"):
         assert trend_fit(np.full(n, c)).slope_t_stat == 0.0
+
+
+# --- scale ------------------------------------------------------------------
+
+def rescalings(draw, n):
+    """(y, y * 2^d, d): a response and the same one scaled by a power of two,
+    with every nonzero value of both normal. The exponents reach from the
+    smallest normal to the largest float."""
+    mantissas = draw(st.lists(st.floats(-1e3, 1e3) | st.just(0.0), min_size=n, max_size=n))
+    m = np.array(mantissas)
+    exps = np.frexp(m[m != 0])[1]
+    lo, hi = (-1021 - exps.min(), 1024 - exps.max()) if exps.size else (0, 0)
+    s1, s2 = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+    return np.ldexp(m, s1), np.ldexp(m, s2), s2 - s1
+
+
+def full_bits(*pairs) -> np.ndarray:
+    """Where each (a, b) pair is normal in both or zero in both: a subnormal
+    result keeps fewer bits than the fit computed, a zero may be one that
+    underflowed and an infinity one that overflowed."""
+    info = np.finfo(float)
+
+    def normal(v):
+        return (info.tiny <= np.abs(v)) & (np.abs(v) <= info.max)
+
+    return np.all([(normal(a) & normal(b)) | ((np.asarray(a) == 0) & (np.asarray(b) == 0)) for a, b in pairs],
+                  axis=0)
+
+
+def assert_scaled(a, b, d):
+    """``b`` is ``a`` scaled by 2^d, exactly, where both keep full bits."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    full = full_bits((a, b))
+    assert_array_equal(np.ldexp(a[full], d), b[full])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(5, 30), p=st.integers(0, 2))
+def test_ols_scales_exactly_with_a_power_of_two(data, n, p):
+    # Scaling y by 2^d scales beta and se by 2^d and leaves t, R-square and
+    # Durbin-Watson as they are, bit for bit, however small or large y is.
+    X = add_intercept(np.array(data.draw(st.lists(st.lists(st.floats(-10, 10), min_size=p, max_size=p),
+                                                  min_size=n, max_size=n))).reshape(n, p))
+    y1, y2, d = rescalings(data.draw, n)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # residuals past the largest float are inf
+            a, b = ols_fit(X, y1), ols_fit(X, y2)
+    except SingularDesignError:
+        return
+    assert_scaled(a.coefficients, b.coefficients, d)
+    assert_scaled(a.standard_errors, b.standard_errors, d)
+    assert_array_equal([a.r_square, a.durbin_watson], [b.r_square, b.durbin_watson])  # DW is NaN for an exact fit
+    full = full_bits((a.coefficients, b.coefficients), (a.standard_errors, b.standard_errors))
+    assert_array_equal(a.t_stats[full], b.t_stats[full])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(3, 30))
+def test_trend_scales_exactly_with_a_power_of_two(data, n):
+    y1, y2, d = rescalings(data.draw, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # residuals past the largest float are inf
+        a, b = trend_fit(y1), trend_fit(y2)
+        X = add_intercept(np.arange(n, dtype=float))
+        se = [_fit_stack(np.column_stack([X, y])[None], ("const", "t")).se[0, 0, 1] for y in (y1, y2)]
+    assert_scaled([a.intercept, a.slope], [b.intercept, b.slope], d)
+    if full_bits((a.slope, b.slope), se):
+        assert a.slope_t_stat == b.slope_t_stat
+
+
+def test_tiny_responses_get_the_t_stats_of_their_scaled_copies():
+    # Their squared residuals underflow; they used to give t = +-inf.
+    X = add_intercept(np.arange(5.0))
+    tiny, unit = ols_fit(X, [0, 0, 0, 0, 1e-200]), ols_fit(X, [0, 0, 0, 0, 1e-200 * 2.0**600])
+    assert_array_equal(tiny.t_stats, unit.t_stats)
+    assert tiny.durbin_watson == unit.durbin_watson
+    assert np.isfinite(trend_fit([0.0, 0.0, 1.0164774188143886e-214]).slope_t_stat)

@@ -8,6 +8,8 @@ unknown key beside it is rejected by name.
 from __future__ import annotations
 
 import json
+import os
+from unittest import mock
 
 import pytest
 
@@ -29,7 +31,8 @@ def config_fault(tmp_path, obj) -> str:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(ConfigError) as exc:
-        build_config(_build_parser().parse_args(["ingest", "--config", str(path)]), env={}).validate()
+        with mock.patch.dict(os.environ, clear=True):
+            build_config(_build_parser().parse_args(["ingest", "--config", str(path)])).validate()
     return str(exc.value)
 
 
