@@ -722,8 +722,9 @@ def _contagion_fits(r: _Runner):
 
     A pair's overlap is the rows of the return grid from the later of its
     two first quarters to the end. The pairs that share a source and an
-    overlap share one design, so each such group is fitted by one
-    ``contagion_fits`` call per variant. Rows stay in sorted pair order,
+    overlap share one design; one ``contagion_fits`` call per variant fits
+    every such group, with the Cochrane-Orcutt rounds of all of them in
+    lockstep. Rows stay in sorted pair order,
     then base before interacted; a pair whose overlap is too short is one
     ``skipped`` row, and a variant whose fit fails is a ``skipped`` row
     naming the variant and the error.
@@ -750,6 +751,7 @@ def _contagion_fits(r: _Runner):
     n = np.repeat(grid.n_quarters - lo, 2).reshape(-1, 2)
     method = np.full((len(pairs), 2), "insufficient overlap", dtype=object)
     numbers = np.full((len(pairs), 2, len(header) - 5), np.nan)  # rho, R², DW, (coefficient, t) pairs
+    variants = ([], [])  # per variant, (pair indices, (targets, source, residual)) of each group
     for (s, first), at in groups.items():
         if grid.n_quarters - first < n_lags + 8:
             continue
@@ -757,10 +759,11 @@ def _contagion_fits(r: _Runner):
         block = grid.values[first:, target[at]].T
         res = _interaction_residual(r, grid.msas[s].msa_id if per_source else None)
         code = grid.start.code + first
-        variants = [contagion_fits(block, sv, None, n_lags, r.cfg.serial)]
+        variants[0].append((at, (block, sv, None)))
         if res is not None and res[0] <= code:
-            variants.append(contagion_fits(block, sv, res[1][code - res[0]:], n_lags, r.cfg.serial))
-        for v, (name, fits) in enumerate(zip(("base", "interacted"), variants)):
+            variants[1].append((at, (block, sv, res[1][code - res[0]:])))
+    for v, (name, entries) in enumerate(zip(("base", "interacted"), variants)):
+        for (at, _), fits in zip(entries, contagion_fits([group for _, group in entries], n_lags, r.cfg.serial)):
             ok = np.array([exc is None for exc in fits.errors])
             shown[at, v] = True
             variant[at, v] = np.where(ok, name, "skipped")

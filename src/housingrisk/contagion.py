@@ -24,6 +24,7 @@ from .regress import (
     _StackFit,
     _cochrane_orcutt_stack,
     _fit_stack,
+    _stack,
     _t_stats,
     _too_few_for_cochrane_orcutt,
     _too_few_for_ols,
@@ -209,30 +210,11 @@ class ContagionFits:
         )
 
 
-def contagion_fits(
-    targets,
-    source,
-    residual=None,
-    n_lags: int = 3,
-    serial: str = "auto",
-) -> ContagionFits:
-    """Regress every target on source lags 0..n_lags, all in stacked solves.
-
-    ``targets`` is (m, T), each row aligned with the (T,) ``source``. With
-    a ``residual`` (T,) the fits are interacted: each source lag times the
-    contemporaneous boom/bust residual joins the design, and interaction
-    columns that are identically zero (e.g. a zero residual series) are
-    dropped for every target, reported with coefficient 0.
-
-    All targets share one design, so one stacked QR fits them all by OLS
-    and Durbin-Watson is one array reduction. Under ``auto`` the targets
-    whose Durbin-Watson statistic rejects (``dw_rejects``), and under
-    ``always`` all targets, are re-fitted by Cochrane-Orcutt in lockstep
-    (``regress._cochrane_orcutt_stack``). A target whose fit fails keeps
-    its exception in ``errors`` while the others still fit.
-    """
-    if serial not in SERIAL_POLICIES:
-        raise ConfigError(f"serial policy must be one of {SERIAL_POLICIES}, got {serial!r}")
+def _design(targets, source, residual, n_lags: int):
+    """One group's (X, names, Y, all_names, dropped): the design on source
+    lags 0..n_lags (and their interactions with ``residual``), the names of
+    its columns, the targets' rows it is fitted to, the names of a full
+    record and the interaction columns dropped as identically zero."""
     targets = np.asarray(targets, dtype=float)
     source = np.asarray(source, dtype=float)
     if targets.ndim != 2 or source.ndim != 1 or targets.shape[1] != source.size:
@@ -242,7 +224,7 @@ def contagion_fits(
         raise InsufficientHistoryError(
             f"need at least {n_lags + 8} aligned quarters, got {T}"
         )
-    m, n = len(targets), T - n_lags
+    n = T - n_lags
     X = np.column_stack([np.ones(n)] + [source[n_lags - l : T - l] for l in range(n_lags + 1)])
     names = ("const",) + tuple(f"lag{l}" for l in range(n_lags + 1))
     all_names, dropped = names, ()
@@ -257,59 +239,93 @@ def contagion_fits(
         dropped = tuple(name for name, kept in zip(ix_names, keep) if not kept)
         X = np.column_stack([X, ix_cols[:, keep]])
         names = names + tuple(name for name, kept in zip(ix_names, keep) if kept)
-    k = len(names)
+    return X, names, targets[:, n_lags:], all_names, dropped
 
-    Xy = np.concatenate([np.broadcast_to(X, (m, n, k)), targets[:, n_lags:, None]], axis=2)
-    short = (_too_few_for_cochrane_orcutt if serial == "always" and n < k + 3
-             else _too_few_for_ols if n < k + 2 else None)
-    if short is None:
-        fit = _fit_stack(Xy, names).single()
-    else:
-        fit = _StackFit(*(np.full(shape, np.nan) for shape in ((m, k), (m, k), m, m)),
-                       {i: short(n, k) for i in range(m)})
-    failed = dict(fit.failed)
-    methods = np.full(m, "ols", dtype=object)
-    rho = np.full(m, np.nan)
-    n_obs = np.full(m, n)
-    redo = dw_rejects(fit.durbin_watson, n, k - 1) if serial == "auto" else np.full(m, serial == "always")
-    redo[list(failed)] = False
-    at = np.flatnonzero(redo)
-    if at.size and n < k + 3:
-        failed.update((int(i), _too_few_for_cochrane_orcutt(n, k)) for i in at)
-    elif at.size:
-        start = _StackFit(*(a[at] for a in fit[:4]), {})
-        co, rho[at], n_obs[at], _ = _cochrane_orcutt_stack(Xy[at], names, start)
-        for a, b in zip(fit[:4], co[:4]):
-            a[at] = b
-        failed.update((int(at[j]), exc) for j, exc in co.failed.items())
-        methods[at] = "cochrane_orcutt"
 
-    cols = [all_names.index(name) for name in names]
-    coef = np.zeros((m, len(all_names)))
-    se = np.full((m, len(all_names)), np.nan)
-    t = np.full((m, len(all_names)), np.nan)
-    coef[:, cols] = fit.beta
-    se[:, cols] = fit.se
-    t[:, cols] = _t_stats(fit.beta, fit.se)
-    rows = list(failed)
-    for a in (coef, se, t, fit.r_square, fit.durbin_watson, rho):
-        a[rows] = np.nan
-    methods[rows] = ""
-    return ContagionFits(
-        names=all_names,
-        coefficients=coef,
-        standard_errors=se,
-        t_stats=t,
-        r_square=fit.r_square,
-        durbin_watson=fit.durbin_watson,
-        n_obs=n_obs,
-        rho=rho,
-        methods=tuple(methods),
-        errors=tuple(failed.get(i) for i in range(m)),
-        n_lags=n_lags,
-        interacted=residual is not None,
-        dropped_columns=dropped,
-    )
+def contagion_fits(groups, n_lags: int = 3, serial: str = "auto") -> list[ContagionFits]:
+    """Regress every target of every group on its source's lags 0..n_lags.
+
+    ``groups`` holds (targets, source, residual) triples: ``targets`` is
+    (m, T), each row aligned with the (T,) ``source``. With a ``residual``
+    (T,) the group's fits are interacted: each source lag times the
+    contemporaneous boom/bust residual joins the design, and interaction
+    columns that are identically zero (e.g. a zero residual series) are
+    dropped for every target of the group, reported with coefficient 0.
+
+    The targets of a group share one design, so one stacked QR fits them all
+    by OLS and Durbin-Watson is one array reduction. Under ``auto`` the
+    targets whose Durbin-Watson statistic rejects (``dw_rejects``), and under
+    ``always`` all targets, are re-fitted by Cochrane-Orcutt, with the rounds
+    of every group in lockstep (``regress._cochrane_orcutt_stack``). A
+    target's fit does not depend on the other targets or groups. A target
+    whose fit fails keeps its exception in ``errors`` while the others still
+    fit. Returns one ``ContagionFits`` per group, in order.
+    """
+    if serial not in SERIAL_POLICIES:
+        raise ConfigError(f"serial policy must be one of {SERIAL_POLICIES}, got {serial!r}")
+    designs = [_design(targets, source, residual, n_lags) for targets, source, residual in groups]
+    starts, co_groups, gated = [], [], []
+    for X, names, Y, _, _ in designs:
+        (n, k), m = X.shape, len(Y)
+        short = (_too_few_for_cochrane_orcutt if serial == "always" and n < k + 3
+                 else _too_few_for_ols if n < k + 2 else None)
+        if short is None:
+            fit = _fit_stack(_stack(X, Y), names).single()
+        else:
+            fit = _StackFit(*(np.full(shape, np.nan) for shape in ((m, k), (m, k), m, m)),
+                           {i: short(n, k) for i in range(m)})
+        redo = dw_rejects(fit.durbin_watson, n, k - 1) if serial == "auto" else np.full(m, serial == "always")
+        redo[list(fit.failed)] = False
+        at = np.flatnonzero(redo)
+        if n < k + 3:
+            fit.failed.update((int(i), _too_few_for_cochrane_orcutt(n, k)) for i in at)
+            at = at[:0]
+        if at.size:
+            co_groups.append((X, Y[at], names, _StackFit(*(a[at] for a in fit[:4]), {})))
+        starts.append(fit)
+        gated.append(at)
+    co = iter(_cochrane_orcutt_stack(co_groups))
+
+    out = []
+    for (X, names, Y, all_names, dropped), fit, at, (_, _, residual) in zip(designs, starts, gated, groups):
+        m = len(Y)
+        failed = fit.failed
+        methods = np.full(m, "ols", dtype=object)
+        rho = np.full(m, np.nan)
+        n_obs = np.full(m, X.shape[0])
+        if at.size:
+            fits, rho[at], n_obs[at], _ = next(co)
+            for a, b in zip(fit[:4], fits[:4]):
+                a[at] = b
+            failed.update((int(at[j]), exc) for j, exc in fits.failed.items())
+            methods[at] = "cochrane_orcutt"
+        cols = [all_names.index(name) for name in names]
+        coef = np.zeros((m, len(all_names)))
+        se = np.full((m, len(all_names)), np.nan)
+        t = np.full((m, len(all_names)), np.nan)
+        coef[:, cols] = fit.beta
+        se[:, cols] = fit.se
+        t[:, cols] = _t_stats(fit.beta, fit.se)
+        rows = list(failed)
+        for a in (coef, se, t, fit.r_square, fit.durbin_watson, rho):
+            a[rows] = np.nan
+        methods[rows] = ""
+        out.append(ContagionFits(
+            names=all_names,
+            coefficients=coef,
+            standard_errors=se,
+            t_stats=t,
+            r_square=fit.r_square,
+            durbin_watson=fit.durbin_watson,
+            n_obs=n_obs,
+            rho=rho,
+            methods=tuple(methods),
+            errors=tuple(failed.get(i) for i in range(m)),
+            n_lags=n_lags,
+            interacted=residual is not None,
+            dropped_columns=dropped,
+        ))
+    return out
 
 
 def contagion_fit(
@@ -319,7 +335,7 @@ def contagion_fit(
     serial: str = "auto",
 ) -> ContagionFit:
     """Regress aligned target returns on source lags 0..n_lags."""
-    batch = contagion_fits(np.asarray(target, dtype=float)[None], source, None, n_lags, serial)
+    [batch] = contagion_fits([(np.asarray(target, dtype=float)[None], source, None)], n_lags, serial)
     return batch.fit(0)
 
 
@@ -353,5 +369,5 @@ def contagion_fit_interacted(
     before fitting and reported with coefficient 0, leaving the base
     coefficients identical to the plain fit's.
     """
-    batch = contagion_fits(np.asarray(target, dtype=float)[None], source, residual, n_lags, serial)
+    [batch] = contagion_fits([(np.asarray(target, dtype=float)[None], source, residual)], n_lags, serial)
     return batch.fit(0)

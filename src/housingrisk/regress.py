@@ -79,10 +79,12 @@ def _dependent_columns(X: np.ndarray, tol: float) -> list[int]:
     return dependent
 
 
-def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
+def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...], rows=None):
     """Least squares for a stack of problems ``Xy = [X | Y]``, shape
     (s, n, k + m): each of the m columns of Y regressed on the same X, whose
-    k columns ``names`` labels.
+    k columns ``names`` labels. ``rows`` (s,), when given, is the row count of
+    the taller problem each member stands for (``_cochrane_orcutt_stack``
+    solves such reduced problems), which the rank tolerance then takes for n.
 
     One Householder QR factors the whole stack; the top k rows of the last
     m columns of each R are Q'Y, so Q is never formed (Golub & Van Loan,
@@ -106,7 +108,7 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
     (s, k), and a dict from stack position to the ``SingularDesignError``
     of each rank-deficient problem, whose rows hold NaN.
     """
-    n, k = Xy.shape[1], len(names)
+    n, k = Xy.shape[1] if rows is None else rows, len(names)
     m = Xy.shape[2] - k
     Ra = np.linalg.qr(Xy, mode="r")
     R = Ra[:, :k, :k]
@@ -119,7 +121,7 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...]):
         r_inv = sol[:, :, m:]
         diag = np.einsum("wij,wij->wi", r_inv, r_inv)
     beta = np.ascontiguousarray(sol[:, :, :m].transpose(0, 2, 1))
-    tol = max(n, k) * np.finfo(float).eps * np.sqrt(np.sum(R * R, axis=1)).max(axis=1)
+    tol = np.maximum(n, k) * np.finfo(float).eps * np.sqrt(np.sum(R * R, axis=1)).max(axis=1)
     failed = {}
     for s in np.flatnonzero(~(np.abs(np.diagonal(R, axis1=1, axis2=2)) > tol[:, None]).all(axis=1)):
         dependent = [names[j] for j in _dependent_columns(Xy[s, :, :k], tol[s])]
@@ -245,10 +247,12 @@ def _regression_fit(Xy, names, fit: _StackFit, i: int, method: str = "ols", rho=
     Its residuals are those of the regression fitted: y - X beta, or for a
     fit on rows quasi-differenced by ``differenced_by``, e_t - rho e_{t-1}
     of those original-scale residuals e, which is the transformed residual.
+    A residual past the largest float is +-inf.
     """
-    resid = Xy[i, :, -1] - Xy[i, :, :-1] @ fit.beta[i]
-    if differenced_by is not None:
-        resid = resid[1:] - differenced_by * resid[:-1]
+    with np.errstate(over="ignore"):
+        resid = Xy[i, :, -1] - Xy[i, :, :-1] @ fit.beta[i]
+        if differenced_by is not None:
+            resid = resid[1:] - differenced_by * resid[:-1]
     beta, se = fit.beta[i].copy(), fit.se[i].copy()
     return RegressionFit(names, beta, se, _t_stats(beta, se), float(fit.r_square[i]), resid,
                          resid.size, float(fit.durbin_watson[i]), method, rho)
@@ -274,7 +278,9 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names=None) -> RegressionFit:
     """Classical OLS on a design matrix that already includes its intercept.
 
     Requires n >= k + 2 so the error-variance estimate has at least two
-    degrees of freedom. This is ``_fit_stack`` of one problem.
+    degrees of freedom. This is ``_fit_stack`` of one problem. A residual
+    past the largest float (of a response near it) is returned as +-inf;
+    the coefficients and diagnostics stay finite.
     """
     Xy, names = _one_problem(X, y, names)
     n, k = Xy.shape[1], len(names)
@@ -317,7 +323,8 @@ def cochrane_orcutt(
         rho, differenced_by = fixed_rho, fixed_rho
     else:
         start = _fit_stack(Xy, names).single()
-        fit, rhos, n_obs, rho_fitted = _cochrane_orcutt_stack(Xy, names, start, tol, max_iter)
+        [(fit, rhos, n_obs, rho_fitted)] = _cochrane_orcutt_stack([(Xy[0, :, :k], Xy[:, :, k], names, start)],
+                                                                  tol, max_iter)
         rho, differenced_by = float(rhos[0]), rho_fitted[0] if n_obs[0] < n else None
     if fit.failed:
         raise fit.failed[0]
@@ -349,71 +356,157 @@ def _rho_did_not_converge(max_iter: int, last_rho: float, last_fit=None) -> Conv
     )
 
 
-def _cochrane_orcutt_stack(
-    Xy: np.ndarray,
-    names: tuple[str, ...],
-    start: _StackFit,
-    tol: float = 1e-6,
-    max_iter: int = 50,
-) -> tuple[_StackFit, np.ndarray, np.ndarray, np.ndarray]:
-    """``cochrane_orcutt`` for a stack of problems ``[X | y]``, in lockstep.
+def _lag1_rho(resid: np.ndarray) -> np.ndarray:
+    """The lag-1 estimate sum e_t e_{t-1} / sum e_{t-1}^2 of each row of
+    ``resid``, 0 where the denominator is 0. Each row is first scaled by the
+    power of two that brings its largest |value| into [0.5, 1): that scales
+    both sums exactly, so the ratio keeps its bits, and no square of a very
+    small or very large residual leaves the float range."""
+    e = np.ldexp(resid, -np.frexp(np.abs(resid).max(axis=1))[1][:, None])
+    denom = np.sum(e[:, :-1] ** 2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, 0.0, np.sum(e[:, 1:] * e[:, :-1], axis=1) / denom)
 
-    ``start`` is the stack's OLS fit (``_fit_stack(Xy, names).single()``),
-    which is also the first iterate. Each round takes the lag-1 rho estimate
-    of every problem still iterating, from its original-scale residuals, and
-    fits all their quasi-differenced problems in one
-    ``_quasi_difference_stack``. A problem leaves the round when its rho
-    converges (|delta rho| < tol), keeping its previous iterate; when rho
-    leaves the unit interval; when its quasi-differenced design is rank
-    deficient; or after ``max_iter`` rounds, with a ``ConvergenceError``
-    that carries its last iterate. The first column of X is the intercept;
-    the caller checks n >= k + 3.
 
-    Returns (fit, rho, n_obs, rho_fitted) with one row per problem: rho is
-    the last estimate, and rho_fitted the rho the fit's rows were
-    quasi-differenced by (0 for the OLS start, whose n_obs is n).
+def _stack(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The stack ``[X | y]``, shape (m, n, k + 1), of the m rows y of Y (m, n)
+    on the one design X (n, k)."""
+    return np.concatenate([np.broadcast_to(X, (len(Y),) + X.shape), Y[:, :, None]], axis=2)
+
+
+def _differencing_factors(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, QY), of shapes (2k - 1, 2k - 1) and (m, 2k - 1, 2), such that the
+    quasi-differenced problem ``[1, X_1 - rho X_0 | y_1 - rho y_0]`` of row
+    i of Y (m, n) on the design X (n, k), whose first column is the
+    intercept, is ``Q [R_1 - rho R_0 | QY[i, :, 0] - rho QY[i, :, 1]]`` for
+    one Q with orthonormal columns.
+
+    X_1 and X_0 are the rows 1..n-1 and 0..n-2. ``W = [1, X_1 slopes, X_0
+    slopes] = Q R`` is one reduced QR of the design, which every row of Y
+    shares; R_1 is R's first k columns, R_0 a zero intercept column beside
+    R's last k - 1, and QY holds Q'y_1 and Q'y_0. A design of fewer than
+    2k rows gives a Q of n - 1 columns, and R and QY are padded with zero
+    rows, which change no fit.
     """
-    n, k = Xy.shape[1], Xy.shape[2] - 1
-    X, y = Xy[:, :, :k], Xy[:, :, k]
-    beta, se, r2, dw = (a.copy() for a in start[:4])
-    failed = dict(start.failed)
-    rho = np.zeros(len(Xy))
-    rho_fitted = np.zeros(len(Xy))
-    n_obs = np.full(len(Xy), n)
-    live = np.ones(len(Xy), dtype=bool)
+    n, k = X.shape
+    Q, R = np.linalg.qr(np.column_stack([np.ones(n - 1), X[1:, 1:], X[:-1, 1:]]))
+    c = 2 * k - 1
+    QY = np.zeros((len(Y), c, 2))
+    QY[:, : len(R), 0] = np.einsum("wt,tc->wc", Y[:, 1:], Q)
+    QY[:, : len(R), 1] = np.einsum("wt,tc->wc", Y[:, :-1], Q)
+    return np.concatenate([R, np.zeros((c - len(R), c))]), QY
+
+
+def _cochrane_orcutt_stack(groups, tol: float = 1e-6, max_iter: int = 50):
+    """``cochrane_orcutt`` for groups of problems, in lockstep.
+
+    Each group is (X, Y, names, start): one problem per row y of Y (m, n)
+    on the design X (n, k), whose k columns ``names`` labels and whose first
+    column is the intercept, and ``start``, their OLS fit
+    (``_fit_stack(...).single()``), which is also the first iterate. The
+    caller checks n >= k + 3.
+
+    Each round takes the lag-1 rho estimate (``_lag1_rho``) of every problem
+    still iterating from its original-scale residuals y - X beta. A problem
+    leaves the rounds when its rho converges (|delta rho| < tol), keeping its
+    previous iterate; when rho leaves the unit interval; when its
+    quasi-differenced design is rank deficient; or after ``max_iter`` rounds,
+    with a ``ConvergenceError`` that carries its last iterate.
+
+    A round does not touch the n rows of a problem. The problem
+    quasi-differenced by rho is Q times a problem of 2k - 1 rows
+    (``_differencing_factors``), and Q has orthonormal columns, so that
+    small problem has its least-squares fit and its column norms (Golub &
+    Van Loan, *Matrix Computations*, §5.3). The rounds of every group with
+    the same ``names`` solve those small problems in one ``_solve_stacked``,
+    whose rank screen takes each problem's own n - 1 rows. After the last
+    round each group's problems are fitted once, at the rho their last
+    iterate was quasi-differenced by, with ``_quasi_difference_stack``, which
+    gives the fit that is returned.
+
+    Returns, per group, (fit, rho, n_obs, rho_fitted) with one row per
+    problem: rho is the last estimate, and rho_fitted the rho the fit's rows
+    were quasi-differenced by (0 for the OLS start, whose n_obs is n).
+    """
+    out = [None] * len(groups)
+    by_names: dict[tuple[str, ...], list[int]] = {}
+    for g, group in enumerate(groups):
+        by_names.setdefault(group[2], []).append(g)
+    for members in by_names.values():
+        for g, result in zip(members, _co_lockstep([groups[g] for g in members], tol, max_iter)):
+            out[g] = result
+    return out
+
+
+def _co_lockstep(groups, tol: float, max_iter: int):
+    """``_cochrane_orcutt_stack`` of groups that share their names."""
+    names = groups[0][2]
+    k = len(names)
+    at = np.cumsum([0] + [len(Y) for _, Y, _, _ in groups])  # group g's problems are at[g]:at[g + 1]
+    beta = np.concatenate([start.beta for *_, start in groups])
+    rows = np.repeat([len(X) - 1 for X, *_ in groups], np.diff(at))
+    R, QY = zip(*(_differencing_factors(X, Y) for X, Y, _, _ in groups))
+    R, QY = np.stack(R), np.concatenate(QY)
+    rho = np.zeros(at[-1])
+    fitted = np.zeros(at[-1])
+    moved = np.zeros(at[-1], dtype=bool)  # the last iterate is quasi-differenced (by fitted)
+    live = np.ones(at[-1], dtype=bool)
+    failed = {}
+    for g, (*_, start) in enumerate(groups):
+        failed.update((int(at[g] + i), exc) for i, exc in start.failed.items())
     live[list(failed)] = False
     for _ in range(max_iter):
-        at = np.flatnonzero(live)
-        if not at.size:
+        now = np.flatnonzero(live)
+        if not now.size:
             break
-        resid = y[at] - np.einsum("wtj,wj->wt", X[at], beta[at])
-        denom = np.sum(resid[:, :-1] ** 2, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho_new = np.where(denom == 0.0, 0.0, np.sum(resid[:, 1:] * resid[:, :-1], axis=1) / denom)
-        rho[at] = rho_new
-        live[at] = False
-        for i in at[np.abs(rho_new) >= 1.0]:
+        cut = np.searchsorted(now, at)
+        for g, (X, Y, _, _) in enumerate(groups):
+            i = now[cut[g] : cut[g + 1]]
+            if i.size:
+                rho[i] = _lag1_rho(Y[i - at[g]] - np.einsum("tj,wj->wt", np.ascontiguousarray(X), beta[i]))
+        live[now] = False
+        for i in now[np.abs(rho[now]) >= 1.0]:
             failed[int(i)] = _rho_left_unit_interval(rho[i])
-        go = at[(np.abs(rho_new) < 1.0) & ~(np.abs(rho_new - rho_fitted[at]) < tol)]
+        go = now[(np.abs(rho[now]) < 1.0) & ~(np.abs(rho[now] - fitted[now]) < tol)]
         if not go.size:
             continue
-        fit = _quasi_difference_stack(Xy[go], names, rho[go])
-        beta[go], se[go], r2[go], dw[go] = fit.beta, fit.se, fit.r_square, fit.durbin_watson
-        n_obs[go] = n - 1
-        rho_fitted[go] = rho[go]
-        live[go] = True
-        for j, exc in fit.failed.items():
+        r = rho[go, None]
+        small = np.empty((go.size, 2 * k - 1, k + 1))
+        small[:, :, k] = QY[go, :, 0] - r * QY[go, :, 1]
+        cut = np.searchsorted(go, at)
+        for g in np.flatnonzero(np.diff(cut)):
+            part = slice(cut[g], cut[g + 1])
+            small[part, :, :k] = R[g, :, :k]
+            small[part, :, 1:k] -= r[part, :, None] * R[g, :, k:]
+        b, _, bad = _solve_stacked(small, names, rows[go])
+        beta[go] = b[:, 0]
+        beta[go, 0] *= 1.0 / (1.0 - rho[go])  # the intercept on the original scale
+        fitted[go] = rho[go]
+        moved[go] = live[go] = True
+        for j, exc in bad.items():
             failed[int(go[j])] = exc
             live[go[j]] = False
-    out = _StackFit(beta, se, r2, dw, failed)
-    for i in np.flatnonzero(live):
-        last = _regression_fit(Xy, names, out, i, "cochrane_orcutt", float(rho_fitted[i]),
-                               rho_fitted[i] if n_obs[i] < n else None)
-        failed[int(i)] = _rho_did_not_converge(max_iter, float(rho[i]), last)
-    rows = list(failed)
-    for a in (beta, se, r2, dw, rho):
-        a[rows] = np.nan
-    return out, rho, n_obs, rho_fitted
+
+    out = []
+    for g, (X, Y, _, start) in enumerate(groups):
+        a, b = at[g], at[g + 1]
+        fit = _StackFit(*(v.copy() for v in start[:4]), {int(i - a): exc for i, exc in failed.items() if a <= i < b})
+        redo = np.array([i for i in np.flatnonzero(moved[a:b]) if i not in fit.failed], dtype=int)
+        if redo.size:
+            last = _quasi_difference_stack(_stack(X, Y[redo]), names, fitted[a + redo])
+            for v, w in zip(fit[:4], last[:4]):
+                v[redo] = w
+            fit.failed.update((int(redo[j]), exc) for j, exc in last.failed.items())
+        for i in np.flatnonzero(live[a:b]):
+            if i not in fit.failed:
+                last = _regression_fit(_stack(X, Y), names, fit, i, "cochrane_orcutt", float(fitted[a + i]),
+                                       fitted[a + i] if moved[a + i] else None)
+                fit.failed[int(i)] = _rho_did_not_converge(max_iter, float(rho[a + i]), last)
+        rho_g = rho[a:b].copy()
+        for v in (*fit[:4], rho_g):
+            v[list(fit.failed)] = np.nan
+        out.append((fit, rho_g, np.where(moved[a:b], len(X) - 1, len(X)), fitted[a:b]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -437,37 +530,62 @@ def _ar1_rows(x: np.ndarray):
     near_unit_root): row i of ``residuals`` (m, n) holds the pre-whitened
     series of row i from column ``order[i]`` on, and NaN before it; ``phi``
     is 0 where AR(0) is chosen.
+
+    A row whose demeaned values or AR(1) residuals square out of range
+    (``_squares_out_of_range``) is fitted once more scaled by the power of
+    two 2^-e that brings its largest |value| into [0.5, 1), and its
+    intercept and mean are scaled back by 2^e, as ``_fit_stack`` does; phi
+    and the order do not depend on scale. Every other row keeps the bits of
+    the first fit, so its information criteria compare as before. The
+    residuals are formed on the series' own scale; one past the largest
+    float is +-inf.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    n_eff = x.shape[1] - 1
-    y, x_lag = x[:, 1:], x[:, :-1]
-    dy = y - y.mean(axis=1, keepdims=True)
-    lag_mean = x_lag.mean(axis=1, keepdims=True)
-    lx = x_lag - lag_mean
-
-    # AR(0): mean-only model on the common sample (observations 2..n).
-    ssr0 = np.sum(dy**2, axis=1)
-
-    # AR(1) by conditional least squares. A lag of zero variance gets phi 0:
-    # then AR(1) has AR(0)'s SSR and one more parameter, so AR(0) is chosen.
-    denom = np.sum(lx**2, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 for a flat lag
-        phi = np.where(denom == 0.0, 0.0, np.sum(dy * lx, axis=1) / denom)[:, None]
-    c = y.mean(axis=1, keepdims=True) - phi * lag_mean
-    resid1 = y - c - phi * x_lag
-    ssr1 = np.sum(resid1**2, axis=1)
-
-    # BIC and AIC of AR(0) (column 0, one parameter) and AR(1) (column 1, two).
-    k = np.array([1, 2])
-    ll = n_eff * np.log(np.maximum(np.column_stack([ssr0, ssr1]) / n_eff, np.finfo(float).tiny))
-    bic, aic = ll + k * np.log(n_eff), ll + 2 * k
-    ar1 = (bic[:, 1] < bic[:, 0]) | ((bic[:, 1] == bic[:, 0]) & (aic[:, 1] < aic[:, 0]))
+    phi, c, mean, ar1, redo = _ar1_fit(x)
+    if redo.any():
+        e = np.frexp(np.abs(x[redo]).max(axis=1))[1]
+        phi[redo], c[redo], mean[redo], ar1[redo], _ = _ar1_fit(np.ldexp(x[redo], -e[:, None]))
+        with np.errstate(over="ignore"):
+            c[redo], mean[redo] = np.ldexp(c[redo], e), np.ldexp(mean[redo], e)
     # AR(0): residual is the demeaned series, so +mean gives the series back.
     residuals = x.copy()
     residuals[ar1, 0] = np.nan
-    residuals[ar1, 1:] = resid1[ar1] + x[ar1].mean(axis=1, keepdims=True)
-    phi = np.where(ar1, phi[:, 0], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals[ar1, 1:] = x[ar1, 1:] - c[ar1, None] - phi[ar1, None] * x[ar1, :-1] + mean[ar1, None]
+    phi = np.where(ar1, phi, 0.0)
     return residuals, phi, ar1.astype(int), ar1 & (np.abs(phi) >= 1.0)
+
+
+def _ar1_fit(x: np.ndarray):
+    """The fits of ``_ar1_rows`` on the scale of ``x``: (phi, intercept,
+    mean, AR(1) chosen, refit), one entry per row, where refit marks the
+    rows whose squares fall out of range."""
+    n_eff = x.shape[1] - 1
+    y, x_lag = x[:, 1:], x[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dy = y - y.mean(axis=1, keepdims=True)
+        lag_mean = x_lag.mean(axis=1, keepdims=True)
+        lx = x_lag - lag_mean
+
+        # AR(0): mean-only model on the common sample (observations 2..n).
+        ssr0 = np.sum(dy**2, axis=1)
+
+        # AR(1) by conditional least squares. A lag of zero variance gets phi
+        # 0 (not 0/0): then AR(1) has AR(0)'s SSR and one more parameter, so
+        # AR(0) is chosen.
+        denom = np.sum(lx**2, axis=1)
+        phi = np.where(denom == 0.0, 0.0, np.sum(dy * lx, axis=1) / denom)[:, None]
+        c = y.mean(axis=1, keepdims=True) - phi * lag_mean
+        resid1 = y - c - phi * x_lag
+        ssr1 = np.sum(resid1**2, axis=1)
+
+        # BIC and AIC of AR(0) (column 0, one parameter) and AR(1) (column 1, two).
+        k = np.array([1, 2])
+        ll = n_eff * np.log(np.maximum(np.column_stack([ssr0, ssr1]) / n_eff, np.finfo(float).tiny))
+        bic, aic = ll + k * np.log(n_eff), ll + 2 * k
+        ar1 = (bic[:, 1] < bic[:, 0]) | ((bic[:, 1] == bic[:, 0]) & (aic[:, 1] < aic[:, 0]))
+        mean = x.mean(axis=1)
+    return phi[:, 0], c[:, 0], mean, ar1, _squares_out_of_range(dy) | _squares_out_of_range(resid1)
 
 
 def ar1_prewhiten(series: np.ndarray) -> PrewhitenResult:
@@ -525,7 +643,8 @@ def trend_fit(series: np.ndarray) -> TrendFit:
     spread_t = np.sqrt(np.sum((t - t.mean()) ** 2))
     unit_norm_y = np.sqrt(np.sum((Y / a[:, None]) ** 2, axis=1))
     t_stat[np.abs(slope / a) * spread_t <= n * np.finfo(float).eps * unit_norm_y] = 0.0
-    resid = Y - (intercept[:, None] + slope[:, None] * t)
+    with np.errstate(over="ignore"):  # a residual past the largest float is +-inf
+        resid = Y - (intercept[:, None] + slope[:, None] * t)
     if y.ndim == 1:
         return TrendFit(float(intercept[0]), float(slope[0]), float(t_stat[0]), resid[0])
     return TrendFit(intercept, slope, t_stat, resid)

@@ -977,10 +977,10 @@ def test_a_failing_fit_fails_the_run_and_writes_nothing(tmp_path, capsys, monkey
 
     fits = cli.contagion_fits
 
-    def failing(targets, *args):
-        if len(targets) == 1:  # only S004's group has one target; S001's is fitted first
+    def failing(groups, *args):
+        if any(len(targets) == 1 for targets, _, _ in groups):  # S004's group has one target
             raise HousingRiskError("no fit for the one-target group")
-        return fits(targets, *args)
+        return fits(groups, *args)
 
     monkeypatch.setattr(cli, "contagion_fits", failing)
     cpath, out = contagion_config(tmp_path)
@@ -1065,8 +1065,8 @@ def test_all_computes_each_result_once(tmp_path, monkeypatch):
 
         def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            if name == "contagion_fits":  # (targets, source, ...): one source per call
-                sources.add(np.asarray(args[1]).tobytes())
+            if name == "contagion_fits":  # (targets, source, residual) groups
+                sources.update(np.asarray(source).tobytes() for _, source, _ in args[0])
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)

@@ -251,7 +251,7 @@ def scalar_fit(target, source, residual, n_lags, serial):
 
 
 def assert_batch_matches_scalar(targets, source, residual, serial, n_lags=3):
-    batch = contagion_fits(targets, source, residual, n_lags, serial)
+    [batch] = contagion_fits([(targets, source, residual)], n_lags, serial)
     fitted = 0
     for i, target in enumerate(targets):
         ref, exc = scalar_fit(target, source, residual, n_lags, serial)
@@ -297,6 +297,53 @@ def test_batch_equals_scalar_fits(seed, m, T, serial, variant, flat_source):
     targets = np.array([0.5 * source + 0.3 * np.roll(source, 1) + ar1(rng, T, phi) for phi in phis])
     residual = {"base": None, "interacted": rng.normal(size=T), "zero-residual": np.zeros(T)}[variant]
     assert_batch_matches_scalar(targets, source, residual, serial)
+
+
+def assert_same_fits(a, b, rows=slice(None)):
+    """``a``'s rows ``rows`` hold ``b``'s fits to the bit, and the same errors."""
+    for field in ("coefficients", "standard_errors", "t_stats", "r_square", "durbin_watson", "n_obs", "rho"):
+        assert_array_equal(getattr(a, field)[rows], getattr(b, field))
+    assert a.methods[rows] == b.methods
+    assert [(type(e), str(e)) for e in a.errors[rows]] == [(type(e), str(e)) for e in b.errors]
+    assert (a.names, a.dropped_columns, a.interacted) == (b.names, b.dropped_columns, b.interacted)
+
+
+def menu_group(rng, variant):
+    """(targets, source, residual) of one group: 1 to 4 targets of AR(1)
+    noise on a source of 11 to 60 quarters, some of them failing."""
+    T = int(rng.integers(11, 61))
+    source = np.zeros(T) if rng.random() < 0.1 else rng.normal(size=T)  # a flat source fails every target
+    phis = rng.choice([0.0, 0.6, 0.9, 0.99, -0.6], size=rng.integers(1, 5))
+    targets = np.array([0.5 * source + 0.3 * np.roll(source, 1) + ar1(rng, T, phi) for phi in phis])
+    if rng.random() < 0.2:
+        targets[-1] = 1.3 ** np.arange(T)  # rho leaves the unit interval
+    residual = {"base": None, "interacted": rng.normal(size=T), "zero-residual": np.zeros(T)}.get(variant)
+    if variant == "one-dropped":
+        # Nonzero only where the source is zero: ix_lag0 is dropped, ix_lag1..3 kept.
+        residual = np.zeros(T)
+        at = rng.choice(np.arange(4, T), 3, replace=False)
+        residual[at], source[at] = rng.normal(size=3), 0.0
+    return targets, source, residual
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    variants=st.lists(st.sampled_from(["base", "interacted", "zero-residual", "one-dropped"]), min_size=2, max_size=6),
+    serial=st.sampled_from(SERIAL_POLICIES),
+)
+def test_a_group_has_the_same_bits_alone_and_in_a_menu(seed, variants, serial):
+    # One call fits every group of a menu, with the Cochrane-Orcutt rounds of
+    # all of them in lockstep; each group, and each target, gets the bits and
+    # the errors of its own call.
+    rng = np.random.default_rng(seed)
+    groups = [menu_group(rng, variant) for variant in variants]
+    for (targets, source, residual), together in zip(groups, contagion_fits(groups, 3, serial)):
+        [alone] = contagion_fits([(targets, source, residual)], 3, serial)
+        assert_same_fits(together, alone)
+        for i, target in enumerate(targets):
+            [one] = contagion_fits([(target[None], source, residual)], 3, serial)
+            assert_same_fits(together, one, slice(i, i + 1))
 
 
 def test_batch_failing_target_leaves_its_group_mates_fitted(rng):

@@ -26,7 +26,7 @@ from housingrisk import (
     ols_fit,
     trend_fit,
 )
-from housingrisk.regress import _ar1_rows, _cochrane_orcutt_stack, _fit_stack, _solve_stacked, _t_stats
+from housingrisk.regress import _ar1_rows, _cochrane_orcutt_stack, _fit_stack, _solve_stacked, _stack, _t_stats
 
 from . import oracles
 from .oracles import add_intercept
@@ -397,13 +397,20 @@ def test_a_problem_has_the_same_bits_alone_and_in_a_stack(seed, s, k, m, extra_r
     some = _fit_stack(Xy[part], names)
     for j, i in enumerate(part):
         assert_same_stack_rows(some, alone[i], j)
-    one = Xy[:, :, : k + 1]
-    co = _cochrane_orcutt_stack(one, names, _fit_stack(one, names).single())
-    for i in range(s):
-        co_i = _cochrane_orcutt_stack(one[i : i + 1], names, _fit_stack(one[i : i + 1], names).single())
-        assert_same_stack_rows(co[0], co_i[0], i)
-        for a, b in zip(co[1:], co_i[1:]):
-            assert_array_equal(a[i], b[0])
+    # Cochrane-Orcutt runs groups of different n in one lockstep; each
+    # problem has the bits of its own one-problem call.
+    groups = []
+    for _ in range(s):
+        one = stack_of_designs(rng, 1, k + rng.choice([3, 4, 8, 30]), k, m, phi)[0]
+        X, Y = one[:, :k], one[:, k:].T
+        groups.append((X, Y, names, _fit_stack(_stack(X, Y), names).single()))
+    for (X, Y, _, _), (co, *rest) in zip(groups, _cochrane_orcutt_stack(groups)):
+        for j in range(m):
+            [(co_j, *rest_j)] = _cochrane_orcutt_stack([(X, Y[j : j + 1], names,
+                                                        _fit_stack(_stack(X, Y[j : j + 1]), names).single())])
+            assert_same_stack_rows(co, co_j, j)
+            for a, b in zip(rest, rest_j):
+                assert_array_equal(a[j], b[0])
 
 
 # --- AR(1) pre-whitening ----------------------------------------------------
@@ -639,8 +646,7 @@ def test_ols_scales_exactly_with_a_power_of_two(data, n, p):
                                                   min_size=n, max_size=n))).reshape(n, p))
     y1, y2, d = rescalings(data.draw, n)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # residuals past the largest float are inf
-            a, b = ols_fit(X, y1), ols_fit(X, y2)
+        a, b = ols_fit(X, y1), ols_fit(X, y2)
     except SingularDesignError:
         return
     assert_scaled(a.coefficients, b.coefficients, d)
@@ -654,13 +660,56 @@ def test_ols_scales_exactly_with_a_power_of_two(data, n, p):
 @given(data=st.data(), n=st.integers(3, 30))
 def test_trend_scales_exactly_with_a_power_of_two(data, n):
     y1, y2, d = rescalings(data.draw, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # residuals past the largest float are inf
-        a, b = trend_fit(y1), trend_fit(y2)
-        X = add_intercept(np.arange(n, dtype=float))
-        se = [_fit_stack(np.column_stack([X, y])[None], ("const", "t")).se[0, 0, 1] for y in (y1, y2)]
+    a, b = trend_fit(y1), trend_fit(y2)
+    X = add_intercept(np.arange(n, dtype=float))
+    se = [_fit_stack(np.column_stack([X, y])[None], ("const", "t")).se[0, 0, 1] for y in (y1, y2)]
     assert_scaled([a.intercept, a.slope], [b.intercept, b.slope], d)
     if full_bits((a.slope, b.slope), se):
         assert a.slope_t_stat == b.slope_t_stat
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(6, 30), p=st.integers(0, 2))
+def test_cochrane_orcutt_scales_exactly_with_a_power_of_two(data, n, p):
+    # Scaling y by 2^d leaves rho, t, R-square and Durbin-Watson as they are
+    # and scales beta and se by 2^d, bit for bit. The values are kept within
+    # 2^+-910, where no residual of the rounds is subnormal and no
+    # quasi-differenced value overflows.
+    X = add_intercept(np.array(data.draw(st.lists(st.lists(st.floats(-10, 10), min_size=p, max_size=p),
+                                                  min_size=n, max_size=n))).reshape(n, p))
+    mantissa = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3) | st.just(0.0)
+    y = np.array(data.draw(st.lists(mantissa, min_size=n, max_size=n)))
+    s1, s2 = data.draw(st.integers(-900, 900)), data.draw(st.integers(-900, 900))
+    (a, exc_a), (b, exc_b) = outcome(cochrane_orcutt, X, np.ldexp(y, s1)), outcome(cochrane_orcutt, X, np.ldexp(y, s2))
+    assert (type(exc_a), str(exc_a)) == (type(exc_b), str(exc_b))
+    if exc_a is not None:
+        return
+    d = s2 - s1
+    assert (a.rho, a.n_obs) == (b.rho, b.n_obs)
+    assert_scaled(a.coefficients, b.coefficients, d)
+    assert_scaled(a.standard_errors, b.standard_errors, d)
+    assert_scaled(a.residuals, b.residuals, d)
+    assert_array_equal([a.r_square, a.durbin_watson], [b.r_square, b.durbin_watson])
+    full = full_bits((a.coefficients, b.coefficients), (a.standard_errors, b.standard_errors))
+    assert_array_equal(a.t_stats[full], b.t_stats[full])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(10, 40))
+def test_prewhiten_scales_exactly_with_a_power_of_two(data, n):
+    # The AR order and phi do not depend on the series' scale, and the
+    # residuals scale with it exactly, however small or large the series is.
+    y1, y2, d = rescalings(data.draw, n)
+    a, b = ar1_prewhiten(y1), ar1_prewhiten(y2)
+    assert (a.order, a.phi, a.near_unit_root) == (b.order, b.phi, b.near_unit_root)
+    assert_scaled(a.residuals, b.residuals, d)
+
+
+def test_overflowing_residuals_are_infinite_without_a_warning():
+    # The residual of -1000 * 2^1014 from the mean is -2^1024, past the largest float.
+    fit = ols_fit(np.ones((5, 1)), np.array([0, 0, 120, 1000, -1000]) * 2.0**1014)
+    assert np.isfinite(fit.coefficients).all() and np.isfinite(fit.t_stats).all()
+    assert fit.residuals[-1] == -np.inf
 
 
 def test_tiny_responses_get_the_t_stats_of_their_scaled_copies():
