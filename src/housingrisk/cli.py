@@ -19,7 +19,9 @@ the command that writes it and the builder of its header and columns. A
 command writes its entries, ``all`` every entry, in table order; ``synth``
 writes the generated inputs instead. A report table or figure that shows
 an analysis artifact again calls that artifact's builder, so both show one
-result.
+result. ``INTEGRATION_FAMILY`` beside it names the entries built on the
+integration estimates; ``all`` and ``report`` hand them to one forked
+child when two CPUs are usable (see ``_write_artifacts``).
 
 A run validates its config before it reads any input. It writes every
 artifact into a private stage directory beside the output directory and
@@ -39,9 +41,12 @@ import functools
 import hashlib
 import json
 import os
+import pickle
 import shutil
+import signal
 import sys
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -962,6 +967,115 @@ ARTIFACTS = (
     ("table6.csv", "report", lambda r: _contagion_variant(r, "interacted")),
 )
 
+# The entries whose builders read ``r.integration()``: the integration
+# estimates, the portfolio simulation built on them and their views. No
+# memoised result is read both by one of these and by another entry, so a
+# forked child can write them while the parent writes the rest.
+INTEGRATION_FAMILY = frozenset({
+    "integration_series.csv", "integration_summary.csv", "cohort_averages.csv",
+    "portfolio_series.csv", "series_correlations.csv",
+    "table1.csv", "table2.csv", "fig2.csv", "fig3.csv", "fig5.csv",
+})
+
+
+def _write_entries(r: _Runner, entries) -> tuple | None:
+    """Write (ARTIFACTS index, name, builder) entries in order; (index, exception) of the first that fails."""
+    for at, name, build in entries:
+        try:
+            r.write_csv(name, *build(r))
+        except BaseException as exc:
+            return at, exc
+    return None
+
+
+def _write_artifacts(r: _Runner, entries: list) -> None:
+    """Write (ARTIFACTS index, name, builder) entries into the stage.
+
+    When they hold ``INTEGRATION_FAMILY`` entries and others, ``os.fork``
+    exists and two CPUs are usable, one forked child writes the family while
+    this process writes the rest; otherwise this process writes them all.
+    The error raised is that of the first failing entry in table order, as
+    in a serial run, so this process waits for the child even when its own
+    entries fail. On an interrupt, or an error while it waits, it kills and
+    reaps the child: no child outlives the call.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else ()
+    forked = [e for e in entries if e[1] in INTEGRATION_FAMILY]
+    if len(forked) == len(entries) or len(cpus) < 2:
+        forked = []
+    child = None  # (pid, read end of its pipe)
+    try:
+        child = _fork_writer(r, forked) if forked else None
+        failures = [_write_entries(r, [e for e in entries if e not in forked])]
+        if child is not None:
+            if failures[0] and not isinstance(failures[0][1], Exception):
+                raise failures[0][1]  # an interrupt: the child is killed below
+            with child[1] as pipe:
+                report = pipe.read()
+            _, status = os.waitpid(child[0], 0)
+            child = None
+            failures.append(_child_failure(report, status))
+    finally:
+        if child is not None:
+            os.kill(child[0], signal.SIGKILL)
+            os.waitpid(child[0], 0)
+            child[1].close()
+    failures = [f for f in failures if f]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    r.outputs += [name for _, name, _ in forked]
+
+
+def _fork_writer(r: _Runner, entries) -> tuple:
+    """Fork a child that writes ``entries`` and leaves by ``os._exit``; (its
+    pid, the read end of the pipe that carries its pickled failure)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads (BLAS's, say) forks.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            failure = _write_entries(r, entries)
+            with open(write_fd, "wb") as pipe:
+                if failure:
+                    pipe.write(_pickled_failure(*failure))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _pickled_failure(at: int, exc: BaseException) -> bytes:
+    """(at, exc) pickled, or (at, its type, its message) if exc does not pickle and load back."""
+    try:
+        data = pickle.dumps((at, exc))
+        pickle.loads(data)
+        return data
+    except Exception:
+        return pickle.dumps((at, type(exc), str(exc)))
+
+
+def _child_failure(report: bytes, status: int) -> tuple | None:
+    """The child's (ARTIFACTS index, exception), from its report and wait status."""
+    if report:
+        at, *exc = pickle.loads(report)
+        if len(exc) == 2:
+            exc = [exc[0].__new__(exc[0], exc[1])]
+        return at, exc[0]
+    if status:  # it died before it could report: behind any failure it might have reported
+        code = os.waitstatus_to_exitcode(status)
+        return len(ARTIFACTS), ChildProcessError(f"the forked writer of the integration artifacts ended with {code}")
+    return None
+
 
 def run(command: str, cfg: RunConfig) -> int:
     """Execute one command; returns the exit status (artifacts in cfg.out).
@@ -985,9 +1099,8 @@ def run(command: str, cfg: RunConfig) -> int:
             _cmd_synth(runner)
         else:
             runner.load()
-        for name, writer, build in ARTIFACTS:
-            if command in (writer, "all"):
-                runner.write_csv(name, *build(runner))
+        _write_artifacts(runner, [(at, name, build) for at, (name, writer, build) in enumerate(ARTIFACTS)
+                                  if command in (writer, "all")])
         runner.write_manifest(command)
         out.mkdir(exist_ok=True)
         names = [*sorted(set(runner.outputs)), "run_manifest.json"]

@@ -533,25 +533,27 @@ def _ar1_rows(x: np.ndarray):
 
     A row whose demeaned values or AR(1) residuals square out of range
     (``_squares_out_of_range``) is fitted once more scaled by the power of
-    two 2^-e that brings its largest |value| into [0.5, 1), and its
-    intercept and mean are scaled back by 2^e, as ``_fit_stack`` does; phi
+    two 2^-e that brings its largest |value| into [0.5, 1), as
+    ``_fit_stack`` does, and its residuals are formed on that scaled copy and
+    scaled back by 2^e, which is exact wherever a residual is normal; phi
     and the order do not depend on scale. Every other row keeps the bits of
-    the first fit, so its information criteria compare as before. The
-    residuals are formed on the series' own scale; one past the largest
-    float is +-inf.
+    the first fit, so its information criteria compare as before. A residual
+    past the largest float is +-inf.
     """
     x = np.ascontiguousarray(x, dtype=float)
     phi, c, mean, ar1, redo = _ar1_fit(x)
+    e = np.zeros(len(x), dtype=int)  # row i is fitted as x[i] * 2^-e[i]
+    xs = x
     if redo.any():
-        e = np.frexp(np.abs(x[redo]).max(axis=1))[1]
-        phi[redo], c[redo], mean[redo], ar1[redo], _ = _ar1_fit(np.ldexp(x[redo], -e[:, None]))
-        with np.errstate(over="ignore"):
-            c[redo], mean[redo] = np.ldexp(c[redo], e), np.ldexp(mean[redo], e)
+        e[redo] = np.frexp(np.abs(x[redo]).max(axis=1))[1]
+        xs = np.ldexp(x, -e[:, None])
+        phi[redo], c[redo], mean[redo], ar1[redo], _ = _ar1_fit(xs[redo])
     # AR(0): residual is the demeaned series, so +mean gives the series back.
     residuals = x.copy()
     residuals[ar1, 0] = np.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals[ar1, 1:] = x[ar1, 1:] - c[ar1, None] - phi[ar1, None] * x[ar1, :-1] + mean[ar1, None]
+        resid = xs[ar1, 1:] - c[ar1, None] - phi[ar1, None] * xs[ar1, :-1] + mean[ar1, None]
+        residuals[ar1, 1:] = np.ldexp(resid, e[ar1, None])
     phi = np.where(ar1, phi, 0.0)
     return residuals, phi, ar1.astype(int), ar1 & (np.abs(phi) >= 1.0)
 

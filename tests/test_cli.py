@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from housingrisk import (ConfigError, cohort_correlation_report, contagion_fits, integrate_panel,
+from housingrisk import (ConfigError, HousingRiskError, cohort_correlation_report, contagion_fits, integrate_panel,
                          jump_pair_correlations, lm_series, return_pair_correlations)
 from housingrisk.cli import _CONFIG_KEYS, RunConfig, _build_parser, build_config, main, run
 
@@ -1053,37 +1053,50 @@ def test_integration_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def usable_cpus(monkeypatch, n):
+    """Report n usable CPUs: with 2, ``all`` and ``report`` fork their integration writer on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_all_computes_each_result_once(tmp_path, monkeypatch):
+    # The integration family is computed in a forked child, so each call is
+    # logged as a (pid, name) line in a file that both processes append to.
     import housingrisk.cli as cli
     import housingrisk.integration as integration
 
-    calls = {}
-    sources = set()
+    log = tmp_path / "calls.txt"
 
-    def count(name):
-        fn = getattr(cli, name)
+    def record(*fields):
+        with open(log, "a") as fh:
+            fh.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+    def count(module, name, label):
+        fn = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            record(label)
             if name == "contagion_fits":  # (targets, source, residual) groups
-                sources.update(np.asarray(source).tobytes() for _, source, _ in args[0])
+                for _, source, _ in args[0]:
+                    record("source", hashlib.sha256(np.asarray(source).tobytes()).hexdigest())
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     for name in ("lm_series", "return_pair_correlations", "jump_pair_correlations",
                  "integration_summary", "diversification_series",
                  "boombust_residual", "contagion_fits"):
-        count(name)
-    kernel = integration._fit_stack
-
-    def counted_kernel(*args, **kwargs):
-        calls["integration._fit_stack"] = calls.get("integration._fit_stack", 0) + 1
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(integration, "_fit_stack", counted_kernel)
+        count(cli, name, name)
+    count(integration, "_fit_stack", "integration._fit_stack")
+    usable_cpus(monkeypatch, 2)
     rpath, _ = write_scenario(tmp_path)
     assert main(["all", "--config", str(rpath)]) == 0
+    lines = [line.split() for line in log.read_text().splitlines()]
+    calls = {}
+    pids = {}
+    for pid, name, *_ in lines:
+        calls[name] = calls.get(name, 0) + 1
+        pids.setdefault(name, set()).add(pid)
+    sources = {fields[2] for fields in lines if fields[1] == "source"}
     assert calls["integration._fit_stack"] == 1  # every MSA's windows in one span fit
     assert calls["lm_series"] == 1
     assert calls["return_pair_correlations"] == 2
@@ -1091,6 +1104,11 @@ def test_all_computes_each_result_once(tmp_path, monkeypatch):
     assert calls["integration_summary"] == 1
     assert calls["diversification_series"] == len(RunConfig().portfolios)
     assert sources and calls["boombust_residual"] == len(sources)
+    # Each result is computed in one process: the integration family's in the
+    # child, every other one in this process.
+    assert all(len(p) == 1 for p in pids.values())
+    in_child = {name for name, p in pids.items() if p != {str(os.getpid())}}
+    assert in_child == {"integration._fit_stack", "integration_summary", "diversification_series"}
 
 
 def test_report_alone_writes_the_same_views_as_all(tmp_path):
@@ -1132,21 +1150,188 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
 
 
 def test_all_leaves_scipy_linalg_unloaded(tmp_path):
+    # Each process that writes artifacts, the forked integration writer too,
+    # logs the heavy modules it holds once its entries are written.
     import subprocess
     import sys
 
     import housingrisk
 
     rpath, out = write_scenario(tmp_path)
+    log = tmp_path / "modules.txt"
     src = str(Path(housingrisk.__file__).resolve().parent.parent)
-    code = ("import sys; from housingrisk.cli import main; status = main(['all', '--config', sys.argv[1]]); "
-            "sys.exit(status or 3 * ('scipy.linalg' in sys.modules) or 4 * ('numpy.ma' in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code, str(rpath)], env=dict(os.environ, PYTHONPATH=src),
+    code = (
+        "import os, sys\n"
+        "import housingrisk.cli as cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "write = cli._write_entries\n"
+        "def logged(r, entries):\n"
+        "    failure = write(r, entries)\n"
+        "    held = [m for m in ('scipy.linalg', 'numpy.ma') if m in sys.modules]\n"
+        "    with open(sys.argv[2], 'a') as fh:\n"
+        "        fh.write(' '.join([str(os.getpid()), *held]) + '\\n')\n"
+        "    return failure\n"
+        "cli._write_entries = logged\n"
+        "status = cli.main(['all', '--config', sys.argv[1]])\n"
+        "sys.exit(status or 3 * ('scipy.linalg' in sys.modules) or 4 * ('numpy.ma' in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(rpath), str(log)], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode != 3, "housingrisk all imported scipy.linalg"
     assert proc.returncode != 4, "housingrisk all imported numpy.ma"
     assert proc.returncode == 0, proc.stderr
     assert (out / "run_manifest.json").is_file()
+    held = [line.split() for line in log.read_text().splitlines()]
+    assert len(held) == 2 and held[0][0] != held[1][0]  # this process and its child
+    assert held == [[pid] for pid, *_ in held], held
+
+
+# --- the forked integration writer -------------------------------------------
+
+def test_the_integration_family_is_the_entries_that_read_the_integration(tmp_path):
+    # And no memoised result is read by an entry of each side, so the two
+    # processes never compute one result twice.
+    import housingrisk.cli as cli
+
+    rpath, _ = write_scenario(tmp_path)
+    stage = tmp_path / "stage"
+    stage.mkdir()
+    runner = cli._Runner(build_config(parse(["all", "--config", str(rpath)])), stage)
+    runner.load()
+    used = {True: set(), False: set()}
+    for name, _, build in cli.ARTIFACTS:
+        runner.results.clear()
+        build(runner)
+        in_family = ("_Runner.integration",) in runner.results
+        assert in_family == (name in cli.INTEGRATION_FAMILY), name
+        used[in_family] |= set(runner.results)
+    assert not used[True] & used[False]
+    assert cli.INTEGRATION_FAMILY <= {name for name, _, _ in cli.ARTIFACTS}
+
+
+@pytest.mark.parametrize("command", ["all", "report"])
+def test_the_forked_writer_writes_the_bytes_of_a_serial_run(tmp_path, monkeypatch, command):
+    rpath, out = write_scenario(tmp_path)
+    outputs = []
+    for n in (1, 2):
+        usable_cpus(monkeypatch, n)
+        assert main([command, "--config", str(rpath)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        for p in out.iterdir():
+            p.unlink()
+    assert "run_manifest.json" in outputs[0] and "table1.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def unpicklable_error() -> HousingRiskError:
+    import threading
+
+    error = HousingRiskError("no integration under lock")
+    error.lock = threading.Lock()  # the child sends its type and message instead
+    return error
+
+
+@pytest.mark.parametrize("error", [HousingRiskError("no integration today"),
+                                   OSError(28, "No space left on device", "integration_series.csv"),
+                                   unpicklable_error(), None],
+                         ids=["HousingRiskError", "OSError", "unpicklable", "killed"])
+def test_a_failure_in_the_forked_writer_fails_the_run_and_writes_nothing(tmp_path, capsys, monkeypatch, error):
+    import signal
+
+    import housingrisk.cli as cli
+
+    def failing(*args, **kwargs):
+        if error is None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise error
+
+    monkeypatch.setattr(cli, "integrate_panel", failing)
+    usable_cpus(monkeypatch, 2)
+    rpath, out = write_scenario(tmp_path)
+    capsys.readouterr()
+    assert main(["all", "--config", str(rpath)]) == 2
+    message = f"{error}" if error else "the forked writer of the integration artifacts ended with -9"
+    assert capsys.readouterr().err == f"housingrisk: error: {message}\n"
+    assert not out.exists()
+    assert not list(tmp_path.glob(".out.*"))
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_that_fails_in_both_processes_gives_the_serial_message(tmp_path, capsys, monkeypatch):
+    # The integration entries (the child's) fail on the window, the jump
+    # entries (this process's) on the bipower window; the first in table
+    # order is an integration entry.
+    rpath, out = write_scenario(tmp_path)
+    flags = ["--window", "1000", "--bipower-window", "1000"]
+    errors = []
+    for n in (1, 2):
+        usable_cpus(monkeypatch, n)
+        capsys.readouterr()
+        assert main(["all", "--config", str(rpath), *flags]) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists() and not list(tmp_path.glob(".out.*"))
+    assert errors[0] == errors[1] and errors[0].count("\n") == 1
+    assert "window" in errors[0] and "bipower" not in errors[0]
+
+
+def test_an_interrupt_kills_and_reaps_the_forked_writer_before_the_stage_goes(tmp_path, monkeypatch):
+    import time
+
+    import housingrisk.cli as cli
+
+    def slow(*args, **kwargs):
+        time.sleep(60)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "integrate_panel", slow)
+    monkeypatch.setattr(cli, "lm_series", interrupted)
+    usable_cpus(monkeypatch, 2)
+    rpath, out = write_scenario(tmp_path)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["all", "--config", str(rpath)])
+    assert time.monotonic() - began < 30
+    assert not out.exists() and not list(tmp_path.glob(".out.*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("entry", ["console-script", "module"])
+def test_a_fork_that_warns_writes_nothing_on_stderr(tmp_path, entry):
+    # Python 3.12+ warns with a DeprecationWarning, in the module that calls
+    # os.fork, when a process that has threads forks; under ``python -m`` that
+    # module is __main__, whose DeprecationWarnings are shown by default. A
+    # sitecustomize gives every fork that warning, with BLAS threads unpinned.
+    import subprocess
+    import sys
+
+    import housingrisk
+
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "import os, warnings\n"
+        "fork = os.fork\n"
+        "def warned():\n"
+        "    warnings.warn('This process is multi-threaded, use of fork() may lead to deadlocks in the child.',\n"
+        "                  DeprecationWarning, stacklevel=2)\n"
+        "    return fork()\n"
+        "os.fork = warned\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n")
+    rpath, out = write_scenario(tmp_path)
+    src = str(Path(housingrisk.__file__).resolve().parent.parent)
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas and not k.startswith("HOUSINGRISK_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(site), src])
+    start = (["-c", "import sys; from housingrisk.cli import main; sys.exit(main())"] if entry == "console-script"
+             else ["-m", "housingrisk.cli"])
+    proc = subprocess.run([sys.executable, *start, "all", "--config", str(rpath)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert {p.name for p in out.iterdir()} == EXPECTED_ALL
 
 
 # --- any config value --------------------------------------------------------
