@@ -18,6 +18,7 @@ import numpy as np
 from .core import ReturnPanel
 from .errors import ConfigError
 from .jumps import JumpSeries
+from .regress import _exponent
 
 __all__ = [
     "PairSet",
@@ -199,10 +200,10 @@ def return_pair_correlations(
     V = panel.values
     M = np.isfinite(V)
     Z = np.where(M, V, 0.0)
-    # Each column over the power of two that brings its largest |value| into
-    # [0.5, 1), so that no square under- or overflows: r does not depend on a
-    # column's scale, and a power of two scales every sum exactly.
-    Z = np.ldexp(Z, -np.frexp(np.abs(Z).max(axis=0, initial=0.0))[1])
+    # Each column over the power of two of regress._exponent, so that no
+    # square under- or overflows: r does not depend on a column's scale, and
+    # a power of two scales every sum exactly.
+    Z = np.ldexp(Z, -_exponent(Z, axis=0))
     Mf = M.astype(float)
     if timing == "contemporaneous":
         N, r, ok = _pearson_grids(Z, Mf, Z, Mf)

@@ -153,14 +153,15 @@ class _StackFit(NamedTuple):
         return _StackFit(*(a[:, 0] for a in self[:4]), self.failed)
 
 
-def _squares_out_of_range(v: np.ndarray) -> np.ndarray:
-    """Per row of the last axis: is the largest |value| not finite, or nonzero
-    and outside 2^-480 to 2^480? Inside, the largest square stays 2^62 from
-    either end of the normal range, so squares that turn subnormal cannot
-    change the rounded sum of fewer than 2^61 terms, and the sum cannot
-    overflow."""
-    a = np.abs(v).max(axis=-1, initial=0.0)
-    return ~(a <= 2.0**480) | ((a > 0.0) & (a < 2.0**-480))
+def _exponent(v: np.ndarray, axis: int) -> np.ndarray:
+    """The exponent e, along ``axis`` of ``v``, of the power of two 2^-e that
+    brings the largest |value| into [0.5, 1); 0 where every value is 0.
+    It is held to [-1021, 1023] so that 2^-e and 2^e are both floats, and
+    one multiply scales: a subnormal largest value is brought into
+    [2^-53, 0.5) instead, and one of 2^1023 or more into [1, 2). Scaling by a
+    power of two is exact wherever the result stays normal (Higham 2002,
+    §2.1)."""
+    return np.clip(np.frexp(np.abs(v).max(axis=axis, initial=0.0))[1], -1021, 1023)
 
 
 def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True) -> _StackFit:
@@ -170,51 +171,32 @@ def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True)
     ``diagnostics`` only beta and R-square are computed, and ``se`` and
     ``durbin_watson`` are None.
 
-    A response whose residuals or centred values square out of range
-    (``_squares_out_of_range``) is fitted once more with its values scaled
-    by the power of two 2^-e that brings their largest |value| into [0.5, 1),
-    and its beta and se are scaled back by 2^e. A power of two scales every
-    step of the fit exactly, and R-square, Durbin-Watson and t do not depend
-    on scale; every other response keeps the bits of the first fit.
+    Each response of each problem is fitted scaled by the power of two 2^-e
+    of ``_exponent``, so that the squares of its residuals and centred
+    values stay in the float range, and its beta and se are scaled back by
+    2^e. A power of two scales every step of the fit exactly, so beta and se
+    scale with the response, and R-square, Durbin-Watson and t do not depend
+    on it. A coefficient past the largest float is +-inf.
     """
-    fit, redo = _fit_once(Xy, names, diagnostics)
-    if redo.any():
-        k = len(names)
-        at = np.flatnonzero(redo.any(axis=1))
-        e = np.where(redo[at], np.frexp(np.abs(Xy[at, :, k:]).max(axis=1))[1], 0)  # (problems, responses)
-        Xys = Xy[at]
-        Xys[:, :, k:] = np.ldexp(Xys[:, :, k:], -e[:, None, :])
-        refit, _ = _fit_once(Xys, names, diagnostics)
-        s, c = np.nonzero(redo[at])
-        with np.errstate(over="ignore"):  # a coefficient past the largest float is inf
-            fit.beta[at[s], c] = np.ldexp(refit.beta[s, c], e[s, c, None])
-            fit.r_square[at[s], c] = refit.r_square[s, c]
-            if diagnostics:
-                fit.se[at[s], c] = np.ldexp(refit.se[s, c], e[s, c, None])
-                fit.durbin_watson[at[s], c] = refit.durbin_watson[s, c]
-    return fit
-
-
-def _fit_once(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool) -> tuple[_StackFit, np.ndarray]:
-    """``_fit_stack`` without its rescaled refit, and the (s, m) mask of the
-    responses it would fit again."""
     n, k = Xy.shape[1], len(names)
+    e = _exponent(Xy[:, :, k:], axis=1)  # (s, m)
+    Xy = np.array(Xy)  # a copy: callers pass read-only views and slices of shared stacks
+    Xy[:, :, k:] *= np.ldexp(1.0, -e)[:, None, :]
     X, Y = Xy[:, :, :k], Xy[:, :, k:].transpose(0, 2, 1)
     beta, diag, failed = _solve_stacked(Xy, names)
     se = dw = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         resid = Y - np.einsum("wtj,wcj->wct", X, beta)
-        centred = Y - Y.mean(axis=2, keepdims=True)
         ssr = np.sum(resid**2, axis=2)
-        sst = np.sum(centred**2, axis=2)
+        sst = np.sum((Y - Y.mean(axis=2, keepdims=True)) ** 2, axis=2)
         # A constant response (SST = 0) has R-square 0.
         r2 = np.where(sst == 0.0, 0.0, 1.0 - ssr / sst)
+        up = np.ldexp(1.0, e)[:, :, None]
         if diagnostics:
-            se = np.sqrt(np.maximum((ssr / (n - k))[:, :, None] * diag[:, None, :], 0.0))
+            se = np.sqrt(np.maximum((ssr / (n - k))[:, :, None] * diag[:, None, :], 0.0)) * up
             dw = np.where(ssr > 0, np.sum(np.diff(resid, axis=2) ** 2, axis=2) / ssr, np.nan)
-    redo = _squares_out_of_range(resid) | _squares_out_of_range(centred)
-    redo[list(failed)] = False
-    return _StackFit(beta, se, r2, dw, failed), redo
+        beta *= up
+    return _StackFit(beta, se, r2, dw, failed)
 
 
 def _t_stats(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
@@ -317,6 +299,8 @@ def cochrane_orcutt(
     if n < k + 3:
         raise _too_few_for_cochrane_orcutt(n, k)
     if fixed_rho is not None:
+        if np.isnan(fixed_rho):
+            raise ValueError("fixed_rho must not be NaN")
         if abs(fixed_rho) >= 1.0:
             raise NonStationaryError(f"|rho| >= 1: {fixed_rho}")
         fit = _quasi_difference_stack(Xy, names, np.array([float(fixed_rho)]))
@@ -359,10 +343,10 @@ def _rho_did_not_converge(max_iter: int, last_rho: float, last_fit=None) -> Conv
 def _lag1_rho(resid: np.ndarray) -> np.ndarray:
     """The lag-1 estimate sum e_t e_{t-1} / sum e_{t-1}^2 of each row of
     ``resid``, 0 where the denominator is 0. Each row is first scaled by the
-    power of two that brings its largest |value| into [0.5, 1): that scales
-    both sums exactly, so the ratio keeps its bits, and no square of a very
-    small or very large residual leaves the float range."""
-    e = np.ldexp(resid, -np.frexp(np.abs(resid).max(axis=1))[1][:, None])
+    power of two of ``_exponent``: that scales both sums exactly, so the
+    ratio keeps its bits, and no square of a very small or very large
+    residual leaves the float range."""
+    e = np.ldexp(resid, -_exponent(resid, axis=1)[:, None])
     denom = np.sum(e[:, :-1] ** 2, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom == 0.0, 0.0, np.sum(e[:, 1:] * e[:, :-1], axis=1) / denom)
@@ -531,39 +515,17 @@ def _ar1_rows(x: np.ndarray):
     series of row i from column ``order[i]`` on, and NaN before it; ``phi``
     is 0 where AR(0) is chosen.
 
-    A row whose demeaned values or AR(1) residuals square out of range
-    (``_squares_out_of_range``) is fitted once more scaled by the power of
-    two 2^-e that brings its largest |value| into [0.5, 1), as
+    Each row is fitted scaled by the power of two 2^-e of ``_exponent``, as
     ``_fit_stack`` does, and its residuals are formed on that scaled copy and
-    scaled back by 2^e, which is exact wherever a residual is normal; phi
-    and the order do not depend on scale. Every other row keeps the bits of
-    the first fit, so its information criteria compare as before. A residual
-    past the largest float is +-inf.
+    scaled back by 2^e, which is exact wherever a residual is normal; phi and
+    the order do not depend on scale. A residual past the largest float is
+    +-inf.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    phi, c, mean, ar1, redo = _ar1_fit(x)
-    e = np.zeros(len(x), dtype=int)  # row i is fitted as x[i] * 2^-e[i]
-    xs = x
-    if redo.any():
-        e[redo] = np.frexp(np.abs(x[redo]).max(axis=1))[1]
-        xs = np.ldexp(x, -e[:, None])
-        phi[redo], c[redo], mean[redo], ar1[redo], _ = _ar1_fit(xs[redo])
-    # AR(0): residual is the demeaned series, so +mean gives the series back.
-    residuals = x.copy()
-    residuals[ar1, 0] = np.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = xs[ar1, 1:] - c[ar1, None] - phi[ar1, None] * xs[ar1, :-1] + mean[ar1, None]
-        residuals[ar1, 1:] = np.ldexp(resid, e[ar1, None])
-    phi = np.where(ar1, phi, 0.0)
-    return residuals, phi, ar1.astype(int), ar1 & (np.abs(phi) >= 1.0)
-
-
-def _ar1_fit(x: np.ndarray):
-    """The fits of ``_ar1_rows`` on the scale of ``x``: (phi, intercept,
-    mean, AR(1) chosen, refit), one entry per row, where refit marks the
-    rows whose squares fall out of range."""
+    e = _exponent(x, axis=1)[:, None]
+    xs = x * np.ldexp(1.0, -e)
     n_eff = x.shape[1] - 1
-    y, x_lag = x[:, 1:], x[:, :-1]
+    y, x_lag = xs[:, 1:], xs[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dy = y - y.mean(axis=1, keepdims=True)
         lag_mean = x_lag.mean(axis=1, keepdims=True)
@@ -586,8 +548,13 @@ def _ar1_fit(x: np.ndarray):
         ll = n_eff * np.log(np.maximum(np.column_stack([ssr0, ssr1]) / n_eff, np.finfo(float).tiny))
         bic, aic = ll + k * np.log(n_eff), ll + 2 * k
         ar1 = (bic[:, 1] < bic[:, 0]) | ((bic[:, 1] == bic[:, 0]) & (aic[:, 1] < aic[:, 0]))
-        mean = x.mean(axis=1)
-    return phi[:, 0], c[:, 0], mean, ar1, _squares_out_of_range(dy) | _squares_out_of_range(resid1)
+
+        # AR(0): residual is the demeaned series, so +mean gives the series back.
+        residuals = x.copy()
+        residuals[ar1, 0] = np.nan
+        residuals[ar1, 1:] = ((resid1 + xs.mean(axis=1, keepdims=True)) * np.ldexp(1.0, e))[ar1]
+    phi = np.where(ar1, phi[:, 0], 0.0)
+    return residuals, phi, ar1.astype(int), ar1 & (np.abs(phi) >= 1.0)
 
 
 def ar1_prewhiten(series: np.ndarray) -> PrewhitenResult:
@@ -618,10 +585,11 @@ def trend_fit(series: np.ndarray) -> TrendFit:
     A slope at rounding level, ``|slope| * ||t - mean(t)|| <= n * eps *
     ||y||``, has t-stat 0, the value ``_t_stats`` gives a zero slope with a
     zero standard error. The bound is n rounding errors of a backward-stable
-    solve, each ``eps * ||y||`` (Higham 2002, ch. 2 and 20); ``_fit_stack``
-    fits a series too small or too large to square as it is on a scaled
-    copy, so no error of underflow is added. Without it a flat series gets a
-    t-stat of rounding noise, or +-inf.
+    solve, each ``eps * ||y||`` (Higham 2002, ch. 2 and 20). ``_fit_stack``
+    fits each series scaled by the power of two of ``_exponent``, so no
+    error of underflow is added, and the rule is tested on that scale, where
+    neither y * y nor ||y|| can leave the float range. Without it a flat
+    series gets a t-stat of rounding noise, or +-inf.
     """
     y = np.asarray(series, dtype=float)
     if y.ndim not in (1, 2):
@@ -638,13 +606,10 @@ def trend_fit(series: np.ndarray) -> TrendFit:
     fit = _fit_stack(Xy, ("const", "t")).single()
     intercept, slope = fit.beta[:, 0], fit.beta[:, 1]
     t_stat = _t_stats(fit.beta, fit.se)[:, 1]
-    # Both sides over a = max |y|, so that neither y * y nor ||y|| can leave
-    # the float range.
-    a = np.abs(Y).max(axis=1)
-    a = np.where(a > 0, a, 1.0)
+    down = np.ldexp(1.0, -_exponent(Y, axis=1))
     spread_t = np.sqrt(np.sum((t - t.mean()) ** 2))
-    unit_norm_y = np.sqrt(np.sum((Y / a[:, None]) ** 2, axis=1))
-    t_stat[np.abs(slope / a) * spread_t <= n * np.finfo(float).eps * unit_norm_y] = 0.0
+    norm_y = np.sqrt(np.sum((Y * down[:, None]) ** 2, axis=1))
+    t_stat[np.abs(slope * down) * spread_t <= n * np.finfo(float).eps * norm_y] = 0.0
     with np.errstate(over="ignore"):  # a residual past the largest float is +-inf
         resid = Y - (intercept[:, None] + slope[:, None] * t)
     if y.ndim == 1:

@@ -400,6 +400,89 @@ def test_rerun_byte_identical(tmp_path):
         assert p.read_bytes() == (out2 / p.name).read_bytes(), p.name
 
 
+# --- metamorphic invariants -------------------------------------------------
+# Changes of input that should not matter must leave the artifacts' bytes as
+# they were, on small panels where each MSA enters after a drawn number of
+# quarters.
+
+LOCAL_SCENARIO = dict(SCENARIO, n_msas=6, n_quarters=80)
+LOCAL_ENTRY = st.lists(st.integers(0, 30), min_size=7, max_size=7)  # quarters each MSA is late
+
+
+def ragged_hpi(directory, seed, late, n_msas):
+    """(header, rows) of the HPI file of a synth run of ``LOCAL_SCENARIO``
+    with ``n_msas`` MSAs at ``seed`` into ``directory/syn``, with the first
+    ``late[i]`` levels of MSA i dropped; ``all_on`` reads the factors and
+    transforms that run wrote."""
+    (directory / "scenario.json").write_text(json.dumps(dict(LOCAL_SCENARIO, n_msas=n_msas, seed=seed)))
+    (directory / "synth.json").write_text(json.dumps({"synth_scenario": "scenario.json", "out": "syn"}))
+    assert main(["synth", "--config", str(directory / "synth.json")]) == 0
+    with open(directory / "syn" / "hpi_synth.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    ids = sorted({r[0] for r in rows})
+    seen = dict.fromkeys(ids, 0)
+    kept = []
+    for r in rows:
+        seen[r[0]] += 1
+        if seen[r[0]] > late[ids.index(r[0])]:
+            kept.append(r)
+    return header, kept
+
+
+def all_on(directory, header, rows) -> dict[str, bytes]:
+    """Every file `all` writes from these HPI rows and the synth factors in
+    ``directory``. Each run reads one HPI path and writes one out path, so
+    that two runs can differ only through the rows."""
+    with open(directory / "hpi.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    config = directory / "run.json"
+    config.write_text(json.dumps({"inputs": {"hpi": "hpi.csv", "factors": "syn/factors_synth.csv",
+                                             "transforms": "syn/transforms_synth.json"}, "out": "out"}))
+    out = directory / "out"
+    if out.exists():
+        for p in out.iterdir():
+            p.unlink()
+    assert main(["all", "--config", str(config)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**16), late=LOCAL_ENTRY, order=st.integers(0, 2**32 - 1))
+def test_the_order_of_the_hpi_records_does_not_change_out(tmp_path, seed, late, order):
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    header, rows = ragged_hpi(directory, seed, late, LOCAL_SCENARIO["n_msas"])
+    first = all_on(directory, header, rows)
+    second = all_on(directory, header, [rows[i] for i in np.random.default_rng(order).permutation(len(rows))])
+    manifests = [json.loads(out.pop("run_manifest.json")) for out in (first, second)]
+    assert first == second
+    # The manifests differ only in the HPI file's hash.
+    for manifest in manifests:
+        [hpi] = [name for name in manifest["inputs"] if Path(name).name == "hpi.csv"]
+        del manifest["inputs"][hpi]
+    assert manifests[0] == manifests[1]
+
+
+def lines_without(data: bytes, msa_id: str, id_fields: int) -> list[bytes]:
+    """The lines of a CSV artifact none of whose first ``id_fields`` fields is ``msa_id``."""
+    return [line for line in data.splitlines() if msa_id.encode() not in line.split(b",")[:id_fields]]
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**16), late=LOCAL_ENTRY, added=st.integers(0, LOCAL_SCENARIO["n_msas"]))
+def test_an_added_msa_leaves_the_rows_of_every_other_msa_as_they_were(tmp_path, seed, late, added):
+    # Locality: no fit, scaling or stacking may tie one MSA's bits to the
+    # other MSAs of the panel.
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    header, rows = ragged_hpi(directory, seed, late, LOCAL_SCENARIO["n_msas"] + 1)
+    new = f"S{added + 1:03d}"
+    without = all_on(directory, header, [r for r in rows if r[0] != new])
+    with_new = all_on(directory, header, rows)
+    for name, id_fields in [("panel_summary.csv", 1), ("integration_series.csv", 1), ("jump_series.csv", 1),
+                            ("pair_correlations.csv", 2)]:
+        assert lines_without(with_new[name], new, id_fields) == without[name].splitlines(), name
+        assert with_new[name] != without[name], name
+
+
 def test_synth_command_materializes_inputs(tmp_path):
     rpath, out = write_scenario(tmp_path)
     assert main(["synth", "--config", str(rpath)]) == 0

@@ -203,6 +203,14 @@ def test_co_nonstationary_rho_rejected(rng):
         cochrane_orcutt(X, rng.normal(size=30), fixed_rho=1.0)
 
 
+def test_co_nan_rho_is_a_value_error(rng):
+    # A NaN rho is bad input, as NaN data is; it must not reach the fit and
+    # come back as a rank-deficient design.
+    X = add_intercept(rng.normal(size=(30, 1)))
+    with pytest.raises(ValueError, match="NaN"):
+        cochrane_orcutt(X, rng.normal(size=30), fixed_rho=float("nan"))
+
+
 def test_co_max_iter_zero_errors(rng):
     X = add_intercept(rng.normal(size=(30, 1)))
     y = X[:, 1] + ar1_noise(rng, 30, 0.7)
@@ -381,18 +389,32 @@ def assert_same_stack_rows(whole, alone, at):
     m=st.integers(1, 3),
     extra_rows=st.sampled_from([3, 4, 8, 30]),
     phi=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    spread=st.sampled_from([0, 900]),
 )
-def test_a_problem_has_the_same_bits_alone_and_in_a_stack(seed, s, k, m, extra_rows, phi):
+def test_a_problem_has_the_same_bits_alone_and_in_a_stack(seed, s, k, m, extra_rows, phi, spread):
     # The lockstep Cochrane-Orcutt rounds and byte-identical artifacts rely on
-    # a problem's fit not depending on the stack it is solved in.
+    # a problem's fit not depending on the stack it is solved in. Each
+    # response is scaled by its own power of two within 2^+-spread, so that
+    # one stack can mix responses that square in range with ones that would
+    # not.
     rng = np.random.default_rng(seed)
     n = k + extra_rows
     names = tuple(f"x{j}" for j in range(k))
     Xy = stack_of_designs(rng, s, n, k, m, phi)
+    Xz = Xy.copy()
+    scale = rng.integers(-spread, spread + 1, size=(s, 1, m))
+    Xy[:, :, k:] = np.ldexp(Xy[:, :, k:], scale)
     alone = [_fit_stack(Xy[i : i + 1], names) for i in range(s)]
     whole = _fit_stack(Xy, names)
     for i, fit in enumerate(alone):
         assert_same_stack_rows(whole, fit, i)
+    # Nor on the scale of the other responses of its problem: the first
+    # response scaled anew leaves the bits of every other.
+    scale[:, :, 0] = rng.integers(-spread, spread + 1, size=(s, 1))
+    Xz[:, :, k:] = np.ldexp(Xz[:, :, k:], scale)
+    for a, b in zip(whole[:4], _fit_stack(Xz, names)[:4]):
+        if a is not None:
+            assert_array_equal(a[:, 1:], b[:, 1:])
     part = rng.choice(s, rng.integers(1, s + 1), replace=False)  # any sub-stack, in any order
     some = _fit_stack(Xy[part], names)
     for j, i in enumerate(part):
@@ -402,7 +424,7 @@ def test_a_problem_has_the_same_bits_alone_and_in_a_stack(seed, s, k, m, extra_r
     groups = []
     for _ in range(s):
         one = stack_of_designs(rng, 1, k + rng.choice([3, 4, 8, 30]), k, m, phi)[0]
-        X, Y = one[:, :k], one[:, k:].T
+        X, Y = one[:, :k], np.ldexp(one[:, k:].T, rng.integers(-spread, spread + 1, size=(m, 1)))
         groups.append((X, Y, names, _fit_stack(_stack(X, Y), names).single()))
     for (X, Y, _, _), (co, *rest) in zip(groups, _cochrane_orcutt_stack(groups)):
         for j in range(m):
@@ -707,9 +729,10 @@ def rescaled_example(y, d):
 
 @settings(max_examples=300, deadline=None)
 @given(case=rescaled(10, 40))
-# Both scales of each series are refitted on one scaled copy. Their residuals
-# must be formed on that copy: an intercept and mean scaled back into the
-# subnormal range lose bits, and residuals formed from them differ in the last.
+# Both scales of each series are fitted on the same scaled copy. Their
+# residuals must be formed on that copy and scaled back: an intercept and mean
+# scaled back into the subnormal range lose bits, and residuals formed from
+# them differ in the last.
 @example(case=rescaled_example([0.0] * 5 + [364.0, -479.0] + [0.0] * 4, -1026))
 @example(case=rescaled_example([0.0] * 4 + [7.583441881879172e-306] * 3 + [0.0] * 3, -6))
 def test_prewhiten_scales_exactly_with_a_power_of_two(case):
