@@ -41,7 +41,6 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import shutil
 import signal
 import sys
@@ -983,7 +982,7 @@ def _write_entries(r: _Runner, entries) -> tuple | None:
     for at, name, build in entries:
         try:
             r.write_csv(name, *build(r))
-        except BaseException as exc:
+        except Exception as exc:
             return at, exc
     return None
 
@@ -994,87 +993,48 @@ def _write_artifacts(r: _Runner, entries: list) -> None:
     When they hold ``INTEGRATION_FAMILY`` entries and others, ``os.fork``
     exists and two CPUs are usable, one forked child writes the family while
     this process writes the rest; otherwise this process writes them all.
-    The error raised is that of the first failing entry in table order, as
-    in a serial run, so this process waits for the child even when its own
-    entries fail. On an interrupt, or an error while it waits, it kills and
-    reaps the child: no child outlives the call.
+    The child is only a speed-up: if it does not exit 0 (an entry failed, or
+    it was killed), this process writes the family itself, so a run's bytes
+    and its error are those of a one-process run: the error of the first
+    failing entry in table order. On an interrupt, or an error while it
+    waits, it kills and reaps the child: no child outlives the call.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else ()
     forked = [e for e in entries if e[1] in INTEGRATION_FAMILY]
     if len(forked) == len(entries) or len(cpus) < 2:
         forked = []
-    child = None  # (pid, read end of its pipe)
+    child = None
     try:
         child = _fork_writer(r, forked) if forked else None
         failures = [_write_entries(r, [e for e in entries if e not in forked])]
         if child is not None:
-            if failures[0] and not isinstance(failures[0][1], Exception):
-                raise failures[0][1]  # an interrupt: the child is killed below
-            with child[1] as pipe:
-                report = pipe.read()
-            _, status = os.waitpid(child[0], 0)
+            _, status = os.waitpid(child, 0)
             child = None
-            failures.append(_child_failure(report, status))
+            if status:
+                failures.append(_write_entries(r, forked))
     finally:
         if child is not None:
-            os.kill(child[0], signal.SIGKILL)
-            os.waitpid(child[0], 0)
-            child[1].close()
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
     failures = [f for f in failures if f]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     r.outputs += [name for _, name, _ in forked]
 
 
-def _fork_writer(r: _Runner, entries) -> tuple:
-    """Fork a child that writes ``entries`` and leaves by ``os._exit``; (its
-    pid, the read end of the pipe that carries its pickled failure)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads (BLAS's, say) forks.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+def _fork_writer(r: _Runner, entries) -> int:
+    """Fork a child that writes ``entries`` and leaves by ``os._exit``, with
+    status 0 only if it wrote every one; its pid."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a process with threads (BLAS's, say) forks.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
     if pid == 0:
-        status = 1
         try:
-            os.close(read_fd)
-            failure = _write_entries(r, entries)
-            with open(write_fd, "wb") as pipe:
-                if failure:
-                    pipe.write(_pickled_failure(*failure))
-            status = 0
+            os._exit(1 if _write_entries(r, entries) else 0)
         finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _pickled_failure(at: int, exc: BaseException) -> bytes:
-    """(at, exc) pickled, or (at, its type, its message) if exc does not pickle and load back."""
-    try:
-        data = pickle.dumps((at, exc))
-        pickle.loads(data)
-        return data
-    except Exception:
-        return pickle.dumps((at, type(exc), str(exc)))
-
-
-def _child_failure(report: bytes, status: int) -> tuple | None:
-    """The child's (ARTIFACTS index, exception), from its report and wait status."""
-    if report:
-        at, *exc = pickle.loads(report)
-        if len(exc) == 2:
-            exc = [exc[0].__new__(exc[0], exc[1])]
-        return at, exc[0]
-    if status:  # it died before it could report: behind any failure it might have reported
-        code = os.waitstatus_to_exitcode(status)
-        return len(ARTIFACTS), ChildProcessError(f"the forked writer of the integration artifacts ended with {code}")
-    return None
+            os._exit(1)
+    return pid
 
 
 def run(command: str, cfg: RunConfig) -> int:
@@ -1114,7 +1074,7 @@ def run(command: str, cfg: RunConfig) -> int:
     except BaseException:
         shutil.rmtree(made[-1] if made else stage, ignore_errors=True)
         raise
-    stage.rmdir()
+    shutil.rmtree(stage)  # a killed child can leave a temp file behind
     return 0
 
 

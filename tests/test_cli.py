@@ -1310,22 +1310,18 @@ def unpicklable_error() -> HousingRiskError:
     import threading
 
     error = HousingRiskError("no integration under lock")
-    error.lock = threading.Lock()  # the child sends its type and message instead
+    error.lock = threading.Lock()  # an error that could not cross a process boundary by pickle
     return error
 
 
 @pytest.mark.parametrize("error", [HousingRiskError("no integration today"),
                                    OSError(28, "No space left on device", "integration_series.csv"),
-                                   unpicklable_error(), None],
-                         ids=["HousingRiskError", "OSError", "unpicklable", "killed"])
+                                   unpicklable_error()],
+                         ids=["HousingRiskError", "OSError", "unpicklable"])
 def test_a_failure_in_the_forked_writer_fails_the_run_and_writes_nothing(tmp_path, capsys, monkeypatch, error):
-    import signal
-
     import housingrisk.cli as cli
 
     def failing(*args, **kwargs):
-        if error is None:
-            os.kill(os.getpid(), signal.SIGKILL)
         raise error
 
     monkeypatch.setattr(cli, "integrate_panel", failing)
@@ -1333,11 +1329,47 @@ def test_a_failure_in_the_forked_writer_fails_the_run_and_writes_nothing(tmp_pat
     rpath, out = write_scenario(tmp_path)
     capsys.readouterr()
     assert main(["all", "--config", str(rpath)]) == 2
-    message = f"{error}" if error else "the forked writer of the integration artifacts ended with -9"
-    assert capsys.readouterr().err == f"housingrisk: error: {message}\n"
+    assert capsys.readouterr().err == f"housingrisk: error: {error}\n"
     assert not out.exists()
     assert not list(tmp_path.glob(".out.*"))
     with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("where", ["before-any-write", "in-a-write"])
+def test_a_forked_writer_killed_in_the_child_leaves_the_bytes_of_a_serial_run(tmp_path, capsys, monkeypatch, where):
+    # The child is only a speed-up: killed from outside (by the OOM killer,
+    # say), its entries are written by the parent instead. Killed in the
+    # middle of a write, it leaves a temp file in the stage.
+    import signal
+
+    import housingrisk.cli as cli
+    import housingrisk.io as hio
+
+    rpath, out = write_scenario(tmp_path)
+    usable_cpus(monkeypatch, 1)
+    assert main(["all", "--config", str(rpath)]) == 0
+    serial = {p.name: p.read_bytes() for p in out.iterdir()}
+    for p in out.iterdir():
+        p.unlink()
+    parent = os.getpid()
+    module, name = (cli, "integrate_panel") if where == "before-any-write" else (hio, "_float_cells")
+    fn = getattr(module, name)
+
+    def killed_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, killed_in_child)
+    usable_cpus(monkeypatch, 2)
+    capsys.readouterr()
+    assert main(["all", "--config", str(rpath)]) == 0
+    assert capsys.readouterr().err == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == serial
+    assert not list(out.glob("*.tmp"))
+    assert not list(tmp_path.glob(".out.*"))
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
