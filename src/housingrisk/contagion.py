@@ -340,10 +340,15 @@ def contagion_fit(
 
 
 def boombust_residual(index_levels) -> np.ndarray:
-    """Residuals of a linear time-trend fit to the log index.
+    """Residuals of a linear time-trend fit to the log index relative to the
+    power of two of its first level.
 
     Positive values mark boom quarters (index above its log-linear trend),
-    negative values bust quarters.
+    negative values bust quarters. The log index is each level's log
+    mantissa plus its binary exponent's distance from the first level's
+    exponent, times ln 2. A power-of-two scale of the levels leaves every
+    bit of the residuals, and no ratio of levels is formed that could
+    overflow.
     """
     levels = np.asarray(index_levels, dtype=float)
     if levels.size < 12:
@@ -352,7 +357,8 @@ def boombust_residual(index_levels) -> np.ndarray:
         )
     if np.any(~np.isnan(levels) & (levels <= 0.0)):
         raise DomainError("index levels must be positive")
-    return trend_fit(np.log(levels)).residuals
+    mantissa, e = np.frexp(levels)
+    return trend_fit(np.log(mantissa) + (e - e[0]) * np.log(2.0)).residuals
 
 
 def contagion_fit_interacted(

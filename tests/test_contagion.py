@@ -171,6 +171,26 @@ def test_boombust_recovers_cycle():
     assert abs(resid.mean()) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), power=st.integers(-900, 900))
+def test_boombust_residual_scales_exactly_with_a_power_of_two(seed, power):
+    # The index's base must not reach the residual's bits: a source quoted
+    # at a different base moves every interacted contagion fit otherwise.
+    rng = np.random.default_rng(seed)
+    index = 100.0 * np.exp(np.cumsum(rng.normal(0.01, 0.03, size=40)))
+    assert_array_equal(boombust_residual(index * 2.0**power), boombust_residual(index))
+
+
+def test_boombust_residual_of_levels_whose_ratio_leaves_the_float_range():
+    t = np.arange(40.0)
+    log_index = np.log(10.0) * (np.linspace(-300, 300, 40) + 0.5 * np.sin(t))
+    with np.errstate(all="raise"):
+        resid = boombust_residual(np.exp(log_index))
+    X = np.column_stack([np.ones_like(t), t])
+    expected = log_index - X @ np.linalg.lstsq(X, log_index, rcond=None)[0]
+    assert_allclose(resid, expected, atol=1e-9)
+
+
 def test_boombust_guards():
     with pytest.raises(InsufficientHistoryError):
         boombust_residual(np.full(11, 100.0))
