@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from housingrisk import (ConfigError, HousingRiskError, cohort_correlation_report, contagion_fits, integrate_panel,
                          jump_pair_correlations, lm_series, return_pair_correlations)
@@ -481,6 +481,48 @@ def test_an_added_msa_leaves_the_rows_of_every_other_msa_as_they_were(tmp_path, 
                             ("pair_correlations.csv", 2)]:
         assert lines_without(with_new[name], new, id_fields) == without[name].splitlines(), name
         assert with_new[name] != without[name], name
+
+
+@settings(max_examples=7, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**16), late=LOCAL_ENTRY,
+       powers=st.lists(st.integers(-1000, 1000), min_size=LOCAL_SCENARIO["n_msas"], max_size=LOCAL_SCENARIO["n_msas"]))
+@example(seed=4, late=[0, 4, 8, 0, 2, 12, 0], powers=[37, 0, 0, 0, 0, 0])
+def test_a_power_of_two_scale_of_any_msas_levels_does_not_change_out(tmp_path, seed, late, powers):
+    # MSA i's levels times 2**powers[i] (0 leaves it as it was), written
+    # exactly; S001, the first MSA, is the contagion source of the fallback
+    # menu, and its boom/bust residual feeds every interacted fit.
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    header, rows = ragged_hpi(directory, seed, late, LOCAL_SCENARIO["n_msas"])
+    ids = sorted({r[0] for r in rows})
+    scaled = [[*r[:-1], repr(float(r[-1]) * 2.0 ** powers[ids.index(r[0])])] for r in rows]
+    first = all_on(directory, header, rows)
+    second = all_on(directory, header, scaled)
+    manifests = [json.loads(out.pop("run_manifest.json")) for out in (first, second)]
+    assert first == second
+    for manifest in manifests:
+        [hpi] = [name for name in manifest["inputs"] if Path(name).name == "hpi.csv"]
+        del manifest["inputs"][hpi]
+    assert manifests[0] == manifests[1]
+
+
+@settings(max_examples=7, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**16), late=LOCAL_ENTRY,
+       labels=st.lists(st.text("ABCXYZ0189", min_size=1, max_size=6), unique=True,
+                       min_size=LOCAL_SCENARIO["n_msas"], max_size=LOCAL_SCENARIO["n_msas"]))
+def test_an_order_preserving_relabelling_of_ids_changes_only_the_id_cells(tmp_path, seed, late, labels):
+    # The ids (and the names, which are the ids in a synth panel) are
+    # replaced by others that sort in the same order.
+    directory = Path(tempfile.mkdtemp(dir=tmp_path))
+    header, rows = ragged_hpi(directory, seed, late, LOCAL_SCENARIO["n_msas"])
+    relabel = dict(zip(sorted({r[0] for r in rows}), sorted(labels)))
+    assert all(r[0] == r[1] for r in rows)
+    first = all_on(directory, header, rows)
+    second = all_on(directory, header, [[relabel[r[0]], relabel[r[1]], *r[2:]] for r in rows])
+    del first["run_manifest.json"], second["run_manifest.json"]  # it holds the outputs' hashes
+    old = {k.encode(): v.encode() for k, v in relabel.items()}
+    for name, data in first.items():
+        lines = [b",".join(old.get(f, f) for f in line.split(b",")) for line in data.splitlines()]
+        assert second[name].splitlines() == lines, name
 
 
 def test_synth_command_materializes_inputs(tmp_path):
