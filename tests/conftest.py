@@ -60,6 +60,19 @@ def rng():
     return np.random.default_rng(42)
 
 
+@pytest.fixture(autouse=True)
+def floating_point_errors_raise(request):
+    """Run the CLI and input-fuzz tests with every numpy floating-point error
+    raised: a run may write nothing to stderr but its one-line error, so a
+    step that makes an inf or NaN on purpose must say so under its own
+    ``np.errstate``. A forked writer inherits the setting."""
+    if request.path.name in ("test_cli.py", "test_input_fuzz.py"):
+        with np.errstate(all="raise"):
+            yield
+    else:
+        yield
+
+
 # Verdict lines pushed by the acceptance tests; printed after the run so
 # they stay visible under pytest's output capture.
 ACCEPTANCE_VERDICTS: list[str] = []

@@ -5,7 +5,11 @@ mutated (byte flips, truncation, inserted 0xff, NUL, quotes, CRs and an
 oversized field) and run through ``ingest`` or ``synth`` in-process, in a
 fresh directory that the run config names its files in. The status is 0 or
 2; on 2, stderr is one ``housingrisk: error:`` line and the directory holds
-just what it held before.
+just what it held before. Generated HPI panels with levels from 1e-300 to
+1e300, flat and constant-growth MSAs and histories too short for three
+windows run through ``all`` the same way, and no artifact of a run that
+exits 0 holds ``nan`` or ``inf`` text outside the one column whose
+README documents it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from housingrisk.cli import main
@@ -70,8 +75,9 @@ def mutated(draw, data: bytes) -> bytes:
     return data
 
 
-def assert_exits_0_or_2_cleanly(command: str, files: dict[str, bytes]) -> None:
-    """Run ``command`` with ``config.json`` in a fresh directory holding ``files``."""
+def assert_exits_0_or_2_cleanly(command: str, files: dict[str, bytes]) -> dict[str, bytes]:
+    """Run ``command`` with ``config.json`` in a fresh directory holding
+    ``files``; the files it wrote to ``out``, if it exited 0."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in files.items():
@@ -92,8 +98,9 @@ def assert_exits_0_or_2_cleanly(command: str, files: dict[str, bytes]) -> None:
             assert err.startswith("housingrisk: error: "), err
             assert err.count("\n") == 1 and err.endswith("\n") and "\r" not in err, err
             assert sorted(os.listdir(tmp)) == before
-        else:
-            assert err == ""
+            return {}
+        assert err == ""
+        return {p.name: p.read_bytes() for p in (Path(tmp) / "out").iterdir()}
 
 
 @settings(max_examples=80, deadline=None)
@@ -112,3 +119,53 @@ def test_ingest_of_a_mutated_input_exits_0_or_2(mutation):
 def test_synth_of_a_mutated_scenario_exits_0_or_2(data):
     config = b'{"synth_scenario": "scenario.json"}'
     assert_exits_0_or_2_cleanly("synth", {"scenario.json": data, "config.json": config})
+
+
+def quarter(q: int) -> str:
+    """The label of quarter q from 1990:Q1 on."""
+    return f"{1990 + q // 4}:Q{q % 4 + 1}"
+
+
+@st.composite
+def extreme_panels(draw) -> bytes:
+    """An HPI file of 2-5 MSAs over 3-40 quarters, some entering late. Each
+    MSA is flat, grows at a constant rate or walks, from a base level drawn
+    in 1e-300..1e300, and its levels stay in that range."""
+    n_quarters = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = ["msa_id,msa_name,state,quarter,index"]
+    for j in range(draw(st.integers(2, 5))):
+        t = np.arange(draw(st.integers(0, n_quarters - 2)), n_quarters)
+        kind = draw(st.sampled_from(("flat", "growth", "walk")))
+        step = np.clip({"flat": np.zeros(t.size), "growth": np.full(t.size, draw(st.floats(-40, 40))),
+                        "walk": rng.normal(0, draw(st.sampled_from((1e-9, 0.01, 1.0, 60.0))), t.size)}[kind],
+                       -300, 300)  # log10 steps: a level ratio stays a float
+        log10 = np.clip(draw(st.floats(-300, 300)) + np.cumsum(step) - step[0], -300, 300)
+        state = draw(st.sampled_from(("CA", "TX")))
+        lines += [f"M{j},M{j},{state},{quarter(q)},{v!r}" for q, v in zip(t.tolist(), (10.0 ** log10).tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+ALL_FACTORS = ("quarter,F1,F2\n" + "".join(
+    f"{quarter(q)},{100 + 7 * np.sin(q):.6f},{50 * 1.01 ** q + 3 * np.cos(3 * q):.6f}\n" for q in range(40)
+)).encode()
+ALL_CONFIG = json.dumps({
+    "inputs": {"hpi": "hpi.csv", "factors": "factors.csv", "transforms": "transforms.json"},
+    "window": 6, "bipower_window": 8, "pairs": {"min_overlap": 3, "jump_floor": 3},
+}).encode()
+
+
+@settings(max_examples=15, deadline=None)
+@given(extreme_panels())
+def test_all_on_an_extreme_panel_exits_0_or_2_and_writes_no_stray_inf_or_nan(hpi):
+    out = assert_exits_0_or_2_cleanly("all", {"hpi.csv": hpi, "factors.csv": ALL_FACTORS,
+                                              "transforms.json": TRANSFORMS, "config.json": ALL_CONFIG})
+    for name, data in out.items():
+        if not name.endswith(".csv"):
+            continue
+        header, *rows = csv.reader(io.StringIO(data.decode()))
+        # README: a pair whose |r| is 1 has a t of inf or -inf.
+        allowed = header.index("t") if name == "pair_correlations.csv" else None
+        for row in rows:
+            for k, cell in enumerate(row):
+                assert k == allowed or cell.lower() not in ("nan", "inf", "-inf"), (name, header[k], row)
