@@ -1012,6 +1012,8 @@ def _write_artifacts(r: _Runner, entries: list) -> None:
             child = None
             if status:
                 failures.append(_write_entries(r, forked))
+            else:
+                r.outputs += [name for _, name, _ in forked]
     finally:
         if child is not None:
             os.kill(child, signal.SIGKILL)
@@ -1019,7 +1021,6 @@ def _write_artifacts(r: _Runner, entries: list) -> None:
     failures = [f for f in failures if f]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    r.outputs += [name for _, name, _ in forked]
 
 
 def _fork_writer(r: _Runner, entries) -> int:
