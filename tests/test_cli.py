@@ -446,6 +446,16 @@ def all_on(directory, header, rows) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+def assert_same_but_the_hpi_hash(first: dict[str, bytes], second: dict[str, bytes]) -> None:
+    """Two ``all_on`` outputs are byte-identical, but for the HPI file's hash in the manifest."""
+    manifests = [json.loads(out.pop("run_manifest.json")) for out in (first, second)]
+    assert first == second
+    for manifest in manifests:
+        [hpi] = [name for name in manifest["inputs"] if Path(name).name == "hpi.csv"]
+        del manifest["inputs"][hpi]
+    assert manifests[0] == manifests[1]
+
+
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**16), late=LOCAL_ENTRY, order=st.integers(0, 2**32 - 1))
 def test_the_order_of_the_hpi_records_does_not_change_out(tmp_path, seed, late, order):
@@ -453,13 +463,7 @@ def test_the_order_of_the_hpi_records_does_not_change_out(tmp_path, seed, late, 
     header, rows = ragged_hpi(directory, seed, late, LOCAL_SCENARIO["n_msas"])
     first = all_on(directory, header, rows)
     second = all_on(directory, header, [rows[i] for i in np.random.default_rng(order).permutation(len(rows))])
-    manifests = [json.loads(out.pop("run_manifest.json")) for out in (first, second)]
-    assert first == second
-    # The manifests differ only in the HPI file's hash.
-    for manifest in manifests:
-        [hpi] = [name for name in manifest["inputs"] if Path(name).name == "hpi.csv"]
-        del manifest["inputs"][hpi]
-    assert manifests[0] == manifests[1]
+    assert_same_but_the_hpi_hash(first, second)
 
 
 def lines_without(data: bytes, msa_id: str, id_fields: int) -> list[bytes]:
@@ -497,12 +501,7 @@ def test_a_power_of_two_scale_of_any_msas_levels_does_not_change_out(tmp_path, s
     scaled = [[*r[:-1], repr(float(r[-1]) * 2.0 ** powers[ids.index(r[0])])] for r in rows]
     first = all_on(directory, header, rows)
     second = all_on(directory, header, scaled)
-    manifests = [json.loads(out.pop("run_manifest.json")) for out in (first, second)]
-    assert first == second
-    for manifest in manifests:
-        [hpi] = [name for name in manifest["inputs"] if Path(name).name == "hpi.csv"]
-        del manifest["inputs"][hpi]
-    assert manifests[0] == manifests[1]
+    assert_same_but_the_hpi_hash(first, second)
 
 
 @settings(max_examples=7, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
