@@ -89,7 +89,8 @@ def _check_window(k: int, window: int) -> None:
 def _span_fits(X: np.ndarray, Y: np.ndarray, window: int, names: tuple[str, ...]):
     """Fit every column of Y on ``[1 | X]`` over each ``window``-row span of
     the rows: one ``regress._fit_stack`` call, so one Householder QR of
-    ``[1 | X | Y]`` per span serves all columns."""
+    ``[1 | X]`` per span serves all columns, and each column gets the bits
+    it gets alone."""
     Xy = np.column_stack([np.ones(X.shape[0]), X, Y])
     return _fit_stack(sliding_window_view(Xy, window, axis=0).transpose(0, 2, 1), names, diagnostics=False)
 

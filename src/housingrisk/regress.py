@@ -79,6 +79,30 @@ def _dependent_columns(X: np.ndarray, tol: float) -> list[int]:
     return dependent
 
 
+def _r_and_qty(Xy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """R (s, k, k) of the Householder QR of each problem's X, the first k
+    columns of ``Xy``, and the top k rows of Q'Y (s, k, m) for its other m
+    columns, without forming Q (Golub & Van Loan, *Matrix Computations*,
+    §5.3).
+
+    LAPACK factors X alone, and its k reflectors H_i = I - tau_i v_i v_i'
+    are applied here to one response at a time: each v_i'y is a sum along
+    that response's own contiguous row, which numpy sums row by row, so a
+    response gets the bits it gets alone. A QR of the whole ``[X | Y]``
+    does not give that: the kernels that apply its reflectors depend on
+    the number of columns, which moves the last bits of every column.
+    """
+    h, tau = np.linalg.qr(Xy[:, :, :k], mode="raw")  # h (s, k, n): row i is v_i below R's column i
+    R = np.triu(h[:, :, :k].transpose(0, 2, 1))
+    Y = Xy[:, :, k:].transpose(0, 2, 1).copy()  # (s, m, n), C order: a copy whatever the layout of Xy
+    with np.errstate(over="ignore", invalid="ignore"):  # a response near the largest float goes to +-inf
+        for i in range(k):
+            v = h[:, i, None, i:].copy()
+            v[:, :, 0] = 1.0
+            Y[:, :, i:] -= (tau[:, i, None] * np.sum(v * Y[:, :, i:], axis=2))[:, :, None] * v
+    return R, Y[:, :, :k].transpose(0, 2, 1)
+
+
 def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...], rows=None):
     """Least squares for a stack of problems ``Xy = [X | Y]``, shape
     (s, n, k + m): each of the m columns of Y regressed on the same X, whose
@@ -86,11 +110,10 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...], rows=None):
     the taller problem each member stands for (``_cochrane_orcutt_stack``
     solves such reduced problems), which the rank tolerance then takes for n.
 
-    One Householder QR factors the whole stack; the top k rows of the last
-    m columns of each R are Q'Y, so Q is never formed (Golub & Van Loan,
-    *Matrix Computations*, §5.3). One back-substitution over the k columns
-    then solves ``R [B | R^-1] = [Q'Y | I]`` for every problem and response
-    at once.
+    ``_r_and_qty`` gives each problem's R and the top k rows of Q'Y, each
+    response's bits independent of the other responses. One
+    back-substitution over the k columns then solves
+    ``R [B | R^-1] = [Q'Y | I]`` for every problem and response at once.
 
     A problem is rank deficient when, in declared order, some column's
     residual on the earlier kept columns is at most
@@ -110,9 +133,8 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...], rows=None):
     """
     n, k = Xy.shape[1] if rows is None else rows, len(names)
     m = Xy.shape[2] - k
-    Ra = np.linalg.qr(Xy, mode="r")
-    R = Ra[:, :k, :k]
-    rhs = np.concatenate([Ra[:, :k, k:], np.broadcast_to(np.eye(k), R.shape)], axis=2)
+    R, qty = _r_and_qty(Xy, k)
+    rhs = np.concatenate([qty, np.broadcast_to(np.eye(k), R.shape)], axis=2)
     sol = np.empty_like(rhs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(k - 1, -1, -1):
@@ -180,9 +202,11 @@ def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True)
     """
     n, k = Xy.shape[1], len(names)
     e = _exponent(Xy[:, :, k:], axis=1)  # (s, m)
-    Xy = np.array(Xy)  # a copy: callers pass read-only views and slices of shared stacks
+    Xy = np.array(Xy, order="C")  # a copy: callers pass read-only views and slices of shared stacks
     Xy[:, :, k:] *= np.ldexp(1.0, -e)[:, None, :]
-    X, Y = Xy[:, :, :k], Xy[:, :, k:].transpose(0, 2, 1)
+    # Each response's rows are contiguous in Y, so that every sum along them
+    # is the pairwise sum that one response alone gets.
+    X, Y = Xy[:, :, :k], Xy[:, :, k:].transpose(0, 2, 1).copy()
     beta, diag, failed = _solve_stacked(Xy, names)
     se = dw = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -473,6 +473,7 @@ def lines_without(data: bytes, msa_id: str, id_fields: int) -> list[bytes]:
 
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**16), late=LOCAL_ENTRY, added=st.integers(0, LOCAL_SCENARIO["n_msas"]))
+@example(seed=226, late=[0] * 7, added=0)
 def test_an_added_msa_leaves_the_rows_of_every_other_msa_as_they_were(tmp_path, seed, late, added):
     # Locality: no fit, scaling or stacking may tie one MSA's bits to the
     # other MSAs of the panel.

@@ -435,6 +435,29 @@ def test_a_problem_has_the_same_bits_alone_and_in_a_stack(seed, s, k, m, extra_r
                 assert_array_equal(a[j], b[0])
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 4),
+    k=st.integers(1, 13),
+    m=st.integers(2, 40),
+    extra_rows=st.sampled_from([2, 3, 8, 30]),
+)
+def test_a_response_has_the_same_bits_alone_and_among_others(seed, s, k, m, extra_rows):
+    # The integration spans fit every MSA of a panel as one response of the
+    # same problems, so an MSA's bits must not depend on how many others
+    # there are, nor on where it stands among them.
+    rng = np.random.default_rng(seed)
+    names = tuple(f"x{j}" for j in range(k))
+    Xy = stack_of_designs(rng, s, k + extra_rows, k, m)
+    whole = _fit_stack(Xy, names, diagnostics=False)
+    part = rng.choice(m, rng.integers(1, m + 1), replace=False)
+    some = _fit_stack(Xy[:, :, [*range(k), *(k + part)]], names, diagnostics=False)
+    assert_array_equal(whole.beta[:, part], some.beta)
+    assert_array_equal(whole.r_square[:, part], some.r_square)
+    assert str(whole.failed) == str(some.failed)
+
+
 # --- AR(1) pre-whitening ----------------------------------------------------
 
 def test_prewhiten_white_noise_prefers_lag0():
