@@ -79,39 +79,32 @@ def _dependent_columns(X: np.ndarray, tol: float) -> list[int]:
     return dependent
 
 
-def _r_and_qty(Xy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """R (s, k, k) of the Householder QR of each problem's X, the first k
-    columns of ``Xy``, and the top k rows of Q'Y (s, k, m) for its other m
-    columns, without forming Q (Golub & Van Loan, *Matrix Computations*,
-    §5.3).
+def _r_and_qty(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R (s, k, k) of the Householder QR of each problem's X (s, n, k), and
+    Q'y (s, m, k) for each of its m responses, the rows of Y (s, m, n).
 
-    LAPACK factors X alone, and its k reflectors H_i = I - tau_i v_i v_i'
-    are applied here to one response at a time: each v_i'y is a sum along
-    that response's own contiguous row, which numpy sums row by row, so a
-    response gets the bits it gets alone. A QR of the whole ``[X | Y]``
-    does not give that: the kernels that apply its reflectors depend on
-    the number of columns, which moves the last bits of every column.
+    LAPACK factors X alone and forms its Q (n, k), which is orthonormal to
+    working precision, so Q'y is as accurate as applying X's reflectors to y
+    (Higham 2002, ch. 19 and 20).
+    Each entry of Q'y is a sum along that response's own row, so a response
+    gets the bits it gets alone. A QR of the whole ``[X | Y]`` does not give
+    that: the kernels that apply its reflectors depend on the number of
+    columns, which moves the last bits of every column.
     """
-    h, tau = np.linalg.qr(Xy[:, :, :k], mode="raw")  # h (s, k, n): row i is v_i below R's column i
-    R = np.triu(h[:, :, :k].transpose(0, 2, 1))
-    Y = Xy[:, :, k:].transpose(0, 2, 1).copy()  # (s, m, n), C order: a copy whatever the layout of Xy
-    with np.errstate(over="ignore", invalid="ignore"):  # a response near the largest float goes to +-inf
-        for i in range(k):
-            v = h[:, i, None, i:].copy()
-            v[:, :, 0] = 1.0
-            Y[:, :, i:] -= (tau[:, i, None] * np.sum(v * Y[:, :, i:], axis=2))[:, :, None] * v
-    return R, Y[:, :, :k].transpose(0, 2, 1)
+    Q, R = np.linalg.qr(X)
+    # Q has the layout of X; Q' as a C array makes every sum along n the same.
+    return R, np.einsum("skn,smn->smk", np.ascontiguousarray(Q.transpose(0, 2, 1)), Y)
 
 
-def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...], rows=None):
-    """Least squares for a stack of problems ``Xy = [X | Y]``, shape
-    (s, n, k + m): each of the m columns of Y regressed on the same X, whose
-    k columns ``names`` labels. ``rows`` (s,), when given, is the row count of
-    the taller problem each member stands for (``_cochrane_orcutt_stack``
-    solves such reduced problems), which the rank tolerance then takes for n.
+def _solve_stacked(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], rows=None):
+    """Least squares for a stack of problems: each of the m rows of Y
+    (s, m, n) regressed on the same X (s, n, k), whose k columns ``names``
+    labels. ``rows`` (s,), when given, is the row count of the taller
+    problem each member stands for (``_cochrane_orcutt_stack`` solves such
+    reduced problems), which the rank tolerance then takes for n.
 
-    ``_r_and_qty`` gives each problem's R and the top k rows of Q'Y, each
-    response's bits independent of the other responses. One
+    ``_r_and_qty`` gives each problem's R and Q'y, each response's bits
+    independent of the other responses. One
     back-substitution over the k columns then solves
     ``R [B | R^-1] = [Q'Y | I]`` for every problem and response at once.
 
@@ -131,10 +124,10 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...], rows=None):
     (s, k), and a dict from stack position to the ``SingularDesignError``
     of each rank-deficient problem, whose rows hold NaN.
     """
-    n, k = Xy.shape[1] if rows is None else rows, len(names)
-    m = Xy.shape[2] - k
-    R, qty = _r_and_qty(Xy, k)
-    rhs = np.concatenate([qty, np.broadcast_to(np.eye(k), R.shape)], axis=2)
+    n, k = X.shape[1] if rows is None else rows, len(names)
+    m = Y.shape[1]
+    R, qty = _r_and_qty(X, Y)
+    rhs = np.concatenate([qty.transpose(0, 2, 1), np.broadcast_to(np.eye(k), R.shape)], axis=2)
     sol = np.empty_like(rhs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(k - 1, -1, -1):
@@ -146,7 +139,7 @@ def _solve_stacked(Xy: np.ndarray, names: tuple[str, ...], rows=None):
     tol = np.maximum(n, k) * np.finfo(float).eps * np.sqrt(np.sum(R * R, axis=1)).max(axis=1)
     failed = {}
     for s in np.flatnonzero(~(np.abs(np.diagonal(R, axis1=1, axis2=2)) > tol[:, None]).all(axis=1)):
-        dependent = [names[j] for j in _dependent_columns(Xy[s, :, :k], tol[s])]
+        dependent = [names[j] for j in _dependent_columns(X[s], tol[s])]
         if dependent:
             beta[s] = diag[s] = np.nan
             failed[int(s)] = SingularDesignError(
@@ -202,12 +195,12 @@ def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True)
     """
     n, k = Xy.shape[1], len(names)
     e = _exponent(Xy[:, :, k:], axis=1)  # (s, m)
-    Xy = np.array(Xy, order="C")  # a copy: callers pass read-only views and slices of shared stacks
-    Xy[:, :, k:] *= np.ldexp(1.0, -e)[:, None, :]
-    # Each response's rows are contiguous in Y, so that every sum along them
-    # is the pairwise sum that one response alone gets.
-    X, Y = Xy[:, :, :k], Xy[:, :, k:].transpose(0, 2, 1).copy()
-    beta, diag, failed = _solve_stacked(Xy, names)
+    # X and the scaled responses, each response's rows contiguous, are C
+    # arrays whatever the layout of Xy, so that every sum has the order it
+    # has when that response is fitted alone.
+    X = np.ascontiguousarray(Xy[:, :, :k])
+    Y = np.multiply(Xy[:, :, k:].transpose(0, 2, 1), np.ldexp(1.0, -e)[:, :, None], order="C")
+    beta, diag, failed = _solve_stacked(X, Y, names)
     se = dw = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         resid = Y - np.einsum("wtj,wcj->wct", X, beta)
@@ -479,14 +472,13 @@ def _co_lockstep(groups, tol: float, max_iter: int):
         if not go.size:
             continue
         r = rho[go, None]
-        small = np.empty((go.size, 2 * k - 1, k + 1))
-        small[:, :, k] = QY[go, :, 0] - r * QY[go, :, 1]
+        small = np.empty((go.size, 2 * k - 1, k))
         cut = np.searchsorted(go, at)
         for g in np.flatnonzero(np.diff(cut)):
             part = slice(cut[g], cut[g + 1])
-            small[part, :, :k] = R[g, :, :k]
+            small[part] = R[g, :, :k]
             small[part, :, 1:k] -= r[part, :, None] * R[g, :, k:]
-        b, _, bad = _solve_stacked(small, names, rows[go])
+        b, _, bad = _solve_stacked(small, (QY[go, :, 0] - r * QY[go, :, 1])[:, None], names, rows[go])
         beta[go] = b[:, 0]
         beta[go, 0] *= 1.0 / (1.0 - rho[go])  # the intercept on the original scale
         fitted[go] = rho[go]

@@ -352,7 +352,7 @@ def test_rank_rule_finds_the_pivoted_qr_rank(seed, kinds, extra_rows, shuffle):
         rank = k
     except SingularDesignError as exc:
         rank = k - len(exc.columns)
-    _, _, failed = _solve_stacked(np.column_stack([X, y])[None], names)
+    _, _, failed = _solve_stacked(X[None], y[None, None], names)
     dependent = failed[0].columns if failed else ()
     assert k - len(dependent) == rank
     assert dependent == tuple(names[j] for j in oracles.declared_order_dependent(X))
