@@ -24,7 +24,6 @@ from .regress import (
     _StackFit,
     _cochrane_orcutt_stack,
     _fit_stack,
-    _stack,
     _t_stats,
     _too_few_for_cochrane_orcutt,
     _too_few_for_ols,
@@ -270,7 +269,7 @@ def contagion_fits(groups, n_lags: int = 3, serial: str = "auto") -> list[Contag
         short = (_too_few_for_cochrane_orcutt if serial == "always" and n < k + 3
                  else _too_few_for_ols if n < k + 2 else None)
         if short is None:
-            fit = _fit_stack(_stack(X, Y), names).single()
+            fit = _fit_stack(np.column_stack([X, Y.T])[None], names).responses()
         else:
             fit = _StackFit(*(np.full(shape, np.nan) for shape in ((m, k), (m, k), m, m)),
                            {i: short(n, k) for i in range(m)})

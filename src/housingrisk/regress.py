@@ -85,11 +85,11 @@ def _r_and_qty(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     LAPACK factors X alone and forms its Q (n, k), which is orthonormal to
     working precision, so Q'y is as accurate as applying X's reflectors to y
-    (Higham 2002, ch. 19 and 20).
-    Each entry of Q'y is a sum along that response's own row, so a response
-    gets the bits it gets alone. A QR of the whole ``[X | Y]`` does not give
-    that: the kernels that apply its reflectors depend on the number of
-    columns, which moves the last bits of every column.
+    (Higham 2002, ch. 19 and 20). Each entry of Q'y is a sum along that
+    response's own row, so a response gets the bits it gets alone. A QR of
+    the whole ``[X | Y]`` does not give that: the kernels that apply its
+    reflectors depend on the number of columns, which moves the last bits
+    of every column.
     """
     Q, R = np.linalg.qr(X)
     # Q has the layout of X; Q' as a C array makes every sum along n the same.
@@ -104,9 +104,9 @@ def _solve_stacked(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], rows=No
     reduced problems), which the rank tolerance then takes for n.
 
     ``_r_and_qty`` gives each problem's R and Q'y, each response's bits
-    independent of the other responses. One
-    back-substitution over the k columns then solves
-    ``R [B | R^-1] = [Q'Y | I]`` for every problem and response at once.
+    independent of the other responses. One back-substitution over the k
+    columns then solves ``R [B | R^-1] = [Q'Y | I]`` for every problem and
+    response at once.
 
     A problem is rank deficient when, in declared order, some column's
     residual on the earlier kept columns is at most
@@ -166,6 +166,12 @@ class _StackFit(NamedTuple):
     def single(self) -> "_StackFit":
         """This fit of a one-response stack, without the response axis."""
         return _StackFit(*(a[:, 0] for a in self[:4]), self.failed)
+
+    def responses(self) -> "_StackFit":
+        """This fit of a one-problem stack, with its responses as the stack
+        axis; the problem's error, if any, is every response's."""
+        return _StackFit(*(a[0] for a in self[:4]), dict.fromkeys(range(self.beta.shape[1]), self.failed[0])
+                         if self.failed else {})
 
 
 def _exponent(v: np.ndarray, axis: int) -> np.ndarray:
