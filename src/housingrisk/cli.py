@@ -57,12 +57,14 @@ from .contagion import (
     SERIAL_POLICIES,
     boombust_residual,
     contagion_fits,
+    min_history,
 )
 # Not called here since the fits are grouped; perfbench/tracing.py still
 # wraps these names in this module, so they stay importable from it.
 from .contagion import contagion_fit, contagion_fit_interacted  # noqa: F401
 from .core import (
     TRANSFORMS,
+    QuarterIndex,
     ReturnPanel,
     compute_returns,
     default_factor_transforms,
@@ -77,7 +79,7 @@ from .correlations import (
     jump_pair_correlations,
     return_pair_correlations,
 )
-from .errors import ConfigError, HousingRiskError, InsufficientHistoryError
+from .errors import ConfigError, DomainError, HousingRiskError, InsufficientHistoryError
 from .integration import (
     CHARACTERISTICS,
     CROSS_STATS,
@@ -163,13 +165,15 @@ def _setting(key, what, ok, default=None, *, factory=None, flag=None, keys=None,
     """A RunConfig field that declares one run setting.
 
     ``key`` is its config-file key ("section.key" for a key inside a section
-    of the file); ``what``, ``ok`` and ``keys`` give its valid values as a
+    of the file), which its metadata also holds split, as ``at``: (section or
+    "", key); ``what``, ``ok`` and ``keys`` give its valid values as a
     ``schema.Key``; ``flag`` holds the argparse keywords of a setting that
     ``--<name>`` and ``HOUSINGRISK_<NAME>`` can also set (see ``_option_name``).
     A ``path`` setting's relative path in a config file is read from the
     config file's directory.
     """
-    metadata = {"key": key, "valid": Key(what, ok, keys=keys), "flag": flag, "path": path}
+    section, _, name = key.rpartition(".")
+    metadata = {"key": key, "at": (section, name), "valid": Key(what, ok, keys=keys), "flag": flag, "path": path}
     if factory is not None:
         return field(default_factory=factory, metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -229,7 +233,7 @@ class RunConfig:
     def validate(self) -> None:
         obj: dict = {}  # the settings laid out as a config file holds them
         for f in _FIELDS:
-            section, _, key = f.metadata["key"].rpartition(".")
+            section, key = f.metadata["at"]
             (obj.setdefault(section, {}) if section else obj)[key] = getattr(self, f.name)
         problems = faults(_CONFIG_KEYS, obj)
         if problems:
@@ -249,7 +253,7 @@ def _config_keys() -> dict:
     """The valid values of every config-file key; a section, and each portfolio, is an object with its own table."""
     table: dict = {}
     for f in _FIELDS:
-        section, _, key = f.metadata["key"].rpartition(".")
+        section, key = f.metadata["at"]
         within = table.setdefault(section, Key("a JSON object", instance_of(dict), keys={})).keys if section else table
         within[key] = f.metadata["valid"]
     return table
@@ -291,7 +295,7 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"config file {path} must hold a JSON object")
     base = os.path.dirname(path)  # empty for a bare file name, whose paths stay as written
     for f in _FIELDS:
-        section, _, key = f.metadata["key"].rpartition(".")
+        section, key = f.metadata["at"]
         values = obj.get(section) if section else obj
         value = values.get(key) if isinstance(values, dict) else None
         if f.metadata["path"] and base and isinstance(value, str) and value:
@@ -301,7 +305,7 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
     if problems:
         raise ConfigError(f"config file {path}: " + "; ".join(problems))
     for f in _FIELDS:
-        section, _, key = f.metadata["key"].rpartition(".")
+        section, key = f.metadata["at"]
         values = obj.get(section, {}) if section else obj
         if key in values:
             setattr(cfg, f.name, values[key])
@@ -708,14 +712,16 @@ def _interaction_residual(r: _Runner, source: str | None):
             return first.code, boombust_residual(levels)
         members = r.state_members("CA")
         if not members:
-            raise ConfigError(
-                "interaction_residual=ca-equal-weighted needs MSAs with state CA"
-            )
+            raise ConfigError("interaction_residual=ca-equal-weighted needs MSAs with state CA")
         codes, rets, _ = portfolio_returns(r.returns, members)
-        levels = np.empty(rets.size + 1)
-        levels[0] = 100.0
-        levels[1:] = 100.0 * np.exp(np.cumsum(rets) / 100.0)
-        return int(codes[0]) - 1, boombust_residual(levels)
+        first = int(codes[0]) - 1  # the quarter of the index's base level, 100
+        with np.errstate(over="ignore", under="ignore"):  # a level out of range is named below
+            levels = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(rets)]) / 100.0)
+        bad = np.flatnonzero(~(np.isfinite(levels) & (levels > 0.0)))
+        if bad.size:
+            raise DomainError(f"interaction_residual=ca-equal-weighted: the CA equal-weighted index at "
+                              f"{QuarterIndex.from_code(first + int(bad[0]))} is out of float range")
+        return first, boombust_residual(levels)
     except InsufficientHistoryError:
         return None
 
@@ -757,7 +763,7 @@ def _contagion_fits(r: _Runner):
     numbers = np.full((len(pairs), 2, len(header) - 5), np.nan)  # rho, R², DW, (coefficient, t) pairs
     variants = ([], [])  # per variant, (pair indices, (targets, source, residual)) of each group
     for (s, first), at in groups.items():
-        if grid.n_quarters - first < n_lags + 8:
+        if grid.n_quarters - first < min_history(n_lags):
             continue
         sv = grid.values[first:, s]
         block = grid.values[first:, target[at]].T
@@ -801,9 +807,7 @@ def _portfolio_members(r: _Runner, name: str, spec: dict) -> list[str]:
         if unknown:
             raise ConfigError(f"portfolio {name!r} member {unknown[0]!r} matches no MSA")
         return sorted(spec["members"])
-    members = r.returns.msa_ids()
-    if "state" in spec:
-        members = [m for m in members if r.panel.info(m).state.upper() == spec["state"].upper()]
+    members = r.state_members(spec["state"]) if "state" in spec else r.returns.msa_ids()
     if "available_from" in spec:
         from_q = parse_quarter(spec["available_from"])
         members = [

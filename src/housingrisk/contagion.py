@@ -209,6 +209,12 @@ class ContagionFits:
         )
 
 
+def min_history(n_lags: int) -> int:
+    """The fewest aligned quarters a fit on source lags 0..n_lags takes:
+    eight rows of its design."""
+    return n_lags + 8
+
+
 def _design(targets, source, residual, n_lags: int):
     """One group's (X, names, Y, all_names, dropped): the design on source
     lags 0..n_lags (and their interactions with ``residual``), the names of
@@ -219,10 +225,8 @@ def _design(targets, source, residual, n_lags: int):
     if targets.ndim != 2 or source.ndim != 1 or targets.shape[1] != source.size:
         raise ValueError("target and source must be equal-length 1-d arrays")
     T = source.size
-    if T < n_lags + 8:
-        raise InsufficientHistoryError(
-            f"need at least {n_lags + 8} aligned quarters, got {T}"
-        )
+    if T < min_history(n_lags):
+        raise InsufficientHistoryError(f"need at least {min_history(n_lags)} aligned quarters, got {T}")
     n = T - n_lags
     X = np.column_stack([np.ones(n)] + [source[n_lags - l : T - l] for l in range(n_lags + 1)])
     names = ("const",) + tuple(f"lag{l}" for l in range(n_lags + 1))
@@ -269,7 +273,7 @@ def contagion_fits(groups, n_lags: int = 3, serial: str = "auto") -> list[Contag
         short = (_too_few_for_cochrane_orcutt if serial == "always" and n < k + 3
                  else _too_few_for_ols if n < k + 2 else None)
         if short is None:
-            fit = _fit_stack(np.column_stack([X, Y.T])[None], names).responses()
+            fit = _fit_stack(X[None], Y[None], names).responses()
         else:
             fit = _StackFit(*(np.full(shape, np.nan) for shape in ((m, k), (m, k), m, m)),
                            {i: short(n, k) for i in range(m)})

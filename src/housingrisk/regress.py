@@ -99,7 +99,8 @@ def _r_and_qty(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve_stacked(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], rows=None):
     """Least squares for a stack of problems: each of the m rows of Y
     (s, m, n) regressed on the same X (s, n, k), whose k columns ``names``
-    labels. ``rows`` (s,), when given, is the row count of the taller
+    labels, with X and Y C arrays, as ``_fit_stack`` and ``_co_lockstep``
+    pass them. ``rows`` (s,), when given, is the row count of the taller
     problem each member stands for (``_cochrane_orcutt_stack`` solves such
     reduced problems), which the rank tolerance then takes for n.
 
@@ -151,21 +152,14 @@ def _solve_stacked(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], rows=No
 
 
 class _StackFit(NamedTuple):
-    """OLS fits of a stack of problems; see ``_fit_stack``.
-
-    Each array has a response axis after the stack axis, which ``single``
-    drops for a one-response stack.
-    """
+    """OLS fits of a stack of problems; see ``_fit_stack``. A fit of one
+    response per problem (``responses()``) has no response axis m."""
 
     beta: np.ndarray  # (s, m, k)
     se: np.ndarray | None  # (s, m, k); None without diagnostics
     r_square: np.ndarray  # (s, m)
     durbin_watson: np.ndarray | None  # (s, m); NaN for an exact fit; None without diagnostics
     failed: dict[int, HousingRiskError]  # stack position -> error; its rows hold NaN
-
-    def single(self) -> "_StackFit":
-        """This fit of a one-response stack, without the response axis."""
-        return _StackFit(*(a[:, 0] for a in self[:4]), self.failed)
 
     def responses(self) -> "_StackFit":
         """This fit of a one-problem stack, with its responses as the stack
@@ -185,12 +179,14 @@ def _exponent(v: np.ndarray, axis: int) -> np.ndarray:
     return np.clip(np.frexp(np.abs(v).max(axis=axis, initial=0.0))[1], -1021, 1023)
 
 
-def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True) -> _StackFit:
+def _fit_stack(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], diagnostics: bool = True) -> _StackFit:
     """OLS estimates and ``RegressionFit``'s diagnostics for every problem and
-    response of a stack ``[X | Y]`` of shape (s, n, k + m), where X has the
-    k columns ``names`` labels, from one ``_solve_stacked``. Without
-    ``diagnostics`` only beta and R-square are computed, and ``se`` and
-    ``durbin_watson`` are None.
+    response of a stack, from one ``_solve_stacked``: each of the m rows of
+    Y (s, m, n) regressed on the same X (s, n, k), whose k columns ``names``
+    labels. A design that m responses share is given, and factored, once
+    (Zellner 1962). X and Y may be any views, such as sliding windows,
+    slices or transposes. Without ``diagnostics`` only beta and R-square are
+    computed, and ``se`` and ``durbin_watson`` are None.
 
     Each response of each problem is fitted scaled by the power of two 2^-e
     of ``_exponent``, so that the squares of its residuals and centred
@@ -199,13 +195,13 @@ def _fit_stack(Xy: np.ndarray, names: tuple[str, ...], diagnostics: bool = True)
     scale with the response, and R-square, Durbin-Watson and t do not depend
     on it. A coefficient past the largest float is +-inf.
     """
-    n, k = Xy.shape[1], len(names)
-    e = _exponent(Xy[:, :, k:], axis=1)  # (s, m)
-    # X and the scaled responses, each response's rows contiguous, are C
-    # arrays whatever the layout of Xy, so that every sum has the order it
-    # has when that response is fitted alone.
-    X = np.ascontiguousarray(Xy[:, :, :k])
-    Y = np.multiply(Xy[:, :, k:].transpose(0, 2, 1), np.ldexp(1.0, -e)[:, :, None], order="C")
+    n, k = X.shape[1], len(names)
+    e = _exponent(Y, axis=2)  # (s, m)
+    # X and the scaled responses are C arrays whatever the layout of the
+    # views given, so that every sum has the order it has when that response
+    # is fitted alone.
+    X = np.ascontiguousarray(X)
+    Y = np.multiply(Y, np.ldexp(1.0, -e)[:, :, None], order="C")
     beta, diag, failed = _solve_stacked(X, Y, names)
     se = dw = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -231,23 +227,26 @@ def _t_stats(beta: np.ndarray, se: np.ndarray) -> np.ndarray:
     return t
 
 
-def _quasi_difference_stack(Xy: np.ndarray, names: tuple[str, ...], rho: np.ndarray) -> _StackFit:
-    """``_fit_stack`` of each problem of ``Xy`` on its rows quasi-differenced
-    by its ``rho``, z_t - rho z_{t-1}, with the first column (the intercept)
-    reset to ones. The intercept and its standard error are then rescaled to
-    the original scale by 1 / (1 - rho)."""
-    Xys = Xy[:, 1:, :] - rho[:, None, None] * Xy[:, :-1, :]
-    Xys[:, :, 0] = 1.0
-    fit = _fit_stack(Xys, names).single()
+def _quasi_difference_stack(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], rho: np.ndarray) -> _StackFit:
+    """``_fit_stack`` of each row y of Y (m, n) on the design X (n, k), both
+    quasi-differenced by that row's ``rho``, z_t - rho z_{t-1}, with the
+    first column (the intercept) reset to ones: m problems of one response
+    each, returned without the response axis. The intercept and its standard
+    error are then rescaled to the original scale by 1 / (1 - rho)."""
+    Xs = X[1:] - rho[:, None, None] * X[:-1]
+    Xs[:, :, 0] = 1.0
+    fit = _fit_stack(Xs, (Y[:, 1:] - rho[:, None] * Y[:, :-1])[:, None], names)
+    fit = _StackFit(*(a[:, 0] for a in fit[:4]), fit.failed)
     scale = 1.0 / (1.0 - rho)
     fit.beta[:, 0] *= scale
     fit.se[:, 0] *= np.abs(scale)
     return fit
 
 
-def _regression_fit(Xy, names, fit: _StackFit, i: int, method: str = "ols", rho=None,
+def _regression_fit(X, Y, names, fit: _StackFit, i: int, method: str = "ols", rho=None,
                     differenced_by=None) -> RegressionFit:
-    """Problem i of ``fit``, a fit of the stack ``Xy``, as a RegressionFit.
+    """Problem i of ``fit``, the fit of row i of Y (m, n) on the design X
+    (n, k), as a RegressionFit.
 
     Its residuals are those of the regression fitted: y - X beta, or for a
     fit on rows quasi-differenced by ``differenced_by``, e_t - rho e_{t-1}
@@ -255,7 +254,7 @@ def _regression_fit(Xy, names, fit: _StackFit, i: int, method: str = "ols", rho=
     A residual past the largest float is +-inf.
     """
     with np.errstate(over="ignore"):
-        resid = Xy[i, :, -1] - Xy[i, :, :-1] @ fit.beta[i]
+        resid = Y[i] - X @ fit.beta[i]
         if differenced_by is not None:
             resid = resid[1:] - differenced_by * resid[:-1]
     beta, se = fit.beta[i].copy(), fit.se[i].copy()
@@ -263,20 +262,19 @@ def _regression_fit(Xy, names, fit: _StackFit, i: int, method: str = "ols", rho=
                          resid.size, float(fit.durbin_watson[i]), method, rho)
 
 
-def _one_problem(X, y, names) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The one-problem stack ``[X | y]``, shape (1, n, k + 1), and the names
-    of X's k columns (x0, x1, ... by default)."""
-    X = np.asarray(X, dtype=float)
+def _one_problem(X, y, names) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The design X (n, k) as a C array, the response y (n,) as the one row
+    of Y (1, n), and the names of X's k columns (x0, x1, ... by default)."""
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be (n, k) and y (n,)")
     names = tuple(f"x{j}" for j in range(X.shape[1])) if names is None else tuple(names)
     if len(names) != X.shape[1]:
         raise ValueError("names must match the number of columns")
-    Xy = np.column_stack([X, y])[None]
-    if not np.isfinite(Xy).all():
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("array must not contain infs or NaNs")
-    return Xy, names
+    return X, y[None], names
 
 
 def ols_fit(X: np.ndarray, y: np.ndarray, names=None) -> RegressionFit:
@@ -287,14 +285,14 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names=None) -> RegressionFit:
     past the largest float (of a response near it) is returned as +-inf;
     the coefficients and diagnostics stay finite.
     """
-    Xy, names = _one_problem(X, y, names)
-    n, k = Xy.shape[1], len(names)
+    X, Y, names = _one_problem(X, y, names)
+    n, k = X.shape
     if n < k + 2:
         raise _too_few_for_ols(n, k)
-    fit = _fit_stack(Xy, names).single()
+    fit = _fit_stack(X[None], Y[None], names).responses()
     if fit.failed:
         raise fit.failed[0]
-    return _regression_fit(Xy, names, fit, 0)
+    return _regression_fit(X, Y, names, fit, 0)
 
 
 def cochrane_orcutt(
@@ -317,8 +315,8 @@ def cochrane_orcutt(
     is ``_cochrane_orcutt_stack`` (or ``_quasi_difference_stack``) of one
     problem.
     """
-    Xy, names = _one_problem(X, y, names)
-    n, k = Xy.shape[1], len(names)
+    X, Y, names = _one_problem(X, y, names)
+    n, k = X.shape
     if n < k + 3:
         raise _too_few_for_cochrane_orcutt(n, k)
     if fixed_rho is not None:
@@ -326,16 +324,15 @@ def cochrane_orcutt(
             raise ValueError("fixed_rho must not be NaN")
         if abs(fixed_rho) >= 1.0:
             raise NonStationaryError(f"|rho| >= 1: {fixed_rho}")
-        fit = _quasi_difference_stack(Xy, names, np.array([float(fixed_rho)]))
+        fit = _quasi_difference_stack(X, Y, names, np.array([float(fixed_rho)]))
         rho, differenced_by = fixed_rho, fixed_rho
     else:
-        start = _fit_stack(Xy, names).single()
-        [(fit, rhos, n_obs, rho_fitted)] = _cochrane_orcutt_stack([(Xy[0, :, :k], Xy[:, :, k], names, start)],
-                                                                  tol, max_iter)
+        start = _fit_stack(X[None], Y[None], names).responses()
+        [(fit, rhos, n_obs, rho_fitted)] = _cochrane_orcutt_stack([(X, Y, names, start)], tol, max_iter)
         rho, differenced_by = float(rhos[0]), rho_fitted[0] if n_obs[0] < n else None
     if fit.failed:
         raise fit.failed[0]
-    return _regression_fit(Xy, names, fit, 0, "cochrane_orcutt", rho, differenced_by)
+    return _regression_fit(X, Y, names, fit, 0, "cochrane_orcutt", rho, differenced_by)
 
 
 def _too_few_for_ols(n: int, k: int) -> DegreesOfFreedomError:
@@ -375,12 +372,6 @@ def _lag1_rho(resid: np.ndarray) -> np.ndarray:
         return np.where(denom == 0.0, 0.0, np.sum(e[:, 1:] * e[:, :-1], axis=1) / denom)
 
 
-def _stack(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The stack ``[X | y]``, shape (m, n, k + 1), of the m rows y of Y (m, n)
-    on the one design X (n, k)."""
-    return np.concatenate([np.broadcast_to(X, (len(Y),) + X.shape), Y[:, :, None]], axis=2)
-
-
 def _differencing_factors(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R, QY), of shapes (2k - 1, 2k - 1) and (m, 2k - 1, 2), such that the
     quasi-differenced problem ``[1, X_1 - rho X_0 | y_1 - rho y_0]`` of row
@@ -410,8 +401,8 @@ def _cochrane_orcutt_stack(groups, tol: float = 1e-6, max_iter: int = 50):
     Each group is (X, Y, names, start): one problem per row y of Y (m, n)
     on the design X (n, k), whose k columns ``names`` labels and whose first
     column is the intercept, and ``start``, their OLS fit
-    (``_fit_stack(...).single()``), which is also the first iterate. The
-    caller checks n >= k + 3.
+    (``_fit_stack(X[None], Y[None], names).responses()``), which is also the
+    first iterate. The caller checks n >= k + 3.
 
     Each round takes the lag-1 rho estimate (``_lag1_rho``) of every problem
     still iterating from its original-scale residuals y - X beta. A problem
@@ -499,13 +490,13 @@ def _co_lockstep(groups, tol: float, max_iter: int):
         fit = _StackFit(*(v.copy() for v in start[:4]), {int(i - a): exc for i, exc in failed.items() if a <= i < b})
         redo = np.array([i for i in np.flatnonzero(moved[a:b]) if i not in fit.failed], dtype=int)
         if redo.size:
-            last = _quasi_difference_stack(_stack(X, Y[redo]), names, fitted[a + redo])
+            last = _quasi_difference_stack(X, Y[redo], names, fitted[a + redo])
             for v, w in zip(fit[:4], last[:4]):
                 v[redo] = w
             fit.failed.update((int(redo[j]), exc) for j, exc in last.failed.items())
         for i in np.flatnonzero(live[a:b]):
             if i not in fit.failed:
-                last = _regression_fit(_stack(X, Y), names, fit, i, "cochrane_orcutt", float(fitted[a + i]),
+                last = _regression_fit(X, Y, names, fit, i, "cochrane_orcutt", float(fitted[a + i]),
                                        fitted[a + i] if moved[a + i] else None)
                 fit.failed[int(i)] = _rho_did_not_converge(max_iter, float(rho[a + i]), last)
         rho_g = rho[a:b].copy()
@@ -601,8 +592,9 @@ def trend_fit(series: np.ndarray) -> TrendFit:
     """OLS of a series on (1, t), t = 0..n-1, with the slope t-statistic.
 
     ``series`` is one series (n,) or a stack of equal-length series (m, n),
-    fitted as ``_fit_stack`` of ``[1, t | y]``; for a stack each field gains
-    a leading axis of m, and each row keeps the bits of its own call.
+    fitted as one ``_fit_stack`` problem on the design ``[1, t]`` with each
+    series a response; for a stack each field gains a leading axis of m, and
+    each row keeps the bits of its own call.
 
     A slope at rounding level, ``|slope| * ||t - mean(t)|| <= n * eps *
     ||y||``, has t-stat 0, the value ``_t_stats`` gives a zero slope with a
@@ -623,9 +615,7 @@ def trend_fit(series: np.ndarray) -> TrendFit:
         raise ValueError("array must not contain infs or NaNs")
     Y = y.reshape(-1, n)
     t = np.arange(n, dtype=float)
-    Xy = np.empty((len(Y), n, 3))
-    Xy[:, :, 0], Xy[:, :, 1], Xy[:, :, 2] = 1.0, t, Y
-    fit = _fit_stack(Xy, ("const", "t")).single()
+    fit = _fit_stack(np.column_stack([np.ones(n), t])[None], Y[None], ("const", "t")).responses()
     intercept, slope = fit.beta[:, 0], fit.beta[:, 1]
     t_stat = _t_stats(fit.beta, fit.se)[:, 1]
     down = np.ldexp(1.0, -_exponent(Y, axis=1))

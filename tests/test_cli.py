@@ -373,6 +373,30 @@ def test_a_ca_equal_weighted_residual_needs_a_ca_metro(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_ca_equal_weighted_index_out_of_float_range_fails_before_any_write(tmp_path, capsys):
+    # The one CA metro's levels run from 1e-300 to 1e300 over 40 quarters,
+    # each ratio a float, but the index rebuilt from their returns passes the
+    # largest float in 1995:Q1.
+    quarters = [f"{1990 + q // 4}:Q{q % 4 + 1}" for q in range(40)]
+    levels = {"A": np.logspace(-300, 300, 40), **{f"T{j}": 100 * 1.01 ** np.arange(40) + j for j in range(5)}}
+    hpi, factors, out = tmp_path / "hpi.csv", tmp_path / "factors.csv", tmp_path / "out"
+    hpi.write_text("msa_id,msa_name,state,quarter,index\n" + "".join(
+        f"{m},{m},{'CA' if m == 'A' else 'TX'},{q},{v!r}\n" for m, v in levels.items() for q, v in zip(quarters, v.tolist())))
+    factors.write_text("quarter,F1,F2\n" + "".join(
+        f"{q},{100 + 7 * np.sin(t):.6f},{50 * 1.01 ** t + 3 * np.cos(3 * t):.6f}\n" for t, q in enumerate(quarters)))
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"inputs": {"hpi": str(hpi), "factors": str(factors), "transforms":
+                                          {"F1": "log_level", "F2": "log_level"}},
+                               "out": str(out), "interaction_residual": "ca-equal-weighted",
+                               "window": 8, "bipower_window": 8}))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["contagion", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == ("housingrisk: error: interaction_residual=ca-equal-weighted: the CA "
+                                       "equal-weighted index at 1995:Q1 is out of float range\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_manifest_hashes_verify(tmp_path):
     rpath, out = write_scenario(tmp_path)
     main(["all", "--config", str(rpath)])

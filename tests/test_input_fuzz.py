@@ -7,9 +7,9 @@ fresh directory that the run config names its files in. The status is 0 or
 2; on 2, stderr is one ``housingrisk: error:`` line and the directory holds
 just what it held before. Generated HPI panels with levels from 1e-300 to
 1e300, flat and constant-growth MSAs and histories too short for three
-windows run through ``all`` the same way, and no artifact of a run that
-exits 0 holds ``nan`` or ``inf`` text outside the one column whose
-README documents it.
+windows run through ``all`` the same way, under either interaction
+residual, and no artifact of a run that exits 0 holds ``nan`` or ``inf``
+text outside the one column whose README documents it.
 """
 
 from __future__ import annotations
@@ -149,17 +149,18 @@ def extreme_panels(draw) -> bytes:
 ALL_FACTORS = ("quarter,F1,F2\n" + "".join(
     f"{quarter(q)},{100 + 7 * np.sin(q):.6f},{50 * 1.01 ** q + 3 * np.cos(3 * q):.6f}\n" for q in range(40)
 )).encode()
-ALL_CONFIG = json.dumps({
+ALL_CONFIG = {
     "inputs": {"hpi": "hpi.csv", "factors": "factors.csv", "transforms": "transforms.json"},
     "window": 6, "bipower_window": 8, "pairs": {"min_overlap": 3, "jump_floor": 3},
-}).encode()
+}
 
 
 @settings(max_examples=15, deadline=None)
-@given(extreme_panels())
-def test_all_on_an_extreme_panel_exits_0_or_2_and_writes_no_stray_inf_or_nan(hpi):
+@given(extreme_panels(), st.sampled_from(("coastal", "ca-equal-weighted")))
+def test_all_on_an_extreme_panel_exits_0_or_2_and_writes_no_stray_inf_or_nan(hpi, residual):
+    config = json.dumps(dict(ALL_CONFIG, interaction_residual=residual)).encode()
     out = assert_exits_0_or_2_cleanly("all", {"hpi.csv": hpi, "factors.csv": ALL_FACTORS,
-                                              "transforms.json": TRANSFORMS, "config.json": ALL_CONFIG})
+                                              "transforms.json": TRANSFORMS, "config.json": config})
     for name, data in out.items():
         if not name.endswith(".csv"):
             continue

@@ -155,7 +155,7 @@ def test_near_collinear_window_keeps_the_stacked_beta(rng):
     result = rolling_factor_model(ds, window=w)
     X = add_intercept(F)
     for s in range(n - w + 1):
-        alone = _fit_stack(np.column_stack([X[s : s + w], y[s : s + w]])[None], result.names)
+        alone = _fit_stack(X[None, s : s + w], y[None, None, s : s + w], result.names)
         assert not alone.failed
         assert_array_equal(result.beta[0, s], alone.beta[0, 0])
         assert_near_the_pivoted_oracle(result.beta[0, s], X[s : s + w], y[s : s + w], result.names)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 from housingrisk import (
@@ -26,7 +27,7 @@ from housingrisk import (
     ols_fit,
     trend_fit,
 )
-from housingrisk.regress import _ar1_rows, _cochrane_orcutt_stack, _fit_stack, _solve_stacked, _stack, _t_stats
+from housingrisk.regress import _ar1_rows, _cochrane_orcutt_stack, _fit_stack, _solve_stacked, _t_stats
 
 from . import oracles
 from .oracles import add_intercept
@@ -359,16 +360,16 @@ def test_rank_rule_finds_the_pivoted_qr_rank(seed, kinds, extra_rows, shuffle):
 
 
 def stack_of_designs(rng, s, n, k, m, phi=0.0):
-    """``[X | Y]`` of shape (s, n, k + m): an intercept and k - 1 random
-    ``design`` columns per problem, about one problem in three rank
-    deficient, and AR(1) noise of coefficient ``phi`` in the responses."""
-    stack = np.empty((s, n, k + m))
+    """X (s, n, k) and Y (s, m, n): an intercept and k - 1 random ``design``
+    columns per problem, about one problem in three rank deficient, and
+    AR(1) noise of coefficient ``phi`` in the responses."""
+    X, Y = np.empty((s, n, k)), np.empty((s, m, n))
     for i in range(s):
         pool = DESIGN_COLUMNS if rng.random() < 0.3 else ("normal", "near")
-        X = design(rng, ["intercept", *rng.choice(pool, k - 1)], n)
+        X[i] = design(rng, ["intercept", *rng.choice(pool, k - 1)], n)
         noise = np.column_stack([ar1_noise(rng, n, phi) for _ in range(m)])
-        stack[i] = np.column_stack([X, X @ rng.normal(size=(k, m)) + noise])
-    return stack
+        Y[i] = (X[i] @ rng.normal(size=(k, m)) + noise).T
+    return X, Y
 
 
 def assert_same_stack_rows(whole, alone, at):
@@ -400,36 +401,35 @@ def test_a_problem_has_the_same_bits_alone_and_in_a_stack(seed, s, k, m, extra_r
     rng = np.random.default_rng(seed)
     n = k + extra_rows
     names = tuple(f"x{j}" for j in range(k))
-    Xy = stack_of_designs(rng, s, n, k, m, phi)
-    Xz = Xy.copy()
-    scale = rng.integers(-spread, spread + 1, size=(s, 1, m))
-    Xy[:, :, k:] = np.ldexp(Xy[:, :, k:], scale)
-    alone = [_fit_stack(Xy[i : i + 1], names) for i in range(s)]
-    whole = _fit_stack(Xy, names)
+    X, Y = stack_of_designs(rng, s, n, k, m, phi)
+    Z = Y.copy()
+    scale = rng.integers(-spread, spread + 1, size=(s, m, 1))
+    Y = np.ldexp(Y, scale)
+    alone = [_fit_stack(X[i : i + 1], Y[i : i + 1], names) for i in range(s)]
+    whole = _fit_stack(X, Y, names)
     for i, fit in enumerate(alone):
         assert_same_stack_rows(whole, fit, i)
     # Nor on the scale of the other responses of its problem: the first
     # response scaled anew leaves the bits of every other.
-    scale[:, :, 0] = rng.integers(-spread, spread + 1, size=(s, 1))
-    Xz[:, :, k:] = np.ldexp(Xz[:, :, k:], scale)
-    for a, b in zip(whole[:4], _fit_stack(Xz, names)[:4]):
+    scale[:, 0] = rng.integers(-spread, spread + 1, size=(s, 1))
+    for a, b in zip(whole[:4], _fit_stack(X, np.ldexp(Z, scale), names)[:4]):
         if a is not None:
             assert_array_equal(a[:, 1:], b[:, 1:])
     part = rng.choice(s, rng.integers(1, s + 1), replace=False)  # any sub-stack, in any order
-    some = _fit_stack(Xy[part], names)
+    some = _fit_stack(X[part], Y[part], names)
     for j, i in enumerate(part):
         assert_same_stack_rows(some, alone[i], j)
     # Cochrane-Orcutt runs groups of different n in one lockstep; each
     # problem has the bits of its own one-problem call.
     groups = []
     for _ in range(s):
-        one = stack_of_designs(rng, 1, k + rng.choice([3, 4, 8, 30]), k, m, phi)[0]
-        X, Y = one[:, :k], np.ldexp(one[:, k:].T, rng.integers(-spread, spread + 1, size=(m, 1)))
-        groups.append((X, Y, names, _fit_stack(_stack(X, Y), names).single()))
+        X, Y = stack_of_designs(rng, 1, k + rng.choice([3, 4, 8, 30]), k, m, phi)
+        X, Y = X[0], np.ldexp(Y[0], rng.integers(-spread, spread + 1, size=(m, 1)))
+        groups.append((X, Y, names, _fit_stack(X[None], Y[None], names).responses()))
     for (X, Y, _, _), (co, *rest) in zip(groups, _cochrane_orcutt_stack(groups)):
         for j in range(m):
             [(co_j, *rest_j)] = _cochrane_orcutt_stack([(X, Y[j : j + 1], names,
-                                                        _fit_stack(_stack(X, Y[j : j + 1]), names).single())])
+                                                        _fit_stack(X[None], Y[None, j : j + 1], names).responses())])
             assert_same_stack_rows(co, co_j, j)
             for a, b in zip(rest, rest_j):
                 assert_array_equal(a[j], b[0])
@@ -449,13 +449,29 @@ def test_a_response_has_the_same_bits_alone_and_among_others(seed, s, k, m, extr
     # there are, nor on where it stands among them.
     rng = np.random.default_rng(seed)
     names = tuple(f"x{j}" for j in range(k))
-    Xy = stack_of_designs(rng, s, k + extra_rows, k, m)
-    whole = _fit_stack(Xy, names, diagnostics=False)
+    n = k + extra_rows
+    X, Y = stack_of_designs(rng, s, n, k, m)
+    whole = _fit_stack(X, Y, names, diagnostics=False)
     part = rng.choice(m, rng.integers(1, m + 1), replace=False)
-    some = _fit_stack(Xy[:, :, [*range(k), *(k + part)]], names, diagnostics=False)
+    some = _fit_stack(X, Y[:, part], names, diagnostics=False)
     assert_array_equal(whole.beta[:, part], some.beta)
     assert_array_equal(whole.r_square[:, part], some.r_square)
     assert str(whole.failed) == str(some.failed)
+    # Nor on the layout of the arrays: the kernel takes its callers' views
+    # as they are. Step-2 slices of wider arrays, and the windows of such a
+    # slice and of a grid that holds the responses as columns (as the
+    # integration spans do), have the bits of their C copies.
+    wide, tall = np.zeros((s, n, 2 * k)), np.zeros((s, m, 2 * n))
+    wide[:, :, ::2], tall[:, :, ::2] = X, Y
+    w = k + 2
+    windows = (sliding_window_view(wide[0, :, ::2], w, axis=0).transpose(0, 2, 1),
+               sliding_window_view(np.ascontiguousarray(Y[0].T), w, axis=0))
+    for Xv, Yv in ((wide[:, :, ::2], tall[:, :, ::2]), windows):
+        assert not (Xv.flags.c_contiguous or Yv.flags.c_contiguous)
+        view, copy = _fit_stack(Xv, Yv, names), _fit_stack(*map(np.ascontiguousarray, (Xv, Yv)), names)
+        for a, b in zip(view[:4], copy[:4]):
+            assert_array_equal(a, b)
+        assert str(view.failed) == str(copy.failed)
 
 
 # --- AR(1) pre-whitening ----------------------------------------------------
@@ -627,7 +643,7 @@ def test_trend_equals_its_stack_row_and_the_stacked_fit_bit_for_bit(rows, i):
     assert_array_equal(fit.residuals, stack.residuals[i])
 
     X = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
-    one = _fit_stack(np.column_stack([X, y])[None], ("const", "t")).single()
+    one = _fit_stack(X[None], y[None, None], ("const", "t")).responses()
     assert (fit.intercept, fit.slope) == tuple(one.beta[0])
     assert fit.slope_t_stat in (0.0, _t_stats(one.beta, one.se)[0, 1])
 
@@ -707,7 +723,7 @@ def test_trend_scales_exactly_with_a_power_of_two(data, n):
     y1, y2, d = rescalings(data.draw, n)
     a, b = trend_fit(y1), trend_fit(y2)
     X = add_intercept(np.arange(n, dtype=float))
-    se = [_fit_stack(np.column_stack([X, y])[None], ("const", "t")).se[0, 0, 1] for y in (y1, y2)]
+    se = [_fit_stack(X[None], y[None, None], ("const", "t")).se[0, 0, 1] for y in (y1, y2)]
     assert_scaled([a.intercept, a.slope], [b.intercept, b.slope], d)
     if full_bits((a.slope, b.slope), se):
         assert a.slope_t_stat == b.slope_t_stat
