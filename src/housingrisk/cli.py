@@ -17,11 +17,14 @@ rejects unknown keys.
 ``ARTIFACTS`` is the one place a CSV artifact is declared: its file name,
 the command that writes it and the builder of its header and columns. A
 command writes its entries, ``all`` every entry, in table order; ``synth``
-writes the generated inputs instead. A report table or figure that shows
-an analysis artifact again calls that artifact's builder, so both show one
-result. ``INTEGRATION_FAMILY`` beside it names the entries built on the
-integration estimates; ``all`` and ``report`` hand them to one forked
-child when two CPUs are usable (see ``_write_artifacts``).
+writes the generated inputs instead. A builder's parameters name the
+inputs and the ``RESULTS`` it reads, and ``_Runner.call`` passes them, each
+result computed once; a report table or figure that shows an analysis
+artifact again reads that artifact's result, so both show one result.
+``INTEGRATION_FAMILY``, the entries whose builders read the integration
+estimates directly or through a result, is derived from those parameters;
+``all`` and ``report`` hand it to one forked child when two CPUs are usable
+(see ``_write_artifacts``).
 
 A run validates its config before it reads any input. It writes every
 artifact into a private stage directory beside the output directory and
@@ -65,7 +68,6 @@ from .contagion import contagion_fit, contagion_fit_interacted  # noqa: F401
 from .core import (
     TRANSFORMS,
     QuarterIndex,
-    ReturnPanel,
     compute_returns,
     default_factor_transforms,
     is_quarter,
@@ -161,6 +163,15 @@ def _file(v) -> bool:
     return isinstance(v, str) and Path(v).is_file()
 
 
+def _name(v) -> bool:
+    """An MSA id or a fragment of an MSA name: a string that is not blank."""
+    return isinstance(v, str) and v.strip() != ""
+
+
+def _quarter_range(v) -> bool:
+    return list_of(is_quarter)(v) and len(v) == 2 and parse_quarter(v[0]).code <= parse_quarter(v[1]).code
+
+
 def _setting(key, what, ok, default=None, *, factory=None, flag=None, keys=None, path=False):
     """A RunConfig field that declares one run setting.
 
@@ -214,10 +225,11 @@ class RunConfig:
     jump_pair_floor: int = _setting("pairs.jump_floor", "an integer at least 3", int_at_least(3), 4)
     time_cohorts: dict = _setting("cohorts.time", "an object of quarters", object_of(is_quarter),
                                   factory=lambda: dict(DEFAULT_TIME_COHORTS))
-    ca_coastal: tuple = _setting("cohorts.ca_coastal", "a list of strings", list_of(instance_of(str)),
+    ca_coastal: tuple = _setting("cohorts.ca_coastal", "a list of non-blank strings", list_of(_name),
                                  DEFAULT_CA_COASTAL)
-    contagion_menu: dict | None = _setting("contagion", "null or an object of string lists",
-                                           optional(object_of(list_of(instance_of(str)))))
+    contagion_menu: dict | None = _setting(
+        "contagion", "null or an object of non-blank string lists under non-blank keys",
+        optional(lambda v: object_of(list_of(_name))(v) and all(map(_name, v))))
     portfolios: dict = _setting(
         "portfolios", "an object", instance_of(dict), factory=lambda: json.loads(json.dumps(DEFAULT_PORTFOLIOS)),
         keys={ANY_KEY: Key("an object", instance_of(dict), keys={
@@ -226,8 +238,8 @@ class RunConfig:
             "available_from": Key("a quarter", is_quarter),
         })})
     sub_ranges: dict = _setting(
-        "sub_ranges", "an object of [first quarter, last quarter] pairs",
-        object_of(lambda v: list_of(is_quarter)(v) and len(v) == 2),
+        "sub_ranges", "an object of [first quarter, last quarter] pairs, the first not after the last",
+        object_of(_quarter_range),
         factory=lambda: {k: tuple(v) for k, v in DEFAULT_SUB_RANGES.items()})
 
     def validate(self) -> None:
@@ -334,24 +346,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _memoised(fn):
-    """Compute ``fn(runner, *args)`` once per argument tuple and keep it on the runner."""
-
-    @functools.wraps(fn)
-    def once(r, *args):
-        key = (fn.__qualname__, *args)
-        if key not in r.results:
-            r.results[key] = fn(r, *args)
-        return r.results[key]
-
-    return once
+def _reads(fn) -> tuple[str, ...]:
+    """The names of ``fn``'s parameters: the inputs and results it reads."""
+    return fn.__code__.co_varnames[:fn.__code__.co_argcount]
 
 
 class _Runner:
-    """Holds loaded inputs, the results computed from them and the output bookkeeping.
+    """Holds the run's inputs, the results computed from them and the output bookkeeping.
 
-    Every analysis result is ``_memoised``: the first artifact that needs it
-    computes it, and every other artifact that needs it reads the same result.
+    ``results`` maps a name to a value: the inputs ``cfg``, ``panel``,
+    ``factors``, ``returns`` and ``ground_truth`` (None unless this run's
+    synth step set it), and each ``RESULTS`` entry once computed. ``call``
+    passes a function the value of each name it reads, so the first function
+    that reads a result computes it, and every other one reads the same result.
     """
 
     def __init__(self, cfg: RunConfig, stage: Path):
@@ -360,11 +367,15 @@ class _Runner:
         self.stage = stage  # every artifact is written here; run() moves them to out
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self.results: dict[tuple, object] = {}
-        self.panel = None
-        self.factors = None
-        self.returns: ReturnPanel | None = None
-        self.ground_truth: dict | None = None  # set only by this run's synth step
+        self.results: dict[str, object] = {"cfg": cfg, "ground_truth": None}
+
+    def value(self, name: str):
+        if name not in self.results:
+            self.results[name] = self.call(RESULTS[name])
+        return self.results[name]
+
+    def call(self, fn):
+        return fn(*map(self.value, _reads(fn)))
 
     # -- input plumbing ---------------------------------------------------
 
@@ -386,7 +397,7 @@ class _Runner:
         if cfg.factors is None:
             raise ConfigError("inputs.factors is required alongside inputs.hpi")
         hpi_path, fac_path = self.source(cfg.hpi), self.source(cfg.factors)
-        self.panel = load_hpi_panel(hpi_path)
+        panel = load_hpi_panel(hpi_path)
         self.inputs[cfg.hpi] = _sha256(hpi_path)
         if isinstance(cfg.transforms, dict):
             transforms = dict(cfg.transforms)
@@ -396,63 +407,9 @@ class _Runner:
             self.inputs[cfg.transforms] = _sha256(transforms_path)
         else:
             transforms = default_factor_transforms(cfg.income_as_level)
-        self.factors = load_factor_table(fac_path, transforms)
+        factors = load_factor_table(fac_path, transforms)
         self.inputs[cfg.factors] = _sha256(fac_path)
-        self.returns = compute_returns(self.panel)
-
-    # -- results ----------------------------------------------------------
-
-    @_memoised
-    def integration(self):
-        return integrate_panel(self.returns, self.factors, self.cfg.window, self.cfg.prewhiten)
-
-    @_memoised
-    def summary(self):
-        return integration_summary(self.integration(), self.returns)
-
-    @_memoised
-    def jumps(self):
-        return lm_series(self.returns, self.cfg.bipower_window, self.cfg.jump_threshold, self.cfg.big_threshold)
-
-    @_memoised
-    def pair_sets(self):
-        """Return pairs then jump pairs, each contemporaneous then lead."""
-        sets = []
-        for timing in ("contemporaneous", "lead"):
-            pairs, _ = return_pair_correlations(self.returns, timing, self.cfg.min_overlap)
-            sets.append(pairs)
-        for timing in ("contemporaneous", "lead"):
-            pairs, _ = jump_pair_correlations(self.jumps(), timing, self.cfg.jump_pair_floor)
-            sets.append(pairs)
-        return sets
-
-    # -- cohort helpers ---------------------------------------------------
-
-    def match_names(self, fragments) -> list[str]:
-        """MSA ids whose display name contains any fragment (case folded)."""
-        hits = []
-        for info in self.panel.msas:
-            name = info.name.lower()
-            if any(f.lower() in name for f in fragments):
-                hits.append(info.msa_id)
-        return hits
-
-    def state_members(self, state: str) -> list[str]:
-        return [m.msa_id for m in self.panel.msas if m.state.upper() == state.upper()]
-
-    def ca_cohorts(self) -> dict[str, list[str]]:
-        """us / ca / ca_coastal / ca_inland memberships (empty ones omitted)."""
-        out = {"us": self.panel.msa_ids()}
-        ca = self.state_members("CA")
-        if ca:
-            out["ca"] = ca
-            coastal = [m for m in self.match_names(self.cfg.ca_coastal) if m in ca]
-            if coastal:
-                out["ca_coastal"] = coastal
-                inland = [m for m in ca if m not in coastal]
-                if inland:
-                    out["ca_inland"] = inland
-        return out
+        self.results.update(panel=panel, factors=factors, returns=compute_returns(panel))
 
     def write_csv(self, name: str, header, columns: list) -> None:
         write_csv_atomic(self.stage / name, header, columns)
@@ -477,12 +434,40 @@ class _Runner:
         write_json_atomic(self.stage / "run_manifest.json", manifest)
 
 
+# -- cohort helpers --------------------------------------------------------
+
+
+def _match_names(panel, fragments) -> list[str]:
+    """MSA ids whose display name contains any fragment (case folded)."""
+    return [m.msa_id for m in panel.msas if any(f.lower() in m.name.lower() for f in fragments)]
+
+
+def _state_members(panel, state: str) -> list[str]:
+    return [m.msa_id for m in panel.msas if m.state.upper() == state.upper()]
+
+
+def _ca_cohorts(panel, cfg: RunConfig) -> dict[str, list[str]]:
+    """us / ca / ca_coastal / ca_inland memberships (empty ones omitted)."""
+    out = {"us": panel.msa_ids()}
+    ca = _state_members(panel, "CA")
+    if ca:
+        out["ca"] = ca
+        coastal = [m for m in _match_names(panel, cfg.ca_coastal) if m in ca]
+        if coastal:
+            out["ca_coastal"] = coastal
+            inland = [m for m in ca if m not in coastal]
+            if inland:
+                out["ca_inland"] = inland
+    return out
+
+
 # -- the artifacts -------------------------------------------------------
 #
 # A builder returns one CSV artifact as (header, columns), as
 # io.write_csv_atomic takes them; a table is a list of columns. ``_x``
-# builds ``x.csv``. A builder that a view reads is ``_memoised``, so the
-# view and its source share one result.
+# builds ``x.csv``. Its parameters name the inputs and ``RESULTS`` it reads.
+# An artifact that a view reads is itself a result, so the view and its
+# source share one result.
 
 FIG_HEADER = ["series", "quarter", "value"]
 MSA_HEADER = ["msa_id"] + list(CHARACTERISTICS) + [f"rank_{c}" for c in CHARACTERISTICS]
@@ -509,35 +494,31 @@ def _fields(records, cls) -> tuple[list[str], list[list]]:
     return names, [[getattr(rec, name) for rec in records] for name in names]
 
 
-def _panel_summary(r: _Runner):
-    p = r.panel
+def _panel_summary(panel):
     return ["msa_id", "msa_name", "state", "first_quarter", "last_quarter", "n_obs"], [
-        p.msa_ids(),
-        [m.name for m in p.msas],
-        [m.state for m in p.msas],
-        quarter_labels(p.start.code + p.first_offsets),
-        quarter_labels(np.full(p.n_msas, p.end.code)),
-        p.n_quarters - p.first_offsets,
+        panel.msa_ids(),
+        [m.name for m in panel.msas],
+        [m.state for m in panel.msas],
+        quarter_labels(panel.start.code + panel.first_offsets),
+        quarter_labels(np.full(panel.n_msas, panel.end.code)),
+        panel.n_quarters - panel.first_offsets,
     ]
 
 
-def _integration_series(r: _Runner):
-    result = r.integration()
+def _integration_series(integration):
     # Each MSA's windows from its first on, MSA by MSA.
-    present = np.arange(len(result.ends)) >= result.first[:, None]
+    present = np.arange(len(integration.ends)) >= integration.first[:, None]
     msa, s = np.nonzero(present)
-    return ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in result.names], [
-        Labels(msa, result.ids),
-        quarter_labels(result.ends[s]),
-        result.r_square[present],
-        *result.beta[present].T,
+    return ["msa_id", "quarter", "r_square"] + [f"beta_{n}" for n in integration.names], [
+        Labels(msa, integration.ids),
+        quarter_labels(integration.ends[s]),
+        integration.r_square[present],
+        *integration.beta[present].T,
     ]
 
 
-def _integration_summary(r: _Runner):
-    summary = r.summary()
-    skipped = r.integration().skipped
-    notes = summary.excluded + skipped
+def _integration_summary(summary, integration):
+    notes = summary.excluded + integration.skipped
 
     def blank(n_rows):
         return np.full((n_rows, len(CHARACTERISTICS)), np.nan)
@@ -551,29 +532,27 @@ def _integration_summary(r: _Runner):
     ])
     return ["row_type", "key"] + MSA_HEADER[1:] + ["note"], [
         Labels.repeat(["msa", "cross", "quintile_min", "excluded", "skipped"],
-                      [summary.n, len(CROSS_STATS), 5, len(summary.excluded), len(skipped)]),
+                      [summary.n, len(CROSS_STATS), 5, len(summary.excluded), len(integration.skipped)]),
         [*summary.ids, *CROSS_STATS, "q1", "q2", "q3", "q4", "q5", *(msa_id for msa_id, _ in notes)],
         *numbers.T,
         [""] * (len(numbers) - len(notes)) + [reason for _, reason in notes],
     ]
 
 
-@_memoised
-def _cohort_averages(r: _Runner):
+def _cohort_averages(integration, panel, cfg):
     """Entry-time cohorts plus the CA coastal/inland split: (cohort, quarter, average R²)."""
-    integ = r.integration()
     return ["cohort", "quarter", "avg_r_square"], _long([
-        (name, *cohort_average(integ, members, start))
-        for name, members, start in _cohort_plan(r, integ)
+        (name, *cohort_average(integration, members, start))
+        for name, members, start in _cohort_plan(integration, panel, cfg)
     ])
 
 
-def _cohort_plan(r: _Runner, integ):
+def _cohort_plan(integ, panel, cfg: RunConfig):
     """(name, members, start) triples for every non-empty cohort."""
     have = dict(zip(integ.ids, integ.ends[integ.first].tolist()))  # MSA -> its first window end
     plan = [("us", sorted(have), None)]
     starts = sorted(
-        ((name, parse_quarter(q)) for name, q in r.cfg.time_cohorts.items()),
+        ((name, parse_quarter(q)) for name, q in cfg.time_cohorts.items()),
         key=lambda kv: kv[1].code,
     )
     prev_code = None
@@ -586,7 +565,7 @@ def _cohort_plan(r: _Runner, integ):
         if members:
             plan.append((name, members, start))
         prev_code = start.code
-    cohorts = r.ca_cohorts()
+    cohorts = _ca_cohorts(panel, cfg)
     for name in ("ca_coastal", "ca_inland"):
         members = [m for m in cohorts.get(name, []) if m in have]
         if members:
@@ -594,8 +573,7 @@ def _cohort_plan(r: _Runner, integ):
     return plan
 
 
-def _jump_series(r: _Runner):
-    jumps = r.jumps()
+def _jump_series(jumps):
     # Each MSA's quarters from its first return on, MSA by MSA.
     present = np.arange(len(jumps.L)) >= jumps.first_offsets[:, None]
     msa, t = np.nonzero(present)
@@ -606,12 +584,10 @@ def _jump_series(r: _Runner):
     ]
 
 
-@_memoised
-def _jump_incidence(r: _Runner):
+def _jump_incidence(jumps, panel, cfg):
     """(cohort, quarter, pct, n_flagged, n_testable) of big flags per CA cohort."""
-    jumps = r.jumps()
     parts = []
-    for cohort, members in r.ca_cohorts().items():
+    for cohort, members in _ca_cohorts(panel, cfg).items():
         wanted = set(members)
         columns = np.flatnonzero([msa_id in wanted for msa_id in jumps.ids])
         if columns.size:
@@ -621,36 +597,45 @@ def _jump_incidence(r: _Runner):
         _long(zip(names, codes, pct)) + [_concat(flagged, int), _concat(testable, int)])
 
 
-def _pair_correlations(r: _Runner):
-    sets = r.pair_sets()
-    ids = [msa_id for p in sets for msa_id in p.ids]  # each set's ids, one after another
-    offsets = np.cumsum([0] + [len(p.ids) for p in sets[:-1]])
-    counts = [len(p) for p in sets]
+def _pair_sets(returns, jumps, cfg):
+    """Return pairs then jump pairs, each contemporaneous then lead."""
+    sets = []
+    for timing in ("contemporaneous", "lead"):
+        pairs, _ = return_pair_correlations(returns, timing, cfg.min_overlap)
+        sets.append(pairs)
+    for timing in ("contemporaneous", "lead"):
+        pairs, _ = jump_pair_correlations(jumps, timing, cfg.jump_pair_floor)
+        sets.append(pairs)
+    return sets
+
+
+def _pair_correlations(pair_sets):
+    ids = [msa_id for p in pair_sets for msa_id in p.ids]  # each set's ids, one after another
+    offsets = np.cumsum([0] + [len(p.ids) for p in pair_sets[:-1]])
+    counts = [len(p) for p in pair_sets]
     return ["msa_i", "msa_j", "kind", "timing", "r", "n", "t"], [
-        Labels(_concat([p.i + off for p, off in zip(sets, offsets)], int), ids),
-        Labels(_concat([p.j + off for p, off in zip(sets, offsets)], int), ids),
-        Labels.repeat([p.kind for p in sets], counts),
-        Labels.repeat([p.timing for p in sets], counts),
-        _concat([p.r for p in sets], float),
-        _concat([p.n for p in sets], int),
-        _concat([p.t for p in sets], float),
+        Labels(_concat([p.i + off for p, off in zip(pair_sets, offsets)], int), ids),
+        Labels(_concat([p.j + off for p, off in zip(pair_sets, offsets)], int), ids),
+        Labels.repeat([p.kind for p in pair_sets], counts),
+        Labels.repeat([p.timing for p in pair_sets], counts),
+        _concat([p.r for p in pair_sets], float),
+        _concat([p.n for p in pair_sets], int),
+        _concat([p.t for p in pair_sets], float),
     ]
 
 
-@_memoised
-def _correlation_summary(r: _Runner):
-    summaries = [s for pairs in r.pair_sets() if pairs for s in correlation_summary(pairs)]
+def _correlation_summary(pair_sets):
+    summaries = [s for pairs in pair_sets if pairs for s in correlation_summary(pairs)]
     header, columns = _fields(summaries, CorrelationSummary)
     return header, [["none" if v is None else v for v in column] for column in columns]
 
 
-@_memoised
-def _division_report(r: _Runner):
-    states = {m.msa_id: m.state for m in r.panel.msas if m.state}
-    return _fields(cohort_correlation_report(r.pair_sets(), states, r.cfg.pair_sig_t), DivisionRow)
+def _division_report(pair_sets, panel, cfg):
+    states = {m.msa_id: m.state for m in panel.msas if m.state}
+    return _fields(cohort_correlation_report(pair_sets, states, cfg.pair_sig_t), DivisionRow)
 
 
-def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
+def _resolve_contagion_menu(panel, cfg: RunConfig, ground_truth) -> list[tuple[str, str]]:
     """(source id, target id) pairs for the contagion command, each once.
 
     Priority: explicit config (ids or name fragments) > default city menu
@@ -659,12 +644,10 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
     pair that two references resolve to (an id and a name fragment, say)
     is listed the first time.
     """
-    ids = set(r.panel.msa_ids())
+    ids = set(panel.msa_ids())
 
     def resolve_one(ref):
-        if ref in ids:
-            return [ref]
-        return r.match_names([ref])
+        return [ref] if ref in ids else _match_names(panel, [ref])
 
     def expand(menu, strict):
         pairs = []
@@ -679,8 +662,8 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
                 pairs += [(s, t) for s in srcs for t in tgts if s != t]
         return list(dict.fromkeys(pairs))
 
-    if r.cfg.contagion_menu is not None:
-        pairs = expand(r.cfg.contagion_menu, strict=True)
+    if cfg.contagion_menu is not None:
+        pairs = expand(cfg.contagion_menu, strict=True)
         if not pairs:
             raise ConfigError("contagion menu resolves to no pair of distinct source and target MSAs")
         return pairs
@@ -688,8 +671,8 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
     if pairs:
         return pairs
 
-    if r.ground_truth is not None:
-        planted = r.ground_truth.get("contagion", [])
+    if ground_truth is not None:
+        planted = ground_truth.get("contagion", [])
         pairs = list(dict.fromkeys((entry["source"], entry["target"]) for entry in planted))
     if pairs:
         return pairs
@@ -698,8 +681,7 @@ def _resolve_contagion_menu(r: _Runner) -> list[tuple[str, str]]:
     return [(ordered[0], t) for t in ordered[1 : min(4, len(ordered))]]
 
 
-@_memoised
-def _interaction_residual(r: _Runner, source: str | None):
+def _interaction_residual(panel, returns, source: str | None):
     """(first quarter code, residual values) per the configured residual source.
 
     ``source`` is None for the ca-equal-weighted residual, which is the
@@ -708,12 +690,12 @@ def _interaction_residual(r: _Runner, source: str | None):
     """
     try:
         if source is not None:
-            first, levels = r.panel.series(source)
+            first, levels = panel.series(source)
             return first.code, boombust_residual(levels)
-        members = r.state_members("CA")
+        members = _state_members(panel, "CA")
         if not members:
             raise ConfigError("interaction_residual=ca-equal-weighted needs MSAs with state CA")
-        codes, rets, _ = portfolio_returns(r.returns, members)
+        codes, rets, _ = portfolio_returns(returns, members)
         first = int(codes[0]) - 1  # the quarter of the index's base level, 100
         with np.errstate(over="ignore", under="ignore"):  # a level out of range is named below
             levels = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(rets)]) / 100.0)
@@ -726,8 +708,7 @@ def _interaction_residual(r: _Runner, source: str | None):
         return None
 
 
-@_memoised
-def _contagion_fits(r: _Runner):
+def _contagion_fits(returns, panel, cfg, ground_truth):
     """Fit every configured source→target pair once.
 
     A pair's overlap is the rows of the return grid from the later of its
@@ -745,11 +726,10 @@ def _contagion_fits(r: _Runner):
         header += [f"lag{l}", f"lag{l}_t"]
     for l in range(n_lags + 1):
         header += [f"ix_lag{l}", f"ix_lag{l}_t"]
-    per_source = r.cfg.interaction_residual == "coastal"
-    grid = r.returns
-    pairs = sorted(_resolve_contagion_menu(r))
-    source, target = np.array([[grid.column(m) for m in pair] for pair in pairs], dtype=int).reshape(-1, 2).T
-    lo = np.maximum(grid.first_offsets[source], grid.first_offsets[target])
+    per_source = cfg.interaction_residual == "coastal"
+    pairs = sorted(_resolve_contagion_menu(panel, cfg, ground_truth))
+    source, target = np.array([[returns.column(m) for m in pair] for pair in pairs], dtype=int).reshape(-1, 2).T
+    lo = np.maximum(returns.first_offsets[source], returns.first_offsets[target])
     groups: dict[tuple[int, int], list[int]] = {}
     for at, key in enumerate(zip(source.tolist(), lo.tolist())):
         groups.setdefault(key, []).append(at)
@@ -758,22 +738,23 @@ def _contagion_fits(r: _Runner):
     # starts as one row skipped for insufficient overlap.
     shown = np.tile([True, False], (len(pairs), 1))
     variant = np.full((len(pairs), 2), "skipped", dtype=object)
-    n = np.repeat(grid.n_quarters - lo, 2).reshape(-1, 2)
+    n = np.repeat(returns.n_quarters - lo, 2).reshape(-1, 2)
     method = np.full((len(pairs), 2), "insufficient overlap", dtype=object)
     numbers = np.full((len(pairs), 2, len(header) - 5), np.nan)  # rho, R², DW, (coefficient, t) pairs
     variants = ([], [])  # per variant, (pair indices, (targets, source, residual)) of each group
+    residual = functools.cache(lambda source: _interaction_residual(panel, returns, source))
     for (s, first), at in groups.items():
-        if grid.n_quarters - first < min_history(n_lags):
+        if returns.n_quarters - first < min_history(n_lags):
             continue
-        sv = grid.values[first:, s]
-        block = grid.values[first:, target[at]].T
-        res = _interaction_residual(r, grid.msas[s].msa_id if per_source else None)
-        code = grid.start.code + first
+        sv = returns.values[first:, s]
+        block = returns.values[first:, target[at]].T
+        res = residual(returns.msas[s].msa_id if per_source else None)
+        code = returns.start.code + first
         variants[0].append((at, (block, sv, None)))
         if res is not None and res[0] <= code:
             variants[1].append((at, (block, sv, res[1][code - res[0]:])))
     for v, (name, entries) in enumerate(zip(("base", "interacted"), variants)):
-        for (at, _), fits in zip(entries, contagion_fits([group for _, group in entries], n_lags, r.cfg.serial)):
+        for (at, _), fits in zip(entries, contagion_fits([group for _, group in entries], n_lags, cfg.serial)):
             ok = np.array([exc is None for exc in fits.errors])
             shown[at, v] = True
             variant[at, v] = np.where(ok, name, "skipped")
@@ -793,51 +774,47 @@ def _contagion_fits(r: _Runner):
     ]
 
 
-def _contagion_variant(r: _Runner, variant: str):
+def _contagion_variant(contagion_fits, variant: str):
     """contagion_fits.csv's ``variant`` rows without the variant column; a base fit has no ix_ columns."""
-    header, columns = _contagion_fits(r)
+    header, columns = contagion_fits
     rows = np.flatnonzero(columns[2] == variant)
     keep = [k for k, h in enumerate(header) if h != "variant" and not (variant == "base" and h.startswith("ix_"))]
     return [header[k] for k in keep], [columns[k][rows] for k in keep]
 
 
-def _portfolio_members(r: _Runner, name: str, spec: dict) -> list[str]:
+def _portfolio_members(returns, panel, name: str, spec: dict) -> list[str]:
     if "members" in spec:
-        unknown = sorted(set(spec["members"]) - set(r.returns.msa_ids()))
+        unknown = sorted(set(spec["members"]) - set(returns.msa_ids()))
         if unknown:
             raise ConfigError(f"portfolio {name!r} member {unknown[0]!r} matches no MSA")
         return sorted(spec["members"])
-    members = r.state_members(spec["state"]) if "state" in spec else r.returns.msa_ids()
+    members = _state_members(panel, spec["state"]) if "state" in spec else returns.msa_ids()
     if "available_from" in spec:
         from_q = parse_quarter(spec["available_from"])
         members = [
-            m for m in members if r.returns.first_quarter(m).code <= from_q.code
+            m for m in members if returns.first_quarter(m).code <= from_q.code
         ]
     return sorted(members)
 
 
-@_memoised
-def _portfolios(r: _Runner) -> list[tuple]:
+def _portfolios(integration, returns, panel, cfg) -> list[tuple]:
     """(name, diversification series, member-average R² path or None) per portfolio."""
-    integ = r.integration()
-    have = set(integ.ids)
+    have = set(integration.ids)
     out = []
-    for name, spec in sorted(r.cfg.portfolios.items()):
-        members = _portfolio_members(r, name, spec)
+    for name, spec in sorted(cfg.portfolios.items()):
+        members = _portfolio_members(returns, panel, name, spec)
         if not members:
             continue
         try:
-            ps = diversification_series(r.returns, members, r.cfg.window)
+            ps = diversification_series(returns, members, cfg.window)
         except (InsufficientHistoryError, ValueError):
             continue
         int_members = [m for m in members if m in have]
-        out.append((name, ps, cohort_average(integ, int_members) if int_members else None))
+        out.append((name, ps, cohort_average(integration, int_members) if int_members else None))
     return out
 
 
-def _portfolio_series(r: _Runner):
-    portfolios = _portfolios(r)
-
+def _portfolio_series(portfolios):
     def on_return_quarters(column):
         """The per-window values of every portfolio, blank before each one's first window."""
         return _concat([np.concatenate([np.full(ps.returns.size - ps.sigma_codes.size, np.nan),
@@ -853,13 +830,13 @@ def _portfolio_series(r: _Runner):
     ]
 
 
-def _series_correlations(r: _Runner):
+def _series_correlations(portfolios, cfg):
     ranges = [("full", None, None)] + [
         (rng_name, parse_quarter(lo), parse_quarter(hi))
-        for rng_name, (lo, hi) in sorted(r.cfg.sub_ranges.items())
+        for rng_name, (lo, hi) in sorted(cfg.sub_ranges.items())
     ]
     correlations = [[] for _ in range(6)]
-    for name, ps, avg_r2 in _portfolios(r):
+    for name, ps, avg_r2 in portfolios:
         if avg_r2 is None:
             continue
         for rng_name, lo, hi in ranges:
@@ -902,8 +879,8 @@ def _cmd_synth(r: _Runner) -> None:
     write_factor_csv(r.stage / "factors_synth.csv", table.factor_ids, table.start, np.exp(table.values))
     r.outputs += ["hpi_synth.csv", "factors_synth.csv"]
     r.write_json("transforms_synth.json", {f: "log_level" for f in table.factor_ids})
-    r.ground_truth = ground_truth_report(truth)
-    r.write_json("ground_truth.json", r.ground_truth)
+    r.results["ground_truth"] = ground_truth_report(truth)
+    r.write_json("ground_truth.json", r.results["ground_truth"])
     # The inputs are named by their final paths, so the config hash and the
     # manifest never name the stage; load() reads them through source().
     cfg.hpi = str(r.out / "hpi_synth.csv")
@@ -911,13 +888,11 @@ def _cmd_synth(r: _Runner) -> None:
     cfg.transforms = str(r.out / "transforms_synth.json")
 
 
-def _table1(r: _Runner):
-    summary = r.summary()
+def _table1(summary):
     return MSA_HEADER, [summary.ids, *summary.values.T, *summary.ranks.T]
 
 
-def _table2(r: _Runner):
-    summary = r.summary()
+def _table2(summary):
     trend = CHARACTERISTICS.index("trend_t_stat")
     by_rank = np.argsort(summary.ranks[:, trend])
     return ["msa_id", "trend_t_stat", "rank"], [
@@ -927,14 +902,13 @@ def _table2(r: _Runner):
     ]
 
 
-def _fig3(r: _Runner):
-    integ = r.integration()
-    return FIG_HEADER, _long((f, *beta_average(integ, f)) for f in integ.names if f != "const")
+def _fig3(integration):
+    return FIG_HEADER, _long((f, *beta_average(integration, f)) for f in integration.names if f != "const")
 
 
-def _fig5(r: _Runner):
+def _fig5(portfolios):
     triples = []
-    for name, ps, avg_r2 in _portfolios(r):
+    for name, ps, avg_r2 in portfolios:
         triples.append((f"{name}_sigma", ps.sigma_codes, ps.portfolio_sigma))
         triples.append((f"{name}_diversification", ps.sigma_codes, ps.diversification))
         if avg_r2 is not None:
@@ -942,50 +916,68 @@ def _fig5(r: _Runner):
     return FIG_HEADER, _long(triples)
 
 
+# Every result that more than one function reads, by name; each function's
+# parameters name what it reads. A library function is looked up when the
+# result is computed, so a wrapper put over its name in this module sees it.
+RESULTS = {
+    "integration": lambda returns, factors, cfg: integrate_panel(returns, factors, cfg.window, cfg.prewhiten),
+    "summary": lambda integration, returns: integration_summary(integration, returns),
+    "jumps": lambda returns, cfg: lm_series(returns, cfg.bipower_window, cfg.jump_threshold, cfg.big_threshold),
+    "pair_sets": _pair_sets,
+    "cohort_averages": _cohort_averages,
+    "jump_incidence": _jump_incidence,
+    "correlation_summary": _correlation_summary,
+    "division_report": _division_report,
+    "contagion_fits": _contagion_fits,
+    "portfolios": _portfolios,
+}
+
 # Every CSV artifact: (file name, the command that writes it, builder), in
 # the order ``all`` writes them. The report's tables and figures are views
-# of the analysis artifacts.
+# of the analysis artifacts' results.
 ARTIFACTS = (
     ("panel_summary.csv", "ingest", _panel_summary),
     ("integration_series.csv", "integrate", _integration_series),
     ("integration_summary.csv", "integrate", _integration_summary),
-    ("cohort_averages.csv", "integrate", _cohort_averages),
+    ("cohort_averages.csv", "integrate", lambda cohort_averages: cohort_averages),
     ("jump_series.csv", "jumps", _jump_series),
-    ("jump_incidence.csv", "jumps", _jump_incidence),
+    ("jump_incidence.csv", "jumps", lambda jump_incidence: jump_incidence),
     ("pair_correlations.csv", "correlate", _pair_correlations),
-    ("correlation_summary.csv", "correlate", _correlation_summary),
-    ("division_report.csv", "correlate", _division_report),
-    ("contagion_fits.csv", "contagion", _contagion_fits),
+    ("correlation_summary.csv", "correlate", lambda correlation_summary: correlation_summary),
+    ("division_report.csv", "correlate", lambda division_report: division_report),
+    ("contagion_fits.csv", "contagion", lambda contagion_fits: contagion_fits),
     ("portfolio_series.csv", "portfolio", _portfolio_series),
     ("series_correlations.csv", "portfolio", _series_correlations),
     ("table1.csv", "report", _table1),
     ("table2.csv", "report", _table2),
-    ("table3.csv", "report", _correlation_summary),
-    ("table4.csv", "report", _division_report),
-    ("fig2.csv", "report", lambda r: (FIG_HEADER, _cohort_averages(r)[1])),
+    ("table3.csv", "report", lambda correlation_summary: correlation_summary),
+    ("table4.csv", "report", lambda division_report: division_report),
+    ("fig2.csv", "report", lambda cohort_averages: (FIG_HEADER, cohort_averages[1])),
     ("fig3.csv", "report", _fig3),
-    ("fig4.csv", "report", lambda r: (FIG_HEADER, _jump_incidence(r)[1][:3])),
+    ("fig4.csv", "report", lambda jump_incidence: (FIG_HEADER, jump_incidence[1][:3])),
     ("fig5.csv", "report", _fig5),
-    ("table5.csv", "report", lambda r: _contagion_variant(r, "base")),
-    ("table6.csv", "report", lambda r: _contagion_variant(r, "interacted")),
+    ("table5.csv", "report", lambda contagion_fits: _contagion_variant(contagion_fits, "base")),
+    ("table6.csv", "report", lambda contagion_fits: _contagion_variant(contagion_fits, "interacted")),
 )
 
-# The entries whose builders read ``r.integration()``: the integration
-# estimates, the portfolio simulation built on them and their views. No
-# memoised result is read both by one of these and by another entry, so a
-# forked child can write them while the parent writes the rest.
-INTEGRATION_FAMILY = frozenset({
-    "integration_series.csv", "integration_summary.csv", "cohort_averages.csv",
-    "portfolio_series.csv", "series_correlations.csv",
-    "table1.csv", "table2.csv", "fig2.csv", "fig3.csv", "fig5.csv",
-})
+
+def _reaches(fn, name: str) -> bool:
+    """Whether ``fn`` reads ``name``, directly or through a result it reads."""
+    return any(read == name or read in RESULTS and _reaches(RESULTS[read], name) for read in _reads(fn))
+
+
+# The entries whose builders read the integration estimates, directly or
+# through a result: those estimates, the portfolio simulation built on them
+# and their views. No result is read both by one of these and by another
+# entry, so a forked child can write them while the parent writes the rest.
+INTEGRATION_FAMILY = frozenset(name for name, _, build in ARTIFACTS if _reaches(build, "integration"))
 
 
 def _write_entries(r: _Runner, entries) -> tuple | None:
     """Write (ARTIFACTS index, name, builder) entries in order; (index, exception) of the first that fails."""
     for at, name, build in entries:
         try:
-            r.write_csv(name, *build(r))
+            r.write_csv(name, *r.call(build))
         except Exception as exc:
             return at, exc
     return None

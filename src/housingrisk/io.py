@@ -117,7 +117,10 @@ def load_hpi_panel(path: str | Path) -> IndexPanel:
                 if len(row) != 5:
                     raise _RecordFault(f"expected 5 fields, got {len(row)}")
                 msa, name, state, code, level = row
-                msa, code, level = msa_of[msa], quarter_of[code], level.strip()
+                msa = msa_of[msa]
+                if not msa:
+                    raise _RecordFault("empty msa_id")
+                code, level = quarter_of[code], level.strip()
                 try:
                     value = float(level)  # of the stripped text: float() keeps \x1c-\x1f padding
                 except ValueError:

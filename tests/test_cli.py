@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 from pathlib import Path
@@ -237,6 +238,15 @@ def test_readme_lists_each_commands_artifacts_in_table_order():
     assert len({name for name, _, _ in ARTIFACTS}) == len(ARTIFACTS)  # each file declared once
     assert listed == list(declared.items())
     assert {c: set(names) for c, names in listed} == {c: a for c, a in COMMAND_ARTIFACTS.items() if a}
+
+
+def test_readme_lists_the_integration_family_in_table_order():
+    from housingrisk.cli import ARTIFACTS, INTEGRATION_FAMILY
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("- The child computes and writes the integration family:")[1].split("\n- ")[0]
+    listed = re.findall(r"`([^`]+\.csv)`", bullet)
+    assert listed == [name for name, _, _ in ARTIFACTS if name in INTEGRATION_FAMILY]
 
 
 def csv_rows(path) -> list[list[str]]:
@@ -660,10 +670,12 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"pairs": 8}, id="pairs-not-an-object"),
     pytest.param({"sub_ranges": {"x": ["2000:Q5", "2001:Q1"]}}, id="sub-range-bad-quarter"),
     pytest.param({"sub_ranges": {"x": ["2000:Q1"]}}, id="sub-range-one-quarter"),
+    pytest.param({"sub_ranges": {"x": ["2009:Q4", "2000:Q1"]}}, id="sub-range-reversed"),
     pytest.param({"cohorts": {"time": {"c1": "1990:Q9"}}}, id="time-cohort-bad-quarter"),
     pytest.param({"cohorts": {"time": ["1990:Q1"]}}, id="time-cohorts-list"),
     pytest.param({"cohorts": {"ca_coastal": "Los Angeles"}}, id="ca-coastal-string"),
     pytest.param({"cohorts": {"ca_coastal": [1]}}, id="ca-coastal-number"),
+    pytest.param({"cohorts": {"ca_coastal": [""]}}, id="ca-coastal-blank"),
     pytest.param({"portfolios": {"p": {"available_from": "bad"}}}, id="portfolio-bad-quarter"),
     pytest.param({"portfolios": {"p": ["x"]}}, id="portfolio-list"),
     pytest.param({"portfolios": {"p": {"members": [1, 2]}}}, id="portfolio-member-numbers"),
@@ -673,6 +685,8 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"contagion": {"Nowhere": ["S002"]}}, id="contagion-unknown-source"),
     pytest.param({"contagion": {"S001": [2]}}, id="contagion-target-number"),
     pytest.param({"contagion": ["Los Angeles"]}, id="contagion-list"),
+    pytest.param({"contagion": {"": ["S002"]}}, id="contagion-blank-source"),
+    pytest.param({"contagion": {"S001": [" \t"]}}, id="contagion-blank-target"),
     pytest.param({"prewhiten": "no"}, id="prewhiten-string"),
     pytest.param({"income_as_level": 1}, id="income-as-level-number"),
     pytest.param({"seed": -1}, id="seed-negative"),
@@ -1338,8 +1352,8 @@ def test_all_leaves_scipy_linalg_unloaded(tmp_path):
 # --- the forked integration writer -------------------------------------------
 
 def test_the_integration_family_is_the_entries_that_read_the_integration(tmp_path):
-    # And no memoised result is read by an entry of each side, so the two
-    # processes never compute one result twice.
+    # And no result is read by an entry of each side, so the two processes
+    # never compute one result twice.
     import housingrisk.cli as cli
 
     rpath, _ = write_scenario(tmp_path)
@@ -1347,13 +1361,14 @@ def test_the_integration_family_is_the_entries_that_read_the_integration(tmp_pat
     stage.mkdir()
     runner = cli._Runner(build_config(parse(["all", "--config", str(rpath)])), stage)
     runner.load()
+    inputs = dict(runner.results)
     used = {True: set(), False: set()}
     for name, _, build in cli.ARTIFACTS:
-        runner.results.clear()
-        build(runner)
-        in_family = ("_Runner.integration",) in runner.results
+        runner.results = dict(inputs)
+        runner.call(build)
+        in_family = "integration" in runner.results
         assert in_family == (name in cli.INTEGRATION_FAMILY), name
-        used[in_family] |= set(runner.results)
+        used[in_family] |= set(runner.results) - set(inputs)
     assert not used[True] & used[False]
     assert cli.INTEGRATION_FAMILY <= {name for name, _, _ in cli.ARTIFACTS}
 

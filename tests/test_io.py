@@ -115,6 +115,8 @@ HEADER = "msa_id,msa_name,state,quarter,index\n"
     # the bad float at 4 wins over the duplicate at 6
     ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q2,1\nB,b,CA,1990:Q1,y\nB,b,CA,1990:Q2,1\nA,a,CA,1990:Q1,1\n",
      "4: bad index value 'y'"),
+    # an id of white space alone is empty, and is checked before the quarter
+    ("A,a,CA,1990:Q1,1\n  ,b,CA,1990:Q9,1\n", "3: empty msa_id"),
     # of two duplicates, the earlier second record wins
     ("A,a,CA,1990:Q1,1\nA,a,CA,1990:Q2,1\nB,b,CA,1990:Q1,1\nB,b,CA,1990:Q1,1\nA,a,CA,1990:Q1,1\n",
      "5: duplicate (B, 1990:Q1) observation"),
