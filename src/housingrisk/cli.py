@@ -1,7 +1,7 @@
 """Command-line driver: ingestion -> analysis -> CSV/JSON artifacts.
 
-Commands: ingest, integrate, jumps, correlate, contagion, portfolio, synth,
-report, all. Settings merge in precedence order defaults < config file <
+Commands: ingest, integrate, jumps, correlate, contagion, portfolio, report,
+synth, all. Settings merge in precedence order defaults < config file <
 environment (HOUSINGRISK_*) < flags. Each ``RunConfig`` field declares its
 setting's config-file key, its valid values and any flag; the config key
 table ``_CONFIG_KEYS``, the config-file reader, the environment reader and
@@ -66,7 +66,6 @@ from .contagion import (
 # wraps these names in this module, so they stay importable from it.
 from .contagion import contagion_fit, contagion_fit_interacted  # noqa: F401
 from .core import (
-    TRANSFORMS,
     QuarterIndex,
     compute_returns,
     default_factor_transforms,
@@ -91,6 +90,7 @@ from .integration import (
     integration_summary,
 )
 from .io import (
+    TRANSFORM_KEYS,
     Labels,
     load_factor_table,
     load_hpi_panel,
@@ -108,18 +108,6 @@ from .schema import (ANY_KEY, Key, distinct_strings, faults, instance_of, int_at
 from .synth import generate_panel, ground_truth_report, scenario_from_json
 
 __all__ = ["RunConfig", "run", "main", "COMMANDS", "ENV_PREFIX"]
-
-COMMANDS = (
-    "ingest",
-    "integrate",
-    "jumps",
-    "correlate",
-    "contagion",
-    "portfolio",
-    "synth",
-    "report",
-    "all",
-)
 
 ENV_PREFIX = "HOUSINGRISK_"
 
@@ -150,6 +138,13 @@ DEFAULT_PORTFOLIOS = {
 }
 
 DEFAULT_SUB_RANGES = {"2000s": ("2000:Q1", "2009:Q4")}
+
+# The series names the builders write themselves: the cohort of every MSA and
+# the CA coastal/inland split (cohort_averages.csv, jump_incidence.csv), and
+# the whole-sample range (series_correlations.csv). No configured time cohort
+# or sub-range may take one, since its rows would run into theirs.
+ALL_MSAS, CA_SPLIT = "us", ("ca_coastal", "ca_inland")
+FULL_RANGE = "full"
 
 
 # -- the settings ----------------------------------------------------------
@@ -198,8 +193,7 @@ class RunConfig:
     factors: str | None = _setting("inputs.factors", "null or an existing file", optional(_file), path=True)
     transforms: object = _setting(  # path, inline mapping, or None for defaults
         "inputs.transforms", "null, an existing file or an object",
-        optional(lambda v: _file(v) or isinstance(v, dict)),
-        keys={ANY_KEY: Key(f"one of {TRANSFORMS}", TRANSFORMS.__contains__)}, path=True)
+        optional(lambda v: _file(v) or isinstance(v, dict)), keys=TRANSFORM_KEYS, path=True)
     out: str = _setting("out", "a non-empty path", _path, "out", flag={"help": "output directory"}, path=True)
     window: int = _setting("window", "an integer at least 3", int_at_least(3), 20,
                            flag={"type": int, "help": "rolling regression window (quarters)"})
@@ -223,8 +217,10 @@ class RunConfig:
     pair_sig_t: float = _setting("thresholds.pair_sig_t", "a positive number", is_positive, 5.0)
     min_overlap: int = _setting("pairs.min_overlap", "an integer at least 3", int_at_least(3), 8)
     jump_pair_floor: int = _setting("pairs.jump_floor", "an integer at least 3", int_at_least(3), 4)
-    time_cohorts: dict = _setting("cohorts.time", "an object of quarters", object_of(is_quarter),
-                                  factory=lambda: dict(DEFAULT_TIME_COHORTS))
+    time_cohorts: dict = _setting(
+        "cohorts.time", f"an object of quarters under names other than {(ALL_MSAS, *CA_SPLIT)}",
+        lambda v: object_of(is_quarter)(v) and not {ALL_MSAS, *CA_SPLIT} & set(v),
+        factory=lambda: dict(DEFAULT_TIME_COHORTS))
     ca_coastal: tuple = _setting("cohorts.ca_coastal", "a list of non-blank strings", list_of(_name),
                                  DEFAULT_CA_COASTAL)
     contagion_menu: dict | None = _setting(
@@ -238,8 +234,9 @@ class RunConfig:
             "available_from": Key("a quarter", is_quarter),
         })})
     sub_ranges: dict = _setting(
-        "sub_ranges", "an object of [first quarter, last quarter] pairs, the first not after the last",
-        object_of(_quarter_range),
+        "sub_ranges", f"an object of [first quarter, last quarter] pairs, the first not after the last, "
+        f"under names other than {FULL_RANGE!r}",
+        lambda v: object_of(_quarter_range)(v) and FULL_RANGE not in v,
         factory=lambda: {k: tuple(v) for k, v in DEFAULT_SUB_RANGES.items()})
 
     def validate(self) -> None:
@@ -447,17 +444,15 @@ def _state_members(panel, state: str) -> list[str]:
 
 
 def _ca_cohorts(panel, cfg: RunConfig) -> dict[str, list[str]]:
-    """us / ca / ca_coastal / ca_inland memberships (empty ones omitted)."""
-    out = {"us": panel.msa_ids()}
+    """Every MSA, the CA ones and, if some CA MSA is coastal, the CA split (empty ones omitted)."""
+    out = {ALL_MSAS: panel.msa_ids()}
     ca = _state_members(panel, "CA")
     if ca:
         out["ca"] = ca
         coastal = [m for m in _match_names(panel, cfg.ca_coastal) if m in ca]
         if coastal:
-            out["ca_coastal"] = coastal
             inland = [m for m in ca if m not in coastal]
-            if inland:
-                out["ca_inland"] = inland
+            out.update((name, part) for name, part in zip(CA_SPLIT, (coastal, inland)) if part)
     return out
 
 
@@ -550,7 +545,7 @@ def _cohort_averages(integration, panel, cfg):
 def _cohort_plan(integ, panel, cfg: RunConfig):
     """(name, members, start) triples for every non-empty cohort."""
     have = dict(zip(integ.ids, integ.ends[integ.first].tolist()))  # MSA -> its first window end
-    plan = [("us", sorted(have), None)]
+    plan = [(ALL_MSAS, sorted(have), None)]
     starts = sorted(
         ((name, parse_quarter(q)) for name, q in cfg.time_cohorts.items()),
         key=lambda kv: kv[1].code,
@@ -566,7 +561,7 @@ def _cohort_plan(integ, panel, cfg: RunConfig):
             plan.append((name, members, start))
         prev_code = start.code
     cohorts = _ca_cohorts(panel, cfg)
-    for name in ("ca_coastal", "ca_inland"):
+    for name in CA_SPLIT:
         members = [m for m in cohorts.get(name, []) if m in have]
         if members:
             plan.append((name, members, None))
@@ -631,7 +626,7 @@ def _correlation_summary(pair_sets):
 
 
 def _division_report(pair_sets, panel, cfg):
-    states = {m.msa_id: m.state for m in panel.msas if m.state}
+    states = {m.msa_id: m.state for m in panel.msas}
     return _fields(cohort_correlation_report(pair_sets, states, cfg.pair_sig_t), DivisionRow)
 
 
@@ -783,17 +778,17 @@ def _contagion_variant(contagion_fits, variant: str):
 
 
 def _portfolio_members(returns, panel, name: str, spec: dict) -> list[str]:
-    if "members" in spec:
-        unknown = sorted(set(spec["members"]) - set(returns.msa_ids()))
-        if unknown:
-            raise ConfigError(f"portfolio {name!r} member {unknown[0]!r} matches no MSA")
-        return sorted(spec["members"])
-    members = _state_members(panel, spec["state"]) if "state" in spec else returns.msa_ids()
+    """Its listed members, or every MSA if none are listed; of those, the ones
+    in its ``state``; of those, the ones available by ``available_from``."""
+    members = spec.get("members", returns.msa_ids())
+    unknown = sorted(set(members) - set(returns.msa_ids()))
+    if unknown:
+        raise ConfigError(f"portfolio {name!r} member {unknown[0]!r} matches no MSA")
+    if "state" in spec:
+        members = set(members) & set(_state_members(panel, spec["state"]))
     if "available_from" in spec:
-        from_q = parse_quarter(spec["available_from"])
-        members = [
-            m for m in members if returns.first_quarter(m).code <= from_q.code
-        ]
+        code = parse_quarter(spec["available_from"]).code
+        members = [m for m in members if returns.first_quarter(m).code <= code]
     return sorted(members)
 
 
@@ -831,7 +826,7 @@ def _portfolio_series(portfolios):
 
 
 def _series_correlations(portfolios, cfg):
-    ranges = [("full", None, None)] + [
+    ranges = [(FULL_RANGE, None, None)] + [
         (rng_name, parse_quarter(lo), parse_quarter(hi))
         for rng_name, (lo, hi) in sorted(cfg.sub_ranges.items())
     ]
@@ -971,6 +966,10 @@ def _reaches(fn, name: str) -> bool:
 # and their views. No result is read both by one of these and by another
 # entry, so a forked child can write them while the parent writes the rest.
 INTEGRATION_FAMILY = frozenset(name for name, _, build in ARTIFACTS if _reaches(build, "integration"))
+
+# The commands that write ``ARTIFACTS`` entries, in table order; ``synth``
+# writes the generated inputs, and ``all`` every entry.
+COMMANDS = (*dict.fromkeys(command for _, command, _ in ARTIFACTS), "synth", "all")
 
 
 def _write_entries(r: _Runner, entries) -> tuple | None:

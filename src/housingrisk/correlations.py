@@ -297,11 +297,13 @@ def cohort_correlation_report(
 
     ``states`` maps MSA ids to their states. A pair counts only in the
     division holding both members, so no pair is double-counted, and a
-    pair with a member missing from ``states`` counts nowhere. Each set
-    is one kind and timing; it gets rows when at least one of its pairs
-    has both members in ``states``.
+    pair with a member missing from ``states``, or whose state is in no
+    division (``PR``, say, or blank), counts nowhere. Each set is one kind
+    and timing; it gets rows when at least one of its pairs has both
+    members in a division.
     """
-    code = {m: DIVISIONS.index(division_for_state(s)) for m, s in states.items()}
+    code = {m: DIVISIONS.index(_STATE_TO_DIVISION[s.upper()]) for m, s in states.items()
+            if s.upper() in _STATE_TO_DIVISION}
     by_combo = {}  # (kind, timing) -> (division code of each pair or -1, r, t)
     for pairs in sets:
         if (pairs.kind, pairs.timing) in by_combo:

@@ -221,7 +221,7 @@ def load_factor_table(path: str | Path, transforms: Mapping[str, str]) -> Factor
 
 
 # A transforms file maps each factor id to the name of its transform.
-_TRANSFORM_KEYS = {ANY_KEY: Key(f"one of {TRANSFORMS}", TRANSFORMS.__contains__)}
+TRANSFORM_KEYS = {ANY_KEY: Key(f"one of {TRANSFORMS}", TRANSFORMS.__contains__)}
 
 
 def load_transform_config(path: str | Path) -> dict[str, str]:
@@ -232,7 +232,7 @@ def load_transform_config(path: str | Path) -> dict[str, str]:
         raise IngestionError(f"{path}: not UTF-8 JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise IngestionError(f"{path}: transform config must map factor ids to kinds")
-    problems = faults(_TRANSFORM_KEYS, cfg)
+    problems = faults(TRANSFORM_KEYS, cfg)
     if problems:
         raise IngestionError(f"{path}: " + "; ".join(problems))
     return cfg

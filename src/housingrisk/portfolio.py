@@ -41,16 +41,16 @@ class PortfolioSeries:
 
 def _member_returns(panel: ReturnPanel, members):
     """(sorted members, quarter codes where every member reports, the members'
-    returns in those quarters, the other quarter codes)."""
+    returns in those quarters, the other quarter codes). Every series runs to
+    the last quarter, so all members report from the latest first quarter on."""
     members = tuple(sorted(members))
     if not members:
         raise ValueError("portfolio membership is empty")
-    V = np.column_stack([panel.values[:, panel.column(m)] for m in members])
-    full = np.all(np.isfinite(V), axis=1)
-    if not np.any(full):
-        raise InsufficientHistoryError("no quarter has all members present")
+    columns = [panel.column(m) for m in members]
+    first = int(panel.first_offsets[columns].max())
     codes = np.arange(panel.start.code, panel.start.code + panel.n_quarters)
-    return members, codes[full], V[full], tuple(codes[~full].tolist())
+    V = np.column_stack([panel.values[first:, c] for c in columns])
+    return members, codes[first:], V, tuple(codes[:first].tolist())
 
 
 def portfolio_returns(

@@ -107,7 +107,10 @@ def _solve_stacked(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], rows=No
     ``_r_and_qty`` gives each problem's R and Q'y, each response's bits
     independent of the other responses. One back-substitution over the k
     columns then solves ``R [B | R^-1] = [Q'Y | I]`` for every problem and
-    response at once.
+    response at once. The identity block also keeps each right-hand side at
+    least two columns wide, which a response's bits rest on: ``np.einsum``
+    sums a lone column in another order than two or more, so without the
+    block the betas of a one-response problem would move in their last bits.
 
     A problem is rank deficient when, in declared order, some column's
     residual on the earlier kept columns is at most

@@ -160,17 +160,11 @@ def _normalize(config: ScenarioConfig):
         L = np.zeros((n_m, n_f))
     elif L.ndim == 0:
         L = np.full((n_m, n_f), float(L))
-    elif L.ndim == 1 and L.shape == (n_f,):
+    elif L.shape == (n_f,):
         L = np.tile(L, (n_m, 1))
-    elif L.ndim == 2 and L.shape == (n_m, n_f):
-        pass
-    elif L.ndim == 3 and L.shape == (n_q, n_m, n_f):
-        pass
-    else:
+    elif L.shape not in ((n_m, n_f), (n_q, n_m, n_f)):
         problems.append(
-            f"loadings shape {L.shape} fits neither ({n_m}, {n_f}) nor "
-            f"({n_q}, {n_m}, {n_f})"
-        )
+            f"loadings shape {L.shape} is none of a scalar, ({n_f},), ({n_m}, {n_f}) or ({n_q}, {n_m}, {n_f})")
         L = np.zeros((n_m, n_f))
 
     sigma = _per_msa(config.idio_sigma, n_m, "idio_sigma", problems)

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from housingrisk import (ConfigError, HousingRiskError, cohort_correlation_report, contagion_fits, integrate_panel,
-                         jump_pair_correlations, lm_series, return_pair_correlations)
+from housingrisk import (ConfigError, HousingRiskError, QuarterIndex, cohort_average, cohort_correlation_report,
+                         compute_returns, contagion_fits, integrate_panel, jump_incidence, jump_pair_correlations,
+                         lm_series, load_factor_table, load_hpi_panel, return_pair_correlations)
 from housingrisk.cli import _CONFIG_KEYS, RunConfig, _build_parser, build_config, main, run
 
 SCENARIO = {
@@ -34,6 +35,11 @@ SCENARIO = {
     "jumps": [{"quarter": 50, "msas": [1, 4], "magnitude": 6.0}],
     "contagion": [{"source": 0, "target": 2, "weights": [0.5, 0.25]}],
 }
+
+# The scenario README shows: twelve metros, of which S001 and S011 are in CA.
+README_SCENARIO = dict(n_msas=12, n_quarters=140, n_factors=3, loadings=0.55, phi=0.3, mu=0.8, seed=11,
+                       jumps=[{"quarter": 60, "msas": [2, 5], "magnitude": 6.0}],
+                       contagion=[{"source": 0, "target": 1, "weights": [0.5, 0.25]}])
 
 EXPECTED_ALL = {
     "hpi_synth.csv", "factors_synth.csv", "transforms_synth.json",
@@ -366,6 +372,68 @@ def test_a_ca_panel_gets_the_ca_cohorts_the_city_menu_and_drops_what_it_cannot_f
     assert column_values(out / "series_correlations.csv", "range") == ["full", "2000s"]
 
 
+LISTED = ["S001", "S002", "S007", "S008"]  # CA, CA, MA and CO; S008's first return is in 2005:Q1
+
+
+@pytest.mark.parametrize("spec, kept, digests", [
+    pytest.param({"members": LISTED}, LISTED, ["bc85be584cdc8d6fb93d781e0a11e55d60586eb80581fae4771f54b5d3b20594",
+                                               "647e10c4b8b6d9837f44739bb2963ca5d439cf23296f01b18f797b3e8381afef"],
+                 id="members"),
+    pytest.param({"members": LISTED, "state": "ca"}, ["S001", "S002"], None, id="members-in-a-state"),
+    pytest.param({"members": LISTED, "available_from": "2004:Q4"}, ["S001", "S002", "S007"], None,
+                 id="members-available-by-a-quarter"),
+    pytest.param({"members": [*LISTED, "S006"], "state": "CA", "available_from": "2004:Q4"}, ["S001", "S002"],
+                 None, id="members-in-a-state-available-by-a-quarter"),
+])
+def test_a_portfolio_keeps_its_listed_members_in_its_state_available_by_its_quarter(tmp_path, spec, kept, digests):
+    cfg = ca_config(tmp_path, "out", portfolios={"p": spec, "q": {"members": kept}})
+    assert main(["portfolio", "--config", str(cfg)]) == 0
+    out, names = tmp_path / "out", ["portfolio_series.csv", "series_correlations.csv"]
+    for name in names:
+        rows = csv_rows(out / name)[1:]
+        assert [row[1:] for row in rows if row[0] == "p"] == [row[1:] for row in rows if row[0] == "q"]
+    assert column_values(out / "portfolio_series.csv", "portfolio") == ["p", "q"]
+    if digests:
+        assert [hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names] == digests
+
+
+def quarter_rows(codes, *columns) -> list[list[str]]:
+    """The cells an artifact writes for each quarter: a float as %.10g, NaN blank, an integer as is."""
+    return [[str(QuarterIndex.from_code(int(code))),
+             *("" if v != v else f"{v:.10g}" if isinstance(v, float) else str(v) for v in values)]
+            for code, *values in zip(codes, *columns)]
+
+
+def test_the_ca_split_rows_are_those_of_its_members(tmp_path):
+    rpath, out = write_scenario(tmp_path, **README_SCENARIO)
+    rpath.write_text(json.dumps(dict(json.loads(rpath.read_text()), cohorts={"ca_coastal": ["S001"]})))
+    assert main(["all", "--config", str(rpath)]) == 0
+    returns = compute_returns(load_hpi_panel(out / "hpi_synth.csv"))
+    factors = load_factor_table(out / "factors_synth.csv", json.loads((out / "transforms_synth.json").read_text()))
+    integration, jumps = integrate_panel(returns, factors), lm_series(returns)
+    cohorts = {"ca": ["S001", "S011"], "ca_coastal": ["S001"], "ca_inland": ["S011"]}
+
+    averages = csv_rows(out / "cohort_averages.csv")[1:]
+    for name in ("ca_coastal", "ca_inland"):
+        expected = quarter_rows(*cohort_average(integration, cohorts[name]))
+        assert [row[1:] for row in averages if row[0] == name] == expected != []
+    incidence = csv_rows(out / "jump_incidence.csv")[1:]
+    for name, members in cohorts.items():
+        expected = quarter_rows(*jump_incidence(jumps, [jumps.ids.index(m) for m in members], flag="big"))
+        assert [row[1:] for row in incidence if row[0] == name] == expected != []
+
+
+def test_a_metro_whose_state_is_in_no_census_division_is_counted_in_none(tmp_path, capsys):
+    reports = []
+    for state in ("PR", ""):  # S004's
+        states = ["CA", "TX", "NY", state, "IL", "WA", "MA", "CO", "GA", "MN", "CA", "TX"]
+        rpath, out = write_scenario(tmp_path, out_name=f"out{state}", **dict(README_SCENARIO, states=states))
+        assert main(["all", "--config", str(rpath)]) == 0
+        reports.append((out / "division_report.csv").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert reports[0] == reports[1]
+
+
 def test_a_ca_equal_weighted_residual_too_short_gives_base_fits_only(tmp_path):
     # Every CA metro reports only in Redding's last ten quarters, too few
     # for the residual's trend fit.
@@ -693,6 +761,10 @@ def test_corrupt_config_json(tmp_path, capsys):
     pytest.param({"out": 5}, id="out-number"),
     pytest.param({"out": ""}, id="out-empty"),
     pytest.param({"inputs": {"transforms": 3}}, id="transforms-number"),
+    pytest.param({"cohorts": {"time": {"us": "1990:Q1"}}}, id="time-cohort-named-us"),
+    pytest.param({"cohorts": {"time": {"ca_coastal": "1990:Q1"}}}, id="time-cohort-named-ca-coastal"),
+    pytest.param({"cohorts": {"time": {"ca_inland": "1990:Q1"}}}, id="time-cohort-named-ca-inland"),
+    pytest.param({"sub_ranges": {"full": ["2000:Q1", "2009:Q4"]}}, id="sub-range-named-full"),
     pytest.param({"window": 1000}, id="window-beyond-history"),
     pytest.param({"bipower_window": 1000}, id="bipower-window-beyond-history"),
 ])
@@ -774,6 +846,27 @@ def scenario_bytes(**overrides) -> bytes:
                  id="ragged-loadings"),
     pytest.param(scenario_bytes(mu=float("nan")), ": invalid scenario: mu must be", id="mu-nan"),
     pytest.param(scenario_bytes(mu=1e9), ": invalid scenario: index levels leave", id="levels-overflow"),
+    pytest.param(scenario_bytes(idio_sigma=[1.0, 1.0]),
+                 ": invalid scenario: idio_sigma must be a scalar or length-8, got shape (2,)", id="idio-sigma-short"),
+    pytest.param(scenario_bytes(idio_sigma=-1), ": invalid scenario: idio_sigma must be non-negative",
+                 id="idio-sigma-negative"),
+    pytest.param(scenario_bytes(phi=1.0), ": invalid scenario: phi must satisfy |phi| < 1", id="phi-unit-root"),
+    pytest.param(scenario_bytes(loadings=[0.5, 0.5], n_factors=3),
+                 ": invalid scenario: loadings shape (2,) is none of a scalar, (3,), (8, 3) or (120, 8, 3)",
+                 id="loadings-shape"),
+    pytest.param(scenario_bytes(states=["CA"]), ": invalid scenario: states must have 8 entries, got 1",
+                 id="states-short"),
+    pytest.param(scenario_bytes(jumps=[{"quarter": 10000, "msas": [1], "magnitude": 6.0}]),
+                 ": invalid scenario: jump quarter 10000 outside the return range", id="jump-past-the-end"),
+    pytest.param(scenario_bytes(contagion=[{"source": 2, "target": 2, "weights": [0.5]}]),
+                 ": invalid scenario: contagion plan maps S003 onto itself", id="contagion-onto-itself"),
+    pytest.param(scenario_bytes(contagion=[{"source": "ZZZ", "target": 2, "weights": [0.5]}]),
+                 ": invalid scenario: contagion plan: unknown MSA 'ZZZ'", id="contagion-unknown-source"),
+    pytest.param(scenario_bytes(contagion=[{"source": 99, "target": 2, "weights": [0.5]}]),
+                 ": invalid scenario: contagion plan: MSA index 99 out of range", id="contagion-source-index"),
+    pytest.param(scenario_bytes(contagion=[{"source": 0, "target": 2, "weights": []}]),
+                 ": invalid scenario: contagion weights must have between 1 and n_quarters entries",
+                 id="contagion-no-weights"),
 ])
 def test_malformed_scenario_fails_before_any_write(tmp_path, capsys, monkeypatch, text, named):
     monkeypatch.chdir(tmp_path)

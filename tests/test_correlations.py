@@ -356,6 +356,15 @@ def test_division_report_counts_a_pair_only_with_both_states(rng):
         cohort_correlation_report([contemp, contemp], states)
 
 
+def test_division_report_counts_a_member_in_no_division_nowhere(rng):
+    states = {"A": "CA", "B": "CA", "C": "TX", "D": "TX"}
+    panel = panel_from_returns({m: rng.normal(size=40) for m in "ABCDE"})
+    pairs, _ = return_pair_correlations(panel)
+    rows = cohort_correlation_report([pairs], dict(states, E="PR"))
+    assert rows == cohort_correlation_report([pairs], states)
+    assert [(r.division, r.n) for r in rows] == [("D4", 1), ("CA", 1)]
+
+
 # --- pair set invariants ------------------------------------------------------
 
 def check_pair_set(pairs, omitted, n_ids, timing, floor):

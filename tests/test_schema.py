@@ -15,7 +15,7 @@ import pytest
 
 from housingrisk import ConfigError, IngestionError
 from housingrisk.cli import _CONFIG_KEYS, _build_parser, build_config
-from housingrisk.io import _TRANSFORM_KEYS, load_transform_config
+from housingrisk.io import TRANSFORM_KEYS, load_transform_config
 from housingrisk.schema import ANY_KEY
 from housingrisk.synth import _CONTAGION_KEYS, _JUMP_KEYS, _RAMP_KEYS, _SCENARIO_KEYS, scenario_from_json
 
@@ -65,7 +65,7 @@ TABLES = [
     ("ramp", scenario_fault, SCENARIO, ("loadings",), "loadings.", _RAMP_KEYS),
     ("jump", scenario_fault, SCENARIO, ("jumps", 0), "jumps[0].", _JUMP_KEYS),
     ("contagion", scenario_fault, SCENARIO, ("contagion", 0), "contagion[0].", _CONTAGION_KEYS),
-    ("transforms", transforms_fault, {"GS10": "log_level"}, (), "", _TRANSFORM_KEYS),
+    ("transforms", transforms_fault, {"GS10": "log_level"}, (), "", TRANSFORM_KEYS),
 ]
 CASES = [pytest.param(reader, base, at, where, name, key, id=f"{table}:{name}")
          for table, reader, base, at, where, keys in TABLES for name, key in keys.items()]
