@@ -708,12 +708,12 @@ def _contagion_fits(returns, panel, cfg, ground_truth):
 
     A pair's overlap is the rows of the return grid from the later of its
     two first quarters to the end. The pairs that share a source and an
-    overlap share one design; one ``contagion_fits`` call per variant fits
-    every such group, with the Cochrane-Orcutt rounds of all of them in
-    lockstep. Rows stay in sorted pair order,
-    then base before interacted; a pair whose overlap is too short is one
-    ``skipped`` row, and a variant whose fit fails is a ``skipped`` row
-    naming the variant and the error.
+    overlap share one design; one ``contagion_fits`` call fits every such
+    group of both variants, with the Cochrane-Orcutt rounds of all of them
+    in lockstep. Rows stay in sorted pair order, then base before
+    interacted; a pair whose overlap is too short is one ``skipped`` row,
+    and a variant whose fit fails is a ``skipped`` row naming the variant
+    and the error.
     """
     n_lags = 3
     header = ["target", "source", "variant", "n", "method", "rho", "r_square", "dw", "const", "const_t"]
@@ -736,7 +736,7 @@ def _contagion_fits(returns, panel, cfg, ground_truth):
     n = np.repeat(returns.n_quarters - lo, 2).reshape(-1, 2)
     method = np.full((len(pairs), 2), "insufficient overlap", dtype=object)
     numbers = np.full((len(pairs), 2, len(header) - 5), np.nan)  # rho, R², DW, (coefficient, t) pairs
-    variants = ([], [])  # per variant, (pair indices, (targets, source, residual)) of each group
+    entries = []  # (pair indices, variant, (targets, source, residual)) of each group
     residual = functools.cache(lambda source: _interaction_residual(panel, returns, source))
     for (s, first), at in groups.items():
         if returns.n_quarters - first < min_history(n_lags):
@@ -745,19 +745,19 @@ def _contagion_fits(returns, panel, cfg, ground_truth):
         block = returns.values[first:, target[at]].T
         res = residual(returns.msas[s].msa_id if per_source else None)
         code = returns.start.code + first
-        variants[0].append((at, (block, sv, None)))
+        entries.append((at, 0, (block, sv, None)))
         if res is not None and res[0] <= code:
-            variants[1].append((at, (block, sv, res[1][code - res[0]:])))
-    for v, (name, entries) in enumerate(zip(("base", "interacted"), variants)):
-        for (at, _), fits in zip(entries, contagion_fits([group for _, group in entries], n_lags, cfg.serial)):
-            ok = np.array([exc is None for exc in fits.errors])
-            shown[at, v] = True
-            variant[at, v] = np.where(ok, name, "skipped")
-            n[at, v] = np.where(ok, fits.n_obs, n[at, v])
-            method[at, v] = [m if exc is None else f"{name}: {exc}" for m, exc in zip(fits.methods, fits.errors)]
-            cells = np.stack([fits.coefficients, fits.t_stats], axis=2).reshape(len(at), -1)
-            values = np.column_stack([fits.rho, fits.r_square, fits.durbin_watson, cells])
-            numbers[at, v, : values.shape[1]] = values  # NaN where the fit failed
+            entries.append((at, 1, (block, sv, res[1][code - res[0]:])))
+    for (at, v, _), fits in zip(entries, contagion_fits([group for *_, group in entries], n_lags, cfg.serial)):
+        name = ("base", "interacted")[v]
+        ok = np.array([exc is None for exc in fits.errors])
+        shown[at, v] = True
+        variant[at, v] = np.where(ok, name, "skipped")
+        n[at, v] = np.where(ok, fits.n_obs, n[at, v])
+        method[at, v] = [m if exc is None else f"{name}: {exc}" for m, exc in zip(fits.methods, fits.errors)]
+        cells = np.stack([fits.coefficients, fits.t_stats], axis=2).reshape(len(at), -1)
+        values = np.column_stack([fits.rho, fits.r_square, fits.durbin_watson, cells])
+        numbers[at, v, : values.shape[1]] = values  # NaN where the fit failed
     pair_at = np.repeat(np.arange(len(pairs)), 2)[shown.ravel()]
     return header, [
         Labels(pair_at, [msa for _, msa in pairs]),

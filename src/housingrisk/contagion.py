@@ -284,7 +284,7 @@ def contagion_fits(groups, n_lags: int = 3, serial: str = "auto") -> list[Contag
             fit.failed.update((int(i), _too_few_for_cochrane_orcutt(n, k)) for i in at)
             at = at[:0]
         if at.size:
-            co_groups.append((X, Y[at], names, _StackFit(*(a[at] for a in fit[:4]), {})))
+            co_groups.append((X, Y, names, fit, at))
         starts.append(fit)
         gated.append(at)
     co = iter(_cochrane_orcutt_stack(co_groups))
@@ -297,10 +297,7 @@ def contagion_fits(groups, n_lags: int = 3, serial: str = "auto") -> list[Contag
         rho = np.full(m, np.nan)
         n_obs = np.full(m, X.shape[0])
         if at.size:
-            fits, rho[at], n_obs[at], _ = next(co)
-            for a, b in zip(fit[:4], fits[:4]):
-                a[at] = b
-            failed.update((int(at[j]), exc) for j, exc in fits.failed.items())
+            rho[at], n_obs[at], _ = next(co)
             methods[at] = "cochrane_orcutt"
         cols = [all_names.index(name) for name in names]
         coef = np.zeros((m, len(all_names)))

@@ -99,10 +99,11 @@ def _r_and_qty(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve_stacked(X: np.ndarray, Y: np.ndarray, names: tuple[str, ...], rows=None):
     """Least squares for a stack of problems: each of the m rows of Y
     (s, m, n) regressed on the same X (s, n, k), whose k columns ``names``
-    labels, with X and Y C arrays, as ``_fit_stack`` and ``_co_lockstep``
-    pass them. ``rows`` (s,), when given, is the row count of the taller
-    problem each member stands for (``_cochrane_orcutt_stack`` solves such
-    reduced problems), which the rank tolerance then takes for n.
+    labels, with X and Y C arrays, as ``_fit_stack`` and
+    ``_cochrane_orcutt_stack`` pass them. ``rows`` (s,), when given, is the
+    row count of the taller problem each member stands for (the reduced
+    problems of ``_cochrane_orcutt_stack``), which the rank tolerance then
+    takes for n.
 
     ``_r_and_qty`` gives each problem's R and Q'y, each response's bits
     independent of the other responses. One back-substitution over the k
@@ -330,8 +331,10 @@ def cochrane_orcutt(
         fit = _quasi_difference_stack(X, Y, names, np.array([float(fixed_rho)]))
         rho, differenced_by = fixed_rho, fixed_rho
     else:
-        start = _fit_stack(X[None], Y[None], names).responses()
-        [(fit, rhos, n_obs, rho_fitted)] = _cochrane_orcutt_stack([(X, Y, names, start)], tol, max_iter)
+        fit = _fit_stack(X[None], Y[None], names).responses()
+        if fit.failed:
+            raise fit.failed[0]
+        [(rhos, n_obs, rho_fitted)] = _cochrane_orcutt_stack([(X, Y, names, fit, np.array([0]))], tol, max_iter)
         rho, differenced_by = float(rhos[0]), rho_fitted[0] if n_obs[0] < n else None
     if fit.failed:
         raise fit.failed[0]
@@ -399,13 +402,15 @@ def _differencing_factors(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _cochrane_orcutt_stack(groups, tol: float = 1e-6, max_iter: int = 50):
-    """``cochrane_orcutt`` for groups of problems, in lockstep.
+    """``cochrane_orcutt`` for groups of problems, in lockstep, on the
+    caller's arrays.
 
-    Each group is (X, Y, names, start): one problem per row y of Y (m, n)
-    on the design X (n, k), whose k columns ``names`` labels and whose first
-    column is the intercept, and ``start``, their OLS fit
+    Each group is (X, Y, names, fit, rows): one problem per row y of Y
+    (m, n) on the design X (n, k), whose k columns ``names`` labels and
+    whose first column is the intercept; ``fit``, their OLS fit
     (``_fit_stack(X[None], Y[None], names).responses()``), which is also the
-    first iterate. The caller checks n >= k + 3.
+    first iterate; and ``rows``, the indices of the rows of Y to iterate,
+    none of which has failed in ``fit``. The caller checks n >= k + 3.
 
     Each round takes the lag-1 rho estimate (``_lag1_rho``) of every problem
     still iterating from its original-scale residuals y - X beta. A problem
@@ -422,90 +427,79 @@ def _cochrane_orcutt_stack(groups, tol: float = 1e-6, max_iter: int = 50):
     the same ``names`` solve those small problems in one ``_solve_stacked``,
     whose rank screen takes each problem's own n - 1 rows. After the last
     round each group's problems are fitted once, at the rho their last
-    iterate was quasi-differenced by, with ``_quasi_difference_stack``, which
-    gives the fit that is returned.
+    iterate was quasi-differenced by, with ``_quasi_difference_stack``.
 
-    Returns, per group, (fit, rho, n_obs, rho_fitted) with one row per
-    problem: rho is the last estimate, and rho_fitted the rho the fit's rows
+    That fit is written into ``fit`` at its row of Y; a problem that failed
+    has its error in ``fit.failed`` under its row of Y, and NaN in that row.
+    Returns, per group, (rho, n_obs, rho_fitted) with one entry per row of
+    ``rows``: rho is the last estimate, and rho_fitted the rho the fit's rows
     were quasi-differenced by (0 for the OLS start, whose n_obs is n).
     """
     out = [None] * len(groups)
     by_names: dict[tuple[str, ...], list[int]] = {}
     for g, group in enumerate(groups):
         by_names.setdefault(group[2], []).append(g)
-    for members in by_names.values():
-        for g, result in zip(members, _co_lockstep([groups[g] for g in members], tol, max_iter)):
-            out[g] = result
-    return out
+    for names, members in by_names.items():
+        k = len(names)
+        part = [groups[g] for g in members]
+        at = np.cumsum([0] + [len(rows) for *_, rows in part])  # part[g]'s problems are at[g]:at[g + 1]
+        beta = np.concatenate([fit.beta[rows] for *_, fit, rows in part])
+        n_rows = np.repeat([len(X) - 1 for X, *_ in part], np.diff(at))
+        R, QY = zip(*(_differencing_factors(X, Y[rows]) for X, Y, _, _, rows in part))
+        R, QY = np.stack(R), np.concatenate(QY)
+        rho = np.zeros(at[-1])
+        fitted = np.zeros(at[-1])
+        moved = np.zeros(at[-1], dtype=bool)  # the last iterate is quasi-differenced (by fitted)
+        live = np.ones(at[-1], dtype=bool)
+        failed = {}
+        for _ in range(max_iter):
+            now = np.flatnonzero(live)
+            if not now.size:
+                break
+            cut = np.searchsorted(now, at)
+            for g, (X, Y, _, _, rows) in enumerate(part):
+                i = now[cut[g] : cut[g + 1]]
+                if i.size:
+                    rho[i] = _lag1_rho(Y[rows[i - at[g]]] - np.einsum("tj,wj->wt", np.ascontiguousarray(X), beta[i]))
+            live[now] = False
+            for i in now[np.abs(rho[now]) >= 1.0]:
+                failed[int(i)] = _rho_left_unit_interval(rho[i])
+            go = now[(np.abs(rho[now]) < 1.0) & ~(np.abs(rho[now] - fitted[now]) < tol)]
+            if not go.size:
+                continue
+            r = rho[go, None]
+            small = np.empty((go.size, 2 * k - 1, k))
+            cut = np.searchsorted(go, at)
+            for g in np.flatnonzero(np.diff(cut)):
+                span = slice(cut[g], cut[g + 1])
+                small[span] = R[g, :, :k]
+                small[span, :, 1:k] -= r[span, :, None] * R[g, :, k:]
+            b, _, bad = _solve_stacked(small, (QY[go, :, 0] - r * QY[go, :, 1])[:, None], names, n_rows[go])
+            beta[go] = b[:, 0]
+            beta[go, 0] *= 1.0 / (1.0 - rho[go])  # the intercept on the original scale
+            fitted[go] = rho[go]
+            moved[go] = live[go] = True
+            for j, exc in bad.items():
+                failed[int(go[j])] = exc
+                live[go[j]] = False
 
-
-def _co_lockstep(groups, tol: float, max_iter: int):
-    """``_cochrane_orcutt_stack`` of groups that share their names."""
-    names = groups[0][2]
-    k = len(names)
-    at = np.cumsum([0] + [len(Y) for _, Y, _, _ in groups])  # group g's problems are at[g]:at[g + 1]
-    beta = np.concatenate([start.beta for *_, start in groups])
-    rows = np.repeat([len(X) - 1 for X, *_ in groups], np.diff(at))
-    R, QY = zip(*(_differencing_factors(X, Y) for X, Y, _, _ in groups))
-    R, QY = np.stack(R), np.concatenate(QY)
-    rho = np.zeros(at[-1])
-    fitted = np.zeros(at[-1])
-    moved = np.zeros(at[-1], dtype=bool)  # the last iterate is quasi-differenced (by fitted)
-    live = np.ones(at[-1], dtype=bool)
-    failed = {}
-    for g, (*_, start) in enumerate(groups):
-        failed.update((int(at[g] + i), exc) for i, exc in start.failed.items())
-    live[list(failed)] = False
-    for _ in range(max_iter):
-        now = np.flatnonzero(live)
-        if not now.size:
-            break
-        cut = np.searchsorted(now, at)
-        for g, (X, Y, _, _) in enumerate(groups):
-            i = now[cut[g] : cut[g + 1]]
-            if i.size:
-                rho[i] = _lag1_rho(Y[i - at[g]] - np.einsum("tj,wj->wt", np.ascontiguousarray(X), beta[i]))
-        live[now] = False
-        for i in now[np.abs(rho[now]) >= 1.0]:
-            failed[int(i)] = _rho_left_unit_interval(rho[i])
-        go = now[(np.abs(rho[now]) < 1.0) & ~(np.abs(rho[now] - fitted[now]) < tol)]
-        if not go.size:
-            continue
-        r = rho[go, None]
-        small = np.empty((go.size, 2 * k - 1, k))
-        cut = np.searchsorted(go, at)
-        for g in np.flatnonzero(np.diff(cut)):
-            part = slice(cut[g], cut[g + 1])
-            small[part] = R[g, :, :k]
-            small[part, :, 1:k] -= r[part, :, None] * R[g, :, k:]
-        b, _, bad = _solve_stacked(small, (QY[go, :, 0] - r * QY[go, :, 1])[:, None], names, rows[go])
-        beta[go] = b[:, 0]
-        beta[go, 0] *= 1.0 / (1.0 - rho[go])  # the intercept on the original scale
-        fitted[go] = rho[go]
-        moved[go] = live[go] = True
-        for j, exc in bad.items():
-            failed[int(go[j])] = exc
-            live[go[j]] = False
-
-    out = []
-    for g, (X, Y, _, start) in enumerate(groups):
-        a, b = at[g], at[g + 1]
-        fit = _StackFit(*(v.copy() for v in start[:4]), {int(i - a): exc for i, exc in failed.items() if a <= i < b})
-        redo = np.array([i for i in np.flatnonzero(moved[a:b]) if i not in fit.failed], dtype=int)
-        if redo.size:
-            last = _quasi_difference_stack(X, Y[redo], names, fitted[a + redo])
-            for v, w in zip(fit[:4], last[:4]):
-                v[redo] = w
-            fit.failed.update((int(redo[j]), exc) for j, exc in last.failed.items())
-        for i in np.flatnonzero(live[a:b]):
-            if i not in fit.failed:
-                last = _regression_fit(X, Y, names, fit, i, "cochrane_orcutt", float(fitted[a + i]),
-                                       fitted[a + i] if moved[a + i] else None)
-                fit.failed[int(i)] = _rho_did_not_converge(max_iter, float(rho[a + i]), last)
-        rho_g = rho[a:b].copy()
-        for v in (*fit[:4], rho_g):
-            v[list(fit.failed)] = np.nan
-        out.append((fit, rho_g, np.where(moved[a:b], len(X) - 1, len(X)), fitted[a:b]))
+        for a, b, g, (X, Y, _, fit, rows) in zip(at, at[1:], members, part):
+            mine = {int(i - a): exc for i, exc in failed.items() if a <= i < b}  # by position in rows
+            redo = np.array([i for i in np.flatnonzero(moved[a:b]) if i not in mine], dtype=int)
+            if redo.size:
+                last = _quasi_difference_stack(X, Y[rows[redo]], names, fitted[a + redo])
+                for v, w in zip(fit[:4], last[:4]):
+                    v[rows[redo]] = w
+                mine.update((int(redo[j]), exc) for j, exc in last.failed.items())
+            for i in np.flatnonzero(live[a:b]):
+                if i not in mine:
+                    last = _regression_fit(X, Y, names, fit, rows[i], "cochrane_orcutt", float(fitted[a + i]),
+                                           fitted[a + i] if moved[a + i] else None)
+                    mine[int(i)] = _rho_did_not_converge(max_iter, float(rho[a + i]), last)
+            fit.failed.update((int(rows[i]), exc) for i, exc in mine.items())
+            for v in fit[:4]:
+                v[rows[list(mine)]] = np.nan
+            out[g] = (rho[a:b], np.where(moved[a:b], len(X) - 1, len(X)), fitted[a:b])
     return out
 
 

@@ -829,6 +829,24 @@ def test_a_misspelt_transform_is_named_where_it_is_declared(tmp_path, capsys, mo
     assert sorted(os.listdir()) == before
 
 
+@pytest.mark.parametrize("config,message", [
+    pytest.param(None, "config file not found: {path}", id="missing"),
+    pytest.param([1, 2], "config file {path} must hold a JSON object", id="not-an-object"),
+    pytest.param({"inputs": {"hpi": "hpi.csv"}}, "inputs.factors is required alongside inputs.hpi",
+                 id="hpi-without-factors"),
+])
+def test_a_config_no_run_can_start_from_fails_before_any_write(tmp_path, capsys, monkeypatch, config, message):
+    monkeypatch.chdir(tmp_path)
+    Path("hpi.csv").write_text("msa_id,msa_name,state,quarter,index\nA,Alpha,CA,2000:Q1,1.0\nA,Alpha,CA,2000:Q2,2.0\n")
+    path = tmp_path / "run.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    before = sorted(os.listdir())
+    assert main(["all", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"housingrisk: error: {message.format(path=path)}\n"
+    assert sorted(os.listdir()) == before  # no out/, no stage left behind
+
+
 def scenario_bytes(**overrides) -> bytes:
     return json.dumps(dict(json.loads(json.dumps(SCENARIO)), **overrides)).encode()
 
@@ -850,6 +868,9 @@ def scenario_bytes(**overrides) -> bytes:
                  ": invalid scenario: idio_sigma must be a scalar or length-8, got shape (2,)", id="idio-sigma-short"),
     pytest.param(scenario_bytes(idio_sigma=-1), ": invalid scenario: idio_sigma must be non-negative",
                  id="idio-sigma-negative"),
+    pytest.param(scenario_bytes(idio_sigma=[[1.0], [1.0, 2.0]]),
+                 ": invalid scenario: idio_sigma must be a number or a regular nested list of numbers",
+                 id="idio-sigma-ragged"),
     pytest.param(scenario_bytes(phi=1.0), ": invalid scenario: phi must satisfy |phi| < 1", id="phi-unit-root"),
     pytest.param(scenario_bytes(loadings=[0.5, 0.5], n_factors=3),
                  ": invalid scenario: loadings shape (2,) is none of a scalar, (3,), (8, 3) or (120, 8, 3)",
@@ -1360,6 +1381,7 @@ def test_all_computes_each_result_once(tmp_path, monkeypatch):
     assert calls["integration_summary"] == 1
     assert calls["diversification_series"] == len(RunConfig().portfolios)
     assert sources and calls["boombust_residual"] == len(sources)
+    assert calls["contagion_fits"] == 1  # both variants of every source group
     # Each result is computed in one process: the integration family's in the
     # child, every other one in this process.
     assert all(len(p) == 1 for p in pids.values())

@@ -279,7 +279,9 @@ def assert_batch_matches_scalar(targets, source, residual, serial, n_lags=3):
             assert type(batch.errors[i]) is type(exc)
             assert str(batch.errors[i]) == str(exc)
             assert batch.methods[i] == ""
-            assert np.isnan(batch.coefficients[i]).all()
+            for a in (batch.coefficients, batch.standard_errors, batch.t_stats,
+                      batch.r_square, batch.durbin_watson, batch.rho):
+                assert np.isnan(a[i]).all()
             continue
         fitted += 1
         assert batch.errors[i] is None
@@ -400,3 +402,7 @@ def test_batch_too_short_a_design_skips_with_the_scalar_message(rng):
     assert fitted == 0 and "Cochrane-Orcutt with 9 regressors, got 11" in str(batch.errors[1])
     batch, fitted = assert_batch_matches_scalar(targets, source, residual, "never")
     assert fitted == 2
+    # Under auto, dU is 2.98 for 8 slopes and n <= 15, so Durbin-Watson
+    # always rejects: both targets go to Cochrane-Orcutt, which refuses them.
+    batch, fitted = assert_batch_matches_scalar(targets, source, residual, "auto")
+    assert fitted == 0 and "Cochrane-Orcutt with 9 regressors, got 11" in str(batch.errors[0])
